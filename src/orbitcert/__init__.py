@@ -19,9 +19,9 @@ from .forms import FormSpec, StandardModel
 from .groups import (DetOne, FixesVector, GroupSpec, LieAlgebraBasis,
                      PreservesBilinear, PreservesHermitian, RealEntries,
                      check_onishchik_triple, exp_nilpotent,
-                     isotropy_subalgebra, lie_algebra_of,
-                     nilpotent_orthogonal, nilpotent_symplectic,
-                     nilpotent_unitary, solve_linear_constraints)
+                     isotropy_subalgebra, nilpotent_orthogonal,
+                     nilpotent_symplectic, nilpotent_unitary,
+                     solve_linear_constraints)
 from .octonions import (DerivationBasis, OctonionAlgebra, derivations,
                         imaginary_embedding, split_octonions)
 from .witnesses import (NotInDomainError, Witness, WitnessVerificationError,
@@ -45,8 +45,8 @@ __all__ = [
     "DetOne", "FixesVector", "GroupSpec", "LieAlgebraBasis",
     "PreservesBilinear", "PreservesHermitian", "RealEntries",
     "check_onishchik_triple", "exp_nilpotent", "isotropy_subalgebra",
-    "lie_algebra_of", "nilpotent_orthogonal", "nilpotent_symplectic",
-    "nilpotent_unitary", "solve_linear_constraints",
+    "nilpotent_orthogonal", "nilpotent_symplectic", "nilpotent_unitary",
+    "solve_linear_constraints",
     "DerivationBasis", "OctonionAlgebra", "derivations",
     "imaginary_embedding", "split_octonions",
     "NotInDomainError", "Witness", "WitnessVerificationError", "build_group",

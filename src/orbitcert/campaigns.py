@@ -11,17 +11,14 @@ generator, so a report is a reproducible certificate.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Callable, Optional
 
 from ._version import __version__
 from .forms import FormSpec, StandardModel
 from .groups import check_onishchik_triple
 from .linalg import Matrix, Subspace
-from .octonions import derivations, imaginary_embedding, split_octonions
-from .orbits import (STRATA, classify_point, quadric_algebras,
-                     tangent_dim_grassmann, tangent_dim_projective,
-                     vector_text, verify_orbit_equality)
+from .orbits import (classify_point, quadric_algebras, tangent_dim_grassmann,
+                     tangent_dim_projective, verify_orbit_equality)
 from .rng import SplitMix64
 from .scalars import Tower
 from .witnesses import (NotInDomainError, build_group,
@@ -48,6 +45,8 @@ class CampaignConfig:
             raise ValueError("samples must be >= 1")
         if bound < 1:
             raise ValueError("bound must be >= 1")
+        if (p is None) != (q is None):
+            raise ValueError("give both p and q, or neither")
         if case == "projective-split":
             if n is None:
                 n = 1
@@ -55,7 +54,7 @@ class CampaignConfig:
                 raise ValueError("projective-split needs n >= 1")
             p = q = None
         elif case == "projective-pq":
-            if p is None or q is None:
+            if p is None:
                 p, q = 1, 1
             if p < 1 or q < 1:
                 raise ValueError("projective-pq needs p, q >= 1")
@@ -63,7 +62,7 @@ class CampaignConfig:
                 raise ValueError("projective-pq needs n = p + q")
             n = p + q
         elif case == "isotropic":
-            if p is None or q is None:
+            if p is None:
                 p, q = 2, 1
             if p < 1 or q < 1 or (p + q) % 2 == 0:
                 raise ValueError("isotropic needs p, q >= 1 with p + q odd")
@@ -228,7 +227,7 @@ def _campaign_projective(cfg: CampaignConfig, rec: Callable) -> None:
         if not w.verified:
             failures += 1
             continue
-        img = w.element.apply([w.element.tower.zero() + x for x in z])
+        img = w.element.apply(z)
         if not (classify_point(model, img) == classify_point(model, z)):
             label_mismatch += 1
     rec("line transports: %d same-sign pairs, all witnesses verify"
@@ -353,8 +352,7 @@ def _campaign_isotropic(cfg: CampaignConfig, rec: Callable) -> None:
         {"samples": cfg.samples, "failures": failures, "retries": retries})
 
     # real round-trips: scramble in the signature presentation
-    ehat = model.hhat.gram
-    b_sig = FormSpec("symmetric", ehat, "b_sig")
+    b_sig = model.b_sig
     s_mat = model.sig_change
     s_inv = s_mat.inverse()
     nf_r = model.normal_form_real()

@@ -19,10 +19,9 @@ from typing import Optional, Sequence
 
 from ._version import __version__
 from .campaigns import CASES, CampaignConfig, report_text, run_campaign
-from .forms import StandardModel
 from .octonions import split_octonions
 from .scalars import Tower
-from .witnesses import witness_from_json
+from .witnesses import model_from_info, witness_from_json
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -121,20 +120,6 @@ def _cmd_witness_verify(args) -> int:
     return EXIT_PASS if ok else EXIT_CHECK_FAILED
 
 
-def _model_for_dump(args) -> StandardModel:
-    tower = Tower()
-    case = args.case
-    if case == "projective-split":
-        return StandardModel.projective_split(tower,
-                                              args.n if args.n else 2)
-    if case == "projective-pq":
-        return StandardModel.projective_signature(tower, args.p or 1,
-                                                  args.q or 1)
-    if case == "quadric7":
-        return StandardModel.quadric7(tower)
-    return StandardModel.isotropic(tower, args.p or 2, args.q or 1)
-
-
 def _cmd_dump(args) -> int:
     if args.dump_command == "octonion-table":
         table = split_octonions(Tower()).table_json()
@@ -142,10 +127,11 @@ def _cmd_dump(args) -> int:
         return EXIT_PASS
     if args.dump_command == "model":
         try:
-            model = _model_for_dump(args)
+            cfg = CampaignConfig(case=args.case, n=args.n, p=args.p, q=args.q)
         except ValueError as exc:
             print("orbitcert: %s" % exc, file=sys.stderr)
             return EXIT_USAGE
+        model = model_from_info(Tower(), cfg.to_json())
         doc = {
             "schema": "orbitcert-model/1",
             "case": model.case,

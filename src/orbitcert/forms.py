@@ -69,6 +69,8 @@ class FormSpec:
         return self.gram.tower
 
     def value(self, z: Sequence[Scalar], w: Sequence[Scalar]) -> Scalar:
+        """The form on (z, w).  The vectors may live in a deeper tower than
+        the Gram matrix; the value then lives in theirs."""
         if len(z) != self.dim or len(w) != self.dim:
             raise ValueError("vector length does not match form dimension")
         ww = [x.conj() for x in w] if self.kind == "hermitian" else list(w)
@@ -217,7 +219,6 @@ class StandardModel:
             hhat_sig=FormSpec("hermitian", Matrix.diag(tower, hhat_diag),
                               "hhat_sig"),
             sig_change=s_change,
-            fixed_index=m - 1,
             open_signature=((p // 2, (q + 1) // 2) if p % 2 == 0
                             else ((p + 1) // 2, q // 2)),
             flag_dim_complex=n * (n - 1) // 2,

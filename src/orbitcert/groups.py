@@ -21,13 +21,13 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .forms import FormSpec
-from .linalg import Matrix, Subspace, _rref, kernel
+from .linalg import Matrix, Subspace, _rref, kernel, real_coords
 from .scalars import Scalar, Tower
 
 __all__ = [
     "PreservesBilinear", "PreservesHermitian", "DetOne", "FixesVector",
     "RealEntries", "GroupSpec", "LieAlgebraBasis", "solve_linear_constraints",
-    "lie_algebra_of", "isotropy_subalgebra", "check_onishchik_triple",
+    "isotropy_subalgebra", "check_onishchik_triple",
     "exp_nilpotent", "outer", "nilpotent_orthogonal", "nilpotent_symplectic",
     "nilpotent_unitary",
 ]
@@ -169,11 +169,6 @@ class GroupSpec:
             self.name or "?", self.dim, len(self.constraints))
 
 
-def lie_algebra_of(group: GroupSpec, verify_closure: bool = True,
-                   name: str = "") -> "LieAlgebraBasis":
-    return group.lie_algebra(verify_closure=verify_closure, name=name)
-
-
 def solve_linear_constraints(tower: Tower, m: int, conditions,
                              over_real_structure: bool = False,
                              real_entries_only: bool = False,
@@ -189,46 +184,41 @@ def solve_linear_constraints(tower: Tower, m: int, conditions,
     ``real_entries_only`` the unknown is further confined to real matrices.
     """
     t = tower
-    units = []
-    for j in range(m):
-        for k in range(m):
-            units.append(_unit(t, m, j, k, t.one()))
+    units = [_unit(t, m, j, k, t.one()) for j in range(m) for k in range(m)]
     if over_real_structure and not real_entries_only:
         ii = t.i()
-        for j in range(m):
-            for k in range(m):
-                units.append(_unit(t, m, j, k, ii))
-    columns = []
-    for u in units:
-        col = []
+        units += [_unit(t, m, j, k, ii) for j in range(m) for k in range(m)]
+
+    def image(x: Matrix) -> list:
+        out = []
         for c in conditions:
-            col.extend(c(u))
-        if over_real_structure:
-            split = []
-            for s in col:
-                split.append(s.real_part())
-                split.append(t.zero() + s.imag_part())
-            col = split
-        columns.append(col)
-    nrows = len(columns[0]) if columns else 0
-    if nrows == 0:
-        solutions = [[t.one() if i == j else t.zero()
-                      for j in range(len(units))]
-                     for i in range(len(units))]
-    else:
-        coeff = Matrix(t, [[columns[j][i] for j in range(len(units))]
-                           for i in range(nrows)], cols=len(units))
-        solutions = kernel(coeff)
-    mats = []
-    for sol in solutions:
-        acc = Matrix.zeros(t, m, m)
-        for cu, u in zip(sol, units):
-            if not cu.is_zero():
-                acc = acc + u.scale(cu)
-        mats.append(acc)
+            out.extend(c(x))
+        return out
+
+    mats = _null_combinations(t, m, units, image, over_real_structure)
     ground = "real" if over_real_structure else "complex"
     return LieAlgebraBasis(t, m, mats, ground, name=name,
                            verify_closure=verify_closure)
+
+
+def _null_combinations(t: Tower, m: int, gens: Sequence[Matrix], image,
+                       real: bool) -> list:
+    """A basis of the combinations sum c_k gens[k] that the linear map
+    ``image`` (a Matrix to a list of scalars) sends to zero.  With ``real``
+    only real coefficients c_k count: every image entry is split into its
+    real and imaginary part."""
+    columns = [real_coords(image(x)) if real else image(x) for x in gens]
+    nrows = len(columns[0]) if columns else 0
+    coeff = Matrix(t, [[col[i] for col in columns] for i in range(nrows)],
+                   cols=len(gens))
+    mats = []
+    for sol in kernel(coeff):
+        acc = Matrix.zeros(t, m, m)
+        for c, x in zip(sol, gens):
+            if not c.is_zero():
+                acc = acc + x.scale(c)
+        mats.append(acc)
+    return mats
 
 
 def _unit(t: Tower, m: int, j: int, k: int, value: Scalar) -> Matrix:
@@ -257,14 +247,12 @@ class LieAlgebraBasis:
         self.matrices = list(matrices)
         self.ground = ground
         self.name = name
-        coords = [self._flatten(x) for x in self.matrices]
-        self._coord_len = 2 * ambient * ambient if ground == "real" \
+        coord_len = 2 * ambient * ambient if ground == "real" \
             else ambient * ambient
-        rows, pivots = _rref(tower, [list(c) for c in coords])
-        if len(pivots) != len(self.matrices):
+        self._coords = Subspace.from_vectors(
+            tower, coord_len, [self._flatten(x) for x in self.matrices])
+        if self._coords.dim != len(self.matrices):
             raise ValueError("algebra basis is linearly dependent")
-        self._rref_rows = rows[:len(pivots)]
-        self._pivots = pivots
         if verify_closure:
             self.verify_bracket_closure()
 
@@ -274,29 +262,13 @@ class LieAlgebraBasis:
 
     def _flatten(self, x: Matrix) -> list:
         flat = x.flatten()
-        if self.ground == "complex":
-            return flat
-        out = []
-        zero = self.tower.zero()
-        for s in flat:
-            out.append(s.real_part())
-            out.append(zero + s.imag_part())
-        return out
-
-    def _residual(self, vec: list) -> list:
-        v = list(vec)
-        for row, piv in zip(self._rref_rows, self._pivots):
-            c = v[piv]
-            if not c.is_zero():
-                for idx, r in enumerate(row):
-                    if not r.is_zero():
-                        v[idx] = v[idx] - c * r
-        return v
+        return flat if self.ground == "complex" else real_coords(flat)
 
     def contains(self, x: Matrix) -> bool:
         if x.rows != self.ambient or x.cols != self.ambient:
             return False
-        return all(s.is_zero() for s in self._residual(self._flatten(x)))
+        return all(s.is_zero()
+                   for s in self._coords.residual(self._flatten(x)))
 
     def verify_bracket_closure(self) -> None:
         for i in range(self.dim):
@@ -310,8 +282,7 @@ class LieAlgebraBasis:
                         % (i, j))
 
     def coord_subspace(self) -> Subspace:
-        coords = [self._flatten(m) for m in self.matrices]
-        return Subspace.from_vectors(self.tower, self._coord_len, coords)
+        return self._coords
 
     def _unflatten(self, vec: list) -> Matrix:
         m = self.ambient
@@ -350,15 +321,10 @@ class LieAlgebraBasis:
             return self
         t = self.tower
         cand = list(self.matrices) + [x.scale(t.i()) for x in self.matrices]
-        keep, chosen, seen = [], [], 0
-        for x in cand:
-            chosen.append(x.flatten())
-            _, pivots = _rref(t, [list(v) for v in chosen])
-            if len(pivots) > seen:
-                seen = len(pivots)
-                keep.append(x)
-            else:
-                chosen.pop()
+        # the pivot columns are the candidates that raise the complex rank
+        _, pivots = _rref(t, Matrix.from_cols(
+            t, [x.flatten() for x in cand]).to_lists())
+        keep = [cand[j] for j in pivots]
         return LieAlgebraBasis(t, self.ambient, keep, "complex", name=name)
 
     def __repr__(self) -> str:
@@ -382,57 +348,17 @@ def isotropy_subalgebra(alg: LieAlgebraBasis, stab,
     else:
         space = Subspace.from_vectors(t, alg.ambient, [list(stab)])
     basis = space.basis_vectors()
-    pivots = _space_pivots(space)
 
-    def residual(w: list) -> list:
-        v = list(w)
-        for b, piv in zip(basis, pivots):
-            c = v[piv]
-            if not c.is_zero():
-                for idx, s in enumerate(b):
-                    if not s.is_zero():
-                        v[idx] = v[idx] - c * s
-        return v
-
-    columns = []
-    for x in alg.matrices:
-        col = []
+    def image(x: Matrix) -> list:
+        out = []
         for bv in basis:
-            col.extend(residual(x.apply(bv)))
-        if alg.ground == "real":
-            split = []
-            for s in col:
-                split.append(s.real_part())
-                split.append(t.zero() + s.imag_part())
-            col = split
-        columns.append(col)
-    nrows = len(columns[0]) if columns else 0
-    if nrows == 0:
-        sols = [[t.one() if i == j else t.zero() for j in range(alg.dim)]
-                for i in range(alg.dim)]
-    else:
-        coeff = Matrix(t, [[columns[j][i] for j in range(alg.dim)]
-                           for i in range(nrows)], cols=alg.dim)
-        sols = kernel(coeff)
-    mats = []
-    for sol in sols:
-        acc = Matrix.zeros(t, alg.ambient, alg.ambient)
-        for c, x in zip(sol, alg.matrices):
-            if not c.is_zero():
-                acc = acc + x.scale(c)
-        mats.append(acc)
+            out.extend(space.residual(x.apply(bv)))
+        return out
+
+    mats = _null_combinations(t, alg.ambient, alg.matrices, image,
+                              alg.ground == "real")
     return LieAlgebraBasis(t, alg.ambient, mats, alg.ground, name=name,
                            verify_closure=verify_closure)
-
-
-def _space_pivots(space: Subspace) -> list:
-    pivots = []
-    for v in space.basis_vectors():
-        for idx, s in enumerate(v):
-            if not s.is_zero():
-                pivots.append(idx)
-                break
-    return pivots
 
 
 def check_onishchik_triple(sub: LieAlgebraBasis, amb: LieAlgebraBasis,

@@ -16,16 +16,10 @@ from .scalars import Scalar, Tower, TowerError
 __all__ = [
     "Matrix", "Subspace", "rank", "kernel", "column_echelon",
     "column_space_equal", "hermitian_signature", "congruence_diagonalize",
-    "vec_add", "vec_sub", "vec_scale", "vec_is_zero",
+    "vec_add", "vec_sub", "vec_scale", "vec_is_zero", "real_coords",
 ]
 
 Entry = Union[Scalar, int, Fraction]
-
-
-def _as_scalar(tower: Tower, x: Entry) -> Scalar:
-    if isinstance(x, Scalar):
-        return tower._lift(x)
-    return tower.scalar(x)
 
 
 def vec_add(u: Sequence[Scalar], v: Sequence[Scalar]) -> list:
@@ -42,6 +36,16 @@ def vec_scale(c: Scalar, v: Sequence[Scalar]) -> list:
 
 def vec_is_zero(v: Sequence[Scalar]) -> bool:
     return all(a.is_zero() for a in v)
+
+
+def real_coords(v: Sequence[Scalar]) -> list:
+    """Real and imaginary part of each entry, interleaved: the coordinates
+    in which only real linear combinations of vectors count."""
+    out = []
+    for x in v:
+        out.append(x.real_part())
+        out.append(x.imag_part())
+    return out
 
 
 class Matrix:
@@ -65,14 +69,14 @@ class Matrix:
 
     @staticmethod
     def from_rows(tower: Tower, rows: Sequence[Sequence[Entry]]) -> Matrix:
-        return Matrix(tower, [[_as_scalar(tower, x) for x in row] for row in rows])
+        return Matrix(tower, [[tower.lift(x) for x in row] for row in rows])
 
     @staticmethod
     def from_cols(tower: Tower, cols: Sequence[Sequence[Entry]]) -> Matrix:
         if not cols:
             return Matrix(tower, [])
         n = len(cols[0])
-        return Matrix(tower, [[_as_scalar(tower, c[i]) for c in cols]
+        return Matrix(tower, [[tower.lift(c[i]) for c in cols]
                               for i in range(n)])
 
     @staticmethod
@@ -89,7 +93,7 @@ class Matrix:
     @staticmethod
     def diag(tower: Tower, entries: Sequence[Entry]) -> Matrix:
         zero = tower.zero()
-        es = [_as_scalar(tower, x) for x in entries]
+        es = [tower.lift(x) for x in entries]
         n = len(es)
         return Matrix(tower, [[es[i] if i == j else zero for j in range(n)]
                               for i in range(n)])
@@ -131,7 +135,7 @@ class Matrix:
                       cols=self.cols)
 
     def scale(self, c: Entry) -> Matrix:
-        c = _as_scalar(self.tower, c)
+        c = self.tower.lift(c)
         return Matrix(self.tower, [[c * a for a in r] for r in self._e],
                       cols=self.cols)
 
@@ -265,24 +269,11 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        a = [self.row(i) + Matrix.identity(self.tower, n).row(i)
-             for i in range(n)]
-        for k in range(n):
-            piv = None
-            for i in range(k, n):
-                if not a[i][k].is_zero():
-                    piv = i
-                    break
-            if piv is None:
-                raise ZeroDivisionError("matrix is singular")
-            a[k], a[piv] = a[piv], a[k]
-            inv = a[k][k].inv()
-            a[k] = [x * inv for x in a[k]]
-            for i in range(n):
-                if i != k and not a[i][k].is_zero():
-                    f = a[i][k]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-        return Matrix(self.tower, [r[n:] for r in a], cols=n)
+        rows, pivots = _rref(self.tower, self.hstack(
+            Matrix.identity(self.tower, n)).to_lists())
+        if pivots[:n] != list(range(n)):
+            raise ZeroDivisionError("matrix is singular")
+        return Matrix(self.tower, [r[n:] for r in rows], cols=n)
 
     # -- serialization ------------------------------------------------------------
 
@@ -400,7 +391,7 @@ def column_space_equal(a: Matrix, b: Matrix) -> bool:
 class Subspace:
     """A linear subspace held via its canonical column-echelon basis."""
 
-    __slots__ = ("tower", "ambient_dim", "matrix")
+    __slots__ = ("tower", "ambient_dim", "matrix", "_basis", "_pivots")
 
     def __init__(self, tower: Tower, ambient_dim: int, basis: Matrix) -> None:
         if basis.rows != ambient_dim:
@@ -408,11 +399,14 @@ class Subspace:
         self.tower = tower
         self.ambient_dim = ambient_dim
         self.matrix = column_echelon(basis)
+        self._basis = self.matrix.col_list()
+        self._pivots = [next(i for i, x in enumerate(v) if not x.is_zero())
+                        for v in self._basis]
 
     @staticmethod
     def from_vectors(tower: Tower, ambient_dim: int,
                      vectors: Iterable[Sequence[Entry]]) -> Subspace:
-        vecs = [[_as_scalar(tower, x) for x in v] for v in vectors]
+        vecs = [[tower.lift(x) for x in v] for v in vectors]
         for v in vecs:
             if len(v) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
@@ -426,7 +420,26 @@ class Subspace:
         return self.matrix.cols
 
     def basis_vectors(self) -> list:
-        return self.matrix.col_list()
+        return [list(v) for v in self._basis]
+
+    def pivots(self) -> list:
+        """Pivot row of each basis vector: its first nonzero entry, which
+        is 1 there while every other basis vector is 0."""
+        return list(self._pivots)
+
+    def residual(self, v: Sequence[Scalar]) -> list:
+        """``v`` reduced modulo the echelon basis: zero exactly when ``v``
+        lies in the subspace, and ``v - residual(v)`` always does."""
+        if len(v) != self.ambient_dim:
+            raise ValueError("vector length does not match ambient dimension")
+        out = list(v)
+        for b, piv in zip(self._basis, self._pivots):
+            c = out[piv]
+            if not c.is_zero():
+                for idx, s in enumerate(b):
+                    if not s.is_zero():
+                        out[idx] = out[idx] - c * s
+        return out
 
     def contains(self, v: Sequence[Scalar]) -> bool:
         if len(v) != self.ambient_dim:

@@ -31,7 +31,7 @@ algebra of that form.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .linalg import Matrix, hermitian_signature
 from .scalars import Scalar, Tower
@@ -211,14 +211,13 @@ def _zorn_mul_add(i: int, j: int):
 
 
 class DerivationBasis:
-    """The 14 split-g2 derivations of the octonions, plus (after
-    ``imaginary_embedding``) their restriction to the imaginary part."""
+    """The 14 split-g2 derivations of the octonions, with the algebra they
+    act on."""
 
     def __init__(self, algebra: LieAlgebraBasis,
                  octonions: OctonionAlgebra) -> None:
         self.algebra = algebra
         self.octonions = octonions
-        self.restricted: Optional[LieAlgebraBasis] = None
 
     @property
     def dim(self) -> int:
@@ -295,5 +294,4 @@ def imaginary_embedding(der: DerivationBasis) -> LieAlgebraBasis:
     out = LieAlgebraBasis(t, 7, restricted, "real", name="g2-restricted")
     if out.dim != 14:
         raise AssertionError("restriction is not injective")
-    der.restricted = out
     return out

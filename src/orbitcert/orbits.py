@@ -21,13 +21,12 @@ from typing import Optional, Sequence, Tuple
 
 from .forms import FormSpec, StandardModel
 from .groups import (GroupSpec, LieAlgebraBasis, PreservesBilinear,
-                     RealEntries, _space_pivots, exp_nilpotent,
-                     nilpotent_orthogonal)
-from .linalg import (Matrix, Subspace, hermitian_signature, rank, vec_scale,
-                     vec_sub)
+                     RealEntries, exp_nilpotent, nilpotent_orthogonal)
+from .linalg import (Matrix, Subspace, hermitian_signature, rank, real_coords,
+                     vec_scale)
 from .octonions import derivations, imaginary_embedding, split_octonions
 from .rng import SplitMix64
-from .scalars import Scalar, Tower
+from .scalars import Scalar
 
 __all__ = [
     "OrbitReport", "tangent_dim_projective", "tangent_dim_grassmann",
@@ -68,53 +67,6 @@ class OrbitReport:
                    ", open" if self.open else ""))
 
 
-def _host_tower(default: Tower, entries) -> Tower:
-    """The deepest tower appearing among the entries (witness images carry
-    adjoined square roots, so matrices built from them must live in their
-    tower; plain model data stays in the model's tower)."""
-    best = default
-    for x in entries:
-        if isinstance(x, Scalar) and len(x._tower._radicands) > \
-                len(best._radicands):
-            best = x._tower
-    return best
-
-
-def _lift(t: Tower, v: Sequence) -> list:
-    out = []
-    for x in v:
-        if isinstance(x, Scalar):
-            out.append(t.zero() + x)
-        else:
-            out.append(t.scalar(x))
-    return out
-
-
-def _real_coords(v: Sequence[Scalar]) -> list:
-    out = []
-    for x in v:
-        out.append(x.real_part())
-        out.append(x.imag_part())
-    return out
-
-
-def _pair_value(gram: Matrix, u: Sequence[Scalar], v: Sequence[Scalar],
-                hermitian: bool) -> Scalar:
-    """u^T G v (or u^T G conj(v)) by plain scalar arithmetic; safe when u, v
-    live in a deeper tower than the (rational) Gram matrix."""
-    acc = gram.tower.zero()
-    for j in range(gram.cols):
-        vj = v[j].conj() if hermitian else v[j]
-        if vj.is_zero():
-            continue
-        for i in range(gram.rows):
-            gij = gram[i, j]
-            if gij.is_zero() or u[i].is_zero():
-                continue
-            acc = acc + u[i] * gij * vj
-    return acc
-
-
 def vector_text(v: Sequence[Scalar]) -> str:
     return "[" + ", ".join(x.to_text() for x in v) + "]"
 
@@ -123,8 +75,8 @@ def tangent_dim_projective(alg: LieAlgebraBasis, z: Sequence) -> int:
     """Dimension (over the algebra's ground field) of the orbit tangent
     space at the projective point [z]: span{X z} modulo the line itself
     (modulo the real plane spanned by z and iz for real algebras)."""
-    t = _host_tower(alg.tower, z)
-    zz = _lift(t, z)
+    t = alg.tower.host(z)
+    zz = [t.lift(x) for x in z]
     if all(x.is_zero() for x in zz):
         raise ValueError("the zero vector does not represent a point")
     images = [x.apply(zz) for x in alg.matrices]
@@ -132,8 +84,8 @@ def tangent_dim_projective(alg: LieAlgebraBasis, z: Sequence) -> int:
         full = Matrix.from_cols(t, images + [zz])
         return rank(full) - 1
     iz = vec_scale(t.i(), zz)
-    base = [_real_coords(zz), _real_coords(iz)]
-    cols = [_real_coords(w) for w in images] + base
+    base = [real_coords(zz), real_coords(iz)]
+    cols = [real_coords(w) for w in images] + base
     return rank(Matrix.from_cols(t, cols)) - rank(Matrix.from_cols(t, base))
 
 
@@ -148,32 +100,26 @@ def tangent_dim_grassmann(alg: LieAlgebraBasis, s: Subspace,
     directions automatically stay inside the isotropic Grassmannian.
     """
     basis = s.basis_vectors()
-    t = _host_tower(alg.tower, [x for v in basis for x in v])
+    t = alg.tower.host(x for v in basis for x in v)
     if ambient_constraint is not None and any(
-            not _pair_value(ambient_constraint.gram, u, v, False).is_zero()
+            not ambient_constraint.value(u, v).is_zero()
             for u in basis for v in basis):
         raise ValueError("subspace is not isotropic for the ambient "
                          "constraint")
-    pivots = _space_pivots(s)
-    others = [r for r in range(s.ambient_dim) if r not in pivots]
-
-    def residual(w: list) -> list:
-        # the canonical basis has identity pattern on the pivot rows, so
-        # the S-component of w is read off directly
-        red = vec_sub(w, s.matrix.apply([w[r] for r in pivots]))
-        return [red[r] for r in others]
-
+    # residual entries off the pivot rows are coordinates on ambient/S
+    others = sorted(set(range(s.ambient_dim)) - set(s.pivots()))
     stacked = []
     for x in alg.matrices:
         coords = []
         for bv in basis:
-            coords.extend(residual(x.apply(bv)))
+            red = s.residual(x.apply(bv))
+            coords.extend(red[r] for r in others)
         stacked.append(coords)
     if not stacked:
         return 0
     if alg.ground == "complex":
         return rank(Matrix.from_cols(t, stacked))
-    return rank(Matrix.from_cols(t, [_real_coords(v) for v in stacked]))
+    return rank(Matrix.from_cols(t, [real_coords(v) for v in stacked]))
 
 
 def classify_point(model: StandardModel, point) -> str:
@@ -186,14 +132,13 @@ def classify_point(model: StandardModel, point) -> str:
     the signature of hhat on it, with the open-orbit signature marked.
     """
     if model.case in ("projective-split", "projective-pq", "quadric7"):
-        t = _host_tower(model.tower, point)
-        z = _lift(t, point)
+        t = model.tower.host(point)
+        z = [t.lift(x) for x in point]
         if all(x.is_zero() for x in z):
             raise ValueError("the zero vector does not represent a point")
-        if model.case == "quadric7" \
-                and not _pair_value(model.b.gram, z, z, False).is_zero():
+        if model.case == "quadric7" and not model.b.norm(z).is_zero():
             raise ValueError("point is not on the quadric")
-        hz = _pair_value(model.h.gram, z, z, True)
+        hz = model.h.norm(z)
         if not hz.is_zero():
             return "positive" if hz.sign() > 0 else "negative"
         # the line is real iff z is proportional to conj(z): all minors
@@ -207,20 +152,16 @@ def classify_point(model: StandardModel, point) -> str:
             s = point
         else:
             vecs = [v for v in point]
-            t = _host_tower(model.tower,
-                            [x for v in vecs for x in v
-                             if isinstance(x, Scalar)])
-            s = Subspace.from_vectors(t, model.ambient_dim,
-                                      [_lift(t, v) for v in vecs])
+            t = model.tower.host(x for v in vecs for x in v)
+            s = Subspace.from_vectors(t, model.ambient_dim, vecs)
         basis = s.basis_vectors()
-        host = _host_tower(model.tower, [x for v in basis for x in v])
-        iso_ok = all(_pair_value(model.b.gram, u, v, False).is_zero()
+        host = model.tower.host(x for v in basis for x in v)
+        iso_ok = all(model.b.value(u, v).is_zero()
                      for u in basis for v in basis)
         if s.dim != model.n or not iso_ok:
             raise ValueError("point is not an isotropic n-plane")
-        gram = Matrix(host,
-                      [[_pair_value(model.hhat.gram, u, v, True)
-                        for v in basis] for u in basis], cols=len(basis))
+        gram = Matrix(host, [[model.hhat.value(u, v) for v in basis]
+                             for u in basis], cols=len(basis))
         pos, neg, zero = hermitian_signature(gram)
         label = "signature(%d,%d)" % (pos, neg)
         if zero:
@@ -306,7 +247,7 @@ def verify_orbit_equality(model: StandardModel, samples: int = 10,
                     w = rng.randint(-bound, bound)
                     if w:
                         g = g * exp_nilpotent(x, w)
-                cand = g.apply(_lift(model.tower, rep))
+                cand = g.apply(rep)
                 if classify_point(model, cand) == stratum:
                     point = cand
                     break

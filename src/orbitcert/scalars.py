@@ -18,6 +18,14 @@ and a scalar stays valid when its tower grows later.  Concurrent readers
 are safe because the radicand list only ever gains fully-constructed
 entries; code that wants full isolation can work on ``tower.clone()``.
 
+Moving scalars between towers follows one rule.  ``Tower.lift`` is strict:
+it re-homes a scalar only when the two towers agree on every level the
+scalar uses, and raises ``TowerError`` otherwise, so a value never stays
+behind in a foreign tower unnoticed.  ``Tower.host`` picks the deepest
+tower among some entries, the one a computation mixing them must run in.
+``Tower.embed`` is the exception for towers built along different
+histories: it adjoins every radical the scalar mentions.
+
 Term masks: bit j of a term's integer key selects sqrt(r_{j+1}), so the
 key 0 is the rational part and key 0b101 tags sqrt(r1)*sqrt(r3).
 """
@@ -144,7 +152,7 @@ class Tower:
         in the current tower the existing (nonnegative) root is returned and
         the tower is left unchanged; otherwise x becomes the next radicand.
         """
-        x = self._lift(x)
+        x = self.lift(x)
         if not x.is_real():
             raise TowerError("cannot adjoin the square root of a non-real scalar")
         s = x.sign()
@@ -158,17 +166,12 @@ class Tower:
         self._radicands.append(x)
         return self.root(len(self._radicands) - 1)
 
-    def sqrt_or_none(self, x: Union[Scalar, Rat]) -> Optional[Scalar]:
-        """Square root of x within the current tower, or None (no growth)."""
-        x = self._lift(x)
-        if not x.is_real() or x.sign() < 0:
-            return None
-        return x._try_sqrt()
+    # -- moving scalars between towers ----------------------------------------
 
     def embed(self, x: Scalar) -> Scalar:
         """Value-preserving copy of ``x`` into this tower.
 
-        Unlike :meth:`_coerce` this does not require matching radicand
+        Unlike :meth:`lift` this does not require matching radicand
         prefixes: every radical ``x`` mentions is adjoined (or recognized as
         an existing square) on the way in, so towers built along different
         histories can still be combined in a common field.
@@ -194,14 +197,25 @@ class Tower:
             acc = acc + term
         return acc
 
-    # -- internals -----------------------------------------------------------
-
-    def _lift(self, x: Union[Scalar, Rat]) -> Scalar:
+    def lift(self, x: Union[Scalar, Rat]) -> Scalar:
+        """``x`` as a scalar of this tower; raises :class:`TowerError` when
+        ``x`` uses a level this tower lacks or whose radicand differs."""
         if isinstance(x, Scalar):
             if x._tower is self:
                 return x
             return self._coerce(x)
         return self.scalar(x)
+
+    def host(self, entries: Iterable) -> Tower:
+        """The deepest tower among this one and those of the scalar
+        entries: the tower a computation mixing them has to run in."""
+        best = self
+        for x in entries:
+            if isinstance(x, Scalar) and x._tower.depth > best.depth:
+                best = x._tower
+        return best
+
+    # -- internals -----------------------------------------------------------
 
     def _coerce(self, x: Scalar) -> Scalar:
         """Re-home a scalar from a structurally compatible tower."""

@@ -30,7 +30,7 @@ Errors are split deliberately:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence
 
 from .forms import FormSpec, StandardModel
 from .groups import (DetOne, FixesVector, GroupSpec, PreservesBilinear,
@@ -135,9 +135,7 @@ def build_group(model: StandardModel, name: str) -> GroupSpec:
                                 PreservesHermitian(model.h)], name)
     if name in ("SU(n,n)", "SU(2p,2q)"):
         return GroupSpec(t, m, [DetOne(), PreservesHermitian(model.h)], name)
-    if name == "SO7C":
-        return GroupSpec(t, m, [PreservesBilinear(model.b), DetOne()], name)
-    if name == "SO2nC":
+    if name in ("SO7C", "SO2nC"):
         return GroupSpec(t, m, [PreservesBilinear(model.b), DetOne()], name)
     if name == "SO2n-1C":
         return GroupSpec(t, m, [PreservesBilinear(model.b), DetOne(),
@@ -296,30 +294,11 @@ def witt_transport(f: FormSpec, frame_a: Sequence[Sequence[Scalar]],
                                            "frame vector %d" % idx)
     if require_special and refl % 2 == 1:
         span_b = Subspace.from_vectors(t, f.dim, fb)
-        w = _nonisotropic_in(f, f.perp(span_b))
+        w = _vector_with_sign(f, f.perp(span_b), None)
         if w is None:
             raise ValueError("no room for determinant correction")
         g = reflection(f, w) * g
     return g
-
-
-def _nonisotropic_in(f: FormSpec, space: Subspace) -> Optional[list]:
-    """A vector of nonzero f-norm in the space, or None if f vanishes there.
-
-    Scanning basis vectors and pairwise sums is complete: if some value
-    f(u, v) is nonzero while all norms vanish, then norm(u + v) = 2 f(u,v)
-    is nonzero.
-    """
-    basis = space.basis_vectors()
-    for v in basis:
-        if not f.norm(v).is_zero():
-            return v
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            w = vec_add(basis[i], basis[j])
-            if not f.norm(w).is_zero():
-                return w
-    return None
 
 
 def _vector_with_sign(h: FormSpec, space: Subspace,
@@ -341,8 +320,6 @@ def _vector_with_sign(h: FormSpec, space: Subspace,
             w = vec_add(basis[i], basis[j])
             if _ok(w):
                 return w
-    if not basis:
-        return None
     d, s = congruence_diagonalize(h.restrict(space))
     for idx, val in enumerate(d):
         if val.is_zero():
@@ -353,21 +330,6 @@ def _vector_with_sign(h: FormSpec, space: Subspace,
 
 
 # -- symplectic line transport ----------------------------------------------------
-
-
-def _lift_vec(t: Tower, v: Sequence) -> list:
-    out = []
-    for x in v:
-        if isinstance(x, Scalar):
-            out.append(t.zero() + x)
-        else:
-            out.append(t.scalar(x))
-    return out
-
-
-def _lift_matrix(t: Tower, m: Matrix) -> Matrix:
-    return Matrix(t, [[t.zero() + m[i, j] for j in range(m.cols)]
-                      for i in range(m.rows)], cols=m.cols)
 
 
 def transport_positive_line_sp(model: StandardModel, line_src, line_dst) \
@@ -384,14 +346,16 @@ def transport_positive_line_sp(model: StandardModel, line_src, line_dst) \
         raise ValueError("line transport needs a projective model")
     t = model.tower.clone()
     m = model.ambient_dim
-    z = _lift_vec(t, line_src)
-    zt = _lift_vec(t, line_dst)
+    z = [t.lift(x) for x in line_src]
+    zt = [t.lift(x) for x in line_dst]
     if all(x.is_zero() for x in z) or all(x.is_zero() for x in zt):
         raise ValueError("a line representative is zero")
-    h_t = FormSpec("hermitian", _lift_matrix(t, model.h.gram), "h")
-    omega_t = FormSpec("antisymmetric", _lift_matrix(t, model.omega.gram),
+    h_t = FormSpec("hermitian",
+                   Matrix.from_rows(t, model.h.gram.to_lists()), "h")
+    omega_t = FormSpec("antisymmetric",
+                       Matrix.from_rows(t, model.omega.gram.to_lists()),
                        "omega")
-    phi_t = _lift_matrix(t, model.phi_mat)
+    phi_t = Matrix.from_rows(t, model.phi_mat.to_lists())
     a0, b0 = h_t.norm(z), h_t.norm(zt)
     if a0.is_zero() or b0.is_zero():
         raise NotInDomainError("null lines are not in the definite orbits")
@@ -400,8 +364,7 @@ def transport_positive_line_sp(model: StandardModel, line_src, line_dst) \
             "lines lie in different open orbits (opposite h-norm signs)")
 
     def decompose(seed, prescribed):
-        space = Subspace.from_vectors(
-            t, m, [Matrix.identity(t, m).col(j) for j in range(m)])
+        space = _coordinate_subspace(t, m, range(m))
         out = []
         for step in range(model.n):
             if step == 0:
@@ -466,8 +429,7 @@ def _coordinate_subspace(t: Tower, m: int, idx: Sequence[int]) -> Subspace:
 
 def _embed(t: Tower, m: int, idx: Sequence[int], small: Matrix) -> Matrix:
     """Identity on C^m except the block on the listed coordinates."""
-    rows = [[t.one() if i == j else t.zero() for j in range(m)]
-            for i in range(m)]
+    rows = Matrix.identity(t, m).to_lists()
     for bi, i in enumerate(idx):
         for bj, j in enumerate(idx):
             rows[i][j] = small[bi, bj]
@@ -476,10 +438,8 @@ def _embed(t: Tower, m: int, idx: Sequence[int], small: Matrix) -> Matrix:
 
 def _as_subspace(t: Tower, m: int, w) -> Subspace:
     if isinstance(w, Subspace):
-        vecs = [_lift_vec(t, v) for v in w.basis_vectors()]
-    else:
-        vecs = [_lift_vec(t, v) for v in w]
-    return Subspace.from_vectors(t, m, vecs)
+        w = w.basis_vectors()
+    return Subspace.from_vectors(t, m, w)
 
 
 def isotropic_normal_form_complex(model: StandardModel, w_hat) -> Witness:
@@ -593,7 +553,8 @@ def isotropic_normal_form_real(model: StandardModel, w_hat) -> Witness:
     n, m = model.n, model.ambient_dim
     w_std = _as_subspace(t, m, w_hat)
     b_std = FormSpec("symmetric", Matrix.identity(t, m), "b")
-    h_std = FormSpec("hermitian", _lift_matrix(t, model.hhat.gram), "hhat")
+    ehat = Matrix.from_rows(t, model.hhat.gram.to_lists())
+    h_std = FormSpec("hermitian", ehat, "hhat")
     if w_std.dim != n:
         raise ValueError("plane has dimension %d, expected %d"
                          % (w_std.dim, n))
@@ -608,9 +569,8 @@ def isotropic_normal_form_real(model: StandardModel, w_hat) -> Witness:
             "plane is not in the open orbit: h-signature %r, open orbit "
             "needs %r" % ((sig[0], sig[1]), model.open_signature))
     # move to the signature presentation
-    s_mat = _lift_matrix(t, model.sig_change)
+    s_mat = Matrix.from_rows(t, model.sig_change.to_lists())
     s_inv = s_mat.inverse()
-    ehat = _lift_matrix(t, model.hhat.gram)
     b_sig = FormSpec("symmetric", ehat, "b_sig")
     h_sig = FormSpec("hermitian", ehat, "hhat_sig")
     w_sig = Subspace.from_vectors(
@@ -647,7 +607,7 @@ def isotropic_normal_form_real(model: StandardModel, w_hat) -> Witness:
                 "no vector of the required sign; bookkeeping broken")
         alpha = h_sig.norm(u)
         x = [c.real_part() for c in u]
-        y = [t.zero() + c.imag_part() for c in u]
+        y = [c.imag_part() for c in u]
         if not (b_sig.norm(x) == alpha * half
                 and b_sig.norm(y) == alpha * half
                 and b_sig.value(x, y).is_zero()):

@@ -62,6 +62,8 @@ def test_different_seeds_differ(tmp_path):
 def test_usage_errors(capsys):
     assert main(["verify", "isotropic", "--p", "2", "--q", "2"]) == 2
     assert main(["verify", "projective-pq", "--p", "0", "--q", "2"]) == 2
+    assert main(["verify", "projective-pq", "--p", "3"]) == 2
+    assert main(["verify", "isotropic", "--q", "5"]) == 2
     assert main(["verify", "no-such-case"]) == 2
     assert main(["witness"]) == 2
     assert main([]) == 2
@@ -120,6 +122,8 @@ def test_dump_models(capsys):
         assert obj["case"] == case
         assert "grams" in obj
     assert main(["dump", "model", "isotropic", "--p", "2", "--q", "2"]) == 2
+    assert main(["dump", "model", "projective-split", "--n", "0"]) == 2
+    assert main(["dump", "model", "projective-pq", "--p", "0", "--q", "1"]) == 2
     capsys.readouterr()
 
 

@@ -1,13 +1,13 @@
 """Model construction and the form identities tying h, omega and phi."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from orbitcert.forms import FormSpec, StandardModel
 from orbitcert.linalg import Matrix, Subspace, hermitian_signature, rank
 from orbitcert.scalars import Tower
 
-from conftest import vectors
+from conftest import gauss, vectors
 
 T2 = Tower()
 SPLIT2 = StandardModel.projective_split(T2, 2)
@@ -164,3 +164,35 @@ def test_model_guards():
         quad.phi([quad.tower.zero()] * 7)
     with pytest.raises(ValueError):
         quad.normal_form_complex()
+
+
+# Gram matrices over Q(i), and vectors from a tower two levels deeper
+_GT = Tower()
+_DEEP = _GT.clone()
+_R2, _R3 = _DEEP.adjoin_sqrt(2), _DEEP.adjoin_sqrt(3)
+_I = _GT.i()
+_GRAMS = {
+    "symmetric": [[1, 2, _I, 0], [2, -1, 0, 1], [_I, 0, 3, 0], [0, 1, 0, 2]],
+    "antisymmetric": [[0, 1, 0, _I], [-1, 0, 2, 0], [0, -2, 0, 1],
+                      [-_I, 0, -1, 0]],
+    "hermitian": [[1, 2 + _I, 0, 0], [2 - _I, -1, 0, _I], [0, 0, 3, 0],
+                  [0, -_I, 0, 2]],
+}
+_deep_scalars = st.builds(
+    lambda a, b, c: _DEEP.lift(a) + _DEEP.lift(b) * _R2
+    + _DEEP.lift(c) * _R2 * _R3, gauss(_GT), gauss(_GT), gauss(_GT))
+
+
+@settings(max_examples=25)
+@given(st.sampled_from(sorted(_GRAMS)),
+       st.lists(_deep_scalars, min_size=4, max_size=4),
+       st.lists(_deep_scalars, min_size=4, max_size=4))
+def test_value_on_deeper_vectors_is_the_explicit_sum(kind, u, v):
+    f = FormSpec(kind, Matrix.from_rows(_GT, _GRAMS[kind]))
+    acc = _DEEP.zero()
+    for i in range(4):
+        for j in range(4):
+            vj = v[j].conj() if kind == "hermitian" else v[j]
+            acc = acc + u[i] * _DEEP.lift(f.gram[i, j]) * vj
+    assert f.value(u, v) == acc
+    assert f.norm(u) == f.value(u, u)

@@ -129,3 +129,20 @@ def test_subspace_contains_scaled_basis():
     assert s.dim == 1
     assert s.contains([r2, t.scalar(2), t.zero()])
     assert not s.contains([t.one(), t.one(), t.zero()])
+
+
+@settings(max_examples=25)
+@given(st.lists(vectors(T, 4), max_size=3), vectors(T, 4), vectors(T, 3))
+def test_residual_agrees_with_rank_membership(gens, v, coeffs):
+    s = Subspace.from_vectors(T, 4, gens)
+    member = [T.zero()] * 4
+    for c, g in zip(coeffs, gens):
+        member = [a + c * b for a, b in zip(member, g)]
+    for w in (v, member):
+        res = s.residual(w)
+        assert all(x.is_zero() for x in res) == s.contains(w)
+        assert s.contains([a - b for a, b in zip(w, res)])
+    for k, (b, piv) in enumerate(zip(s.basis_vectors(), s.pivots())):
+        assert b[piv].is_one() and all(x.is_zero() for x in b[:piv])
+        assert all(o[piv].is_zero()
+                   for j, o in enumerate(s.basis_vectors()) if j != k)

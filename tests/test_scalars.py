@@ -159,3 +159,30 @@ def test_as_fraction_guards():
         t.i().as_fraction()
     with pytest.raises(TowerError):
         t.adjoin_sqrt(7).as_fraction()
+
+
+@given(gauss(T), gauss_nonzero(T))
+def test_lift_is_strict(a, b):
+    deep = T.clone()
+    r2 = deep.adjoin_sqrt(2)
+    x = deep.lift(a) + deep.lift(b) * r2
+    assert deep.lift(x) is x
+    assert T.lift(deep.lift(a)) == a        # level-free values move back
+    with pytest.raises(TowerError):
+        T.lift(x)                           # a level T lacks
+    other = T.clone()
+    other.adjoin_sqrt(3)
+    with pytest.raises(TowerError):
+        other.lift(x)                       # same depth, other radicand
+
+
+@given(st.permutations(range(3)))
+def test_host_is_the_deepest_tower(order):
+    towers = [Tower()]
+    for r in (2, 3):
+        towers.append(towers[-1].clone())
+        towers[-1].adjoin_sqrt(r)
+    entries = [towers[k].one() for k in order] + [5, Fraction(1, 2)]
+    assert towers[0].host(entries) is towers[2]
+    assert towers[2].host([towers[0].one()]) is towers[2]
+    assert towers[1].host([]) is towers[1]
