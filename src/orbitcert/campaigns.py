@@ -54,7 +54,7 @@ class CampaignConfig:
                 raise ValueError("projective-split needs n >= 1")
             p = q = None
         elif case == "projective-pq":
-            if p is None:
+            if p is None or q is None:
                 p, q = 1, 1
             if p < 1 or q < 1:
                 raise ValueError("projective-pq needs p, q >= 1")
@@ -62,7 +62,7 @@ class CampaignConfig:
                 raise ValueError("projective-pq needs n = p + q")
             n = p + q
         elif case == "isotropic":
-            if p is None:
+            if p is None or q is None:
                 p, q = 2, 1
             if p < 1 or q < 1 or (p + q) % 2 == 0:
                 raise ValueError("isotropic needs p, q >= 1 with p + q odd")

@@ -217,11 +217,6 @@ class Matrix:
         return Matrix(self.tower, [r1 + r2 for r1, r2 in zip(self._e, other._e)],
                       cols=self.cols + other.cols)
 
-    def vstack(self, other: Matrix) -> Matrix:
-        if self.cols != other.cols:
-            raise ValueError("column count mismatch in vstack")
-        return Matrix(self.tower, self._e + other._e, cols=self.cols)
-
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> Matrix:
         return Matrix(self.tower,
                       [[self._e[i][j] for j in col_idx] for i in row_idx],
@@ -423,8 +418,7 @@ class Subspace:
         return [list(v) for v in self._basis]
 
     def pivots(self) -> list:
-        """Pivot row of each basis vector: its first nonzero entry, which
-        is 1 there while every other basis vector is 0."""
+        """Row of each basis vector's leading 1; the others are 0 there."""
         return list(self._pivots)
 
     def residual(self, v: Sequence[Scalar]) -> list:

@@ -33,6 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .forms import FormSpec
 from .linalg import Matrix, hermitian_signature
 from .scalars import Scalar, Tower
 from .groups import LieAlgebraBasis, solve_linear_constraints
@@ -131,6 +132,7 @@ class OctonionAlgebra:
         self.norm_gram = Matrix(tower,
                                 [[tower.scalar(c) for c in r] for r in gram],
                                 cols=8)
+        self._norm_form = FormSpec("symmetric", self.norm_gram, "N")
         self._self_check()
 
     def basis_vector(self, k: int) -> list:
@@ -158,12 +160,7 @@ class OctonionAlgebra:
         return [x[0]] + [-a for a in x[1:]]
 
     def norm(self, x: Sequence[Scalar]) -> Scalar:
-        gx = self.norm_gram.apply(list(x))
-        acc = self.tower.zero()
-        for a, b in zip(x, gx):
-            if not (a.is_zero() or b.is_zero()):
-                acc = acc + a * b
-        return acc
+        return self._norm_form.norm(list(x))
 
     def table_json(self) -> dict:
         return {"schema": "octonion-structure-constants/1",

@@ -18,13 +18,12 @@ and a scalar stays valid when its tower grows later.  Concurrent readers
 are safe because the radicand list only ever gains fully-constructed
 entries; code that wants full isolation can work on ``tower.clone()``.
 
-Moving scalars between towers follows one rule.  ``Tower.lift`` is strict:
-it re-homes a scalar only when the two towers agree on every level the
-scalar uses, and raises ``TowerError`` otherwise, so a value never stays
-behind in a foreign tower unnoticed.  ``Tower.host`` picks the deepest
-tower among some entries, the one a computation mixing them must run in.
-``Tower.embed`` is the exception for towers built along different
-histories: it adjoins every radical the scalar mentions.
+Scalars move between towers by one rule.  ``Tower.lift`` is strict: it
+re-homes a scalar only when both towers agree on every level the scalar
+uses, and raises ``TowerError`` otherwise.  ``Tower.host`` picks the
+deepest tower among some entries, the one a computation mixing them runs
+in.  ``Tower.embed`` joins towers built along different histories by
+adjoining every radical the scalar mentions.
 
 Term masks: bit j of a term's integer key selects sqrt(r_{j+1}), so the
 key 0 is the rational part and key 0b101 tags sqrt(r1)*sqrt(r3).

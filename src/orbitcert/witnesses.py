@@ -84,14 +84,6 @@ class Witness:
         self.verified = ok
         return ok
 
-    def describe(self) -> dict:
-        return {
-            "group": self.group.name,
-            "claim": self.claim_kind,
-            "source_dim": self.source.cols,
-            "verified": self.verified,
-        }
-
     def to_json(self) -> dict:
         return {
             "schema": "witness/1",
@@ -305,7 +297,9 @@ def _vector_with_sign(h: FormSpec, space: Subspace,
                       sign: Optional[int]) -> Optional[list]:
     """A vector in the space whose (real) h-norm has the given sign, or
     any nonzero norm when sign is None.  Falls back to exact congruence
-    diagonalization of the restricted Gram, which is complete."""
+    diagonalization of the restricted Gram, which is complete.  A
+    symmetric h works with sign None: as norm(u + v) = norm(u) + norm(v)
+    + 2 h(u, v), the scan then misses only when h vanishes on the space."""
     basis = space.basis_vectors()
     def _ok(v):
         q = h.norm(v)

