@@ -184,10 +184,15 @@ def solve_linear_constraints(tower: Tower, m: int, conditions,
     ``real_entries_only`` the unknown is further confined to real matrices.
     """
     t = tower
-    units = [_unit(t, m, j, k, t.one()) for j in range(m) for k in range(m)]
+    units = []
+    for j in range(m):
+        for k in range(m):
+            units.append(_unit(t, m, j, k, t.one()))
     if over_real_structure and not real_entries_only:
         ii = t.i()
-        units += [_unit(t, m, j, k, ii) for j in range(m) for k in range(m)]
+        for j in range(m):
+            for k in range(m):
+                units.append(_unit(t, m, j, k, ii))
 
     def image(x: Matrix) -> list:
         out = []
