@@ -48,11 +48,12 @@ class CampaignConfig:
         if (p is None) != (q is None):
             raise ValueError("give both p and q, or neither")
         if case == "projective-split":
+            if p is not None:
+                raise ValueError("projective-split takes n, not p and q")
             if n is None:
                 n = 1
             if n < 1:
                 raise ValueError("projective-split needs n >= 1")
-            p = q = None
         elif case == "projective-pq":
             if p is None or q is None:
                 p, q = 1, 1
@@ -69,8 +70,8 @@ class CampaignConfig:
             if n is not None and n != (p + q + 1) // 2:
                 raise ValueError("isotropic needs 2n = p + q + 1")
             n = (p + q + 1) // 2
-        else:  # quadric7
-            n = p = q = None
+        elif n is not None or p is not None:  # quadric7
+            raise ValueError("quadric7 takes no n, p or q")
         self.case = case
         self.n, self.p, self.q = n, p, q
         self.samples = samples

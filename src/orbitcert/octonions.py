@@ -30,6 +30,7 @@ algebra of that form.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -39,7 +40,7 @@ from .scalars import Scalar, Tower
 from .groups import LieAlgebraBasis, solve_linear_constraints
 
 __all__ = ["OctonionAlgebra", "DerivationBasis", "split_octonions",
-           "derivations", "imaginary_embedding"]
+           "derivations", "imaginary_embedding", "octonion_product"]
 
 
 def _cross(u, v):
@@ -108,21 +109,8 @@ class OctonionAlgebra:
 
     def __init__(self, tower: Tower) -> None:
         self.tower = tower
-        table = []
-        for i in range(8):
-            ti = _basis_tuple(i)
-            row = []
-            for j in range(8):
-                prod = _zorn_mul(ti, _basis_tuple(j))
-                row.append(_tuple_coords(prod))
-            table.append(row)
-        for row in table:
-            for cell in row:
-                if any(c.denominator != 1 for c in cell):
-                    raise AssertionError(
-                        "structure constants must be integers")
-        self.structure_constants = [
-            [[int(c) for c in cell] for cell in row] for row in table]
+        self.structure_constants = [[list(cell) for cell in row]
+                                    for row in _integer_table()]
         gram = [[Fraction(0)] * 8 for _ in range(8)]
         norms = [_zorn_norm(_basis_tuple(i)) for i in range(8)]
         for i in range(8):
@@ -140,21 +128,7 @@ class OctonionAlgebra:
         return [t.one() if i == k else t.zero() for i in range(8)]
 
     def multiply(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> list:
-        t = self.tower
-        out = [t.zero()] * 8
-        for i in range(8):
-            if x[i].is_zero():
-                continue
-            row = self.structure_constants[i]
-            for j in range(8):
-                if y[j].is_zero():
-                    continue
-                xy = x[i] * y[j]
-                for k in range(8):
-                    c = row[j][k]
-                    if c:
-                        out[k] = out[k] + xy * t.scalar(c)
-        return out
+        return octonion_product(self.tower, x, y)
 
     def conj(self, x: Sequence[Scalar]) -> list:
         return [x[0]] + [-a for a in x[1:]]
@@ -198,6 +172,44 @@ class OctonionAlgebra:
                     raise AssertionError("left alternativity fails")
                 if self.multiply(y, xx) != self.multiply(self.multiply(y, x), x):
                     raise AssertionError("right alternativity fails")
+
+
+@functools.lru_cache(maxsize=None)
+def _integer_table() -> tuple:
+    """Structure constants of the stored basis: entry [i][j] holds the
+    coordinates of e_i e_j, checked to be integers."""
+    table = []
+    for i in range(8):
+        ti = _basis_tuple(i)
+        row = []
+        for j in range(8):
+            cell = _tuple_coords(_zorn_mul(ti, _basis_tuple(j)))
+            if any(c.denominator != 1 for c in cell):
+                raise AssertionError("structure constants must be integers")
+            row.append(tuple(int(c) for c in cell))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def octonion_product(tower: Tower, x: Sequence[Scalar],
+                     y: Sequence[Scalar]) -> list:
+    """Product of two octonions given by their 8 coordinates in the stored
+    basis.  Reads the integer table directly, so callers that only need
+    products do not build an :class:`OctonionAlgebra` and its
+    self-checks."""
+    table = _integer_table()
+    out = [tower.zero()] * 8
+    for i in range(8):
+        if x[i].is_zero():
+            continue
+        for j in range(8):
+            if y[j].is_zero():
+                continue
+            xy = x[i] * y[j]
+            for k, c in enumerate(table[i][j]):
+                if c:
+                    out[k] = out[k] + xy * c
+    return out
 
 
 def _zorn_mul_add(i: int, j: int):

@@ -24,13 +24,15 @@ from .groups import (GroupSpec, LieAlgebraBasis, PreservesBilinear,
                      RealEntries, exp_nilpotent, nilpotent_orthogonal)
 from .linalg import (Matrix, Subspace, hermitian_signature, rank, real_coords,
                      vec_scale)
-from .octonions import derivations, imaginary_embedding, split_octonions
+from .octonions import (derivations, imaginary_embedding, octonion_product,
+                        split_octonions)
 from .rng import SplitMix64
 from .scalars import Scalar
 
 __all__ = [
     "OrbitReport", "tangent_dim_projective", "tangent_dim_grassmann",
-    "classify_point", "quadric_algebras", "verify_orbit_equality",
+    "classify_point", "quadric_algebras", "spans_null_subalgebra",
+    "verify_orbit_equality",
 ]
 
 STRATA = ("positive", "negative", "null-real", "null-nonreal")
@@ -214,6 +216,19 @@ def _quadric_nilpotents(model: StandardModel) -> list:
     return out
 
 
+def spans_null_subalgebra(model: StandardModel, z: Sequence) -> bool:
+    """True when Re z * Im z = 0 in the split octonions (the quadric
+    coordinates being e1..e7), i.e. when Re z and Im z span a null
+    subalgebra.  The condition does not depend on the representative of
+    the line [z]; on the null-nonreal stratum it cuts out a smaller split
+    G2 orbit inside the SO(3,4) orbit."""
+    t = model.tower.host(z)
+    zz = [t.lift(x) for x in z]
+    prod = octonion_product(t, [t.zero()] + [x.real_part() for x in zz],
+                            [t.zero()] + [x.imag_part() for x in zz])
+    return all(c.is_zero() for c in prod)
+
+
 def verify_orbit_equality(model: StandardModel, samples: int = 10,
                           seed: int = 0, bound: int = 5,
                           algebras: Optional[tuple] = None,
@@ -227,6 +242,13 @@ def verify_orbit_equality(model: StandardModel, samples: int = 10,
     real orthogonal algebra have the same real tangent dimension there.
     Returns one OrbitReport pair per sample.  This is the infinitesimal
     part of orbit equality; it does not claim global transitivity.
+
+    Equality is certified at generic points of each stratum.  The
+    null-nonreal stratum holds one smaller split-G2 orbit: the lines
+    whose real and imaginary parts span a null subalgebra of the split
+    octonions (:func:`spans_null_subalgebra`), where g2 has real tangent
+    dimension 7 against 9 for so(3,4).  A candidate on it is rejected and
+    redrawn, as is a candidate that left its stratum.
     """
     if model.case != "quadric7":
         raise ValueError("needs the quadric model")
@@ -248,7 +270,9 @@ def verify_orbit_equality(model: StandardModel, samples: int = 10,
                     if w:
                         g = g * exp_nilpotent(x, w)
                 cand = g.apply(rep)
-                if classify_point(model, cand) == stratum:
+                if classify_point(model, cand) == stratum and not (
+                        stratum == "null-nonreal"
+                        and spans_null_subalgebra(model, cand)):
                     point = cand
                     break
             if point is None:

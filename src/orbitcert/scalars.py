@@ -5,7 +5,8 @@ radicand r_j is a positive real element of the previous level that is not a
 square there.  A :class:`Tower` records the adjoined radicands; a
 :class:`Scalar` is a linear combination of products of the adjoined roots
 with Gaussian-rational coefficients, held in canonical form (zero terms
-dropped, ``fractions.Fraction`` coordinates).  Consequences:
+dropped, each coefficient one reduced integer triple, see ``Coeff``).
+Consequences:
 
 * equality is decidable (coordinate comparison),
 * complex conjugation i -> -i fixes every adjoined root,
@@ -31,43 +32,72 @@ key 0 is the rational part and key 0b101 tags sqrt(r1)*sqrt(r3).
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
+from math import gcd, isqrt
 from typing import Iterable, Optional, Union
 
 __all__ = ["Tower", "Scalar", "TowerError"]
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-_G0 = (_F0, _F0)
-_G1 = (_F1, _F0)
-
-Coeff = tuple  # (Fraction real part, Fraction imaginary part)
+# A coefficient (re, im, den) of Python ints stands for (re + im*i)/den,
+# with den > 0 and gcd(re, im, den) == 1.  The form is unique, so tuple
+# equality is value equality and zero is exactly _G0.
+Coeff = tuple
 Rat = Union[int, Fraction]
+
+_G0 = (0, 0, 1)
+_G1 = (1, 0, 1)
 
 
 class TowerError(ValueError):
     """Raised for invalid tower operations (bad radicand, mixed towers...)."""
 
 
+def _gnorm(x: int, y: int, d: int) -> Coeff:
+    """Canonical triple of (x + y*i)/d for ``d`` > 0."""
+    g = gcd(x, y, d)
+    if g == 1:
+        return (x, y, d)
+    return (x // g, y // g, d // g)
+
+
+def _grat(x: Rat, y: Rat) -> Coeff:
+    """Canonical triple of x + y*i for rationals x and y."""
+    if type(x) is int and type(y) is int:
+        return (x, y, 1)
+    a, b = Fraction(x), Fraction(y)
+    return _gnorm(a.numerator * b.denominator, b.numerator * a.denominator,
+                  a.denominator * b.denominator)
+
+
 def _gadd(a: Coeff, b: Coeff) -> Coeff:
-    return (a[0] + b[0], a[1] + b[1])
+    ar, ai, ad = a
+    br, bi, bd = b
+    if ad == bd:
+        if ad == 1:
+            return (ar + br, ai + bi, 1)
+        return _gnorm(ar + br, ai + bi, ad)
+    return _gnorm(ar * bd + br * ad, ai * bd + bi * ad, ad * bd)
 
 
 def _gmul(a: Coeff, b: Coeff) -> Coeff:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+    ar, ai, ad = a
+    br, bi, bd = b
+    if ad == 1 and bd == 1:
+        return (ar * br - ai * bi, ar * bi + ai * br, 1)
+    return _gnorm(ar * br - ai * bi, ar * bi + ai * br, ad * bd)
 
 
 def _gneg(a: Coeff) -> Coeff:
-    return (-a[0], -a[1])
+    return (-a[0], -a[1], a[2])
 
 
 def _ginv(a: Coeff) -> Coeff:
-    n = a[0] * a[0] + a[1] * a[1]
+    x, y, d = a
+    n = x * x + y * y
     if n == 0:
         raise ZeroDivisionError("division by zero scalar")
-    return (a[0] / n, -a[1] / n)
+    return _gnorm(d * x, -d * y, n)
 
 
 def _rat_sqrt(x: Fraction) -> Optional[Fraction]:
@@ -75,7 +105,7 @@ def _rat_sqrt(x: Fraction) -> Optional[Fraction]:
     if x < 0:
         return None
     p, q = x.numerator, x.denominator
-    sp, sq = math.isqrt(p), math.isqrt(q)
+    sp, sq = isqrt(p), isqrt(q)
     if sp * sp == p and sq * sq == q:
         return Fraction(sp, sq)
     return None
@@ -85,17 +115,21 @@ _QI_RE = re.compile(r"^(-?\d+)/(\d+)\+(-?\d+)/(\d+)\*i$")
 
 
 def _format_coeff(c: Coeff) -> str:
-    return "%d/%d+%d/%d*i" % (
-        c[0].numerator, c[0].denominator, c[1].numerator, c[1].denominator,
-    )
+    """Text "a/b+c/d*i", each part reduced on its own."""
+    x, y, d = c
+    g, h = gcd(x, d), gcd(y, d)
+    return "%d/%d+%d/%d*i" % (x // g, d // g, y // h, d // h)
 
 
 def _parse_coeff(text: str) -> Coeff:
     m = _QI_RE.match(text)
     if m is None:
         raise TowerError("malformed scalar coordinate %r" % (text,))
-    return (Fraction(int(m.group(1)), int(m.group(2))),
-            Fraction(int(m.group(3)), int(m.group(4))))
+    a, b, c, d = (int(x) for x in m.groups())
+    if b == 0 or d == 0:
+        raise TowerError("zero denominator in scalar coordinate %r"
+                         % (text,))
+    return _gnorm(a * d, c * b, b * d)
 
 
 class Tower:
@@ -108,7 +142,7 @@ class Tower:
     # -- basic constructors -------------------------------------------------
 
     def scalar(self, re_part: Rat = 0, im_part: Rat = 0) -> Scalar:
-        c = (Fraction(re_part), Fraction(im_part))
+        c = _grat(re_part, im_part)
         if c == _G0:
             return Scalar(self, {})
         return Scalar(self, {0: c})
@@ -120,7 +154,7 @@ class Tower:
         return Scalar(self, {0: _G1})
 
     def i(self) -> Scalar:
-        return Scalar(self, {0: (_F0, _F1)})
+        return Scalar(self, {0: (0, 1, 1)})
 
     def root(self, level: int) -> Scalar:
         """The adjoined root sqrt(r_{level+1}) as a scalar."""
@@ -250,8 +284,8 @@ class Tower:
             lvl = r._level()
             if lvl == 0:
                 c = r._terms.get(0, _G0)
-                if c[1] == 0 and c[0].denominator == 1:
-                    out.append(int(c[0]))
+                if c[1] == 0 and c[2] == 1:
+                    out.append(c[0])
                 else:
                     out.append(_format_coeff(c))
             else:
@@ -439,16 +473,18 @@ class Scalar:
     def conj(self) -> Scalar:
         """Complex conjugation: i -> -i, fixing every adjoined root."""
         return Scalar(self._tower,
-                      {m: (c[0], -c[1]) for m, c in self._terms.items()})
+                      {m: (c[0], -c[1], c[2]) for m, c in self._terms.items()})
 
     def real_part(self) -> Scalar:
         return Scalar(self._tower,
-                      {m: (c[0], _F0) for m, c in self._terms.items() if c[0] != 0})
+                      {m: _gnorm(c[0], 0, c[2])
+                       for m, c in self._terms.items() if c[0] != 0})
 
     def imag_part(self) -> Scalar:
         """The real scalar y with self = x + i*y."""
         return Scalar(self._tower,
-                      {m: (c[1], _F0) for m, c in self._terms.items() if c[1] != 0})
+                      {m: _gnorm(c[1], 0, c[2])
+                       for m, c in self._terms.items() if c[1] != 0})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -499,7 +535,7 @@ class Scalar:
             lvl = self._tower.depth
         if lvl == 0:
             c = self._terms.get(0, _G0)
-            root = _rat_sqrt(c[0])
+            root = _rat_sqrt(Fraction(c[0], c[2]))
             if root is None:
                 return None
             return self._tower.scalar(root)
@@ -537,7 +573,8 @@ class Scalar:
         """The value as a rational; error if not a real rational."""
         if not self.is_rational() or not self.is_real():
             raise TowerError("scalar is not a real rational")
-        return self._terms.get(0, _G0)[0]
+        c = self._terms.get(0, _G0)
+        return Fraction(c[0], c[2])
 
     # -- serialization --------------------------------------------------------
 

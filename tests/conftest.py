@@ -2,16 +2,19 @@
 
 from fractions import Fraction
 
-from hypothesis import HealthCheck, settings, strategies as st
+from hypothesis import HealthCheck, Phase, settings, strategies as st
 
 from orbitcert.scalars import Tower
 
 # Exact arithmetic is deterministic but not uniformly fast; wall-clock
-# deadlines only add flakiness on loaded machines.
+# deadlines only add flakiness on loaded machines.  Shrinking is left out:
+# on exact scalars it can take minutes to report a failure that the
+# unshrunk example already shows.
 settings.register_profile(
     "exact",
     deadline=None,
     max_examples=50,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate],
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("exact")

@@ -30,6 +30,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         CampaignConfig("isotropic", p=2, q=3, n=2)       # 2n != p + q + 1
     with pytest.raises(ValueError):
+        CampaignConfig("projective-split", p=3, q=4)     # takes only n
+    with pytest.raises(ValueError):
+        CampaignConfig("quadric7", n=9, p=1, q=2)        # takes no parameter
+    with pytest.raises(ValueError):
         CampaignConfig("quadric7", samples=0)
     with pytest.raises(ValueError):
         CampaignConfig("quadric7", bound=0)

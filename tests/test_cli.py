@@ -64,6 +64,10 @@ def test_usage_errors(capsys):
     assert main(["verify", "projective-pq", "--p", "0", "--q", "2"]) == 2
     assert main(["verify", "projective-pq", "--p", "3"]) == 2
     assert main(["verify", "isotropic", "--q", "5"]) == 2
+    assert main(["verify", "projective-split", "--p", "3", "--q", "4"]) == 2
+    assert main(["verify", "quadric7", "--n", "9", "--p", "1",
+                 "--q", "2"]) == 2
+    assert main(["verify", "quadric7", "--n", "9"]) == 2
     assert main(["verify", "no-such-case"]) == 2
     assert main(["witness"]) == 2
     assert main([]) == 2
@@ -97,6 +101,11 @@ def test_witness_verify_parse_errors(tmp_path, capsys):
     not_witness = tmp_path / "n.json"
     not_witness.write_text("{\"schema\": \"something-else\"}")
     assert main(["witness", "verify", str(not_witness)]) == 2
+    zero_den = _fresh_witness_file(tmp_path, "z.json")
+    obj = json.loads(zero_den.read_text())
+    obj["claim"]["source"]["entries"][0][0] = "1/0+0/1*i"
+    zero_den.write_text(json.dumps(obj))
+    assert main(["witness", "verify", str(zero_den)]) == 2
     capsys.readouterr()
 
 

@@ -5,8 +5,8 @@ import pytest
 from orbitcert.forms import StandardModel
 from orbitcert.linalg import Subspace
 from orbitcert.orbits import (STRATA, classify_point, quadric_algebras,
-                              tangent_dim_grassmann, tangent_dim_projective,
-                              verify_orbit_equality)
+                              spans_null_subalgebra, tangent_dim_grassmann,
+                              tangent_dim_projective, verify_orbit_equality)
 from orbitcert.scalars import Tower
 from orbitcert.witnesses import (build_group, isotropic_normal_form_complex,
                                  transport_positive_line_sp)
@@ -156,3 +156,38 @@ def test_orbit_report_serialization():
     assert obj["stratum"] == rep.stratum
     assert obj["open"] == rep.open
     assert isinstance(obj["point"], str) and obj["point"]
+
+
+@pytest.fixture(scope="module")
+def quadric():
+    model = StandardModel.quadric7(Tower())
+    return model, quadric_algebras(model)
+
+
+def test_null_subalgebra_locus_has_a_smaller_g2_orbit(quadric):
+    # Re z = (4,3,3,3,3,4,0) and Im z = -(3,2,2,2,2,3,0) multiply to zero
+    # as split octonions: a null-nonreal point where split G2 has a
+    # smaller orbit inside the SO(3,4) orbit
+    model, (g2, so34) = quadric
+    t = model.tower
+    z = [t.scalar(4, -3)] + [t.scalar(3, -2)] * 4 + [t.scalar(4, -3),
+                                                     t.zero()]
+    assert classify_point(model, z) == "null-nonreal"
+    assert spans_null_subalgebra(model, z)
+    assert spans_null_subalgebra(model, [t.scalar(2, 1) * x for x in z])
+    assert tangent_dim_projective(g2, z) == 7
+    assert tangent_dim_projective(so34, z) == 9
+    rep = model.stratum_representatives["null-nonreal"]
+    assert not spans_null_subalgebra(model, rep)
+
+
+@pytest.mark.parametrize("seed", [537687876, 3432174607])
+def test_orbit_equality_skips_the_null_subalgebra_locus(quadric, seed):
+    # without the rejection these seeds sample the locus above
+    model, algebras = quadric
+    pairs = verify_orbit_equality(model, samples=1, seed=seed,
+                                  algebras=algebras)
+    for small, big in pairs:
+        assert small.tangent_dim == big.tangent_dim
+        if small.stratum == "null-nonreal":
+            assert small.tangent_dim == 9

@@ -1,10 +1,12 @@
 """Field axioms and root-adjunction behaviour of the scalar tower."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from orbitcert import scalars
 from orbitcert.scalars import Scalar, Tower, TowerError
 
 from conftest import gauss, gauss_nonzero, rationals
@@ -186,3 +188,67 @@ def test_host_is_the_deepest_tower(order):
     assert towers[0].host(entries) is towers[2]
     assert towers[2].host([towers[0].one()]) is towers[2]
     assert towers[1].host([]) is towers[1]
+
+
+# -- the coefficient kernel against a (Fraction, Fraction) reference ------
+
+big_rationals = st.one_of(
+    rationals,
+    st.fractions(max_denominator=10 ** 30),
+    st.integers(min_value=-10 ** 30, max_value=10 ** 30).map(Fraction),
+)
+pairs = st.tuples(big_rationals, big_rationals)
+
+
+def _triple(pair):
+    """Canonical (re, im, den) of a Fraction pair, built independently of
+    the kernel: den is the lcm of the two denominators."""
+    x, y = pair
+    den = math.lcm(x.denominator, y.denominator)
+    return (x.numerator * (den // x.denominator),
+            y.numerator * (den // y.denominator), den)
+
+
+def _canonical(c):
+    return (isinstance(c, tuple) and len(c) == 3
+            and all(type(v) is int for v in c)
+            and c[2] > 0 and math.gcd(*c) == 1)
+
+
+def _text(pair):
+    x, y = pair
+    return "%d/%d+%d/%d*i" % (x.numerator, x.denominator,
+                              y.numerator, y.denominator)
+
+
+@given(pairs, pairs, st.integers(min_value=1, max_value=10 ** 6))
+def test_coefficient_kernel_matches_fraction_pairs(a, b, k):
+    (ax, ay), (bx, by) = a, b
+    ta, tb = _triple(a), _triple(b)
+    assert _canonical(ta) and _canonical(tb)
+    want = {
+        "add": (ax + bx, ay + by),
+        # same denominator on both sides, sum cancelling down to 1
+        "cancel": (Fraction(1), Fraction(0)),
+        "mul": (ax * bx - ay * by, ax * by + ay * bx),
+        "neg": (-ax, -ay),
+    }
+    got = {
+        "add": scalars._gadd(ta, tb),
+        "cancel": scalars._gadd(ta, _triple((1 - ax, -ay))),
+        "mul": scalars._gmul(ta, tb),
+        "neg": scalars._gneg(ta),
+    }
+    if ax or ay:
+        n = ax * ax + ay * ay
+        want["inv"] = (ax / n, -ay / n)
+        got["inv"] = scalars._ginv(ta)
+    for op, c in got.items():
+        assert _canonical(c), op
+        assert c == _triple(want[op]), op
+    # text: each part reduced on its own, parsing accepts unreduced parts
+    assert scalars._format_coeff(ta) == _text(a)
+    assert scalars._parse_coeff(_text(a)) == ta
+    unreduced = "%d/%d+%d/%d*i" % (ax.numerator * k, ax.denominator * k,
+                                   ay.numerator, ay.denominator)
+    assert scalars._parse_coeff(unreduced) == ta
