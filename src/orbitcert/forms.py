@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .linalg import Matrix, Subspace, kernel
-from .scalars import Scalar, Tower
+from .scalars import Scalar, Tower, fma
 
 __all__ = ["FormSpec", "StandardModel"]
 
@@ -73,13 +73,8 @@ class FormSpec:
         the Gram matrix; the value then lives in theirs."""
         if len(z) != self.dim or len(w) != self.dim:
             raise ValueError("vector length does not match form dimension")
-        ww = [x.conj() for x in w] if self.kind == "hermitian" else list(w)
-        gw = self.gram.apply(ww)
-        acc = self.tower.zero()
-        for a, b in zip(z, gw):
-            if not (a.is_zero() or b.is_zero()):
-                acc = acc + a * b
-        return acc
+        ww = [x.conj() for x in w] if self.kind == "hermitian" else w
+        return fma(self.tower.zero(), zip(z, self.gram.apply(ww)))
 
     def norm(self, z: Sequence[Scalar]) -> Scalar:
         return self.value(z, z)

@@ -22,7 +22,7 @@ from typing import Sequence, Union
 
 from .forms import FormSpec
 from .linalg import Matrix, Subspace, _rref, kernel, real_coords
-from .scalars import Scalar, Tower
+from .scalars import Scalar, Tower, fma
 
 __all__ = [
     "PreservesBilinear", "PreservesHermitian", "DetOne", "FixesVector",
@@ -216,13 +216,14 @@ def _null_combinations(t: Tower, m: int, gens: Sequence[Matrix], image,
     nrows = len(columns[0]) if columns else 0
     coeff = Matrix(t, [[col[i] for col in columns] for i in range(nrows)],
                    cols=len(gens))
+    # entry e of every combination is the inner product of sol with flat[e]
+    flat = list(zip(*(x.flatten() for x in gens)))
+    zero = t.zero()
     mats = []
     for sol in kernel(coeff):
-        acc = Matrix.zeros(t, m, m)
-        for c, x in zip(sol, gens):
-            if not c.is_zero():
-                acc = acc + x.scale(c)
-        mats.append(acc)
+        e = [fma(zero, zip(sol, vals)) for vals in flat]
+        mats.append(Matrix(t, [e[i * m:(i + 1) * m] for i in range(m)],
+                           cols=m))
     return mats
 
 
@@ -327,7 +328,7 @@ class LieAlgebraBasis:
         t = self.tower
         cand = list(self.matrices) + [x.scale(t.i()) for x in self.matrices]
         # the pivot columns are the candidates that raise the complex rank
-        _, pivots = _rref(t, Matrix.from_cols(
+        _, pivots, _ = _rref(t, Matrix.from_cols(
             t, [x.flatten() for x in cand]).to_lists())
         keep = [cand[j] for j in pivots]
         return LieAlgebraBasis(t, self.ambient, keep, "complex", name=name)

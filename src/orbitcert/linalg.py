@@ -3,7 +3,9 @@
 Everything here is plain Gaussian elimination with deterministic pivoting
 (first usable row/column wins), which keeps canonical forms reproducible
 across runs.  Vectors are plain lists of scalars; matrices are immutable
-row-major wrappers.
+row-major wrappers.  Products, eliminations and reductions all run on the
+one fused multiply-accumulate kernel ``scalars.fma``; ``det`` reads the
+pivots of the same elimination.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .scalars import Scalar, Tower, TowerError
+from .scalars import Scalar, Tower, TowerError, fma
 
 __all__ = [
     "Matrix", "Subspace", "rank", "kernel", "column_echelon",
@@ -144,20 +146,19 @@ class Matrix:
             if self.cols != other.rows:
                 raise ValueError("shape mismatch %dx%d * %dx%d"
                                  % (self.rows, self.cols, other.rows, other.cols))
+            # row i of the product gathers a_ik * b_kj over the nonzero
+            # entries only (model and Lie-algebra matrices are sparse)
             zero = self.tower.zero()
-            out = [[zero] * other.cols for _ in range(self.rows)]
-            for i in range(self.rows):
-                srow = self._e[i]
-                orow = out[i]
-                for k in range(self.cols):
-                    a = srow[k]
-                    if a.is_zero():
-                        continue
-                    brow = other._e[k]
-                    for j in range(other.cols):
-                        b = brow[j]
-                        if not b.is_zero():
-                            orow[j] = orow[j] + a * b
+            nonzero = [[(j, b) for j, b in enumerate(brow) if b]
+                       for brow in other._e]
+            out = []
+            for srow in self._e:
+                pairs = [[] for _ in range(other.cols)]
+                for a, nz in zip(srow, nonzero):
+                    if a:
+                        for j, b in nz:
+                            pairs[j].append((a, b))
+                out.append([fma(zero, p) if p else zero for p in pairs])
             return Matrix(self.tower, out, cols=other.cols)
         return self.scale(other)
 
@@ -169,16 +170,7 @@ class Matrix:
             raise ValueError("vector length %d does not match %d columns"
                              % (len(v), self.cols))
         zero = self.tower.zero()
-        out = []
-        for i in range(self.rows):
-            acc = zero
-            row = self._e[i]
-            for k in range(self.cols):
-                x = v[k]
-                if not (row[k].is_zero() or (isinstance(x, Scalar) and x.is_zero())):
-                    acc = acc + row[k] * x
-            out.append(acc)
-        return out
+        return [fma(zero, zip(row, v)) for row in self._e]
 
     def transpose(self) -> Matrix:
         return Matrix(self.tower,
@@ -236,35 +228,16 @@ class Matrix:
     def det(self) -> Scalar:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        a = self.to_lists()
-        det = self.tower.one()
-        for k in range(n):
-            piv = None
-            for i in range(k, n):
-                if not a[i][k].is_zero():
-                    piv = i
-                    break
-            if piv is None:
-                return self.tower.zero()
-            if piv != k:
-                a[k], a[piv] = a[piv], a[k]
-                det = -det
-            det = det * a[k][k]
-            inv = a[k][k].inv()
-            for i in range(k + 1, n):
-                if a[i][k].is_zero():
-                    continue
-                f = a[i][k] * inv
-                for j in range(k, n):
-                    a[i][j] = a[i][j] - f * a[k][j]
-        return det
+        _, pivots, scale = _rref(self.tower, self.to_lists())
+        if len(pivots) < self.rows:
+            return self.tower.zero()
+        return scale
 
     def inverse(self) -> Matrix:
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        rows, pivots = _rref(self.tower, self.hstack(
+        rows, pivots, _ = _rref(self.tower, self.hstack(
             Matrix.identity(self.tower, n)).to_lists())
         if pivots[:n] != list(range(n)):
             raise ZeroDivisionError("matrix is singular")
@@ -317,9 +290,13 @@ class Matrix:
 
 
 def _rref(tower: Tower, rows: list) -> tuple:
-    """In-place reduced row echelon; returns (rows, pivot column list)."""
+    """In-place reduced row echelon; returns (rows, pivot column list,
+    scale), where scale is the product of the pivots the rows were divided
+    by times the sign of the row swaps: the determinant of a square input
+    of full rank."""
+    scale = tower.one()
     if not rows:
-        return rows, []
+        return rows, [], scale
     ncols = len(rows[0])
     pivots = []
     r = 0
@@ -331,28 +308,32 @@ def _rref(tower: Tower, rows: list) -> tuple:
                 break
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            scale = -scale
+        scale = scale * rows[r][c]
         inv = rows[r][c].inv()
-        rows[r] = [x * inv for x in rows[r]]
+        prow = rows[r] = [x * inv for x in rows[r]]
         for i in range(len(rows)):
             if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                f = -rows[i][c]
+                rows[i] = [x if y.is_zero() else fma(x, ((f, y),))
+                           for x, y in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    return rows, pivots
+    return rows, pivots, scale
 
 
 def rank(m: Matrix) -> int:
-    _, pivots = _rref(m.tower, m.to_lists())
+    _, pivots, _ = _rref(m.tower, m.to_lists())
     return len(pivots)
 
 
 def kernel(m: Matrix) -> list:
     """Deterministic basis of the right kernel, as a list of vectors."""
-    rows, pivots = _rref(m.tower, m.to_lists())
+    rows, pivots, _ = _rref(m.tower, m.to_lists())
     zero, one = m.tower.zero(), m.tower.one()
     free = [c for c in range(m.cols) if c not in pivots]
     basis = []
@@ -372,7 +353,7 @@ def column_echelon(m: Matrix) -> Matrix:
     pivot rows are cleared across the other columns, so two matrices have
     equal column space iff their canonical forms are equal.
     """
-    rows, pivots = _rref(m.tower, m.transpose().to_lists())
+    rows, pivots, _ = _rref(m.tower, m.transpose().to_lists())
     keep = rows[:len(pivots)]
     return Matrix(m.tower, keep, cols=m.rows).transpose()
 
@@ -430,9 +411,9 @@ class Subspace:
         for b, piv in zip(self._basis, self._pivots):
             c = out[piv]
             if not c.is_zero():
-                for idx, s in enumerate(b):
-                    if not s.is_zero():
-                        out[idx] = out[idx] - c * s
+                f = -c
+                out = [x if s.is_zero() else fma(x, ((f, s),))
+                       for x, s in zip(out, b)]
         return out
 
     def contains(self, v: Sequence[Scalar]) -> bool:
@@ -496,12 +477,12 @@ def congruence_diagonalize(g: Matrix) -> tuple:
     def col_op(i, j, lam):
         # basis change u_i <- u_i + lam * u_j
         for t in range(n):
-            s[t][i] = s[t][i] + lam * s[t][j]
+            s[t][i] = fma(s[t][i], ((lam, s[t][j]),))
         cl = lam.conj()
         for t in range(n):
-            a[i][t] = a[i][t] + lam * a[j][t]
+            a[i][t] = fma(a[i][t], ((lam, a[j][t]),))
         for t in range(n):
-            a[t][i] = a[t][i] + cl * a[t][j]
+            a[t][i] = fma(a[t][i], ((cl, a[t][j]),))
 
     def swap(i, j):
         for t in range(n):

@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 
 from .forms import FormSpec
 from .linalg import Matrix, hermitian_signature
-from .scalars import Scalar, Tower
+from .scalars import Scalar, Tower, fma
 from .groups import LieAlgebraBasis, solve_linear_constraints
 
 __all__ = ["OctonionAlgebra", "DerivationBasis", "split_octonions",
@@ -197,19 +197,24 @@ def octonion_product(tower: Tower, x: Sequence[Scalar],
     basis.  Reads the integer table directly, so callers that only need
     products do not build an :class:`OctonionAlgebra` and its
     self-checks."""
-    table = _integer_table()
-    out = [tower.zero()] * 8
-    for i in range(8):
-        if x[i].is_zero():
-            continue
-        for j in range(8):
-            if y[j].is_zero():
-                continue
-            xy = x[i] * y[j]
-            for k, c in enumerate(table[i][j]):
+    signed = {1: y, -1: [-b for b in y]}
+    zero = tower.zero()
+    return [fma(zero, [(x[i], signed[c][j]) for i, j, c in terms])
+            for terms in _product_terms()]
+
+
+@functools.lru_cache(maxsize=None)
+def _product_terms() -> tuple:
+    """For each coordinate k, the (i, j, c) with c != 0 the k-th
+    coordinate of e_i e_j.  Every basis product is a signed basis vector,
+    so c is +1 or -1 (``octonion_product`` keys on it)."""
+    terms = [[] for _ in range(8)]
+    for i, row in enumerate(_integer_table()):
+        for j, cell in enumerate(row):
+            for k, c in enumerate(cell):
                 if c:
-                    out[k] = out[k] + xy * c
-    return out
+                    terms[k].append((i, j, c))
+    return tuple(tuple(t) for t in terms)
 
 
 def _zorn_mul_add(i: int, j: int):

@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterable, Optional, Union
 
-__all__ = ["Tower", "Scalar", "TowerError"]
+__all__ = ["Tower", "Scalar", "TowerError", "fma"]
 
 # A coefficient (re, im, den) of Python ints stands for (re + im*i)/den,
 # with den > 0 and gcd(re, im, den) == 1.  The form is unique, so tuple
@@ -406,10 +406,17 @@ class Scalar:
         o = self._binop_other(other)
         if o is None:
             return NotImplemented
-        return self.__add__(-o)
+        if o._tower is not self._tower:
+            return o.__rsub__(self)
+        return Scalar(self._tower, _sub_terms(self._terms, o._terms))
 
     def __rsub__(self, other):
-        return (-self).__add__(other)
+        o = self._binop_other(other)
+        if o is None:
+            return NotImplemented
+        if o._tower is not self._tower:
+            return o.__sub__(self)
+        return Scalar(self._tower, _sub_terms(o._terms, self._terms))
 
     def __mul__(self, other):
         o = self._binop_other(other)
@@ -423,7 +430,7 @@ class Scalar:
         for m1, c1 in self._terms.items():
             for m2, c2 in o._terms.items():
                 _mul_into(self._tower, out, m1 & m2, m1 ^ m2, _gmul(c1, c2))
-        return Scalar(self._tower, {m: c for m, c in out.items() if c != _G0})
+        return Scalar(self._tower, out)
 
     __rmul__ = __mul__
 
@@ -651,11 +658,62 @@ class Scalar:
         return "<" + " + ".join(bits) + ">"
 
 
+def _sub_terms(a: dict, b: dict) -> dict:
+    """Terms of a - b, subtracted straight into a copy of ``a``."""
+    terms = dict(a)
+    for m, c in b.items():
+        cur = terms.get(m)
+        if cur is None:
+            terms[m] = _gneg(c)
+            continue
+        s = _gadd(cur, _gneg(c))
+        if s == _G0:
+            del terms[m]
+        else:
+            terms[m] = s
+    return terms
+
+
+def fma(acc: Scalar, pairs: Iterable) -> Scalar:
+    """``acc + sum(a * b for a, b in pairs)``, built in one term dict.
+
+    The fused multiply-accumulate kernel behind every inner product and
+    row update of the exact linear algebra: pairs with a zero operand are
+    skipped and only the result is allocated; the operators stay its
+    reference.  Operands from different towers are resolved by the
+    module's one rule, ``Tower.host`` over ``acc`` and the live operands
+    and then the strict ``Tower.lift``, so a differing radicand raises
+    :class:`TowerError`.
+    """
+    live = [(a, b) for a, b in pairs if a._terms and b._terms]
+    tower = acc._tower
+    for a, b in live:
+        if a._tower is not tower or b._tower is not tower:
+            tower = tower.host([x for ab in live for x in ab])
+            acc = tower.lift(acc)
+            live = [(tower.lift(a), tower.lift(b)) for a, b in live]
+            break
+    terms = dict(acc._terms)
+    for a, b in live:
+        for m1, c1 in a._terms.items():
+            for m2, c2 in b._terms.items():
+                _mul_into(tower, terms, m1 & m2, m1 ^ m2, _gmul(c1, c2))
+    return Scalar(tower, terms)
+
+
 def _mul_into(tower: Tower, out: dict, common: int, sym: int, coeff: Coeff) -> None:
-    """Accumulate coeff * prod(r_j, j in common) * basis(sym) into out."""
+    """Accumulate coeff * prod(r_j, j in common) * basis(sym) into out,
+    dropping a term that cancels (``coeff`` itself is nonzero)."""
     if common == 0:
         cur = out.get(sym)
-        out[sym] = coeff if cur is None else _gadd(cur, coeff)
+        if cur is None:
+            out[sym] = coeff
+        else:
+            s = _gadd(cur, coeff)
+            if s == _G0:
+                del out[sym]
+            else:
+                out[sym] = s
         return
     factor = tower._radical_product(common)
     for mf, cf in factor._terms.items():

@@ -66,6 +66,7 @@ class Witness:
                  source: Matrix, target: Matrix, model_info: dict) -> None:
         if claim_kind not in ("maps_line", "maps_subspace", "maps_vector"):
             raise ValueError("unknown claim kind %r" % (claim_kind,))
+        _check_claim(group.dim, element, claim_kind, source, target)
         self.group = group
         self.element = element
         self.claim_kind = claim_kind
@@ -96,6 +97,29 @@ class Witness:
             },
             "element": self.element.to_json(),
         }
+
+
+def _check_claim(dim: int, element: Matrix, claim_kind: str,
+                 source: Matrix, target: Matrix) -> None:
+    """Reject a claim that is mis-shaped or vacuous: it must live in the
+    model's ambient space, a line or vector claim takes one nonzero
+    column, and a subspace claim maps a basis to a basis."""
+    if element.rows != dim or element.cols != dim:
+        raise ValueError("element is %dx%d, the model needs %dx%d"
+                         % (element.rows, element.cols, dim, dim))
+    for name, mat in (("source", source), ("target", target)):
+        if mat.rows != dim:
+            raise ValueError("claim %s has %d rows, the element %d"
+                             % (name, mat.rows, dim))
+        if claim_kind == "maps_subspace":
+            if rank(mat) != mat.cols:
+                raise ValueError("claim %s columns are not independent"
+                                 % (name,))
+        elif mat.cols != 1 or mat.is_zero():
+            raise ValueError("%s claim needs one nonzero %s column"
+                             % (claim_kind, name))
+    if source.cols != target.cols:
+        raise ValueError("claim source and target differ in column count")
 
 
 def model_from_info(tower: Tower, info: dict) -> StandardModel:
@@ -546,15 +570,14 @@ def isotropic_normal_form_real(model: StandardModel, w_hat) -> Witness:
     t = model.tower.clone()
     n, m = model.n, model.ambient_dim
     w_std = _as_subspace(t, m, w_hat)
-    b_std = FormSpec("symmetric", Matrix.identity(t, m), "b")
-    ehat = Matrix.from_rows(t, model.hhat.gram.to_lists())
-    h_std = FormSpec("hermitian", ehat, "hhat")
+    # the model's forms take vectors from the cloned, deeper tower
+    b_sig, h_sig = model.b_sig, model.hhat_sig
     if w_std.dim != n:
         raise ValueError("plane has dimension %d, expected %d"
                          % (w_std.dim, n))
-    if not b_std.is_isotropic(w_std):
+    if not model.b.is_isotropic(w_std):
         raise ValueError("plane is not b-isotropic")
-    sig = hermitian_signature(h_std.restrict(w_std))
+    sig = hermitian_signature(model.hhat.restrict(w_std))
     if sig[2] > 0:
         raise NotInDomainError("boundary configuration: h degenerate on "
                                "the plane")
@@ -565,8 +588,6 @@ def isotropic_normal_form_real(model: StandardModel, w_hat) -> Witness:
     # move to the signature presentation
     s_mat = Matrix.from_rows(t, model.sig_change.to_lists())
     s_inv = s_mat.inverse()
-    b_sig = FormSpec("symmetric", ehat, "b_sig")
-    h_sig = FormSpec("hermitian", ehat, "hhat_sig")
     w_sig = Subspace.from_vectors(
         t, m, [s_inv.apply(bv) for bv in w_std.basis_vectors()])
     nf_std = _as_subspace(t, m, model.normal_form_real())
@@ -612,8 +633,8 @@ def isotropic_normal_form_real(model: StandardModel, w_hat) -> Witness:
         sub = remaining
         f_sub = FormSpec(
             "symmetric",
-            Matrix(t, [[ehat[i, j] for j in sub] for i in sub],
-                   cols=len(sub)), "b_sub")
+            Matrix.from_rows(t, b_sig.gram.submatrix(sub, sub).to_lists()),
+            "b_sub")
         ta = [t.zero()] * len(sub)
         tb = [t.zero()] * len(sub)
         ta[sub.index(a_idx)] = root

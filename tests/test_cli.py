@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, report determinism, dumps."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -106,6 +107,21 @@ def test_witness_verify_parse_errors(tmp_path, capsys):
     obj["claim"]["source"]["entries"][0][0] = "1/0+0/1*i"
     zero_den.write_text(json.dumps(obj))
     assert main(["witness", "verify", str(zero_den)]) == 2
+    golden = os.path.join(os.path.dirname(__file__), "data", "golden",
+                          "witness-transport-n2.json")
+    with open(golden) as fh:
+        text = fh.read()
+    vacuous = json.loads(text)
+    for side in ("source", "target"):
+        claim = vacuous["claim"][side]
+        claim["entries"] = [["0/1+0/1*i"] for _ in claim["entries"]]
+    short = json.loads(text)
+    short["claim"]["source"]["entries"].pop()
+    short["claim"]["source"]["rows"] -= 1
+    for name, obj in (("vacuous.json", vacuous), ("short.json", short)):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        assert main(["witness", "verify", str(path)]) == 2
     capsys.readouterr()
 
 

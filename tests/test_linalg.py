@@ -47,6 +47,35 @@ def test_det_multiplicative(a, b):
     assert (a * b).det() == a.det() * b.det()
 
 
+def _cofactor_det(rows):
+    if len(rows) == 1:
+        return rows[0][0]
+    total = T.zero()
+    for j, x in enumerate(rows[0]):
+        term = x * _cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+_entries = st.one_of(st.just(0), gauss(T))
+
+
+@settings(max_examples=25)
+@given(st.data())
+def test_det_matches_cofactor_expansion(data):
+    n = data.draw(st.sampled_from([3, 4]))
+    rows = data.draw(st.lists(st.lists(_entries, min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+    rows = [[T.lift(x) for x in r] for r in rows]
+    if data.draw(st.booleans()):
+        # singular: the last row is a combination of the first two
+        c0, c1 = data.draw(gauss(T)), data.draw(gauss(T))
+        rows[-1] = [c0 * x + c1 * y for x, y in zip(rows[0], rows[1])]
+    got = Matrix(T, rows).det()
+    assert got == _cofactor_det(rows)
+    assert got.is_zero() == (rank(Matrix(T, rows)) < n)
+
+
 @settings(max_examples=25)
 @given(invertible3)
 def test_inverse(a):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orbitcert import scalars
-from orbitcert.scalars import Scalar, Tower, TowerError
+from orbitcert.scalars import Scalar, Tower, TowerError, fma
 
 from conftest import gauss, gauss_nonzero, rationals
 
@@ -252,3 +252,95 @@ def test_coefficient_kernel_matches_fraction_pairs(a, b, k):
     unreduced = "%d/%d+%d/%d*i" % (ax.numerator * k, ax.denominator * k,
                                    ay.numerator, ay.denominator)
     assert scalars._parse_coeff(unreduced) == ta
+
+
+# -- the fused kernel against the operators -------------------------------
+
+# one history: CHAIN[d] has depth d, each a clone of the previous one with
+# one more root; ALIEN has CHAIN[1]'s depth and another radicand
+CHAIN = [Tower()]
+for _r in (2, 3, 5):
+    CHAIN.append(CHAIN[-1].clone())
+    CHAIN[-1].adjoin_sqrt(_r)
+ALIEN = Tower()
+ALIEN.adjoin_sqrt(7)
+
+_coord = st.one_of(st.just((0, 0)), st.tuples(rationals, rationals))
+
+
+def tower_scalars(t: Tower, levels=None):
+    """Scalars of ``t`` over its first ``levels`` levels, zero often."""
+    size = 1 << (t.depth if levels is None else levels)
+    return st.lists(_coord, min_size=size, max_size=size).map(
+        lambda cs: Scalar(t, {m: scalars._grat(*c)
+                              for m, c in enumerate(cs) if c != (0, 0)}))
+
+
+def _deep_first(x, y):
+    return (y, x) if y._tower.depth > x._tower.depth else (x, y)
+
+
+def _reference(acc, pairs):
+    """acc + sum(a * b) with the operators.  An operator re-homes its right
+    operand in the left one's tower, so the deeper operand goes left."""
+    total = acc
+    for a, b in pairs:
+        a, b = _deep_first(a, b)
+        total, p = _deep_first(total, a * b)
+        total = total + p
+    return total
+
+
+def _assert_same(got, want):
+    assert got == want
+    assert all(c != (0, 0, 1) for c in got._terms.values())
+
+
+@given(st.data())
+def test_fma_matches_operators_at_each_depth(data):
+    t = CHAIN[data.draw(st.integers(min_value=0, max_value=3))]
+    acc = data.draw(tower_scalars(t))
+    prs = data.draw(st.lists(st.tuples(tower_scalars(t), tower_scalars(t)),
+                             max_size=4))
+    got = fma(acc, iter(prs))
+    _assert_same(got, _reference(acc, prs))
+    assert got._tower is t
+
+
+@given(st.data())
+def test_fma_mixes_shallow_and_deep_towers_of_one_history(data):
+    def draw():
+        return data.draw(tower_scalars(
+            CHAIN[data.draw(st.integers(min_value=0, max_value=3))]))
+    acc = draw()
+    prs = [(draw(), draw())
+           for _ in range(data.draw(st.integers(min_value=0, max_value=4)))]
+    got = fma(acc, prs)
+    _assert_same(got, _reference(acc, prs))
+    live = [x for a, b in prs if a and b for x in (a, b)]
+    assert got._tower is max([acc] + live, key=lambda x: x._tower.depth)._tower
+
+
+@given(st.data())
+def test_fma_raises_on_a_radicand_mismatch_exactly_when_operators_do(data):
+    # acc keeps a sqrt2 part throughout (CHAIN[1]'s other operands are
+    # rational), so both sides meet ALIEN's sqrt7 exactly when a live pair
+    # carries it
+    t = CHAIN[1]
+    root = data.draw(st.tuples(rationals, rationals).filter(
+        lambda c: c != (0, 0)))
+    acc = data.draw(tower_scalars(t, 0)) + t.scalar(*root) * t.root(0)
+    prs = []
+    for _ in range(data.draw(st.integers(min_value=0, max_value=4))):
+        rational = data.draw(tower_scalars(t, 0))
+        other = data.draw(st.one_of(tower_scalars(t, 0),
+                                    tower_scalars(ALIEN)))
+        prs.append(data.draw(st.sampled_from([(rational, other),
+                                              (other, rational)])))
+    try:
+        want = _reference(acc, prs)
+    except TowerError:
+        with pytest.raises(TowerError):
+            fma(acc, prs)
+    else:
+        _assert_same(fma(acc, prs), want)

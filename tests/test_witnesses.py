@@ -253,6 +253,27 @@ def test_witness_rejects_unknown_kind():
         Witness(g, ident, "maps_everything", ident, ident, {})
 
 
+def test_witness_rejects_vacuous_and_misshaped_claims():
+    model = StandardModel.projective_split(Tower(), 1)
+    t = model.tower
+    g = build_group(model, "Sp2nC")
+    ident = Matrix.identity(t, 2)
+    e0 = Matrix.from_rows(t, [[1], [0]])
+    zero = Matrix.zeros(t, 2, 1)
+    twice = Matrix.from_rows(t, [[1, 2], [0, 0]])
+    for kind, src, dst in (
+            ("maps_vector", zero, zero),          # 0 -> 0 is vacuous
+            ("maps_line", ident, ident),          # a plane is not a line
+            ("maps_line", Matrix.from_rows(t, [[1]]), e0),  # wrong ambient
+            ("maps_subspace", twice, twice),      # dependent columns
+            ("maps_subspace", ident, e0)):        # dimensions differ
+        with pytest.raises(ValueError):
+            Witness(g, ident, kind, src, dst, {})
+    with pytest.raises(ValueError):
+        Witness(g, Matrix.identity(t, 3), "maps_line", e0, e0, {})
+    assert Witness(g, ident, "maps_subspace", ident, ident, {}).verify()
+
+
 # -- isotropic normal forms --------------------------------------------------------
 
 
