@@ -1,16 +1,20 @@
 """Dense exact linear algebra over a scalar tower.
 
-Everything here is plain Gaussian elimination with deterministic pivoting
-(first usable row/column wins), which keeps canonical forms reproducible
-across runs.  Vectors are plain lists of scalars; matrices are immutable
-row-major wrappers.  Products, eliminations and reductions all run on the
-one fused multiply-accumulate kernel ``scalars.fma``; ``det`` reads the
-pivots of the same elimination.
+Eliminations pivot deterministically (first usable row/column wins),
+which keeps canonical forms reproducible across runs.  Vectors are plain
+lists of scalars; matrices are immutable row-major wrappers.  Products,
+eliminations and reductions run on the one fused multiply-accumulate
+kernel ``scalars.fma``, through the Gaussian elimination ``_rref``;
+``det`` reads its pivots.  ``rank`` alone has a second path: a matrix
+whose entries all lie in Q(i), in a tower of any depth, is reduced
+fraction-free over the Gaussian integers (Bareiss), and ``_rref`` stays
+the reference it is tested against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .scalars import Scalar, Tower, TowerError, fma
@@ -327,8 +331,76 @@ def _rref(tower: Tower, rows: list) -> tuple:
 
 
 def rank(m: Matrix) -> int:
-    _, pivots, _ = _rref(m.tower, m.to_lists())
-    return len(pivots)
+    """Rank of ``m``.  When every entry lies in Q(i) the rank is that of
+    the Gaussian-integer rows (rank does not change under field extension,
+    whatever tower holds the entries); any other matrix runs ``_rref``."""
+    rows = _gaussian_integer_rows(m)
+    if rows is None:
+        return len(_rref(m.tower, m.to_lists())[1])
+    return len(_bareiss_pivots(rows))
+
+
+_GZ = (0, 0)
+
+
+def _gaussian_integer_rows(m: Matrix) -> Optional[list]:
+    """Rows of ``m`` as lists of Gaussian integers ``(re, im)``, each row
+    multiplied by the lcm of its denominators; None unless every entry
+    lies in Q(i)."""
+    out = []
+    for row in m._e:
+        cs = [x.gaussian() for x in row]
+        if None in cs:
+            return None
+        den = lcm(*[c[2] for c in cs])
+        out.append([(x * (den // d), y * (den // d)) for x, y, d in cs])
+    return out
+
+
+def _bareiss_pivots(rows: list) -> list:
+    """Pivots of a one-step fraction-free elimination over Z[i] (Bareiss
+    1968, *Math. Comp.* 22); their number is the rank of ``rows``.
+
+    Each entry below a pivot ``p`` becomes ``(p*x - a*y) / prev``, where
+    ``a`` is its row's entry under ``p``, ``y`` the pivot row's entry and
+    ``prev`` the previous pivot.  Every entry is then a minor of the input,
+    so the division is exact and entries stay within the Hadamard bound,
+    hostile input included.  The first row with a nonzero entry in the
+    column is the pivot row, as in ``_rref``.  Consumes ``rows``: only the
+    rows below the pivot and the columns right of it are kept.
+    """
+    pivots = []
+    qr, qi = 1, 0
+    while rows and rows[0]:
+        piv = next((i for i, row in enumerate(rows) if row[0] != _GZ), None)
+        if piv is None:
+            rows = [row[1:] for row in rows]
+            continue
+        rows[0], rows[piv] = rows[piv], rows[0]
+        (pr, pi), *prow = rows[0]
+        norm = qr * qr + qi * qi
+        reduced = []
+        for row in rows[1:]:
+            it = iter(row)
+            ar, ai = next(it)
+            out = []
+            for (xr, xi), (yr, yi) in zip(it, prow):
+                if not (xr or xi or yr or yi):
+                    out.append(_GZ)
+                    continue
+                zr = pr * xr - pi * xi - ar * yr + ai * yi
+                zi = pr * xi + pi * xr - ar * yi - ai * yr
+                if qi:
+                    zr, zi = ((zr * qr + zi * qi) // norm,
+                              (zi * qr - zr * qi) // norm)
+                else:
+                    zr, zi = zr // qr, zi // qr
+                out.append((zr, zi))
+            reduced.append(out)
+        rows = reduced
+        pivots.append((pr, pi))
+        qr, qi = pr, pi
+    return pivots
 
 
 def kernel(m: Matrix) -> list:

@@ -353,9 +353,13 @@ class Scalar:
     def is_real(self) -> bool:
         return all(c[1] == 0 for c in self._terms.values())
 
-    def is_rational(self) -> bool:
-        """True when the scalar lies in Q(i) (uses no adjoined root)."""
-        return all(m == 0 for m in self._terms)
+    def gaussian(self) -> Optional[Coeff]:
+        """``(re, im, den)`` of Python ints with self = (re + im*i)/den,
+        ``den`` > 0 and gcd 1, when the scalar lies in Q(i); else None."""
+        t = self._terms
+        if not t:
+            return _G0
+        return t.get(0) if len(t) == 1 else None
 
     def _level(self) -> int:
         lvl = 0
@@ -366,36 +370,45 @@ class Scalar:
 
     # -- ring structure -------------------------------------------------------
 
-    def _binop_other(self, other) -> Optional[Scalar]:
+    def _align(self, other) -> Optional[tuple]:
+        """``(self, other)`` as scalars of one tower, or None when ``other``
+        is not a number.  The deeper tower hosts, as ``Tower.host`` picks
+        it for ``fma`` (on equal depth, ``self``'s), and the other operand
+        moves by the strict ``_coerce``; when it does not fit, the other
+        tower hosts instead, so both orders of an operator agree.  A
+        radicand mismatch on a level both operands use raises
+        :class:`TowerError`."""
         if isinstance(other, Scalar):
-            if other._tower is self._tower:
-                return other
-            # Cross-tower use is allowed when one side is plain Q(i) or the
-            # towers agree on every level actually used.
+            t, u = self._tower, other._tower
+            if u is t:
+                return self, other
+            deeper = u.depth > t.depth
             try:
-                return self._tower._coerce(other)
+                if deeper:
+                    return u._coerce(self), other
+                return self, t._coerce(other)
             except TowerError:
-                if self.is_rational():
-                    return other  # caller re-dispatches with operands swapped
-                raise
+                # the other tower hosts; raises when neither operand fits
+                if deeper:
+                    return self, t._coerce(other)
+                return u._coerce(self), other
         if isinstance(other, (int, Fraction)):
-            return self._tower.scalar(other)
+            return self, self._tower.scalar(other)
         return None
 
     def __add__(self, other):
-        o = self._binop_other(other)
-        if o is None:
+        ab = self._align(other)
+        if ab is None:
             return NotImplemented
-        if o._tower is not self._tower:
-            return o.__add__(self)
-        terms = dict(self._terms)
-        for m, c in o._terms.items():
+        a, b = ab
+        terms = dict(a._terms)
+        for m, c in b._terms.items():
             s = _gadd(terms.get(m, _G0), c)
             if s == _G0:
                 terms.pop(m, None)
             else:
                 terms[m] = s
-        return Scalar(self._tower, terms)
+        return Scalar(a._tower, terms)
 
     __radd__ = __add__
 
@@ -403,34 +416,32 @@ class Scalar:
         return Scalar(self._tower, {m: _gneg(c) for m, c in self._terms.items()})
 
     def __sub__(self, other):
-        o = self._binop_other(other)
-        if o is None:
+        ab = self._align(other)
+        if ab is None:
             return NotImplemented
-        if o._tower is not self._tower:
-            return o.__rsub__(self)
-        return Scalar(self._tower, _sub_terms(self._terms, o._terms))
+        a, b = ab
+        return Scalar(a._tower, _sub_terms(a._terms, b._terms))
 
     def __rsub__(self, other):
-        o = self._binop_other(other)
-        if o is None:
+        ab = self._align(other)
+        if ab is None:
             return NotImplemented
-        if o._tower is not self._tower:
-            return o.__sub__(self)
-        return Scalar(self._tower, _sub_terms(o._terms, self._terms))
+        a, b = ab
+        return Scalar(a._tower, _sub_terms(b._terms, a._terms))
 
     def __mul__(self, other):
-        o = self._binop_other(other)
-        if o is None:
+        ab = self._align(other)
+        if ab is None:
             return NotImplemented
-        if o._tower is not self._tower:
-            return o.__mul__(self)
-        if not self._terms or not o._terms:
-            return self._tower.zero()
+        a, b = ab
+        tower = a._tower
+        if not a._terms or not b._terms:
+            return tower.zero()
         out: dict = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in o._terms.items():
-                _mul_into(self._tower, out, m1 & m2, m1 ^ m2, _gmul(c1, c2))
-        return Scalar(self._tower, out)
+        for m1, c1 in a._terms.items():
+            for m2, c2 in b._terms.items():
+                _mul_into(tower, out, m1 & m2, m1 ^ m2, _gmul(c1, c2))
+        return Scalar(tower, out)
 
     __rmul__ = __mul__
 
@@ -455,12 +466,11 @@ class Scalar:
         return Scalar(self._tower, terms)
 
     def __truediv__(self, other):
-        o = self._binop_other(other)
-        if o is None:
+        ab = self._align(other)
+        if ab is None:
             return NotImplemented
-        if o._tower is not self._tower:
-            return o.inv().__mul__(self)
-        return self.__mul__(o.inv())
+        a, b = ab
+        return a.__mul__(b.inv())
 
     def __rtruediv__(self, other):
         return self.inv().__mul__(other)
@@ -578,9 +588,9 @@ class Scalar:
 
     def as_fraction(self) -> Fraction:
         """The value as a rational; error if not a real rational."""
-        if not self.is_rational() or not self.is_real():
+        c = self.gaussian()
+        if c is None or c[1] != 0:
             raise TowerError("scalar is not a real rational")
-        c = self._terms.get(0, _G0)
         return Fraction(c[0], c[2])
 
     # -- serialization --------------------------------------------------------

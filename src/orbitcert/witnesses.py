@@ -104,9 +104,7 @@ def _check_claim(dim: int, element: Matrix, claim_kind: str,
     """Reject a claim that is mis-shaped or vacuous: it must live in the
     model's ambient space, a line or vector claim takes one nonzero
     column, and a subspace claim maps a basis to a basis."""
-    if element.rows != dim or element.cols != dim:
-        raise ValueError("element is %dx%d, the model needs %dx%d"
-                         % (element.rows, element.cols, dim, dim))
+    _check_element(dim, element)
     for name, mat in (("source", source), ("target", target)):
         if mat.rows != dim:
             raise ValueError("claim %s has %d rows, the element %d"
@@ -120,6 +118,30 @@ def _check_claim(dim: int, element: Matrix, claim_kind: str,
                              % (claim_kind, name))
     if source.cols != target.cols:
         raise ValueError("claim source and target differ in column count")
+
+
+def _check_element(dim: int, element: Matrix) -> None:
+    if element.rows != dim or element.cols != dim:
+        raise ValueError("element is %dx%d, the model needs %dx%d"
+                         % (element.rows, element.cols, dim, dim))
+
+
+def _model_dim(info: dict) -> int:
+    """Ambient dimension of the model ``info`` names, worked out without
+    building it, so a file cannot make the verifier build a model of any
+    size it states; ``model_from_info`` builds the same dimension."""
+    if not isinstance(info, dict):
+        raise ValueError("model info is not an object")
+    case = info.get("case")
+    if case == "projective-split":
+        return 2 * int(info["n"])
+    if case == "projective-pq":
+        return 2 * (int(info["p"]) + int(info["q"]))
+    if case == "quadric7":
+        return 7
+    if case == "isotropic":
+        return int(info["p"]) + int(info["q"]) + 1
+    raise ValueError("unknown model case %r" % (case,))
 
 
 def model_from_info(tower: Tower, info: dict) -> StandardModel:
@@ -170,6 +192,7 @@ def witness_from_json(obj: dict) -> Witness:
     element = Matrix.from_json(obj["element"], tower)
     source = Matrix.from_json(obj["claim"]["source"], tower)
     target = Matrix.from_json(obj["claim"]["target"], tower)
+    _check_element(_model_dim(obj["model"]), element)
     model = model_from_info(tower, obj["model"])
     group = build_group(model, obj["group"])
     return Witness(group, element, obj["claim"]["kind"], source, target,

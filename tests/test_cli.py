@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import orbitcert
 from orbitcert.cli import main
 from orbitcert.forms import StandardModel
 from orbitcert.scalars import Tower
@@ -125,6 +126,30 @@ def test_witness_verify_parse_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_witness_verify_sizes_the_model_before_building_it(
+        tmp_path, capsys, monkeypatch):
+    # the golden n=2 witness has a 4x4 element; a model of another size
+    # must be refused from the stated info alone
+    def refuse(*args):
+        raise AssertionError("model built for an element it cannot fit")
+    monkeypatch.setattr(StandardModel, "projective_split",
+                        staticmethod(refuse))
+    golden = os.path.join(os.path.dirname(__file__), "data", "golden",
+                          "witness-transport-n2.json")
+    with open(golden) as fh:
+        text = fh.read()
+    models = [{"case": "projective-split", "n": n} for n in (3, 80, 10 ** 6)]
+    models += [{"case": "quadric7"}, {"case": "projective-pq", "p": 1,
+                                      "q": 2}, ["projective-split", 2]]
+    path = tmp_path / "sized.json"
+    for model in models:
+        obj = json.loads(text)
+        obj["model"] = model
+        path.write_text(json.dumps(obj))
+        assert main(["witness", "verify", str(path)]) == 2
+    capsys.readouterr()
+
+
 def test_dump_octonion_table(capsys):
     assert main(["dump", "octonion-table"]) == 0
     obj = json.loads(capsys.readouterr().out)
@@ -158,9 +183,14 @@ def test_version_flag(capsys):
 
 
 def test_console_script_entry_point():
+    # the subprocess does not see pytest's ``pythonpath`` setting
+    parent = os.path.dirname(os.path.dirname(orbitcert.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [parent] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run(
         [sys.executable, "-m", "orbitcert.cli", "verify", "projective-split",
          "--n", "1", "--samples", "2", "--seed", "1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "pass"

@@ -1,6 +1,7 @@
 """Field axioms and root-adjunction behaviour of the scalar tower."""
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -276,18 +277,11 @@ def tower_scalars(t: Tower, levels=None):
                               for m, c in enumerate(cs) if c != (0, 0)}))
 
 
-def _deep_first(x, y):
-    return (y, x) if y._tower.depth > x._tower.depth else (x, y)
-
-
 def _reference(acc, pairs):
-    """acc + sum(a * b) with the operators.  An operator re-homes its right
-    operand in the left one's tower, so the deeper operand goes left."""
+    """acc + sum(a * b) with the operators."""
     total = acc
     for a, b in pairs:
-        a, b = _deep_first(a, b)
-        total, p = _deep_first(total, a * b)
-        total = total + p
+        total = total + a * b
     return total
 
 
@@ -344,3 +338,54 @@ def test_fma_raises_on_a_radicand_mismatch_exactly_when_operators_do(data):
             fma(acc, prs)
     else:
         _assert_same(fma(acc, prs), want)
+
+
+# -- operators mixing towers, in both orders --------------------------------
+
+_OPS = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+def _both_orders(x, y):
+    for a, b in ((x, y), (y, x)):
+        for op in _OPS:
+            if op is not operator.truediv or b:
+                yield op, a, b
+
+
+def test_operators_take_the_deeper_operand_on_either_side():
+    x = CHAIN[1].one() + CHAIN[1].root(0)          # 1 + sqrt2
+    sqrt3 = CHAIN[2].root(1)
+    assert x * sqrt3 == sqrt3 * x
+    assert x + sqrt3 == sqrt3 + x
+    assert x - sqrt3 == -(sqrt3 - x)
+    assert (x * sqrt3)._tower is (x + sqrt3)._tower is CHAIN[2]
+
+
+@given(st.data())
+def test_operators_mix_towers_of_one_history_in_both_orders(data):
+    def draw():
+        return data.draw(tower_scalars(
+            CHAIN[data.draw(st.integers(min_value=0, max_value=3))]))
+    x, y = draw(), draw()
+    deep = max(x._tower, y._tower, key=lambda t: t.depth)
+    for op, a, b in _both_orders(x, y):
+        got = op(a, b)
+        _assert_same(got, op(deep.lift(a), deep.lift(b)))
+        assert got._tower is deep
+
+
+@given(st.data())
+def test_a_radicand_mismatch_raises_in_both_orders(data):
+    # x uses sqrt2 and y uses ALIEN's sqrt7 on the same level; a Q(i)
+    # value of either tower fits the other
+    def rooted(t):
+        c = data.draw(st.tuples(rationals, rationals).filter(
+            lambda c: c != (0, 0)))
+        return data.draw(tower_scalars(t, 0)) + t.scalar(*c) * t.root(0)
+    x, y = rooted(CHAIN[1]), rooted(ALIEN)
+    for op, a, b in _both_orders(x, y):
+        with pytest.raises(TowerError):
+            op(a, b)
+    q = data.draw(tower_scalars(ALIEN, 0))
+    for op, a, b in _both_orders(x, q):
+        _assert_same(op(a, b), op(CHAIN[1].lift(a), CHAIN[1].lift(b)))

@@ -9,10 +9,11 @@ from orbitcert.forms import FormSpec, StandardModel
 from orbitcert.linalg import Matrix, Subspace, column_space_equal
 from orbitcert.rng import SplitMix64
 from orbitcert.scalars import Tower
-from orbitcert.witnesses import (NotInDomainError, Witness, build_group,
-                                 compose_witnesses,
+from orbitcert.witnesses import (NotInDomainError, Witness, _model_dim,
+                                 build_group, compose_witnesses,
                                  isotropic_normal_form_complex,
-                                 isotropic_normal_form_real, reflection,
+                                 isotropic_normal_form_real, model_from_info,
+                                 reflection,
                                  transport_positive_line_sp, witness_from_json,
                                  witt_transport)
 
@@ -272,6 +273,14 @@ def test_witness_rejects_vacuous_and_misshaped_claims():
     with pytest.raises(ValueError):
         Witness(g, Matrix.identity(t, 3), "maps_line", e0, e0, {})
     assert Witness(g, ident, "maps_subspace", ident, ident, {}).verify()
+
+
+def test_model_dim_is_the_built_model_dim():
+    for info in ({"case": "projective-split", "n": 3},
+                 {"case": "projective-pq", "p": 2, "q": 1},
+                 {"case": "quadric7"},
+                 {"case": "isotropic", "p": 2, "q": 3}):
+        assert _model_dim(info) == model_from_info(Tower(), info).ambient_dim
 
 
 # -- isotropic normal forms --------------------------------------------------------
