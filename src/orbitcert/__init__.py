@@ -22,11 +22,10 @@ from .groups import (DetOne, FixesVector, GroupSpec, LieAlgebraBasis,
                      isotropy_subalgebra, nilpotent_orthogonal,
                      nilpotent_symplectic, nilpotent_unitary,
                      solve_linear_constraints)
-from .octonions import (DerivationBasis, OctonionAlgebra, derivations,
-                        imaginary_embedding, split_octonions)
+from .octonions import (OctonionAlgebra, PreservesCrossProduct, derivations,
+                        split_octonions)
 from .witnesses import (NotInDomainError, Witness, WitnessVerificationError,
-                        build_group, compose_witnesses,
-                        isotropic_normal_form_complex,
+                        build_group, isotropic_normal_form_complex,
                         isotropic_normal_form_real, reflection,
                         transport_positive_line_sp, witness_from_json,
                         witt_transport)
@@ -47,11 +46,11 @@ __all__ = [
     "check_onishchik_triple", "exp_nilpotent", "isotropy_subalgebra",
     "nilpotent_orthogonal", "nilpotent_symplectic", "nilpotent_unitary",
     "solve_linear_constraints",
-    "DerivationBasis", "OctonionAlgebra", "derivations",
-    "imaginary_embedding", "split_octonions",
+    "OctonionAlgebra", "PreservesCrossProduct", "derivations",
+    "split_octonions",
     "NotInDomainError", "Witness", "WitnessVerificationError", "build_group",
     "isotropic_normal_form_complex", "isotropic_normal_form_real",
-    "compose_witnesses", "reflection", "transport_positive_line_sp",
+    "reflection", "transport_positive_line_sp",
     "witness_from_json",
     "witt_transport",
     "OrbitReport", "classify_point", "quadric_algebras",

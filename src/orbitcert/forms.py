@@ -271,14 +271,6 @@ class StandardModel:
             vecs.append(v)
         return Subspace.from_vectors(t, self.ambient_dim, vecs)
 
-    def to_signature_coords(self, v: Sequence[Scalar]) -> list:
-        self._require_isotropic()
-        return self.sig_change.inverse().apply(list(v))
-
-    def to_standard_coords(self, v: Sequence[Scalar]) -> list:
-        self._require_isotropic()
-        return self.sig_change.apply(list(v))
-
     def _require_isotropic(self) -> None:
         if self.case != "isotropic":
             raise ValueError("operation defined for the isotropic model only")

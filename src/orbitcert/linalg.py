@@ -494,10 +494,6 @@ class Subspace:
         aug = self.matrix.hstack(Matrix.from_cols(self.tower, [list(v)]))
         return rank(aug) == self.dim
 
-    def contains_subspace(self, other: Subspace) -> bool:
-        joined = self.matrix.hstack(other.matrix)
-        return rank(joined) == self.dim
-
     def intersect(self, other: Subspace) -> Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimensions differ")
@@ -510,12 +506,6 @@ class Subspace:
             if not vec_is_zero(v):
                 vecs.append(v)
         return Subspace.from_vectors(self.tower, self.ambient_dim, vecs)
-
-    def add(self, other: Subspace) -> Subspace:
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimensions differ")
-        return Subspace(self.tower, self.ambient_dim,
-                        self.matrix.hstack(other.matrix))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):

@@ -1,4 +1,4 @@
-"""Split octonions, their derivation algebra, and its orthogonal embedding.
+"""Split octonions, their derivation algebra, and the cross-product group.
 
 The algebra is realized in the paired vector-matrix model: an element is
 (a, v; w, b) with scalars a, b and 3-vectors v, w, multiplied by
@@ -22,10 +22,10 @@ vector-matrix basis would produce half-integer structure constants):
 All structure constants are integers (validated), the norm Gram is
 exactly diag(1, 1,1,1, -1, -1,-1,-1), and the trace-zero part e1..e7
 carries the quadric Gram diag(1,1,1,-1,-1,-1,-1) with the positive
-vectors first.  ``imaginary_embedding`` therefore only has to strip the
-unit coordinate, after re-verifying that the Gram really is the target
-one, and returns the derivations as 7x7 matrices inside the orthogonal
-algebra of that form.
+vectors first.  So split G2 acts on the quadric in these very
+coordinates: it is the subgroup of SO(3,4) that keeps the cross product
+x * y = Im(xy) of e1..e7, which :class:`PreservesCrossProduct` tests and
+linearizes like any other group constraint.
 """
 
 from __future__ import annotations
@@ -35,12 +35,12 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .forms import FormSpec
-from .linalg import Matrix, hermitian_signature
+from .linalg import Matrix
 from .scalars import Scalar, Tower, fma
 from .groups import LieAlgebraBasis, solve_linear_constraints
 
-__all__ = ["OctonionAlgebra", "DerivationBasis", "split_octonions",
-           "derivations", "imaginary_embedding", "octonion_product"]
+__all__ = ["OctonionAlgebra", "split_octonions", "derivations",
+           "octonion_product", "PreservesCrossProduct"]
 
 
 def _cross(u, v):
@@ -217,6 +217,58 @@ def _product_terms() -> tuple:
     return tuple(tuple(t) for t in terms)
 
 
+class PreservesCrossProduct:
+    """g(x * y) = g(x) * g(y) for the cross product x * y = Im(xy) of the
+    imaginary octonions, in the coordinates e1..e7; checked on the 21
+    basis pairs, whose products are read from the integer table."""
+
+    antilinear = False
+
+    def holds(self, g: Matrix) -> bool:
+        t = g.tower
+        cols = [g.col(k) for k in range(7)]
+        return all([c * a for a in cols[k]] == _cross7(t, cols[i], cols[j])
+                   for i, j, k, c in _cross_pairs())
+
+    def linearized(self, x: Matrix) -> list:
+        t = x.tower
+        cols = [x.col(k) for k in range(7)]
+        units = [[t.one() if a == k else t.zero() for a in range(7)]
+                 for k in range(7)]
+        rows = []
+        for i, j, k, c in _cross_pairs():
+            lhs = [c * a for a in cols[k]]
+            rhs1 = _cross7(t, cols[i], units[j])
+            rhs2 = _cross7(t, units[i], cols[j])
+            rows.extend(a - b - d for a, b, d in zip(lhs, rhs1, rhs2))
+        return rows
+
+    def describe(self) -> str:
+        return "preserves the octonion cross product"
+
+
+def _cross7(tower: Tower, u: Sequence[Scalar], v: Sequence[Scalar]) -> list:
+    zero = tower.zero()
+    return octonion_product(tower, [zero] + list(u), [zero] + list(v))[1:]
+
+
+@functools.lru_cache(maxsize=None)
+def _cross_pairs() -> tuple:
+    """(i, j, k, c) for 0 <= i < j < 7 with e_i * e_j = c e_k in the
+    coordinates e1..e7 (indices shifted down by one): distinct imaginary
+    basis vectors are orthogonal, so their product is a signed imaginary
+    basis vector."""
+    table = _integer_table()
+    out = []
+    for i in range(1, 8):
+        for j in range(i + 1, 8):
+            (k, c), = [(k, c) for k, c in enumerate(table[i][j]) if c]
+            if k == 0:
+                raise AssertionError("imaginary basis product has a real part")
+            out.append((i - 1, j - 1, k - 1, c))
+    return tuple(out)
+
+
 def _zorn_mul_add(i: int, j: int):
     a1, v1, w1, b1 = _basis_tuple(i)
     a2, v2, w2, b2 = _basis_tuple(j)
@@ -224,26 +276,12 @@ def _zorn_mul_add(i: int, j: int):
             [w1[k] + w2[k] for k in range(3)], b1 + b2)
 
 
-class DerivationBasis:
-    """The 14 split-g2 derivations of the octonions, with the algebra they
-    act on."""
-
-    def __init__(self, algebra: LieAlgebraBasis,
-                 octonions: OctonionAlgebra) -> None:
-        self.algebra = algebra
-        self.octonions = octonions
-
-    @property
-    def dim(self) -> int:
-        return self.algebra.dim
-
-
 def split_octonions(tower: Optional[Tower] = None) -> OctonionAlgebra:
     return OctonionAlgebra(tower if tower is not None else Tower())
 
 
 def derivations(alg: OctonionAlgebra,
-                verify_closure: bool = True) -> DerivationBasis:
+                verify_closure: bool = True) -> LieAlgebraBasis:
     """Solve D(x y) = D(x) y + x D(y) on all basis pairs; dim must be 14."""
     t = alg.tower
     basis = [alg.basis_vector(k) for k in range(8)]
@@ -274,38 +312,4 @@ def derivations(alg: OctonionAlgebra,
     for d in sol.matrices:
         if any(not s.is_zero() for s in d.apply(unit)):
             raise AssertionError("a derivation fails to kill the unit")
-    return DerivationBasis(sol, alg)
-
-
-def imaginary_embedding(der: DerivationBasis) -> LieAlgebraBasis:
-    """Restrict the derivations to the imaginary part, in coordinates
-    where the norm Gram is exactly diag(1,1,1,-1,-1,-1,-1).
-
-    The stored basis is already diagonalizing (positive vectors first),
-    which is re-verified here; a failure signals a broken construction.
-    """
-    alg = der.octonions
-    t = alg.tower
-    for d in der.algebra.matrices:
-        if any(not d[0, j].is_zero() for j in range(8)) or \
-           any(not d[i, 0].is_zero() for i in range(8)):
-            raise AssertionError(
-                "a derivation does not preserve the imaginary part")
-    g_im = alg.norm_gram.submatrix(range(1, 8), range(1, 8))
-    target = Matrix.diag(t, [1, 1, 1, -1, -1, -1, -1])
-    if not g_im == target:
-        sig = hermitian_signature(g_im)
-        raise AssertionError(
-            "imaginary norm form not in quadric coordinates "
-            "(signature %r)" % (sig,))
-    restricted = []
-    for d in der.algebra.matrices:
-        x = d.submatrix(range(1, 8), range(1, 8))
-        if not (x.transpose() * target + target * x).is_zero():
-            raise AssertionError(
-                "restricted derivation leaves the orthogonal algebra")
-        restricted.append(x)
-    out = LieAlgebraBasis(t, 7, restricted, "real", name="g2-restricted")
-    if out.dim != 14:
-        raise AssertionError("restriction is not injective")
-    return out
+    return sol

@@ -24,10 +24,10 @@ from .groups import (GroupSpec, LieAlgebraBasis, PreservesBilinear,
                      RealEntries, exp_nilpotent, nilpotent_orthogonal)
 from .linalg import (Matrix, Subspace, hermitian_signature, rank, real_coords,
                      vec_scale)
-from .octonions import (derivations, imaginary_embedding, octonion_product,
-                        split_octonions)
+from .octonions import octonion_product
 from .rng import SplitMix64
 from .scalars import Scalar
+from .witnesses import build_group
 
 __all__ = [
     "OrbitReport", "tangent_dim_projective", "tangent_dim_grassmann",
@@ -176,14 +176,13 @@ def classify_point(model: StandardModel, point) -> str:
 
 def quadric_algebras(model: StandardModel) -> Tuple[LieAlgebraBasis,
                                                     LieAlgebraBasis]:
-    """The two real algebras acting on the quadric: the octonion
-    derivation algebra in its 7-dimensional imaginary representation, and
-    the real orthogonal algebra of the same Gram matrix."""
+    """The two real algebras acting on the quadric: split g2, the algebra
+    of the group keeping the octonion cross product on e1..e7, and the
+    real orthogonal algebra of the same Gram matrix."""
     if model.case != "quadric7":
         raise ValueError("needs the quadric model")
     t = model.tower
-    der = derivations(split_octonions(t))
-    g2 = imaginary_embedding(der)
+    g2 = build_group(model, "G2split").lie_algebra(name="g2-split")
     so34 = GroupSpec(t, 7, [PreservesBilinear(model.b), RealEntries()],
                      "SO(3,4)").lie_algebra(verify_closure=False,
                                             name="so(3,4)")

@@ -29,10 +29,3 @@ class SplitMix64:
         if hi < lo:
             raise ValueError("empty range")
         return lo + self.next_u64() % (hi - lo + 1)
-
-    def nonzero_int(self, bound: int) -> int:
-        """Integer in [-bound, bound] excluding 0."""
-        while True:
-            v = self.randint(-bound, bound)
-            if v != 0:
-                return v

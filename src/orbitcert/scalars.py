@@ -22,9 +22,8 @@ entries; code that wants full isolation can work on ``tower.clone()``.
 Scalars move between towers by one rule.  ``Tower.lift`` is strict: it
 re-homes a scalar only when both towers agree on every level the scalar
 uses, and raises ``TowerError`` otherwise.  ``Tower.host`` picks the
-deepest tower among some entries, the one a computation mixing them runs
-in.  ``Tower.embed`` joins towers built along different histories by
-adjoining every radical the scalar mentions.
+tower a computation mixing some entries runs in: the deepest one that
+every entry lifts into.  The operators and ``fma`` both go through it.
 
 Term masks: bit j of a term's integer key selects sqrt(r_{j+1}), so the
 key 0 is the rational part and key 0b101 tags sqrt(r1)*sqrt(r3).
@@ -201,35 +200,6 @@ class Tower:
 
     # -- moving scalars between towers ----------------------------------------
 
-    def embed(self, x: Scalar) -> Scalar:
-        """Value-preserving copy of ``x`` into this tower.
-
-        Unlike :meth:`lift` this does not require matching radicand
-        prefixes: every radical ``x`` mentions is adjoined (or recognized as
-        an existing square) on the way in, so towers built along different
-        histories can still be combined in a common field.
-        """
-        if x._tower is self:
-            return x
-        roots: dict = {}
-
-        def root(j: int) -> Scalar:
-            if j not in roots:
-                roots[j] = self.adjoin_sqrt(self.embed(x._tower._radicands[j]))
-            return roots[j]
-
-        acc = self.zero()
-        for mask, c in x._terms.items():
-            term = Scalar(self, {0: c})
-            j, mm = 0, mask
-            while mm:
-                if mm & 1:
-                    term = term * root(j)
-                j += 1
-                mm >>= 1
-            acc = acc + term
-        return acc
-
     def lift(self, x: Union[Scalar, Rat]) -> Scalar:
         """``x`` as a scalar of this tower; raises :class:`TowerError` when
         ``x`` uses a level this tower lacks or whose radicand differs."""
@@ -240,28 +210,41 @@ class Tower:
         return self.scalar(x)
 
     def host(self, entries: Iterable) -> Tower:
-        """The deepest tower among this one and those of the scalar
-        entries: the tower a computation mixing them has to run in."""
-        best = self
-        for x in entries:
-            if isinstance(x, Scalar) and x._tower.depth > best.depth:
-                best = x._tower
-        return best
+        """The tower a computation mixing the scalar ``entries`` runs in:
+        the deepest among this one and the entries' towers that every
+        entry lifts into (on equal depth the first one seen).  Raises
+        :class:`TowerError` when there is none, i.e. when two entries use
+        a level whose radicands differ."""
+        entries = [x for x in entries if isinstance(x, Scalar)]
+        towers = dict.fromkeys([self] + [x._tower for x in entries])
+        # sorted() is stable, so on equal depth the first one seen wins
+        for cand in sorted(towers, key=lambda u: -u.depth):
+            if all(cand._fits(x) for x in entries):
+                return cand
+        raise TowerError("incompatible towers: no tower hosts every entry")
 
     # -- internals -----------------------------------------------------------
 
     def _coerce(self, x: Scalar) -> Scalar:
         """Re-home a scalar from a structurally compatible tower."""
-        need = 0
-        for m in x._terms:
-            need = max(need, m.bit_length())
-        if need > len(self._radicands):
-            raise TowerError("scalar uses tower levels this tower lacks")
-        other = x._tower
-        for j in range(min(need, len(other._radicands))):
-            if other._radicands[j]._terms != self._radicands[j]._terms:
-                raise TowerError("incompatible towers: radicand %d differs" % (j,))
+        if not self._fits(x):
+            raise TowerError("incompatible towers: the scalar uses a level "
+                             "this tower lacks or whose radicand differs")
         return Scalar(self, dict(x._terms))
+
+    def _fits(self, x: Scalar) -> bool:
+        """Whether ``x`` can be re-homed here: this tower has every level
+        ``x`` uses, with the same radicand."""
+        if x._tower is self:
+            return True
+        need = x._level()
+        if need > len(self._radicands):
+            return False
+        other = x._tower._radicands
+        for j in range(need):
+            if other[j]._terms != self._radicands[j]._terms:
+                return False
+        return True
 
     def _radical_product(self, mask: int) -> Scalar:
         """prod of r_{j+1} over the set bits j of mask, as a scalar."""
@@ -372,26 +355,15 @@ class Scalar:
 
     def _align(self, other) -> Optional[tuple]:
         """``(self, other)`` as scalars of one tower, or None when ``other``
-        is not a number.  The deeper tower hosts, as ``Tower.host`` picks
-        it for ``fma`` (on equal depth, ``self``'s), and the other operand
-        moves by the strict ``_coerce``; when it does not fit, the other
-        tower hosts instead, so both orders of an operator agree.  A
-        radicand mismatch on a level both operands use raises
-        :class:`TowerError`."""
+        is not a number.  Mixed towers meet in ``Tower.host`` (on equal
+        depth ``self``'s), so both orders of an operator agree; a radicand
+        mismatch on a level both operands use raises :class:`TowerError`."""
         if isinstance(other, Scalar):
             t, u = self._tower, other._tower
             if u is t:
                 return self, other
-            deeper = u.depth > t.depth
-            try:
-                if deeper:
-                    return u._coerce(self), other
-                return self, t._coerce(other)
-            except TowerError:
-                # the other tower hosts; raises when neither operand fits
-                if deeper:
-                    return self, t._coerce(other)
-                return u._coerce(self), other
+            h = t.host((self, other))
+            return h.lift(self), h.lift(other)
         if isinstance(other, (int, Fraction)):
             return self, self._tower.scalar(other)
         return None
@@ -586,13 +558,6 @@ class Scalar:
                 return y if y.sign() >= 0 else -y
         return None
 
-    def as_fraction(self) -> Fraction:
-        """The value as a rational; error if not a real rational."""
-        c = self.gaussian()
-        if c is None or c[1] != 0:
-            raise TowerError("scalar is not a real rational")
-        return Fraction(c[0], c[2])
-
     # -- serialization --------------------------------------------------------
 
     def to_text(self) -> str:
@@ -690,18 +655,16 @@ def fma(acc: Scalar, pairs: Iterable) -> Scalar:
     The fused multiply-accumulate kernel behind every inner product and
     row update of the exact linear algebra: pairs with a zero operand are
     skipped and only the result is allocated; the operators stay its
-    reference.  Operands from different towers are resolved by the
-    module's one rule, ``Tower.host`` over ``acc`` and the live operands
-    and then the strict ``Tower.lift``, so a differing radicand raises
-    :class:`TowerError`.
+    reference.  Operands from different towers meet in ``Tower.host`` over
+    ``acc`` and the live operands, as the operators' do, so a differing
+    radicand on a level in use raises :class:`TowerError`.
     """
     live = [(a, b) for a, b in pairs if a._terms and b._terms]
     tower = acc._tower
     for a, b in live:
         if a._tower is not tower or b._tower is not tower:
-            tower = tower.host([x for ab in live for x in ab])
-            acc = tower.lift(acc)
-            live = [(tower.lift(a), tower.lift(b)) for a, b in live]
+            # every entry fits the host, so its terms can be read as they are
+            tower = tower.host([acc] + [x for ab in live for x in ab])
             break
     terms = dict(acc._terms)
     for a, b in live:

@@ -34,10 +34,11 @@ from typing import Optional, Sequence
 
 from .forms import FormSpec, StandardModel
 from .groups import (DetOne, FixesVector, GroupSpec, PreservesBilinear,
-                     PreservesHermitian, outer)
+                     PreservesHermitian, RealEntries, outer)
 from .linalg import (Matrix, Subspace, column_space_equal,
                      congruence_diagonalize, hermitian_signature, kernel,
                      rank, vec_add, vec_scale, vec_sub)
+from .octonions import PreservesCrossProduct
 from .scalars import Scalar, Tower
 
 __all__ = [
@@ -182,6 +183,11 @@ def build_group(model: StandardModel, name: str) -> GroupSpec:
         return GroupSpec(t, m, [PreservesBilinear(model.b),
                                 PreservesHermitian(model.hhat), DetOne(),
                                 FixesVector(e_last)], name)
+    if name == "G2split":
+        if model.case != "quadric7":
+            raise ValueError("G2split acts on the quadric model only")
+        return GroupSpec(t, m, [PreservesBilinear(model.b),
+                                PreservesCrossProduct(), RealEntries()], name)
     raise ValueError("unknown group name %r" % (name,))
 
 
@@ -197,51 +203,6 @@ def witness_from_json(obj: dict) -> Witness:
     group = build_group(model, obj["group"])
     return Witness(group, element, obj["claim"]["kind"], source, target,
                    obj["model"])
-
-
-def compose_witnesses(*hops: Witness) -> Witness:
-    """One witness for the chained claim of ``hops`` applied first-to-last.
-
-    Witnesses produced by separate runs live in separate square-root
-    extensions, so the elements are first embedded into one fresh tower
-    (adjoining exactly the radicals that occur) and only then multiplied.
-    Raises when the chain does not link up (a target differing from the
-    next source) or when the product fails to re-verify.
-    """
-    if not hops:
-        raise ValueError("need at least one witness to compose")
-    first = hops[0]
-    for w in hops:
-        if w.model_info != first.model_info \
-                or w.group.name != first.group.name \
-                or w.claim_kind != first.claim_kind:
-            raise ValueError("witnesses to compose must share model, group "
-                             "and claim kind")
-    t = Tower()
-    model = model_from_info(t, first.model_info)
-    group = build_group(model, first.group.name)
-
-    def emb(mat: Matrix) -> Matrix:
-        return Matrix(t, [[t.embed(mat[i, j]) for j in range(mat.cols)]
-                          for i in range(mat.rows)], cols=mat.cols)
-
-    element = Matrix.identity(t, model.ambient_dim)
-    prev_target = None
-    for w in hops:
-        src = emb(w.source)
-        if prev_target is not None:
-            linked = (src == prev_target if w.claim_kind == "maps_vector"
-                      else column_space_equal(src, prev_target))
-            if not linked:
-                raise ValueError("witness chain is broken: a source does "
-                                 "not match the previous target")
-        element = emb(w.element) * element
-        prev_target = emb(w.target)
-    out = Witness(group, element, first.claim_kind, emb(first.source),
-                  prev_target, first.model_info)
-    if not out.verify():
-        raise WitnessVerificationError("composite witness failed to verify")
-    return out
 
 
 # -- reflections and Witt transport ----------------------------------------------

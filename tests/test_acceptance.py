@@ -258,7 +258,7 @@ def test_criterion_6_classification_invariance():
         full = 2 * model.flag_dim_complex
         for src, dst, wit in runs:
             tw = wit.element.tower
-            img = wit.element.apply([tw.embed(c) for c in src])
+            img = wit.element.apply([tw.lift(c) for c in src])
             label = classify_point(model, src)
             assert classify_point(model, img) == label
             d_src = tangent_dim_projective(alg, src)

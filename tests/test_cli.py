@@ -10,8 +10,12 @@ import pytest
 import orbitcert
 from orbitcert.cli import main
 from orbitcert.forms import StandardModel
+from orbitcert.groups import exp_nilpotent
+from orbitcert.linalg import Matrix
+from orbitcert.orbits import _quadric_nilpotents
 from orbitcert.scalars import Tower
-from orbitcert.witnesses import transport_positive_line_sp
+from orbitcert.witnesses import (Witness, build_group,
+                                 transport_positive_line_sp)
 
 
 def _fresh_witness_file(tmp_path, name="w.json"):
@@ -147,6 +151,29 @@ def test_witness_verify_sizes_the_model_before_building_it(
         obj["model"] = model
         path.write_text(json.dumps(obj))
         assert main(["witness", "verify", str(path)]) == 2
+    capsys.readouterr()
+
+
+def test_witness_verify_g2split(tmp_path, capsys):
+    # off the quadric the group name is malformed input
+    golden = os.path.join(os.path.dirname(__file__), "data", "golden",
+                          "witness-transport-n2.json")
+    with open(golden) as fh:
+        obj = json.load(fh)
+    obj["group"] = "G2split"
+    path = tmp_path / "g2.json"
+    path.write_text(json.dumps(obj))
+    assert main(["witness", "verify", str(path)]) == 2
+    # on the quadric it admits a split-G2 element and refuses an SO(3,4) one
+    model = StandardModel.quadric7(Tower())
+    group = build_group(model, "G2split")
+    nil = _quadric_nilpotents(model)
+    src = Matrix.from_cols(model.tower, [model.z_plus])
+    for g, code in ((exp_nilpotent(nil[4], 2), 0),
+                    (exp_nilpotent(nil[0], 2), 1)):
+        w = Witness(group, g, "maps_line", src, g * src, {"case": "quadric7"})
+        path.write_text(json.dumps(w.to_json()))
+        assert main(["witness", "verify", str(path)]) == code
     capsys.readouterr()
 
 

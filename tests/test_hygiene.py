@@ -1,6 +1,8 @@
-"""Source hygiene: no module imports a name it neither uses nor exports."""
+"""Source hygiene: no module imports a name it neither uses nor exports,
+and every exported name exists."""
 
 import ast
+import importlib
 import os
 
 import pytest
@@ -45,3 +47,10 @@ def test_detector_flags_unused_and_keeps_used():
 def test_no_unused_imports(module):
     with open(os.path.join(SRC, module)) as fh:
         assert unused_imports(fh.read()) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_exported_names_resolve(module):
+    name = "orbitcert" if module == "__init__.py" else "orbitcert." + module[:-3]
+    mod = importlib.import_module(name)
+    assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == []

@@ -1,11 +1,12 @@
-"""Split octonions: multiplication, norm, derivations, G2 embedding."""
+"""Split octonions: multiplication, norm, derivations, the G2 group."""
 
 from hypothesis import given, settings, strategies as st
 
+from orbitcert.forms import StandardModel
+from orbitcert.groups import LieAlgebraBasis
 from orbitcert.linalg import Matrix, hermitian_signature, rank
-from orbitcert.octonions import (derivations, imaginary_embedding,
-                                 split_octonions)
-from orbitcert.scalars import Tower
+from orbitcert.octonions import derivations, split_octonions
+from orbitcert.witnesses import build_group
 
 ALG = split_octonions()
 T = ALG.tower
@@ -67,13 +68,13 @@ def test_norm_signature_is_split():
 def test_derivations_have_dimension_14():
     der = derivations(ALG)
     assert der.dim == 14
-    assert der.algebra.ground == "real"
+    assert der.ground == "real"
 
 
 def test_derivation_identity_on_all_basis_pairs():
     der = derivations(ALG)
     basis = [ALG.basis_vector(k) for k in range(8)]
-    for x in der.algebra.matrices:
+    for x in der.matrices:
         for i in range(8):
             for j in range(8):
                 lhs = x.apply(ALG.multiply(basis[i], basis[j]))
@@ -84,15 +85,27 @@ def test_derivation_identity_on_all_basis_pairs():
 
 
 def test_imaginary_embedding_is_injective_and_orthogonal():
+    # derivations kill the unit and act on e1..e7; restricted there they
+    # span the algebra of the group keeping the cross product
     der = derivations(ALG)
-    g2 = imaginary_embedding(der)
+    for d in der.matrices:
+        assert all(d[0, j].is_zero() and d[j, 0].is_zero() for j in range(8))
+    g2 = LieAlgebraBasis(T, 7, [d.submatrix(range(1, 8), range(1, 8))
+                                for d in der.matrices], "real")
     assert g2.dim == 14
-    assert g2.ambient == 7
     stacked = Matrix.from_cols(T, [x.flatten() for x in g2.matrices])
     assert rank(stacked) == 14
     gram = Matrix.diag(T, [1, 1, 1, -1, -1, -1, -1])
     for x in g2.matrices:
         assert (x.transpose() * gram + gram * x).is_zero()
+    quad = StandardModel.quadric7(T)
+    assert g2.same_span(build_group(quad, "G2split").lie_algebra())
+
+
+def test_imaginary_norm_gram_is_the_quadric_gram():
+    # PreservesCrossProduct works in the quadric's coordinates e1..e7
+    quad = StandardModel.quadric7(T)
+    assert ALG.norm_gram.submatrix(range(1, 8), range(1, 8)) == quad.b.gram
 
 
 def test_imaginary_norm_signature():
@@ -110,5 +123,5 @@ def test_structure_constant_dump():
     for i in (1, 5):
         for j in (2, 6):
             prod = ALG.multiply(ALG.basis_vector(i), ALG.basis_vector(j))
-            assert [x.as_fraction() for x in prod] == [
-                c for c in obj["table"][i][j]]
+            assert [x.gaussian() for x in prod] == [
+                (c, 0, 1) for c in obj["table"][i][j]]

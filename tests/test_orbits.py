@@ -98,7 +98,7 @@ def test_stratum_constant_along_witness_orbits():
     w = transport_positive_line_sp(model, src, dst)
     assert w.verified
     tw = w.element.tower
-    img = w.element.apply([tw.embed(c) for c in src])
+    img = w.element.apply([tw.lift(c) for c in src])
     assert classify_point(model, img) == classify_point(model, src)
     sp_r = build_group(model, "Sp2nR").lie_algebra()
     assert (tangent_dim_projective(sp_r, img)
@@ -115,7 +115,7 @@ def test_tangent_dim_constant_along_grassmann_witness_orbits():
     tw = w.element.tower
     moved = Subspace.from_vectors(
         tw, model.ambient_dim,
-        [w.element.apply([tw.embed(c) for c in v])
+        [w.element.apply([tw.lift(c) for c in v])
          for v in nf.basis_vectors()])
     assert tangent_dim_grassmann(so_small, moved, model.b) == before
 

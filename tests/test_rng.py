@@ -37,9 +37,3 @@ def test_randint_range_and_determinism():
         seen.add(x)
     assert seen == set(range(-5, 6))
 
-
-def test_nonzero_int_never_returns_zero():
-    rng = SplitMix64(7)
-    for _ in range(100):
-        x = rng.nonzero_int(3)
-        assert x != 0 and -3 <= x <= 3

@@ -129,41 +129,6 @@ def test_tower_coercion_is_prefix_only():
         r2 + other.root(0)
 
 
-def test_embed_merges_unrelated_towers():
-    a = Tower()
-    ra = a.adjoin_sqrt(2)
-    b = Tower()
-    rb = b.adjoin_sqrt(3)
-    host = Tower()
-    x = host.embed(ra + a.one())
-    y = host.embed(rb)
-    assert (x - host.one()) * (x - host.one()) == host.scalar(2)
-    assert y * y == host.scalar(3)
-    assert host.depth == 2
-    # re-embedding reuses the radical instead of growing the tower
-    assert host.embed(ra) == x - host.one()
-    assert host.depth == 2
-
-
-def test_embed_handles_nested_radicals():
-    src = Tower()
-    r2 = src.adjoin_sqrt(2)
-    nested = src.adjoin_sqrt(src.one() + r2)   # sqrt(1 + sqrt2)
-    host = Tower()
-    host.adjoin_sqrt(2)
-    moved = host.embed(nested * src.i())
-    assert (moved * moved) == -(host.one() + host.embed(r2))
-
-
-def test_as_fraction_guards():
-    t = Tower()
-    assert t.scalar(Fraction(5, 3)).as_fraction() == Fraction(5, 3)
-    with pytest.raises(TowerError):
-        t.i().as_fraction()
-    with pytest.raises(TowerError):
-        t.adjoin_sqrt(7).as_fraction()
-
-
 @given(gauss(T), gauss_nonzero(T))
 def test_lift_is_strict(a, b):
     deep = T.clone()
@@ -338,6 +303,54 @@ def test_fma_raises_on_a_radicand_mismatch_exactly_when_operators_do(data):
             fma(acc, prs)
     else:
         _assert_same(fma(acc, prs), want)
+
+
+def test_fma_takes_a_shallower_host_when_the_deepest_does_not_fit():
+    # ALIEN = Q(i)(sqrt7); CHAIN[2] has sqrt2 where ALIEN has sqrt7
+    a, c = ALIEN, CHAIN[2]
+    want = a.scalar(3) + a.root(0)
+    assert a.root(0) + c.scalar(3) * c.one() == want
+    assert fma(a.root(0), [(c.scalar(3), c.one())]) == want
+    assert fma(c.scalar(3), [(a.root(0), a.one())]) == want
+    assert CHAIN[3].host([a.root(0), c.one()]) is a
+    with pytest.raises(TowerError):
+        CHAIN[3].host([a.root(0), c.root(0)])
+
+
+@given(st.data())
+def test_fma_resolves_mixed_towers_like_the_operators_in_both_orders(data):
+    # acc and three pairs from CHAIN (depth 0-3), one operand rooted in
+    # ALIEN and live.  With rational CHAIN operands a deeper CHAIN tower
+    # cannot host sqrt7 and ALIEN must; otherwise sqrt7 and a CHAIN root
+    # usually clash on level 0.
+    rational = data.draw(st.booleans())
+
+    def chain_value(nonzero=False):
+        t = data.draw(st.sampled_from(CHAIN))
+        values = tower_scalars(t, 0 if rational else None)
+        return data.draw(values.filter(bool) if nonzero else values)
+    ops = [chain_value() for _ in range(7)]
+    root = data.draw(st.tuples(rationals, rationals).filter(
+        lambda c: c != (0, 0)))
+    k = data.draw(st.integers(min_value=0, max_value=6))
+    ops[k] = data.draw(tower_scalars(ALIEN, 0)) + \
+        ALIEN.scalar(*root) * ALIEN.root(0)
+    if k:
+        ops[k + 1 if k % 2 else k - 1] = chain_value(nonzero=True)
+    acc, prs = ops[0], list(zip(ops[1::2], ops[2::2]))
+    live = [acc] + [x for a, b in prs if a and b for x in (a, b)]
+    clash = any(x._level() for x in live if x._tower is not ALIEN)
+    for pairs in (prs, [(b, a) for a, b in prs]):
+        if clash:
+            with pytest.raises(TowerError):
+                fma(acc, pairs)
+            continue
+        got = fma(acc, pairs)
+        _assert_same(got, _reference(acc, pairs))
+        right = acc
+        for a, b in pairs:
+            right = a * b + right
+        _assert_same(got, right)
 
 
 # -- operators mixing towers, in both orders --------------------------------

@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 
 from orbitcert.forms import FormSpec, StandardModel
+from orbitcert.groups import exp_nilpotent
 from orbitcert.linalg import Matrix, Subspace, column_space_equal
+from orbitcert.orbits import _quadric_nilpotents
 from orbitcert.rng import SplitMix64
 from orbitcert.scalars import Tower
 from orbitcert.witnesses import (NotInDomainError, Witness, _model_dim,
-                                 build_group, compose_witnesses,
-                                 isotropic_normal_form_complex,
+                                 build_group, isotropic_normal_form_complex,
                                  isotropic_normal_form_real, model_from_info,
                                  reflection,
                                  transport_positive_line_sp, witness_from_json,
@@ -189,36 +190,6 @@ def test_line_transport_seeded_pairs():
         done += 1
 
 
-def test_witness_composition_stability():
-    # chains of transports live in different root extensions; composing
-    # them still yields one verifiable witness for the end-to-end claim
-    model = StandardModel.projective_split(Tower(), 2)
-    t = model.tower
-    rng = SplitMix64(17)
-    lines = []
-    while len(lines) < 4:
-        z = _rand_vec(rng, t, 4)
-        if not model.h.norm(z).is_zero() and model.h.norm(z).sign() > 0:
-            lines.append(z)
-    hops = [transport_positive_line_sp(model, lines[k], lines[k + 1])
-            for k in range(3)]
-    combo = compose_witnesses(*hops)
-    assert combo.verified
-    assert combo.group.name == "Sp2nR"
-    ct = combo.element.tower
-    src = Matrix.from_cols(ct, [[ct.embed(c) for c in lines[0]]])
-    dst = Matrix.from_cols(ct, [[ct.embed(c) for c in lines[3]]])
-    assert column_space_equal(combo.element * src, dst)
-
-
-def test_composition_rejects_broken_chains():
-    model = StandardModel.projective_split(Tower(), 1)
-    w1 = transport_positive_line_sp(model, [1, 0], [2, 1])
-    w2 = transport_positive_line_sp(model, [3, 1], [1, 0])
-    with pytest.raises(ValueError):
-        compose_witnesses(w1, w2)
-
-
 # -- witness documents -----------------------------------------------------------
 
 
@@ -281,6 +252,24 @@ def test_model_dim_is_the_built_model_dim():
                  {"case": "quadric7"},
                  {"case": "isotropic", "p": 2, "q": 3}):
         assert _model_dim(info) == model_from_info(Tower(), info).ambient_dim
+
+
+def test_g2split_is_the_cross_product_subgroup_of_so34():
+    model = StandardModel.quadric7(Tower())
+    t = model.tower
+    group = build_group(model, "G2split")
+    nil = _quadric_nilpotents(model)
+    # both lie in so(3,4); only the fifth lies in split g2
+    assert group.violations(exp_nilpotent(nil[0], 1)) == [
+        "preserves the octonion cross product"]
+    assert group.contains(exp_nilpotent(nil[4], 3))
+    ident = Matrix.identity(t, 7)
+    assert group.contains(ident)
+    assert not group.contains(ident.scale(t.scalar(2)))
+    for info in ({"case": "projective-split", "n": 2},
+                 {"case": "isotropic", "p": 2, "q": 1}):
+        with pytest.raises(ValueError):
+            build_group(model_from_info(Tower(), info), "G2split")
 
 
 # -- isotropic normal forms --------------------------------------------------------
