@@ -26,7 +26,7 @@ from .witnesses import (NotInDomainError, build_group,
                         isotropic_normal_form_real, reflection,
                         transport_positive_line_sp)
 
-CASES = ("projective-split", "projective-pq", "quadric7", "isotropic")
+CASES = tuple(StandardModel.CASES)
 
 REPORT_SCHEMA = "orbitcert-report/1"
 
@@ -80,6 +80,11 @@ class CampaignConfig:
         self.out = out
         self.strict = strict
 
+    def model_info(self) -> dict:
+        """The name of the model this campaign runs on."""
+        keys = ("case",) + StandardModel.CASES[self.case][1]
+        return {key: getattr(self, key) for key in keys}
+
     def to_json(self) -> dict:
         # the output path is deliberately not part of the report
         return {
@@ -105,13 +110,14 @@ def run_campaign(cfg: CampaignConfig) -> dict:
         if cfg.strict and not ok:
             raise _StrictStop()
 
+    model = StandardModel.from_info(Tower(), cfg.model_info())
     try:
         if cfg.case in ("projective-split", "projective-pq"):
-            _campaign_projective(cfg, rec)
+            _campaign_projective(cfg, model, rec)
         elif cfg.case == "quadric7":
-            _campaign_quadric(cfg, rec)
+            _campaign_quadric(cfg, model, rec)
         else:
-            _campaign_isotropic(cfg, rec)
+            _campaign_isotropic(cfg, model, rec)
     except _StrictStop:
         pass
     n_pass = sum(1 for c in checks if c["status"] == "pass")
@@ -158,14 +164,14 @@ def _random_line_with_sign(rng, model, bound, want_sign=None, tries=200):
 
 
 def _even_reflection_scramble(rng, form: FormSpec, coords: list, bound: int,
-                              real: bool, count: int = 2) -> Matrix:
-    """A product of ``count`` (even) reflections in vectors supported on
-    the listed coordinates — an exact special isometry of the form fixing
-    the complementary coordinates."""
+                              real: bool) -> Matrix:
+    """A product of two reflections in vectors supported on the listed
+    coordinates — an exact special isometry of the form fixing the
+    complementary coordinates."""
     t = form.tower
     g = Matrix.identity(t, form.dim)
     made = 0
-    while made < count:
+    while made < 2:
         v = [t.zero()] * form.dim
         for j in coords:
             re = rng.randint(-bound, bound)
@@ -181,14 +187,10 @@ def _even_reflection_scramble(rng, form: FormSpec, coords: list, bound: int,
 # -- projective campaigns -------------------------------------------------------------
 
 
-def _campaign_projective(cfg: CampaignConfig, rec: Callable) -> None:
+def _campaign_projective(cfg: CampaignConfig, model: StandardModel,
+                         rec: Callable) -> None:
     split = cfg.case == "projective-split"
-    tower = Tower()
-    if split:
-        model = StandardModel.projective_split(tower, cfg.n)
-    else:
-        model = StandardModel.projective_signature(tower, cfg.p, cfg.q)
-    n, m = model.n, model.ambient_dim
+    tower, n, m = model.tower, model.n, model.ambient_dim
 
     sp_c = build_group(model, "Sp2nC").lie_algebra(name="sp2nC")
     rec("dim sp_2n(C) == n(2n+1)", sp_c.dim == n * (2 * n + 1),
@@ -257,8 +259,8 @@ def _campaign_projective(cfg: CampaignConfig, rec: Callable) -> None:
 # -- quadric campaign ----------------------------------------------------------------
 
 
-def _campaign_quadric(cfg: CampaignConfig, rec: Callable) -> None:
-    model = StandardModel.quadric7(Tower())
+def _campaign_quadric(cfg: CampaignConfig, model: StandardModel,
+                      rec: Callable) -> None:
     g2, so34 = quadric_algebras(model)
     rec("dim der(octonions) == 14", g2.dim == 14,
         {"dim": g2.dim, "expected": 14, "ground": g2.ground})
@@ -302,10 +304,9 @@ def _campaign_quadric(cfg: CampaignConfig, rec: Callable) -> None:
 # -- isotropic campaign ----------------------------------------------------------------
 
 
-def _campaign_isotropic(cfg: CampaignConfig, rec: Callable) -> None:
-    tower = Tower()
-    model = StandardModel.isotropic(tower, cfg.p, cfg.q)
-    n, m = model.n, model.ambient_dim
+def _campaign_isotropic(cfg: CampaignConfig, model: StandardModel,
+                        rec: Callable) -> None:
+    tower, n, m = model.tower, model.n, model.ambient_dim
 
     so_big = build_group(model, "SO2nC").lie_algebra(name="so2nC")
     rec("dim so_2n(C) == n(2n-1)", so_big.dim == m * (m - 1) // 2,

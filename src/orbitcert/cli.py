@@ -19,9 +19,10 @@ from typing import Optional, Sequence
 
 from ._version import __version__
 from .campaigns import CASES, CampaignConfig, report_text, run_campaign
+from .forms import StandardModel
 from .octonions import split_octonions
 from .scalars import Tower
-from .witnesses import model_from_info, witness_from_json
+from .witnesses import witness_from_json
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -131,7 +132,7 @@ def _cmd_dump(args) -> int:
         except ValueError as exc:
             print("orbitcert: %s" % exc, file=sys.stderr)
             return EXIT_USAGE
-        model = model_from_info(Tower(), cfg.to_json())
+        model = StandardModel.from_info(Tower(), cfg.model_info())
         doc = {
             "schema": "orbitcert-model/1",
             "case": model.case,

@@ -23,6 +23,11 @@ The model constructors package the three geometries:
   vector, and a documented diagonal change of basis to the "signature
   presentation" in which both Grams coincide and the relevant real group
   consists of literally real matrices.
+
+Each model records its name in ``info``, the dict witness files carry:
+its ``case`` plus that case's integer parameters (``CASES``).
+``StandardModel.from_info`` builds the model a name stands for, and
+``model.clone()`` rebuilds a model over a clone of its tower.
 """
 
 from __future__ import annotations
@@ -119,13 +124,54 @@ def _epq(p: int, q: int) -> list:
 class StandardModel:
     """One of the explicit geometries, with its forms and reference data."""
 
+    # case -> (constructor, the integer parameters it takes after the tower)
+    CASES = {
+        "projective-split": ("projective_split", ("n",)),
+        "projective-pq": ("projective_signature", ("p", "q")),
+        "quadric7": ("quadric7", ()),
+        "isotropic": ("isotropic", ("p", "q")),
+    }
+
     def __init__(self, case: str, tower: Tower, ambient_dim: int, **data):
         self.case = case
         self.tower = tower
         self.ambient_dim = ambient_dim
         self.__dict__.update(data)
+        self.info = dict(case=case, **{key: data[key] for key
+                                       in StandardModel.CASES[case][1]})
 
     # -- constructors ----------------------------------------------------------
+
+    @staticmethod
+    def info_args(info) -> tuple:
+        """(case, parameter values) of a model name.  Raises ``ValueError``
+        unless ``info`` holds exactly ``case`` and that case's parameters,
+        each a Python ``int`` (not a ``bool``)."""
+        if not isinstance(info, dict):
+            raise ValueError("model info is not an object")
+        case = info.get("case")
+        if case not in StandardModel.CASES:
+            raise ValueError("unknown model case %r" % (case,))
+        names = StandardModel.CASES[case][1]
+        if set(info) != {"case", *names}:
+            raise ValueError("model %s takes exactly the keys %s"
+                             % (case, ", ".join(("case",) + names)))
+        for key in names:
+            if type(info[key]) is not int:
+                raise ValueError("model parameter %s is not an integer: %r"
+                                 % (key, info[key]))
+        return case, [info[key] for key in names]
+
+    @staticmethod
+    def from_info(tower: Tower, info: dict) -> StandardModel:
+        """The model ``info`` names, built over ``tower``."""
+        case, args = StandardModel.info_args(info)
+        build = getattr(StandardModel, StandardModel.CASES[case][0])
+        return build(tower, *args)
+
+    def clone(self) -> StandardModel:
+        """The same model rebuilt over a clone of its tower."""
+        return StandardModel.from_info(self.tower.clone(), self.info)
 
     @staticmethod
     def projective_split(tower: Tower, n: int) -> StandardModel:
@@ -276,9 +322,5 @@ class StandardModel:
             raise ValueError("operation defined for the isotropic model only")
 
     def __repr__(self) -> str:
-        bits = [self.case]
-        for key in ("n", "p", "q"):
-            val = self.__dict__.get(key)
-            if val is not None:
-                bits.append("%s=%d" % (key, val))
-        return "StandardModel(%s)" % ", ".join(bits)
+        return "StandardModel(%s)" % ", ".join(
+            "%s=%s" % kv for kv in self.info.items())

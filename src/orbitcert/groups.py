@@ -153,10 +153,8 @@ class GroupSpec:
     def lie_algebra(self, verify_closure: bool = True,
                     name: str = "") -> "LieAlgebraBasis":
         """Solve the linearized constraints at the identity."""
-        conds = [c.linearized for c in self.constraints
-                 if not isinstance(c, RealEntries)]
         alg = solve_linear_constraints(
-            self.tower, self.dim, conds,
+            self.tower, self.dim, [c.linearized for c in self.constraints],
             over_real_structure=(self.ground == "real"),
             real_entries_only=any(isinstance(c, RealEntries)
                                   for c in self.constraints),
@@ -339,8 +337,7 @@ class LieAlgebraBasis:
 
 
 def isotropy_subalgebra(alg: LieAlgebraBasis, stab,
-                        name: str = "",
-                        verify_closure: bool = False) -> LieAlgebraBasis:
+                        name: str = "") -> LieAlgebraBasis:
     """{X in alg : X(stab) is contained in stab}.
 
     ``stab`` is a Subspace, or a plain vector which is read as the line it
@@ -363,8 +360,7 @@ def isotropy_subalgebra(alg: LieAlgebraBasis, stab,
 
     mats = _null_combinations(t, alg.ambient, alg.matrices, image,
                               alg.ground == "real")
-    return LieAlgebraBasis(t, alg.ambient, mats, alg.ground, name=name,
-                           verify_closure=verify_closure)
+    return LieAlgebraBasis(t, alg.ambient, mats, alg.ground, name=name)
 
 
 def check_onishchik_triple(sub: LieAlgebraBasis, amb: LieAlgebraBasis,

@@ -125,13 +125,13 @@ class Matrix:
     # -- algebra ----------------------------------------------------------------
 
     def __add__(self, other: Matrix) -> Matrix:
-        self._check_shape(other, same=True)
+        self._check_shape(other)
         return Matrix(self.tower,
                       [[a + b for a, b in zip(r1, r2)]
                        for r1, r2 in zip(self._e, other._e)], cols=self.cols)
 
     def __sub__(self, other: Matrix) -> Matrix:
-        self._check_shape(other, same=True)
+        self._check_shape(other)
         return Matrix(self.tower,
                       [[a - b for a, b in zip(r1, r2)]
                        for r1, r2 in zip(self._e, other._e)], cols=self.cols)
@@ -222,8 +222,8 @@ class Matrix:
         """Row-major vector of all entries."""
         return [a for r in self._e for a in r]
 
-    def _check_shape(self, other: Matrix, same: bool = False) -> None:
-        if same and (self.rows != other.rows or self.cols != other.cols):
+    def _check_shape(self, other: Matrix) -> None:
+        if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch %dx%d vs %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
 
@@ -273,8 +273,7 @@ class Matrix:
         if tower is None:
             tower = Tower.deserialize(obj["radicands"])
         else:
-            Scalar.from_json({"radicands": obj["radicands"], "coords": ["0/1+0/1*i"]},
-                             tower)
+            tower.extend(obj["radicands"])
         rows = []
         for r in obj["entries"]:
             row = []

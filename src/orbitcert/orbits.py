@@ -230,8 +230,7 @@ def spans_null_subalgebra(model: StandardModel, z: Sequence) -> bool:
 
 def verify_orbit_equality(model: StandardModel, samples: int = 10,
                           seed: int = 0, bound: int = 5,
-                          algebras: Optional[tuple] = None,
-                          max_retries: int = 20) -> list:
+                          algebras: Optional[tuple] = None) -> list:
     """Sampled tangent-equality check on the quadric.
 
     For each of the four strata, applies ``samples`` random products of
@@ -262,7 +261,7 @@ def verify_orbit_equality(model: StandardModel, samples: int = 10,
         rep = model.stratum_representatives[stratum]
         for _ in range(samples):
             point = None
-            for _attempt in range(max_retries):
+            for _attempt in range(20):
                 g = Matrix.identity(model.tower, 7)
                 for x in nil:
                     w = rng.randint(-bound, bound)
@@ -276,8 +275,7 @@ def verify_orbit_equality(model: StandardModel, samples: int = 10,
                     break
             if point is None:
                 raise RuntimeError("sampling failed to stay in stratum %r "
-                                   "after %d attempts" % (stratum,
-                                                          max_retries))
+                                   "after 20 attempts" % (stratum,))
             text = vector_text(point)
             d_hat = tangent_dim_projective(g2, point)
             d_amb = tangent_dim_projective(so34, point)

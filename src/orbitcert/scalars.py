@@ -17,7 +17,8 @@ Consequences:
 Towers are append-only: adjoining a root never mutates existing scalars,
 and a scalar stays valid when its tower grows later.  Concurrent readers
 are safe because the radicand list only ever gains fully-constructed
-entries; code that wants full isolation can work on ``tower.clone()``.
+entries; code that wants full isolation works on ``tower.clone()``, as
+the witness builders do through ``StandardModel.clone()``.
 
 Scalars move between towers by one rule.  ``Tower.lift`` is strict: it
 re-homes a scalar only when both towers agree on every level the scalar
@@ -308,6 +309,18 @@ class Tower:
                     "radicand %d is a square in the preceding tower" % (j,))
         return t
 
+    def extend(self, radicands) -> None:
+        """Make this tower start with the serialized ``radicands``: they
+        must agree with it on every level both have, and the levels it
+        lacks are appended.  Raises :class:`TowerError` on a conflict."""
+        fresh = Tower.deserialize(radicands)
+        for j, r in enumerate(fresh._radicands):
+            if j < len(self._radicands):
+                if self._radicands[j]._terms != r._terms:
+                    raise TowerError("radicand %d conflicts with tower" % (j,))
+            else:
+                self._radicands.append(Scalar(self, dict(r._terms)))
+
     def __repr__(self) -> str:
         return "Tower(depth=%d)" % (len(self._radicands),)
 
@@ -571,15 +584,6 @@ class Scalar:
         c = _parse_coeff(text)
         return Scalar(tower, {0: c} if c != _G0 else {})
 
-    def to_json(self):
-        """{"radicands": [...], "coords": [...]} over this scalar's levels."""
-        lvl = self._level()
-        return {
-            "radicands": self._tower.serialize_prefix(lvl),
-            "coords": [_format_coeff(self._terms.get(m, _G0))
-                       for m in range(1 << lvl)],
-        }
-
     def coords(self, depth: Optional[int] = None) -> list[str]:
         """Flat coordinate strings over 2**depth basis products."""
         lvl = self._level() if depth is None else depth
@@ -601,23 +605,6 @@ class Scalar:
             if c != _G0:
                 terms[m] = c
         return Scalar(tower, terms)
-
-    @staticmethod
-    def from_json(obj, tower: Optional[Tower] = None) -> Scalar:
-        """Inverse of :meth:`to_json`; extends/validates ``tower`` if given."""
-        rads = obj["radicands"]
-        if tower is None:
-            tower = Tower.deserialize(rads)
-        else:
-            fresh = Tower.deserialize(rads)
-            for j in range(fresh.depth):
-                if j < tower.depth:
-                    if tower._radicands[j]._terms != fresh._radicands[j]._terms:
-                        raise TowerError("radicand %d conflicts with tower" % (j,))
-                else:
-                    tower._radicands.append(
-                        Scalar(tower, dict(fresh._radicands[j]._terms)))
-        return Scalar.from_coords(tower, obj["coords"])
 
     def __repr__(self) -> str:
         if not self._terms:

@@ -11,8 +11,10 @@ only square roots adjoined are h-norm normalizations (one per plane in
 the symplectic line transport, one per placed pair in the real isotropic
 normal form, where they are unavoidable: a rational frame generally has
 no rational same-norm orthogonal companion).  Each construction works on
-a clone of the model tower, so repeated constructions do not pile
-radicals onto the caller's tower.
+``model.clone()``, the model rebuilt over a clone of its tower: the
+forms, normal forms and group it uses live in the tower the witness
+grows, and repeated constructions do not pile radicals onto the
+caller's tower.
 
 Errors are split deliberately:
 
@@ -45,7 +47,7 @@ __all__ = [
     "NotInDomainError", "WitnessVerificationError", "Witness",
     "reflection", "witt_transport", "transport_positive_line_sp",
     "isotropic_normal_form_complex", "isotropic_normal_form_real",
-    "build_group", "model_from_info", "witness_from_json",
+    "build_group", "witness_from_json",
 ]
 
 
@@ -130,33 +132,12 @@ def _check_element(dim: int, element: Matrix) -> None:
 def _model_dim(info: dict) -> int:
     """Ambient dimension of the model ``info`` names, worked out without
     building it, so a file cannot make the verifier build a model of any
-    size it states; ``model_from_info`` builds the same dimension."""
-    if not isinstance(info, dict):
-        raise ValueError("model info is not an object")
-    case = info.get("case")
-    if case == "projective-split":
-        return 2 * int(info["n"])
-    if case == "projective-pq":
-        return 2 * (int(info["p"]) + int(info["q"]))
+    size it states; ``StandardModel.from_info`` builds the same one."""
+    case, args = StandardModel.info_args(info)
     if case == "quadric7":
         return 7
-    if case == "isotropic":
-        return int(info["p"]) + int(info["q"]) + 1
-    raise ValueError("unknown model case %r" % (case,))
-
-
-def model_from_info(tower: Tower, info: dict) -> StandardModel:
-    case = info.get("case")
-    if case == "projective-split":
-        return StandardModel.projective_split(tower, int(info["n"]))
-    if case == "projective-pq":
-        return StandardModel.projective_signature(tower, int(info["p"]),
-                                                  int(info["q"]))
-    if case == "quadric7":
-        return StandardModel.quadric7(tower)
-    if case == "isotropic":
-        return StandardModel.isotropic(tower, int(info["p"]), int(info["q"]))
-    raise ValueError("unknown model case %r" % (case,))
+    # C^2n with n = p + q for the projective models, 2n = p + q + 1 else
+    return 2 * sum(args) if case.startswith("projective") else sum(args) + 1
 
 
 def build_group(model: StandardModel, name: str) -> GroupSpec:
@@ -199,10 +180,10 @@ def witness_from_json(obj: dict) -> Witness:
     source = Matrix.from_json(obj["claim"]["source"], tower)
     target = Matrix.from_json(obj["claim"]["target"], tower)
     _check_element(_model_dim(obj["model"]), element)
-    model = model_from_info(tower, obj["model"])
+    model = StandardModel.from_info(tower, obj["model"])
     group = build_group(model, obj["group"])
     return Witness(group, element, obj["claim"]["kind"], source, target,
-                   obj["model"])
+                   model.info)
 
 
 # -- reflections and Witt transport ----------------------------------------------
@@ -223,7 +204,6 @@ def reflection(f: FormSpec, u: Sequence[Scalar]) -> Matrix:
 
 def witt_transport(f: FormSpec, frame_a: Sequence[Sequence[Scalar]],
                    frame_b: Sequence[Sequence[Scalar]],
-                   require_special: bool = False,
                    extra_real: bool = False) -> Matrix:
     """An f-isometry taking frame_a to frame_b entrywise.
 
@@ -233,10 +213,8 @@ def witt_transport(f: FormSpec, frame_a: Sequence[Sequence[Scalar]],
     that difference is isotropic, the pair of reflections in a_k + b_k and
     b_k is used instead (valid here because every placed target is
     orthogonal to the pivot pair in all our call sites; re-checked).  With
-    ``require_special`` the determinant is corrected to one by one more
-    reflection orthogonal to all of frame_b.  With ``extra_real`` all
-    inputs must be real and the output is then real as well.  No square
-    roots are ever taken.
+    ``extra_real`` all inputs must be real and the output is then real as
+    well.  No square roots are ever taken.
     """
     t = f.tower
     k = len(frame_a)
@@ -264,7 +242,6 @@ def witt_transport(f: FormSpec, frame_a: Sequence[Sequence[Scalar]],
             raise ValueError("extra_real set but the form is not real")
     g = Matrix.identity(t, f.dim)
     current = [list(v) for v in fa]
-    refl = 0
     for idx in range(k):
         a, b = current[idx], fb[idx]
         if all((x - y).is_zero() for x, y in zip(a, b)):
@@ -272,7 +249,6 @@ def witt_transport(f: FormSpec, frame_a: Sequence[Sequence[Scalar]],
         d = vec_sub(a, b)
         if not f.norm(d).is_zero():
             s = reflection(f, d)
-            refl += 1
         else:
             d2 = vec_add(a, b)
             if f.norm(d2).is_zero():
@@ -286,18 +262,11 @@ def witt_transport(f: FormSpec, frame_a: Sequence[Sequence[Scalar]],
                         "isotropic pivot with non-orthogonal placed "
                         "vectors is unsupported")
             s = reflection(f, b) * reflection(f, d2)
-            refl += 2
         g = s * g
         current = [s.apply(v) for v in current]
         if any(not (x - y).is_zero() for x, y in zip(current[idx], b)):
             raise WitnessVerificationError("reflection step failed to place "
                                            "frame vector %d" % idx)
-    if require_special and refl % 2 == 1:
-        span_b = Subspace.from_vectors(t, f.dim, fb)
-        w = _vector_with_sign(f, f.perp(span_b), None)
-        if w is None:
-            raise ValueError("no room for determinant correction")
-        g = reflection(f, w) * g
     return g
 
 
@@ -305,9 +274,7 @@ def _vector_with_sign(h: FormSpec, space: Subspace,
                       sign: Optional[int]) -> Optional[list]:
     """A vector in the space whose (real) h-norm has the given sign, or
     any nonzero norm when sign is None.  Falls back to exact congruence
-    diagonalization of the restricted Gram, which is complete.  A
-    symmetric h works with sign None: as norm(u + v) = norm(u) + norm(v)
-    + 2 h(u, v), the scan then misses only when h vanishes on the space."""
+    diagonalization of the restricted Gram, which is complete."""
     basis = space.basis_vectors()
     def _ok(v):
         q = h.norm(v)
@@ -346,19 +313,13 @@ def transport_positive_line_sp(model: StandardModel, line_src, line_dst) \
     """
     if model.case not in ("projective-split", "projective-pq"):
         raise ValueError("line transport needs a projective model")
-    t = model.tower.clone()
-    m = model.ambient_dim
+    mt = model.clone()
+    t, m, h = mt.tower, mt.ambient_dim, mt.h
     z = [t.lift(x) for x in line_src]
     zt = [t.lift(x) for x in line_dst]
     if all(x.is_zero() for x in z) or all(x.is_zero() for x in zt):
         raise ValueError("a line representative is zero")
-    h_t = FormSpec("hermitian",
-                   Matrix.from_rows(t, model.h.gram.to_lists()), "h")
-    omega_t = FormSpec("antisymmetric",
-                       Matrix.from_rows(t, model.omega.gram.to_lists()),
-                       "omega")
-    phi_t = Matrix.from_rows(t, model.phi_mat.to_lists())
-    a0, b0 = h_t.norm(z), h_t.norm(zt)
+    a0, b0 = h.norm(z), h.norm(zt)
     if a0.is_zero() or b0.is_zero():
         raise NotInDomainError("null lines are not in the definite orbits")
     if a0.sign() != b0.sign():
@@ -368,22 +329,22 @@ def transport_positive_line_sp(model: StandardModel, line_src, line_dst) \
     def decompose(seed, prescribed):
         space = _coordinate_subspace(t, m, range(m))
         out = []
-        for step in range(model.n):
+        for step in range(mt.n):
             if step == 0:
                 u = seed
             else:
                 want = prescribed[step] if prescribed is not None else None
-                u = _vector_with_sign(h_t, space, want)
+                u = _vector_with_sign(h, space, want)
                 if u is None:
                     raise WitnessVerificationError(
                         "plane decomposition stalled at step %d" % step)
-            alpha = h_t.norm(u)
-            phi_u = phi_t.apply([x.conj() for x in u])
+            alpha = h.norm(u)
+            phi_u = mt.phi(u)
             plane = Subspace.from_vectors(t, m, [u, phi_u])
             if plane.dim != 2:
                 raise WitnessVerificationError("phi-plane degenerated")
             out.append((u, phi_u, alpha))
-            space = space.intersect(h_t.perp(plane))
+            space = space.intersect(h.perp(plane))
         if space.dim != 0:
             raise WitnessVerificationError("phi-plane decomposition is not "
                                            "exhaustive")
@@ -404,18 +365,13 @@ def transport_positive_line_sp(model: StandardModel, line_src, line_dst) \
         frame_b.extend([ub2, pb2])
     ma = Matrix.from_cols(t, frame_a)
     mb = Matrix.from_cols(t, frame_b)
-    if not (omega_t.gram_of(frame_a) == omega_t.gram_of(frame_b)
-            and h_t.gram_of(frame_a) == h_t.gram_of(frame_b)):
+    if not (mt.omega.gram_of(frame_a) == mt.omega.gram_of(frame_b)
+            and h.gram_of(frame_a) == h.gram_of(frame_b)):
         raise WitnessVerificationError("frame Grams disagree after scaling")
     element = mb * ma.inverse()
-    name = "Sp2nR" if model.variant == "split" else "Sp(2p,2q)"
-    group = GroupSpec(t, m, [PreservesBilinear(omega_t),
-                             PreservesHermitian(h_t)], name)
-    info = ({"case": "projective-split", "n": model.n}
-            if model.variant == "split"
-            else {"case": "projective-pq", "p": model.p, "q": model.q})
+    group = build_group(mt, "Sp2nR" if mt.variant == "split" else "Sp(2p,2q)")
     w = Witness(group, element, "maps_line",
-                Matrix.from_cols(t, [z]), Matrix.from_cols(t, [zt]), info)
+                Matrix.from_cols(t, [z]), Matrix.from_cols(t, [zt]), mt.info)
     if not w.verify():
         raise WitnessVerificationError("line transport failed verification")
     return w
@@ -456,15 +412,14 @@ def isotropic_normal_form_complex(model: StandardModel, w_hat) -> Witness:
     """
     if model.case != "isotropic":
         raise ValueError("needs the isotropic model")
-    t = model.tower.clone()
-    n, m = model.n, model.ambient_dim
+    mt = model.clone()
+    t, n, m = mt.tower, mt.n, mt.ambient_dim
     w0 = _as_subspace(t, m, w_hat)
-    b_t = FormSpec("symmetric", Matrix.identity(t, m), "b")
     if w0.dim != n:
         raise ValueError("plane has dimension %d, expected %d" % (w0.dim, n))
-    if not b_t.is_isotropic(w0):
+    if not mt.b.is_isotropic(w0):
         raise ValueError("plane is not b-isotropic")
-    nf = _as_subspace(t, m, model.normal_form_complex())
+    nf = mt.normal_form_complex()
     if (w0.intersect(nf).dim - n) % 2 != 0:
         raise NotInDomainError(
             "plane lies in the other connected family of isotropic "
@@ -482,7 +437,7 @@ def isotropic_normal_form_complex(model: StandardModel, w_hat) -> Witness:
         u = vec_scale(t.i() / cand[0][last], cand[0])
         v = list(u)
         v[last] = t.zero()
-        if not b_t.norm(v).is_one():
+        if not mt.b.norm(v).is_one():
             raise WitnessVerificationError("extracted vector has norm != 1")
         sub_idx = list(range(m2 - 1))
         f_sub = FormSpec("symmetric", Matrix.identity(t, m2 - 1), "b")
@@ -526,10 +481,8 @@ def isotropic_normal_form_complex(model: StandardModel, w_hat) -> Witness:
     if not g.det().is_one():
         raise WitnessVerificationError(
             "assembled element is not special orthogonal")
-    iso = StandardModel.isotropic(t, model.p, model.q)
-    group = build_group(iso, "SO2n-1C")
-    witness = Witness(group, g, "maps_subspace", w0.matrix, nf.matrix,
-                      {"case": "isotropic", "p": model.p, "q": model.q})
+    witness = Witness(build_group(mt, "SO2n-1C"), g, "maps_subspace",
+                      w0.matrix, nf.matrix, mt.info)
     if not witness.verify():
         raise WitnessVerificationError(
             "complex normal-form witness failed verification")
@@ -551,40 +504,39 @@ def isotropic_normal_form_real(model: StandardModel, w_hat) -> Witness:
     """
     if model.case != "isotropic":
         raise ValueError("needs the isotropic model")
-    t = model.tower.clone()
-    n, m = model.n, model.ambient_dim
+    mt = model.clone()
+    t, n, m = mt.tower, mt.n, mt.ambient_dim
     w_std = _as_subspace(t, m, w_hat)
-    # the model's forms take vectors from the cloned, deeper tower
-    b_sig, h_sig = model.b_sig, model.hhat_sig
+    b_sig, h_sig = mt.b_sig, mt.hhat_sig
     if w_std.dim != n:
         raise ValueError("plane has dimension %d, expected %d"
                          % (w_std.dim, n))
-    if not model.b.is_isotropic(w_std):
+    if not mt.b.is_isotropic(w_std):
         raise ValueError("plane is not b-isotropic")
-    sig = hermitian_signature(model.hhat.restrict(w_std))
+    sig = hermitian_signature(mt.hhat.restrict(w_std))
     if sig[2] > 0:
         raise NotInDomainError("boundary configuration: h degenerate on "
                                "the plane")
-    if (sig[0], sig[1]) != model.open_signature:
+    if (sig[0], sig[1]) != mt.open_signature:
         raise NotInDomainError(
             "plane is not in the open orbit: h-signature %r, open orbit "
-            "needs %r" % ((sig[0], sig[1]), model.open_signature))
+            "needs %r" % ((sig[0], sig[1]), mt.open_signature))
     # move to the signature presentation
-    s_mat = Matrix.from_rows(t, model.sig_change.to_lists())
+    s_mat = mt.sig_change
     s_inv = s_mat.inverse()
     w_sig = Subspace.from_vectors(
         t, m, [s_inv.apply(bv) for bv in w_std.basis_vectors()])
-    nf_std = _as_subspace(t, m, model.normal_form_real())
+    nf_std = mt.normal_form_real()
     nf_sig = Subspace.from_vectors(
         t, m, [s_inv.apply(bv) for bv in nf_std.basis_vectors()])
     if (w_sig.intersect(nf_sig).dim - n) % 2 != 0:
         raise NotInDomainError(
             "plane lies in the other connected family; no witness fixing "
             "the last vector exists")
-    pairs = model.normal_form_real_pairs()
-    eps = model.eps
-    expected = (model.open_signature[0] - (1 if eps > 0 else 0),
-                model.open_signature[1] - (1 if eps < 0 else 0))
+    pairs = mt.normal_form_real_pairs()
+    eps = mt.eps
+    expected = (mt.open_signature[0] - (1 if eps > 0 else 0),
+                mt.open_signature[1] - (1 if eps < 0 else 0))
     w_v = w_sig.intersect(_coordinate_subspace(t, m, range(m - 1)))
     if w_v.dim != n - 1:
         raise WitnessVerificationError(
@@ -599,7 +551,7 @@ def isotropic_normal_form_real(model: StandardModel, w_hat) -> Witness:
     g_total = Matrix.identity(t, m)
     half = t.scalar(Fraction(1, 2))
     for (a_idx, b_idx) in pairs[:-1]:
-        csign = 1 if model.hhat.gram[a_idx, a_idx].sign() > 0 else -1
+        csign = 1 if mt.hhat.gram[a_idx, a_idx].sign() > 0 else -1
         u = _vector_with_sign(h_sig, cur, csign)
         if u is None:
             raise WitnessVerificationError(
@@ -615,10 +567,7 @@ def isotropic_normal_form_real(model: StandardModel, w_hat) -> Witness:
         alpha_abs = alpha if alpha.sign() > 0 else -alpha
         root = t.adjoin_sqrt(alpha_abs * half)
         sub = remaining
-        f_sub = FormSpec(
-            "symmetric",
-            Matrix.from_rows(t, b_sig.gram.submatrix(sub, sub).to_lists()),
-            "b_sub")
+        f_sub = FormSpec("symmetric", b_sig.gram.submatrix(sub, sub), "b_sub")
         ta = [t.zero()] * len(sub)
         tb = [t.zero()] * len(sub)
         ta[sub.index(a_idx)] = root
@@ -666,11 +615,8 @@ def isotropic_normal_form_real(model: StandardModel, w_hat) -> Witness:
     if not g_total.det().is_one():
         raise WitnessVerificationError("element is not special orthogonal")
     g_std = s_mat * g_total * s_inv
-    iso = StandardModel.isotropic(t, model.p, model.q)
-    group = build_group(iso, "SO(p,q)")
-    witness = Witness(group, g_std, "maps_subspace", w_std.matrix,
-                      nf_std.matrix,
-                      {"case": "isotropic", "p": model.p, "q": model.q})
+    witness = Witness(build_group(mt, "SO(p,q)"), g_std, "maps_subspace",
+                      w_std.matrix, nf_std.matrix, mt.info)
     if not witness.verify():
         raise WitnessVerificationError(
             "real normal-form witness failed verification")

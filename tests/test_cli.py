@@ -5,8 +5,6 @@ import os
 import subprocess
 import sys
 
-import pytest
-
 import orbitcert
 from orbitcert.cli import main
 from orbitcert.forms import StandardModel
@@ -123,10 +121,23 @@ def test_witness_verify_parse_errors(tmp_path, capsys):
     short = json.loads(text)
     short["claim"]["source"]["entries"].pop()
     short["claim"]["source"]["rows"] -= 1
-    for name, obj in (("vacuous.json", vacuous), ("short.json", short)):
+    # the claim's radicands must agree with the element's tower
+    conflict = json.loads(text)
+    conflict["claim"]["source"]["radicands"] = [5]
+    bad = [("vacuous.json", vacuous, "claim"), ("short.json", short, ""),
+           ("conflict.json", conflict, "radicand 0 conflicts")]
+    # the model is named exactly: its case's parameters, each an int
+    for k, loose in enumerate(({"n": 2.9}, {"n": "2"}, {"n": 2.0},
+                               {"n": True}, {"p": 7})):
+        obj = json.loads(text)
+        obj["model"].update(loose)
+        bad.append(("loose-%d.json" % k, obj, "malformed witness: model"))
+    for name, obj, why in bad:
         path = tmp_path / name
         path.write_text(json.dumps(obj))
         assert main(["witness", "verify", str(path)]) == 2
+        assert why in capsys.readouterr().err
+    assert main(["witness", "verify", golden]) == 0
     capsys.readouterr()
 
 

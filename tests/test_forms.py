@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitcert.forms import FormSpec, StandardModel
-from orbitcert.linalg import Matrix, Subspace, hermitian_signature, rank
+from orbitcert.linalg import Matrix, Subspace, hermitian_signature
 from orbitcert.scalars import Tower
 
 from conftest import gauss, vectors

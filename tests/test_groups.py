@@ -6,8 +6,8 @@ import pytest
 
 from orbitcert.forms import FormSpec, StandardModel
 from orbitcert.groups import (DetOne, FixesVector, GroupSpec,
-                              PreservesBilinear, PreservesHermitian,
-                              check_onishchik_triple, exp_nilpotent,
+                              PreservesBilinear, check_onishchik_triple,
+                              exp_nilpotent,
                               isotropy_subalgebra, nilpotent_orthogonal,
                               nilpotent_symplectic, nilpotent_unitary)
 from orbitcert.linalg import Matrix, Subspace

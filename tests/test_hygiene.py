@@ -1,5 +1,5 @@
-"""Source hygiene: no module imports a name it neither uses nor exports,
-and every exported name exists."""
+"""Source hygiene: no module or test file imports a name it neither uses
+nor exports, and every exported name exists."""
 
 import ast
 import importlib
@@ -9,6 +9,8 @@ import pytest
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "orbitcert")
 MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
+TESTS = os.path.dirname(__file__)
+TEST_FILES = sorted(f for f in os.listdir(TESTS) if f.endswith(".py"))
 
 
 def _exported(tree: ast.Module) -> set:
@@ -46,6 +48,12 @@ def test_detector_flags_unused_and_keeps_used():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     with open(os.path.join(SRC, module)) as fh:
+        assert unused_imports(fh.read()) == []
+
+
+@pytest.mark.parametrize("name", TEST_FILES)
+def test_no_unused_imports_in_tests(name):
+    with open(os.path.join(TESTS, name)) as fh:
         assert unused_imports(fh.read()) == []
 
 

@@ -1,7 +1,5 @@
 """Exact linear algebra: rank/kernel, canonical echelon, congruence."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -129,6 +127,19 @@ def test_matrix_json_round_trip_with_roots():
     assert m2.to_json() == obj
     t2 = Tower.deserialize(obj["radicands"])
     assert Matrix.from_json(obj, t2).to_json() == obj
+
+
+def test_matrix_from_json_extends_a_shallower_tower():
+    t = Tower()
+    t.adjoin_sqrt(2)
+    m = Matrix.from_rows(t, [[t.adjoin_sqrt(3), t.root(0)]])
+    obj = m.to_json()
+    shallow = Tower()
+    shallow.adjoin_sqrt(2)
+    got = Matrix.from_json(obj, shallow)
+    assert shallow.depth == 2 and got.tower is shallow
+    assert got.to_json() == obj
+    assert got[0, 0] * got[0, 0] == shallow.scalar(3)
 
 
 @settings(max_examples=25)

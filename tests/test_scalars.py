@@ -105,17 +105,6 @@ def test_text_round_trip():
         assert Scalar.from_text(t, s.to_text()) == s
 
 
-def test_json_round_trip_with_roots():
-    t = Tower()
-    r2 = t.adjoin_sqrt(2)
-    s = t.scalar(Fraction(1, 3), -2) + r2 * t.i()
-    obj = s.to_json()
-    t2 = Tower.deserialize(obj["radicands"])
-    s2 = Scalar.from_json(obj, t2)
-    assert s2.to_json() == obj
-    assert (s2 * s2).to_json() == (s * s).to_json()
-
-
 def test_tower_coercion_is_prefix_only():
     base = Tower()
     deep = base.clone()

@@ -7,14 +7,13 @@ import pytest
 
 from orbitcert.forms import FormSpec, StandardModel
 from orbitcert.groups import exp_nilpotent
-from orbitcert.linalg import Matrix, Subspace, column_space_equal
+from orbitcert.linalg import Matrix, column_space_equal
 from orbitcert.orbits import _quadric_nilpotents
 from orbitcert.rng import SplitMix64
 from orbitcert.scalars import Tower
 from orbitcert.witnesses import (NotInDomainError, Witness, _model_dim,
                                  build_group, isotropic_normal_form_complex,
-                                 isotropic_normal_form_real, model_from_info,
-                                 reflection,
+                                 isotropic_normal_form_real, reflection,
                                  transport_positive_line_sp, witness_from_json,
                                  witt_transport)
 
@@ -96,14 +95,13 @@ def test_witt_transport_two_vector_frame():
         assert g.apply(x) == y
 
 
-def test_witt_transport_special_and_real():
+def test_witt_transport_real():
     t = Tower()
     f = FormSpec("symmetric", Matrix.diag(t, [1, 1, -1]), "b")
     a = [t.one(), t.zero(), t.zero()]
     b = [t.scalar(Fraction(5, 4)), t.zero(), t.scalar(Fraction(3, 4))]
-    g = witt_transport(f, [a], [b], require_special=True, extra_real=True)
+    g = witt_transport(f, [a], [b], extra_real=True)
     assert g.apply(a) == b
-    assert g.det().is_one()
     assert all(x.is_real() for x in g.flatten())
 
 
@@ -251,7 +249,10 @@ def test_model_dim_is_the_built_model_dim():
                  {"case": "projective-pq", "p": 2, "q": 1},
                  {"case": "quadric7"},
                  {"case": "isotropic", "p": 2, "q": 3}):
-        assert _model_dim(info) == model_from_info(Tower(), info).ambient_dim
+        model = StandardModel.from_info(Tower(), info)
+        assert _model_dim(info) == model.ambient_dim
+        assert model.info == info
+        assert StandardModel.from_info(Tower(), model.info).info == info
 
 
 def test_g2split_is_the_cross_product_subgroup_of_so34():
@@ -269,7 +270,7 @@ def test_g2split_is_the_cross_product_subgroup_of_so34():
     for info in ({"case": "projective-split", "n": 2},
                  {"case": "isotropic", "p": 2, "q": 1}):
         with pytest.raises(ValueError):
-            build_group(model_from_info(Tower(), info), "G2split")
+            build_group(StandardModel.from_info(Tower(), info), "G2split")
 
 
 # -- isotropic normal forms --------------------------------------------------------
@@ -357,3 +358,33 @@ def test_normal_form_witnesses_live_in_the_stated_groups():
     wr = isotropic_normal_form_real(model, model.normal_form_real())
     assert wr.group.name == "SO(p,q)"
     assert wr.group.contains(wr.element)
+
+
+def test_builders_work_on_a_clone_of_the_model():
+    # the caller's tower never grows, and the group a witness names is
+    # built over the tower its element lives in, roots included
+    split = StandardModel.projective_split(Tower(), 2)
+    iso = StandardModel.isotropic(Tower(), 2, 1)
+    t = iso.tower
+    v1 = [t.one(), t.scalar(2), t.zero(), t.zero()]
+    v2 = [t.zero(), t.one(), t.scalar(3), t.zero()]
+    gsig = reflection(iso.b_sig, v1) * reflection(iso.b_sig, v2)
+    g_std = iso.sig_change * gsig * iso.sig_change.inverse()
+    plane = [g_std.apply(v) for v in iso.normal_form_real().basis_vectors()]
+    builds = [
+        (split, lambda: transport_positive_line_sp(split, [1, 0, 0, 0],
+                                                   [1, 1, 0, 0])),
+        (iso, lambda: isotropic_normal_form_complex(
+            iso, iso.normal_form_complex())),
+        (iso, lambda: isotropic_normal_form_real(iso, plane)),
+    ]
+    deepest = 0
+    for model, build in builds:
+        w = build()
+        assert w.verified
+        assert model.tower.depth == 0
+        forms = [c.form for c in w.group.constraints if hasattr(c, "form")]
+        assert forms and all(f.tower is w.element.tower for f in forms)
+        assert w.model_info == model.info
+        deepest = max(deepest, w.element.tower.depth)
+    assert deepest > 0
