@@ -21,9 +21,9 @@ from typing import Optional, Sequence, Tuple
 
 from .forms import FormSpec, StandardModel
 from .groups import (GroupSpec, LieAlgebraBasis, PreservesBilinear,
-                     RealEntries, exp_nilpotent, nilpotent_orthogonal)
+                     RealEntries, nilpotent_orthogonal)
 from .linalg import (Matrix, Subspace, hermitian_signature, rank, real_coords,
-                     vec_scale)
+                     vec_add, vec_scale)
 from .octonions import octonion_product
 from .rng import SplitMix64
 from .scalars import Scalar
@@ -202,6 +202,8 @@ _QUADRIC_NILPOTENT_PAIRS = [
 
 
 def _quadric_nilpotents(model: StandardModel) -> list:
+    """Six real elements of so(3,4), each checked square-zero by
+    nilpotent_orthogonal: the sampler relies on exp(w x) = 1 + w x."""
     t = model.tower
     out = []
     for (iu, ju), (iv, jv) in _QUADRIC_NILPOTENT_PAIRS:
@@ -233,13 +235,17 @@ def verify_orbit_equality(model: StandardModel, samples: int = 10,
                           algebras: Optional[tuple] = None) -> list:
     """Sampled tangent-equality check on the quadric.
 
-    For each of the four strata, applies ``samples`` random products of
-    exponentials of real nilpotent orthogonal elements (exact polynomial
-    exponentials, integer weights in [-bound, bound]) to the stratum
-    representative and certifies that the derivation algebra and the full
-    real orthogonal algebra have the same real tangent dimension there.
-    Returns one OrbitReport pair per sample.  This is the infinitesimal
-    part of orbit equality; it does not claim global transitivity.
+    For each of the four strata, moves the stratum representative by
+    ``samples`` random group elements g = exp(w1 x1) ... exp(w6 x6), the
+    x being six fixed real square-zero elements of so(3,4) and the
+    weights integers in [-bound, bound] (at least 1), and certifies that
+    the derivation algebra and the full real orthogonal algebra have the
+    same real tangent dimension at the moved point.  g is never formed:
+    since x^2 = 0, exp(w x) p = p + w x p exactly, so the exponentials
+    are applied to the vector one at a time, right to left, which gives
+    the point g p.  Returns one OrbitReport pair per sample.  This is the
+    infinitesimal part of orbit equality; it does not claim global
+    transitivity.
 
     Equality is certified at generic points of each stratum.  The
     null-nonreal stratum holds one smaller split-G2 orbit: the lines
@@ -252,8 +258,11 @@ def verify_orbit_equality(model: StandardModel, samples: int = 10,
         raise ValueError("needs the quadric model")
     if samples < 1:
         raise ValueError("need at least one sample")
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
     g2, so34 = algebras if algebras is not None else quadric_algebras(model)
     nil = _quadric_nilpotents(model)
+    t = model.tower
     rng = SplitMix64(seed)
     ambient_real = 2 * model.flag_dim_complex
     pairs = []
@@ -262,12 +271,13 @@ def verify_orbit_equality(model: StandardModel, samples: int = 10,
         for _ in range(samples):
             point = None
             for _attempt in range(20):
-                g = Matrix.identity(model.tower, 7)
-                for x in nil:
-                    w = rng.randint(-bound, bound)
+                ws = [rng.randint(-bound, bound) for _ in nil]
+                # the rightmost factor of g acts first
+                cand = list(rep)
+                for x, w in reversed(list(zip(nil, ws))):
                     if w:
-                        g = g * exp_nilpotent(x, w)
-                cand = g.apply(rep)
+                        cand = vec_add(cand, vec_scale(t.scalar(w),
+                                                       x.apply(cand)))
                 if classify_point(model, cand) == stratum and not (
                         stratum == "null-nonreal"
                         and spans_null_subalgebra(model, cand)):

@@ -1,12 +1,17 @@
 """Tangent-space dimensions, stratum classification, orbit equality."""
 
 import pytest
+from hypothesis import given, strategies as st
 
+from conftest import vectors
 from orbitcert.forms import StandardModel
-from orbitcert.linalg import Subspace
-from orbitcert.orbits import (STRATA, classify_point, quadric_algebras,
-                              spans_null_subalgebra, tangent_dim_grassmann,
-                              tangent_dim_projective, verify_orbit_equality)
+from orbitcert.groups import exp_nilpotent
+from orbitcert.linalg import Matrix, Subspace, vec_add, vec_scale
+from orbitcert.orbits import (STRATA, _quadric_nilpotents, classify_point,
+                              quadric_algebras, spans_null_subalgebra,
+                              tangent_dim_grassmann, tangent_dim_projective,
+                              vector_text, verify_orbit_equality)
+from orbitcert.rng import SplitMix64
 from orbitcert.scalars import Tower
 from orbitcert.witnesses import (build_group, isotropic_normal_form_complex,
                                  transport_positive_line_sp)
@@ -181,7 +186,11 @@ def test_null_subalgebra_locus_has_a_smaller_g2_orbit(quadric):
     assert not spans_null_subalgebra(model, rep)
 
 
-@pytest.mark.parametrize("seed", [537687876, 3432174607])
+# at samples=1 each of these seeds draws one candidate on the locus above
+NULL_LOCUS_SEEDS = [537687876, 3432174607, 3458538153]
+
+
+@pytest.mark.parametrize("seed", NULL_LOCUS_SEEDS)
 def test_orbit_equality_skips_the_null_subalgebra_locus(quadric, seed):
     # without the rejection these seeds sample the locus above
     model, algebras = quadric
@@ -191,3 +200,60 @@ def test_orbit_equality_skips_the_null_subalgebra_locus(quadric, seed):
         assert small.tangent_dim == big.tangent_dim
         if small.stratum == "null-nonreal":
             assert small.tangent_dim == 9
+
+
+def _reference_points(model, samples, seed, bound=5):
+    """The sampled points as the product of the six exponentials applied
+    to each stratum representative, with the same draws and rejections
+    as verify_orbit_equality."""
+    nil = _quadric_nilpotents(model)
+    rng = SplitMix64(seed)
+    out = []
+    for stratum in STRATA:
+        rep = model.stratum_representatives[stratum]
+        for _ in range(samples):
+            for _attempt in range(20):
+                g = Matrix.identity(model.tower, 7)
+                for x in nil:
+                    w = rng.randint(-bound, bound)
+                    if w:
+                        g = g * exp_nilpotent(x, w)
+                cand = g.apply(rep)
+                if classify_point(model, cand) == stratum and not (
+                        stratum == "null-nonreal"
+                        and spans_null_subalgebra(model, cand)):
+                    out.append(vector_text(cand))
+                    break
+    return out
+
+
+def test_sampled_points_match_the_exponential_product(quadric):
+    model, algebras = quadric
+    for seed in list(range(50)) + NULL_LOCUS_SEEDS:
+        pairs = verify_orbit_equality(model, samples=1, seed=seed,
+                                      algebras=algebras)
+        assert [small.point for small, _ in pairs] == \
+            _reference_points(model, 1, seed), seed
+    pairs = verify_orbit_equality(model, samples=3, seed=7, bound=2,
+                                  algebras=algebras)
+    assert [small.point for small, _ in pairs] == \
+        _reference_points(model, 3, 7, bound=2)
+
+
+_Q7 = StandardModel.quadric7(Tower())
+
+
+@given(st.integers(0, 5), vectors(_Q7.tower, 7), st.integers(-9, 9))
+def test_square_zero_exponential_is_affine(k, p, w):
+    t = _Q7.tower
+    x = _quadric_nilpotents(_Q7)[k]
+    assert exp_nilpotent(x, w).apply(p) == \
+        vec_add(p, vec_scale(t.scalar(w), x.apply(p)))
+
+
+@pytest.mark.parametrize("bound", [0, -2])
+def test_orbit_equality_rejects_a_vacuous_bound(quadric, bound):
+    model, algebras = quadric
+    with pytest.raises(ValueError, match="bound must be >= 1"):
+        verify_orbit_equality(model, samples=3, bound=bound,
+                              algebras=algebras)
