@@ -2,10 +2,13 @@
 
 A group is described by a list of constraint tags (preserve a bilinear
 form, preserve a hermitian form, determinant one, fix a vector, real
-entries).  Each tag knows how to test a group element exactly and how to
-linearize itself at the identity.  ``GroupSpec.lie_algebra`` assembles the
-linearized conditions into one linear system and solves it by exact
-kernel computation.
+entries).  Each tag knows how to test a group element exactly, and lists
+its linearization at the identity as sparse terms: row ``row`` of the
+linear map L(x) gains ``coeff * x[j][k]`` (or ``coeff * conj(x[j][k])``),
+with coefficients read off Gram entries, a fixed vector or the octonion
+structure constants.  ``solve_linear_constraints`` assembles these terms
+into one coefficient matrix, one column per matrix unit, and solves it by
+exact kernel computation.
 
 Ground fields.  Conditions coming from bilinear forms, determinant and
 fixed vectors are complex-linear; hermitian and reality conditions only
@@ -46,9 +49,9 @@ class PreservesBilinear:
     def holds(self, g: Matrix) -> bool:
         return g.transpose() * self.form.gram * g == self.form.gram
 
-    def linearized(self, x: Matrix) -> list:
-        g = self.form.gram
-        return (x.transpose() * g + g * x).flatten()
+    def linear_terms(self, m: int) -> list:
+        """x^T G + G x."""
+        return _gram_terms(self.form, m, conj=False)
 
     def describe(self) -> str:
         return "preserves %s form %r" % (self.form.kind, self.form.name)
@@ -67,12 +70,28 @@ class PreservesHermitian:
     def holds(self, g: Matrix) -> bool:
         return g.transpose() * self.form.gram * g.conj() == self.form.gram
 
-    def linearized(self, x: Matrix) -> list:
-        g = self.form.gram
-        return (x.transpose() * g + g * x.conj()).flatten()
+    def linear_terms(self, m: int) -> list:
+        """x^T G + G conj(x)."""
+        return _gram_terms(self.form, m, conj=True)
 
     def describe(self) -> str:
         return "preserves hermitian form %r" % (self.form.name,)
+
+
+def _gram_terms(form: FormSpec, m: int, conj: bool) -> list:
+    """Terms of x^T G + G x' (x' = conj(x) when ``conj`` is set): entry
+    (a, b), row a*m + b, gains G[j,b] at x[j,a] and G[a,j] at x'[j,b]."""
+    if form.dim != m:
+        raise ValueError("form %r has dimension %d, the group acts on %d"
+                         % (form.name, form.dim, m))
+    g = form.gram
+    nonzero = [(j, b, g[j, b]) for j in range(m) for b in range(m)
+               if g[j, b]]
+    terms = [(a * m + b, j, a, c, False)
+             for a in range(m) for j, b, c in nonzero]
+    terms += [(a * m + b, j, b, c, conj)
+              for a, j, c in nonzero for b in range(m)]
+    return terms
 
 
 class DetOne:
@@ -81,8 +100,9 @@ class DetOne:
     def holds(self, g: Matrix) -> bool:
         return g.det().is_one()
 
-    def linearized(self, x: Matrix) -> list:
-        return [x.trace()]
+    def linear_terms(self, m: int) -> list:
+        """The trace."""
+        return [(0, a, a, 1, False) for a in range(m)]
 
     def describe(self) -> str:
         return "determinant one"
@@ -98,8 +118,13 @@ class FixesVector:
         gv = g.apply(self.v)
         return all((a - b).is_zero() for a, b in zip(gv, self.v))
 
-    def linearized(self, x: Matrix) -> list:
-        return x.apply(self.v)
+    def linear_terms(self, m: int) -> list:
+        """x v."""
+        if len(self.v) != m:
+            raise ValueError("fixed vector has length %d, the group acts on %d"
+                             % (len(self.v), m))
+        return [(a, a, k, c, False)
+                for a in range(m) for k, c in enumerate(self.v) if c]
 
     def describe(self) -> str:
         return "fixes a marked vector"
@@ -114,8 +139,8 @@ class RealEntries:
         return all(g[i, j].is_real()
                    for i in range(g.rows) for j in range(g.cols))
 
-    def linearized(self, x: Matrix) -> list:
-        # handled structurally: real ground solves use real matrix units only
+    def linear_terms(self, m: int) -> list:
+        # structural: a solve with this tag has no i*E_jk columns
         return []
 
     def describe(self) -> str:
@@ -124,6 +149,12 @@ class RealEntries:
 
 Constraint = Union[PreservesBilinear, PreservesHermitian, DetOne,
                    FixesVector, RealEntries]
+
+
+def _ground(constraints: Sequence[Constraint]) -> str:
+    if any(c.antilinear for c in constraints):
+        return "real"
+    return "complex"
 
 
 class GroupSpec:
@@ -138,9 +169,7 @@ class GroupSpec:
 
     @property
     def ground(self) -> str:
-        if any(c.antilinear for c in self.constraints):
-            return "real"
-        return "complex"
+        return _ground(self.constraints)
 
     def violations(self, g: Matrix) -> list:
         if g.rows != self.dim or g.cols != self.dim:
@@ -153,53 +182,65 @@ class GroupSpec:
     def lie_algebra(self, verify_closure: bool = True,
                     name: str = "") -> "LieAlgebraBasis":
         """Solve the linearized constraints at the identity."""
-        alg = solve_linear_constraints(
-            self.tower, self.dim, [c.linearized for c in self.constraints],
-            over_real_structure=(self.ground == "real"),
-            real_entries_only=any(isinstance(c, RealEntries)
-                                  for c in self.constraints),
+        return solve_linear_constraints(
+            self.tower, self.dim, self.constraints,
             verify_closure=verify_closure,
             name=name or (self.name and self.name + "-alg"))
-        return alg
 
     def __repr__(self) -> str:
         return "GroupSpec(%s, dim=%d, %d constraints)" % (
             self.name or "?", self.dim, len(self.constraints))
 
 
-def solve_linear_constraints(tower: Tower, m: int, conditions,
-                             over_real_structure: bool = False,
-                             real_entries_only: bool = False,
+def solve_linear_constraints(tower: Tower, m: int,
+                             constraints: Sequence[Constraint],
                              verify_closure: bool = False,
                              name: str = "") -> "LieAlgebraBasis":
-    """Solve homogeneous linear conditions on an m-by-m matrix unknown.
+    """The Lie algebra of the group the constraints cut out of GL(m, C).
 
-    Each condition is a callable mapping a Matrix to a list of Scalars and
-    must be linear over the ground field: complex-linear by default, or
-    merely real-linear when ``over_real_structure`` is set (then the
-    unknown ranges over real combinations of E_jk and i E_jk, and every
-    output scalar is split into real and imaginary part).  With
-    ``real_entries_only`` the unknown is further confined to real matrices.
+    The coefficient matrix is assembled from the constraints'
+    ``linear_terms``, with one column per matrix unit E_jk (index
+    j*m + k).  On a complex ground (no antilinear constraint) the
+    unknowns are the complex entries of x.  On a real ground the unknown
+    is a real combination of E_jk and, unless ``RealEntries`` is among the
+    constraints, of i E_jk (index m*m + j*m + k); every row is then split
+    into its real and imaginary part.  A kernel vector ``sol`` is read
+    back as the matrix with entries sol[e] + i sol[m*m + e].
     """
     t = tower
-    units = []
-    for j in range(m):
-        for k in range(m):
-            units.append(_unit(t, m, j, k, t.one()))
-    if over_real_structure and not real_entries_only:
-        ii = t.i()
-        for j in range(m):
-            for k in range(m):
-                units.append(_unit(t, m, j, k, ii))
-
-    def image(x: Matrix) -> list:
-        out = []
-        for c in conditions:
-            out.extend(c(x))
-        return out
-
-    mats = _null_combinations(t, m, units, image, over_real_structure)
-    ground = "real" if over_real_structure else "complex"
+    ground = _ground(constraints)
+    mm = m * m
+    imaginary = ground == "real" and not any(
+        isinstance(c, RealEntries) for c in constraints)
+    ii, zero = t.i(), t.zero()
+    rows: dict = {}     # (constraint index, row) -> {column: coefficient}
+    for n, con in enumerate(constraints):
+        for row, j, k, c, conj in con.linear_terms(m):
+            c = t.lift(c)
+            r = rows.setdefault((n, row), {})
+            e = j * m + k
+            r[e] = r.get(e, zero) + c
+            if imaginary:
+                # x[j][k] = a + i b: b gets i c, or -i c under conj
+                r[mm + e] = r.get(mm + e, zero) + (-ii if conj else ii) * c
+    rows = list(rows.values())
+    if ground == "real":
+        rows = [{col: part(c) for col, c in r.items()} for r in rows
+                for part in (Scalar.real_part, Scalar.imag_part)]
+    ncols = 2 * mm if imaginary else mm
+    coeff = []
+    for r in rows:
+        if any(r.values()):
+            dense = [zero] * ncols
+            for col, c in r.items():
+                dense[col] = c
+            coeff.append(dense)
+    mats = []
+    for sol in kernel(Matrix(t, coeff, cols=ncols)):
+        if imaginary:
+            sol = [fma(a, ((ii, b),)) for a, b in zip(sol[:mm], sol[mm:])]
+        mats.append(Matrix(t, [sol[i * m:(i + 1) * m] for i in range(m)],
+                           cols=m))
     return LieAlgebraBasis(t, m, mats, ground, name=name,
                            verify_closure=verify_closure)
 
@@ -223,12 +264,6 @@ def _null_combinations(t: Tower, m: int, gens: Sequence[Matrix], image,
         mats.append(Matrix(t, [e[i * m:(i + 1) * m] for i in range(m)],
                            cols=m))
     return mats
-
-
-def _unit(t: Tower, m: int, j: int, k: int, value: Scalar) -> Matrix:
-    rows = [[t.zero()] * m for _ in range(m)]
-    rows[j][k] = value
-    return Matrix(t, rows, cols=m)
 
 
 class LieAlgebraBasis:

@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 from .forms import FormSpec
 from .linalg import Matrix
 from .scalars import Scalar, Tower, fma
-from .groups import LieAlgebraBasis, solve_linear_constraints
+from .groups import LieAlgebraBasis, _null_combinations, outer
 
 __all__ = ["OctonionAlgebra", "split_octonions", "derivations",
            "octonion_product", "PreservesCrossProduct"]
@@ -225,23 +225,35 @@ class PreservesCrossProduct:
     antilinear = False
 
     def holds(self, g: Matrix) -> bool:
+        if g.rows != 7 or g.cols != 7:
+            raise ValueError("the octonion cross product acts on dimension "
+                             "7, not on a %dx%d matrix" % (g.rows, g.cols))
         t = g.tower
         cols = [g.col(k) for k in range(7)]
         return all([c * a for a in cols[k]] == _cross7(t, cols[i], cols[j])
                    for i, j, k, c in _cross_pairs())
 
-    def linearized(self, x: Matrix) -> list:
-        t = x.tower
-        cols = [x.col(k) for k in range(7)]
-        units = [[t.one() if a == k else t.zero() for a in range(7)]
-                 for k in range(7)]
-        rows = []
-        for i, j, k, c in _cross_pairs():
-            lhs = [c * a for a in cols[k]]
-            rhs1 = _cross7(t, cols[i], units[j])
-            rhs2 = _cross7(t, units[i], cols[j])
-            rows.extend(a - b - d for a, b, d in zip(lhs, rhs1, rhs2))
-        return rows
+    def linear_terms(self, m: int) -> list:
+        """For the pair e_i * e_j = c e_k, rows 7p..7p+6 (p its index in
+        ``_cross_pairs``) hold the derivation condition
+        c x e_k - (x e_i) * e_j - e_i * (x e_j)."""
+        if m != 7:
+            raise ValueError("the octonion cross product acts on dimension "
+                             "7, the group acts on %d" % (m,))
+        table = _cross_table()
+        terms = []
+        for p, (i, j, k, c) in enumerate(_cross_pairs()):
+            for a in range(7):
+                terms.append((7 * p + a, a, k, c, False))
+            # (x e_i) * e_j = sum_b x[b][i] e_b * e_j, and likewise on the left
+            for b in range(7):
+                if b != j:
+                    kb, cb = table[b][j]
+                    terms.append((7 * p + kb, b, i, -cb, False))
+                if b != i:
+                    kb, cb = table[i][b]
+                    terms.append((7 * p + kb, b, j, -cb, False))
+        return terms
 
     def describe(self) -> str:
         return "preserves the octonion cross product"
@@ -269,6 +281,19 @@ def _cross_pairs() -> tuple:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=None)
+def _cross_table() -> tuple:
+    """table[a][b] = (k, c) with e_a * e_b = c e_k for a != b, from
+    ``_cross_pairs`` and the antisymmetry of the cross product (distinct
+    imaginary basis vectors are orthogonal, so they anticommute); the
+    diagonal, where the product vanishes, holds None."""
+    table = [[None] * 7 for _ in range(7)]
+    for i, j, k, c in _cross_pairs():
+        table[i][j] = (k, c)
+        table[j][i] = (k, -c)
+    return tuple(tuple(row) for row in table)
+
+
 def _zorn_mul_add(i: int, j: int):
     a1, v1, w1, b1 = _basis_tuple(i)
     a2, v2, w2, b2 = _basis_tuple(j)
@@ -282,7 +307,12 @@ def split_octonions(tower: Optional[Tower] = None) -> OctonionAlgebra:
 
 def derivations(alg: OctonionAlgebra,
                 verify_closure: bool = True) -> LieAlgebraBasis:
-    """Solve D(x y) = D(x) y + x D(y) on all basis pairs; dim must be 14."""
+    """Solve D(x y) = D(x) y + x D(y) on all basis pairs; dim must be 14.
+
+    Each real matrix unit is pushed through the condition by octonion
+    products.  No product command calls this: it is the definitional
+    reference that ``build_group(quadric7, "G2split")``, assembled from
+    the ``PreservesCrossProduct`` terms, is tested against."""
     t = alg.tower
     basis = [alg.basis_vector(k) for k in range(8)]
     products = [[alg.multiply(basis[i], basis[j]) for j in range(8)]
@@ -299,11 +329,10 @@ def derivations(alg: OctonionAlgebra,
                 rows.extend(a - b - c for a, b, c in zip(lhs, rhs1, rhs2))
         return rows
 
-    sol = solve_linear_constraints(t, 8, [condition],
-                                   over_real_structure=True,
-                                   real_entries_only=True,
-                                   verify_closure=verify_closure,
-                                   name="g2-derivations")
+    units = [outer(t, basis[j], basis[k]) for j in range(8) for k in range(8)]
+    mats = _null_combinations(t, 8, units, condition, True)
+    sol = LieAlgebraBasis(t, 8, mats, "real", name="g2-derivations",
+                          verify_closure=verify_closure)
     if sol.dim != 14:
         raise AssertionError(
             "derivation algebra has dimension %d, expected 14 — "

@@ -1,18 +1,110 @@
 """Constraint groups, Lie-algebra solving and the inclusion-triple check."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from orbitcert.forms import FormSpec, StandardModel
 from orbitcert.groups import (DetOne, FixesVector, GroupSpec,
-                              PreservesBilinear, check_onishchik_triple,
-                              exp_nilpotent,
+                              PreservesBilinear, PreservesHermitian,
+                              RealEntries, _null_combinations,
+                              check_onishchik_triple, exp_nilpotent,
                               isotropy_subalgebra, nilpotent_orthogonal,
                               nilpotent_symplectic, nilpotent_unitary)
 from orbitcert.linalg import Matrix, Subspace
+from orbitcert.octonions import PreservesCrossProduct, _cross7, _cross_pairs
 from orbitcert.scalars import Tower
 from orbitcert.witnesses import build_group
+
+# every group build_group names, on one model of each case, and the real
+# orthogonal group of the quadric that quadric_algebras solves beside g2
+CASE_GROUPS = [
+    (dict(case="projective-split", n=2), ("Sp2nC", "SL2nC", "Sp2nR",
+                                          "SU(n,n)")),
+    (dict(case="projective-pq", p=1, q=1), ("Sp2nC", "SL2nC", "Sp(2p,2q)",
+                                            "SU(2p,2q)")),
+    (dict(case="quadric7"), ("SO7C", "G2split", "SO(3,4)")),
+    (dict(case="isotropic", p=2, q=1), ("SO2nC", "SO2n-1C", "SO(p,q)")),
+]
+GROUPS = [(info, name) for info, names in CASE_GROUPS for name in names]
+GROUP_IDS = ["%s:%s" % (info["case"], name) for info, name in GROUPS]
+
+
+def _group(info, name):
+    model = StandardModel.from_info(Tower(), info)
+    if name == "SO(3,4)":
+        return GroupSpec(model.tower, 7, [PreservesBilinear(model.b),
+                                          RealEntries()], name)
+    return build_group(model, name)
+
+
+def _reference(con, x):
+    """The linearized constraint at x by matrix products: the formulas
+    the assembled terms replace."""
+    if isinstance(con, PreservesBilinear):
+        g = con.form.gram
+        return (x.transpose() * g + g * x).flatten()
+    if isinstance(con, PreservesHermitian):
+        g = con.form.gram
+        return (x.transpose() * g + g * x.conj()).flatten()
+    if isinstance(con, DetOne):
+        return [x.trace()]
+    if isinstance(con, FixesVector):
+        return x.apply(con.v)
+    if isinstance(con, PreservesCrossProduct):
+        # the derivation condition c x e_k = (x e_i) * e_j + e_i * (x e_j)
+        t = x.tower
+        cols = [x.col(k) for k in range(7)]
+        units = [_e(t, 7, k) for k in range(7)]
+        rows = []
+        for i, j, k, c in _cross_pairs():
+            lhs = [c * a for a in cols[k]]
+            rhs1 = _cross7(t, cols[i], units[j])
+            rhs2 = _cross7(t, units[i], cols[j])
+            rows.extend(a - b - d for a, b, d in zip(lhs, rhs1, rhs2))
+        return rows
+    assert isinstance(con, RealEntries)
+    return []
+
+
+def _evaluate(terms, x, nrows):
+    t = x.tower
+    out = [t.zero()] * nrows
+    for row, j, k, c, conj in terms:
+        out[row] = out[row] + c * (x[j, k].conj() if conj else x[j, k])
+    return out
+
+
+def _random_matrix(t, m, rng):
+    def entry():
+        return t.scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                        Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+    return Matrix(t, [[entry() for _ in range(m)] for _ in range(m)])
+
+
+def _unit_reference_solve(group):
+    """The algebra by the unit-matrix path: every E_jk (and i E_jk on a
+    real ground without RealEntries) pushed through the reference
+    formulas, then one kernel."""
+    t, m = group.tower, group.dim
+    real = group.ground == "real"
+    values = [t.one()]
+    if real and not any(isinstance(c, RealEntries)
+                        for c in group.constraints):
+        values.append(t.i())
+    units = []
+    for value in values:
+        for j in range(m):
+            for k in range(m):
+                rows = [[t.zero()] * m for _ in range(m)]
+                rows[j][k] = value
+                units.append(Matrix(t, rows, cols=m))
+
+    def image(x):
+        return [s for c in group.constraints for s in _reference(c, x)]
+
+    return _null_combinations(t, m, units, image, real)
 
 
 def _split(n):
@@ -55,8 +147,110 @@ def test_basis_satisfies_linearized_constraints():
     alg = group.lie_algebra()
     for x in alg.matrices:
         for c in group.constraints:
-            for residual in c.linearized(x):
+            for residual in _reference(c, x):
                 assert residual.is_zero()
+
+
+@pytest.mark.parametrize("info,name", GROUPS, ids=GROUP_IDS)
+def test_linear_terms_match_the_product_formulas(info, name):
+    group = _group(info, name)
+    t, m = group.tower, group.dim
+    rng = random.Random(name)
+    for _ in range(3):
+        x = _random_matrix(t, m, rng)
+        for c in group.constraints:
+            want = _reference(c, x)
+            terms = c.linear_terms(m)
+            assert all(0 <= row < len(want) for row, *_ in terms)
+            assert _evaluate(terms, x, len(want)) == want
+
+
+@pytest.mark.parametrize("info,name", GROUPS, ids=GROUP_IDS)
+def test_assembled_basis_equals_the_unit_matrix_solve(info, name):
+    group = _group(info, name)
+    alg = group.lie_algebra(verify_closure=False)
+    assert alg.ground == group.ground
+    assert [x.to_json() for x in alg.matrices] == [
+        x.to_json() for x in _unit_reference_solve(group)]
+
+
+def _complex_forms(t):
+    """A hermitian Gram with non-real entries off the diagonal and a
+    complex symmetric Gram: on the models' real Grams x and conj(x) solve
+    alike, so only forms like these tell the i E_jk columns' signs apart."""
+    i = t.i()
+    h = Matrix(t, [[t.one(), i, t.zero()],
+                   [-i, t.scalar(2), t.scalar(1, 1)],
+                   [t.zero(), t.scalar(1, -1), t.scalar(-1)]])
+    b = Matrix(t, [[t.one(), i, t.zero()],
+                   [i, t.zero(), t.scalar(2)],
+                   [t.zero(), t.scalar(2), t.scalar(0, 3)]])
+    return (FormSpec("hermitian", h, "h"), FormSpec("symmetric", b, "b"))
+
+
+@pytest.mark.parametrize("kinds,dim", [
+    ("h", 9), ("h,det", 8), ("h,fix", 4), ("b", 3), ("b,fix", 1),
+    ("h,real", 1), ("fix,real", 3),
+])
+def test_assembled_basis_equals_the_unit_matrix_solve_on_complex_grams(
+        kinds, dim):
+    t = Tower()
+    h, b = _complex_forms(t)
+    make = {"h": lambda: PreservesHermitian(h),
+            "b": lambda: PreservesBilinear(b), "det": DetOne,
+            "fix": lambda: FixesVector([t.one(), t.i(), t.zero()]),
+            "real": RealEntries}
+    group = GroupSpec(t, 3, [make[k]() for k in kinds.split(",")])
+    alg = group.lie_algebra()
+    assert alg.dim == dim
+    assert [x.to_json() for x in alg.matrices] == [
+        x.to_json() for x in _unit_reference_solve(group)]
+
+
+def test_assembly_makes_no_matrix_products(monkeypatch):
+    groups = [_group(dict(case="isotropic", p=2, q=1), "SO(p,q)"),
+              _group(dict(case="quadric7"), "G2split")]
+    calls = []
+    product = Matrix.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return product(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting)
+    dims = [g.lie_algebra(verify_closure=False).dim for g in groups]
+    assert dims == [3, 14]
+    assert calls == []
+
+
+def test_wrong_size_bilinear_form_is_rejected():
+    t = Tower()
+    b = PreservesBilinear(FormSpec("symmetric", Matrix.identity(t, 4), "b"))
+    with pytest.raises(ValueError, match="dimension 4, the group acts on 5"):
+        GroupSpec(t, 5, [b]).lie_algebra()
+
+
+def test_wrong_size_hermitian_form_is_rejected():
+    t = Tower()
+    h = PreservesHermitian(FormSpec("hermitian", Matrix.identity(t, 3), "h"))
+    with pytest.raises(ValueError, match="dimension 3, the group acts on 4"):
+        GroupSpec(t, 4, [DetOne(), h]).lie_algebra()
+
+
+def test_wrong_size_fixed_vector_is_rejected():
+    t = Tower()
+    with pytest.raises(ValueError, match="length 3, the group acts on 4"):
+        GroupSpec(t, 4, [FixesVector(_e(t, 3, 0))]).lie_algebra()
+
+
+def test_wrong_size_cross_product_is_rejected():
+    t = Tower()
+    for m in (6, 8):
+        with pytest.raises(ValueError, match="the group acts on %d" % m):
+            GroupSpec(t, m, [PreservesCrossProduct()]).lie_algebra()
+    with pytest.raises(ValueError, match="not on a 8x8 matrix"):
+        PreservesCrossProduct().holds(Matrix.identity(t, 8))
+    assert PreservesCrossProduct().holds(Matrix.identity(t, 7))
 
 
 def test_bracket_closure_reverified():
