@@ -32,58 +32,32 @@ REPORT_SCHEMA = "orbitcert-report/1"
 
 
 class CampaignConfig:
-    """Validated parameters of one verification campaign."""
+    """Validated parameters of one verification campaign, and the model it
+    runs on.  The parameters given (or, when none is, the case's defaults
+    from ``StandardModel.CASES``) must be exactly the case's own; the
+    model's constructor checks their range."""
 
     def __init__(self, case: str, n: Optional[int] = None,
                  p: Optional[int] = None, q: Optional[int] = None,
                  samples: int = 25, seed: int = 0, bound: int = 5,
                  out: Optional[str] = None, strict: bool = False) -> None:
-        if case not in CASES:
-            raise ValueError("unknown case %r (choose from %s)"
-                             % (case, ", ".join(CASES)))
         if samples < 1:
             raise ValueError("samples must be >= 1")
         if bound < 1:
             raise ValueError("bound must be >= 1")
-        if (p is None) != (q is None):
-            raise ValueError("give both p and q, or neither")
-        if case == "projective-split":
-            if p is not None:
-                raise ValueError("projective-split takes n, not p and q")
-            if n is None:
-                n = 1
-            if n < 1:
-                raise ValueError("projective-split needs n >= 1")
-        elif case == "projective-pq":
-            if p is None or q is None:
-                p, q = 1, 1
-            if p < 1 or q < 1:
-                raise ValueError("projective-pq needs p, q >= 1")
-            if n is not None and n != p + q:
-                raise ValueError("projective-pq needs n = p + q")
-            n = p + q
-        elif case == "isotropic":
-            if p is None or q is None:
-                p, q = 2, 1
-            if p < 1 or q < 1 or (p + q) % 2 == 0:
-                raise ValueError("isotropic needs p, q >= 1 with p + q odd")
-            if n is not None and n != (p + q + 1) // 2:
-                raise ValueError("isotropic needs 2n = p + q + 1")
-            n = (p + q + 1) // 2
-        elif n is not None or p is not None:  # quadric7
-            raise ValueError("quadric7 takes no n, p or q")
+        given = {k: v for k, v in (("n", n), ("p", p), ("q", q))
+                 if v is not None}
+        info = {"case": case, **given}
+        if not given and case in StandardModel.CASES:
+            info.update(StandardModel.CASES[case].defaults)
+        self.model = StandardModel.from_info(Tower(), info)
         self.case = case
-        self.n, self.p, self.q = n, p, q
+        self.n, self.p, self.q = (getattr(self.model, k, None) for k in "npq")
         self.samples = samples
         self.seed = seed
         self.bound = bound
         self.out = out
         self.strict = strict
-
-    def model_info(self) -> dict:
-        """The name of the model this campaign runs on."""
-        keys = ("case",) + StandardModel.CASES[self.case][1]
-        return {key: getattr(self, key) for key in keys}
 
     def to_json(self) -> dict:
         # the output path is deliberately not part of the report
@@ -110,14 +84,13 @@ def run_campaign(cfg: CampaignConfig) -> dict:
         if cfg.strict and not ok:
             raise _StrictStop()
 
-    model = StandardModel.from_info(Tower(), cfg.model_info())
     try:
         if cfg.case in ("projective-split", "projective-pq"):
-            _campaign_projective(cfg, model, rec)
+            _campaign_projective(cfg, cfg.model, rec)
         elif cfg.case == "quadric7":
-            _campaign_quadric(cfg, model, rec)
+            _campaign_quadric(cfg, cfg.model, rec)
         else:
-            _campaign_isotropic(cfg, model, rec)
+            _campaign_isotropic(cfg, cfg.model, rec)
     except _StrictStop:
         pass
     n_pass = sum(1 for c in checks if c["status"] == "pass")

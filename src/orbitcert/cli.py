@@ -40,11 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     v = sub.add_parser("verify", help="run one case's verification campaign")
-    v.add_argument("case", choices=CASES)
-    v.add_argument("--n", type=int, default=None,
-                   help="rank parameter (projective-split)")
-    v.add_argument("--p", type=int, default=None)
-    v.add_argument("--q", type=int, default=None)
+    _add_model_arguments(v)
     v.add_argument("--samples", type=int, default=25,
                    help="sample count per randomized check (default 25)")
     v.add_argument("--seed", type=int, default=0,
@@ -68,11 +64,20 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="split-octonion structure constants")
     dm = dsub.add_parser("model", help="model Gram matrices and reference "
                                        "subspaces")
-    dm.add_argument("case", choices=CASES)
-    dm.add_argument("--n", type=int, default=None)
-    dm.add_argument("--p", type=int, default=None)
-    dm.add_argument("--q", type=int, default=None)
+    _add_model_arguments(dm)
     return parser
+
+
+def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
+    """The case and its parameters; a case takes all of its own parameters
+    or none, and then its defaults from ``StandardModel.CASES``."""
+    parser.add_argument("case", choices=CASES)
+    for key, what in (("n", "rank"), ("p", "signature"), ("q", "signature")):
+        cases = "; ".join("%s, default %d" % (case, rule.defaults[key])
+                          for case, rule in StandardModel.CASES.items()
+                          if key in rule.defaults)
+        parser.add_argument("--" + key, type=int, default=None,
+                            help="%s parameter %s (%s)" % (what, key, cases))
 
 
 def _cmd_verify(args) -> int:
@@ -128,11 +133,11 @@ def _cmd_dump(args) -> int:
         return EXIT_PASS
     if args.dump_command == "model":
         try:
-            cfg = CampaignConfig(case=args.case, n=args.n, p=args.p, q=args.q)
+            model = CampaignConfig(case=args.case, n=args.n, p=args.p,
+                                   q=args.q).model
         except ValueError as exc:
             print("orbitcert: %s" % exc, file=sys.stderr)
             return EXIT_USAGE
-        model = StandardModel.from_info(Tower(), cfg.model_info())
         doc = {
             "schema": "orbitcert-model/1",
             "case": model.case,

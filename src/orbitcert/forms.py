@@ -24,14 +24,19 @@ The model constructors package the three geometries:
   presentation" in which both Grams coincide and the relevant real group
   consists of literally real matrices.
 
-Each model records its name in ``info``, the dict witness files carry:
-its ``case`` plus that case's integer parameters (``CASES``).
+``StandardModel.CASES`` is the one table of case rules.  For each case
+it names the constructor, the integer parameters it takes after the tower
+with the values a campaign uses when none is given, and the groups
+``build_group`` builds on that case's model.  The constructors are the
+only range checks.  Each model records its name in ``info``, the dict
+witness files carry: its ``case`` plus that case's parameters.
 ``StandardModel.from_info`` builds the model a name stands for, and
 ``model.clone()`` rebuilds a model over a clone of its tower.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import Optional, Sequence
 
 from .linalg import Matrix, Subspace, kernel
@@ -121,15 +126,22 @@ def _epq(p: int, q: int) -> list:
     return [1] * p + [-1] * q
 
 
+# a row of ``StandardModel.CASES``: the constructor's name, its parameters
+# with their campaign defaults, and the group names the case carries
+Case = namedtuple("Case", "constructor defaults groups")
+
+
 class StandardModel:
     """One of the explicit geometries, with its forms and reference data."""
 
-    # case -> (constructor, the integer parameters it takes after the tower)
     CASES = {
-        "projective-split": ("projective_split", ("n",)),
-        "projective-pq": ("projective_signature", ("p", "q")),
-        "quadric7": ("quadric7", ()),
-        "isotropic": ("isotropic", ("p", "q")),
+        "projective-split": Case("projective_split", {"n": 1},
+                                 ("Sp2nC", "SL2nC", "Sp2nR", "SU(n,n)")),
+        "projective-pq": Case("projective_signature", {"p": 1, "q": 1},
+                              ("Sp2nC", "SL2nC", "Sp(2p,2q)", "SU(2p,2q)")),
+        "quadric7": Case("quadric7", {}, ("SO7C", "G2split")),
+        "isotropic": Case("isotropic", {"p": 2, "q": 1},
+                          ("SO2nC", "SO2n-1C", "SO(p,q)")),
     }
 
     def __init__(self, case: str, tower: Tower, ambient_dim: int, **data):
@@ -138,7 +150,7 @@ class StandardModel:
         self.ambient_dim = ambient_dim
         self.__dict__.update(data)
         self.info = dict(case=case, **{key: data[key] for key
-                                       in StandardModel.CASES[case][1]})
+                                       in StandardModel.CASES[case].defaults})
 
     # -- constructors ----------------------------------------------------------
 
@@ -152,7 +164,7 @@ class StandardModel:
         case = info.get("case")
         if case not in StandardModel.CASES:
             raise ValueError("unknown model case %r" % (case,))
-        names = StandardModel.CASES[case][1]
+        names = tuple(StandardModel.CASES[case].defaults)
         if set(info) != {"case", *names}:
             raise ValueError("model %s takes exactly the keys %s"
                              % (case, ", ".join(("case",) + names)))
@@ -166,7 +178,7 @@ class StandardModel:
     def from_info(tower: Tower, info: dict) -> StandardModel:
         """The model ``info`` names, built over ``tower``."""
         case, args = StandardModel.info_args(info)
-        build = getattr(StandardModel, StandardModel.CASES[case][0])
+        build = getattr(StandardModel, StandardModel.CASES[case].constructor)
         return build(tower, *args)
 
     def clone(self) -> StandardModel:
@@ -177,19 +189,18 @@ class StandardModel:
     def projective_split(tower: Tower, n: int) -> StandardModel:
         if n < 1:
             raise ValueError("n must be positive")
-        return StandardModel._projective(tower, n, [1] * n + [-1] * n, "split",
-                                         p=None, q=None)
+        return StandardModel._projective("projective-split", tower, n,
+                                         [1] * n + [-1] * n, p=None, q=None)
 
     @staticmethod
     def projective_signature(tower: Tower, p: int, q: int) -> StandardModel:
-        if p < 0 or q < 0 or p + q < 1:
-            raise ValueError("need p, q >= 0 with p + q >= 1")
-        return StandardModel._projective(tower, p + q,
-                                         _epq(p, q) + _epq(p, q), "signature",
-                                         p=p, q=q)
+        if p < 1 or q < 1:
+            raise ValueError("need p, q >= 1")
+        return StandardModel._projective("projective-pq", tower, p + q,
+                                         _epq(p, q) + _epq(p, q), p=p, q=q)
 
     @staticmethod
-    def _projective(tower: Tower, n: int, e_diag: list, variant: str,
+    def _projective(case: str, tower: Tower, n: int, e_diag: list,
                     p: Optional[int], q: Optional[int]) -> StandardModel:
         m = 2 * n
         zero, one = tower.zero(), tower.one()
@@ -200,10 +211,9 @@ class StandardModel:
             jrows[i][n + i] = -one
         j = Matrix(tower, jrows, cols=m)
         e = Matrix.diag(tower, e_diag)
-        case = "projective-split" if variant == "split" else "projective-pq"
         return StandardModel(
             case, tower, m,
-            n=n, p=p, q=q, variant=variant,
+            n=n, p=p, q=q,
             J=j, E=e,
             b=FormSpec("symmetric", Matrix.identity(tower, m), "b"),
             omega=FormSpec("antisymmetric", j, "omega"),

@@ -165,6 +165,8 @@ class GroupSpec:
         self.tower = tower
         self.dim = dim
         self.constraints = list(constraints)
+        for c in self.constraints:
+            c.linear_terms(dim)  # raises ValueError if c does not fit dim
         self.name = name
 
     @property

@@ -141,7 +141,12 @@ def _model_dim(info: dict) -> int:
 
 
 def build_group(model: StandardModel, name: str) -> GroupSpec:
-    """The named constraint groups used in witnesses and reports."""
+    """The named constraint group on ``model``: one of the group names its
+    case carries in ``StandardModel.CASES``."""
+    groups = StandardModel.CASES[model.case].groups
+    if name not in groups:
+        raise ValueError("the %s model carries the groups %s, not %r"
+                         % (model.case, ", ".join(groups), name))
     t = model.tower
     m = model.ambient_dim
     e_last = [t.zero()] * m
@@ -164,12 +169,9 @@ def build_group(model: StandardModel, name: str) -> GroupSpec:
         return GroupSpec(t, m, [PreservesBilinear(model.b),
                                 PreservesHermitian(model.hhat), DetOne(),
                                 FixesVector(e_last)], name)
-    if name == "G2split":
-        if model.case != "quadric7":
-            raise ValueError("G2split acts on the quadric model only")
-        return GroupSpec(t, m, [PreservesBilinear(model.b),
-                                PreservesCrossProduct(), RealEntries()], name)
-    raise ValueError("unknown group name %r" % (name,))
+    # the one name left is G2split
+    return GroupSpec(t, m, [PreservesBilinear(model.b),
+                            PreservesCrossProduct(), RealEntries()], name)
 
 
 def witness_from_json(obj: dict) -> Witness:
@@ -369,7 +371,8 @@ def transport_positive_line_sp(model: StandardModel, line_src, line_dst) \
             and h.gram_of(frame_a) == h.gram_of(frame_b)):
         raise WitnessVerificationError("frame Grams disagree after scaling")
     element = mb * ma.inverse()
-    group = build_group(mt, "Sp2nR" if mt.variant == "split" else "Sp(2p,2q)")
+    group = build_group(mt, "Sp2nR" if mt.case == "projective-split"
+                        else "Sp(2p,2q)")
     w = Witness(group, element, "maps_line",
                 Matrix.from_cols(t, [z]), Matrix.from_cols(t, [zt]), mt.info)
     if not w.verify():

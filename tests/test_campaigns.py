@@ -1,11 +1,14 @@
 """Campaign configuration, report structure and reproducibility."""
 
+import itertools
 import json
 
 import pytest
 
 from orbitcert.campaigns import (CASES, CampaignConfig, report_text,
                                  run_campaign)
+from orbitcert.forms import StandardModel
+from orbitcert.scalars import Tower
 
 
 def test_config_defaults_per_case():
@@ -37,6 +40,24 @@ def test_config_validation():
         CampaignConfig("quadric7", samples=0)
     with pytest.raises(ValueError):
         CampaignConfig("quadric7", bound=0)
+
+
+def test_config_follows_the_model_rules():
+    # a config is valid exactly when the model it names is, with the
+    # case's defaults standing in when no parameter is given
+    values = (None, -1, 0, 1, 2, 3)
+    for case in CASES:
+        for n, p, q in itertools.product(values, repeat=3):
+            given = {k: v for k, v in zip("npq", (n, p, q)) if v is not None}
+            info = dict(case=case,
+                        **(given or StandardModel.CASES[case].defaults))
+            try:
+                StandardModel.from_info(Tower(), info)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    CampaignConfig(case, n=n, p=p, q=q)
+                continue
+            assert CampaignConfig(case, n=n, p=p, q=q).model.info == info
 
 
 def test_config_echo_omits_output_path():
@@ -93,3 +114,10 @@ def test_all_cases_run_green_at_small_scale():
     for case in CASES:
         report = run_campaign(CampaignConfig(case, samples=2, seed=1))
         assert report["status"] == "pass", (case, report["summary"])
+
+
+def test_one_config_runs_twice_alike():
+    for case in CASES:
+        cfg = CampaignConfig(case, samples=1, seed=5)
+        first = report_text(run_campaign(cfg))
+        assert report_text(run_campaign(cfg)) == first, case

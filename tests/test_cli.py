@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -185,6 +187,47 @@ def test_witness_verify_g2split(tmp_path, capsys):
         w = Witness(group, g, "maps_line", src, g * src, {"case": "quadric7"})
         path.write_text(json.dumps(w.to_json()))
         assert main(["witness", "verify", str(path)]) == code
+    capsys.readouterr()
+
+
+def test_witness_verify_refuses_groups_the_model_lacks(tmp_path, capsys):
+    # an identity element maps e1 to e1 in every group, so a name the
+    # case carries verifies and any other name is malformed input
+    names = sorted({name for case in StandardModel.CASES.values()
+                    for name in case.groups})
+    path = tmp_path / "w.json"
+    for case, rule in StandardModel.CASES.items():
+        info = dict(case=case, **rule.defaults)
+        model = StandardModel.from_info(Tower(), info)
+        ident = Matrix.identity(model.tower, model.ambient_dim)
+        line = Matrix.from_cols(model.tower, [ident.col(0)]).to_json()
+        for name in names:
+            path.write_text(json.dumps({
+                "schema": "witness/1", "model": info, "group": name,
+                "claim": {"kind": "maps_line", "source": line,
+                          "target": line},
+                "element": ident.to_json()}))
+            want = 0 if name in rule.groups else 2
+            assert main(["witness", "verify", str(path)]) == want, \
+                (case, name)
+    capsys.readouterr()
+
+
+def test_readme_commands_run(tmp_path, capsys):
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                          "README.md")
+    with open(readme) as fh:
+        blocks = re.findall(r"```sh\n(.*?)```", fh.read(), re.S)
+    commands = [shlex.split(line, comments=True)[1:]
+                for block in blocks for line in block.splitlines()
+                if line.startswith("orbitcert ")
+                and "path/to/witness.json" not in line]
+    assert commands
+    for argv in commands:
+        if "--out" in argv:
+            k = argv.index("--out") + 1
+            argv[k] = str(tmp_path / argv[k])
+        assert main(argv) == 0, argv
     capsys.readouterr()
 
 

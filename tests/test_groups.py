@@ -253,6 +253,20 @@ def test_wrong_size_cross_product_is_rejected():
     assert PreservesCrossProduct().holds(Matrix.identity(t, 7))
 
 
+@pytest.mark.parametrize("make", [
+    lambda t: PreservesBilinear(
+        FormSpec("symmetric", Matrix.identity(t, 3), "b")),
+    lambda t: PreservesHermitian(
+        FormSpec("hermitian", Matrix.identity(t, 3), "h")),
+    lambda t: FixesVector(_e(t, 3, 0)),
+    lambda t: PreservesCrossProduct(),
+], ids=["bilinear", "hermitian", "fixed-vector", "cross-product"])
+def test_group_spec_rejects_a_constraint_of_another_size(make):
+    t = Tower()
+    with pytest.raises(ValueError, match="the group acts on 4"):
+        GroupSpec(t, 4, [DetOne(), make(t)])
+
+
 def test_bracket_closure_reverified():
     model = _split(2)
     alg = build_group(model, "Sp2nC").lie_algebra()
