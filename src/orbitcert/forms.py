@@ -90,10 +90,18 @@ class FormSpec:
         return self.value(z, z)
 
     def gram_of(self, vectors: Sequence[Sequence[Scalar]]) -> Matrix:
-        """Pairwise value matrix of a list of vectors."""
-        return Matrix(self.tower,
-                      [[self.value(u, v) for v in vectors] for u in vectors],
-                      cols=len(vectors))
+        """Pairwise value matrix: value(u_a, u_b) for a <= b, mirrored by the
+        kind ``__init__`` checked: negated if antisymmetric, ``conj()`` if
+        hermitian (a field automorphism: radicands are real and positive)."""
+        k = len(vectors)
+        mirror = {"symmetric": lambda x: x, "antisymmetric": Scalar.__neg__,
+                  "hermitian": Scalar.conj}[self.kind]
+        rows = [[None] * k for _ in range(k)]
+        for a, u in enumerate(vectors):
+            for b in range(a, k):
+                v = self.value(u, vectors[b])
+                rows[b][a], rows[a][b] = mirror(v), v   # (a, a) keeps v
+        return Matrix(self.tower, rows, cols=k)
 
     def restrict(self, s: Subspace) -> Matrix:
         """Gram of the form on the canonical basis of ``s``."""

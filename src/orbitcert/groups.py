@@ -2,9 +2,10 @@
 
 A group is described by a list of constraint tags (preserve a bilinear
 form, preserve a hermitian form, determinant one, fix a vector, real
-entries).  Each tag knows how to test a group element exactly, and lists
-its linearization at the identity as sparse terms: row ``row`` of the
-linear map L(x) gains ``coeff * x[j][k]`` (or ``coeff * conj(x[j][k])``),
+entries).  Each tag knows how to test a group element exactly; the form
+tags compare only the independent half of g^T G g (``_preserves``).  Each
+lists its linearization at the identity as sparse terms: row ``row`` of
+the linear map L(x) gains ``coeff * x[j][k]`` (or ``coeff * conj(x[j][k])``),
 with coefficients read off Gram entries, a fixed vector or the octonion
 structure constants.  ``solve_linear_constraints`` assembles these terms
 into one coefficient matrix, one column per matrix unit, and solves it by
@@ -37,7 +38,9 @@ __all__ = [
 
 
 class PreservesBilinear:
-    """g^T G g = G for a symmetric or antisymmetric Gram G."""
+    """g^T G g = G for a symmetric or antisymmetric Gram G.  ``holds``
+    compares only entries a <= b (a < b if G is antisymmetric): g^T G g has
+    the symmetry of G, which ``FormSpec`` checked, so they decide the rest."""
 
     antilinear = False
 
@@ -47,7 +50,7 @@ class PreservesBilinear:
         self.form = form
 
     def holds(self, g: Matrix) -> bool:
-        return g.transpose() * self.form.gram * g == self.form.gram
+        return _preserves(g, self.form, g)
 
     def linear_terms(self, m: int) -> list:
         """x^T G + G x."""
@@ -58,7 +61,10 @@ class PreservesBilinear:
 
 
 class PreservesHermitian:
-    """g^T G conj(g) = G, so that h(gz, gw) = h(z, w)."""
+    """g^T G conj(g) = G, so that h(gz, gw) = h(z, w).  ``holds`` compares
+    only entries a <= b: like G (``FormSpec`` checked), M = g^T G conj(g) has
+    M^T = conj(M), as radicands are real and positive, so ``conj`` is a field
+    automorphism fixing each root."""
 
     antilinear = True
 
@@ -68,7 +74,7 @@ class PreservesHermitian:
         self.form = form
 
     def holds(self, g: Matrix) -> bool:
-        return g.transpose() * self.form.gram * g.conj() == self.form.gram
+        return _preserves(g, self.form, g.conj())
 
     def linear_terms(self, m: int) -> list:
         """x^T G + G conj(x)."""
@@ -76,6 +82,17 @@ class PreservesHermitian:
 
     def describe(self) -> str:
         return "preserves hermitian form %r" % (self.form.name,)
+
+
+def _preserves(g: Matrix, form: FormSpec, right: Matrix) -> bool:
+    """g^T G right == G on the entries a <= b (a < b if G is antisymmetric,
+    where both diagonals are zero); right is g, or conj(g) for hermitian G."""
+    gram, zero, cols = form.gram, g.tower.zero(), right.col_list()
+    skip = form.kind == "antisymmetric"
+    return g.cols == gram.cols and all(
+        fma(zero, zip(row, cols[b])) == gram[a, b]
+        for a, row in enumerate((g.transpose() * gram).to_lists())
+        for b in range(a + skip, gram.cols))
 
 
 def _gram_terms(form: FormSpec, m: int, conj: bool) -> list:

@@ -230,11 +230,11 @@ def witt_transport(f: FormSpec, frame_a: Sequence[Sequence[Scalar]],
     if k and (rank(Matrix.from_cols(t, fa)) != k
               or rank(Matrix.from_cols(t, fb)) != k):
         raise ValueError("frames must be linearly independent")
-    for i in range(k):
-        for j in range(k):
-            if not (f.value(fa[i], fa[j]) == f.value(fb[i], fb[j])):
-                raise ValueError("frame Gram matrices differ at (%d, %d)"
-                                 % (i, j))
+    ga, gb = f.gram_of(fa), f.gram_of(fb)
+    if not ga == gb:
+        raise ValueError("frame Gram matrices differ at (%d, %d)" % next(
+            (i, j) for i in range(k) for j in range(k)
+            if not ga[i, j] == gb[i, j]))
     if extra_real:
         for v in fa + fb:
             if any(not x.is_real() for x in v):

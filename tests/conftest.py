@@ -45,3 +45,21 @@ def square_matrices(tower: Tower, n: int):
 
     return st.builds(lambda rows: Matrix.from_rows(tower, rows),
                      st.lists(vectors(tower, n), min_size=n, max_size=n))
+
+
+def deep_scalars(tower: Tower):
+    """Strategy for a + sum(b_k * sqrt(r_k)) over every root of ``tower``,
+    with a and each b_k in its rational(i) base."""
+    return st.builds(
+        lambda a, bs: a + sum((b * tower.root(k) for k, b in enumerate(bs)),
+                              tower.zero()),
+        gauss(tower), st.lists(gauss(tower), min_size=tower.depth,
+                               max_size=tower.depth))
+
+
+def tower_of_depth(depth: int) -> Tower:
+    """A tower with the square roots of the first ``depth`` of 2, 3, 5."""
+    t = Tower()
+    for r in (2, 3, 5)[:depth]:
+        t.adjoin_sqrt(r)
+    return t

@@ -7,7 +7,7 @@ from orbitcert.forms import FormSpec, StandardModel
 from orbitcert.linalg import Matrix, Subspace, hermitian_signature
 from orbitcert.scalars import Tower
 
-from conftest import gauss, vectors
+from conftest import deep_scalars, gauss, tower_of_depth, vectors
 
 T2 = Tower()
 SPLIT2 = StandardModel.projective_split(T2, 2)
@@ -195,3 +195,23 @@ def test_value_on_deeper_vectors_is_the_explicit_sum(kind, u, v):
             acc = acc + u[i] * _DEEP.lift(f.gram[i, j]) * vj
     assert f.value(u, v) == acc
     assert f.norm(u) == f.value(u, u)
+
+
+@pytest.mark.parametrize("info,attr", [
+    (dict(case="projective-split", n=2), "omega"),
+    (dict(case="projective-pq", p=1, q=1), "h"),
+    (dict(case="quadric7"), "b"),
+    (dict(case="quadric7"), "h"),
+    (dict(case="isotropic", p=2, q=1), "b_sig"),
+    (dict(case="isotropic", p=2, q=1), "hhat"),
+], ids=["omega", "h-pq", "b-quadric", "h-quadric", "b_sig", "hhat"])
+@settings(max_examples=10)
+@given(data=st.data())
+def test_gram_of_equals_the_full_pairwise_values(info, attr, data):
+    # the vectors live in a tower of their own, deeper than the Gram's
+    f = getattr(StandardModel.from_info(Tower(), info), attr)
+    t = tower_of_depth(data.draw(st.integers(0, 3)))
+    vs = data.draw(st.lists(st.lists(deep_scalars(t), min_size=f.dim,
+                                     max_size=f.dim), max_size=4))
+    full = [[f.value(u, v) for v in vs] for u in vs]
+    assert f.gram_of(vs) == Matrix(f.tower, full, cols=len(vs))

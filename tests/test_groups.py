@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitcert.forms import FormSpec, StandardModel
 from orbitcert.groups import (DetOne, FixesVector, GroupSpec,
@@ -11,11 +12,13 @@ from orbitcert.groups import (DetOne, FixesVector, GroupSpec,
                               RealEntries, _null_combinations,
                               check_onishchik_triple, exp_nilpotent,
                               isotropy_subalgebra, nilpotent_orthogonal,
-                              nilpotent_symplectic, nilpotent_unitary)
+                              nilpotent_symplectic, nilpotent_unitary, outer)
 from orbitcert.linalg import Matrix, Subspace
 from orbitcert.octonions import PreservesCrossProduct, _cross7, _cross_pairs
 from orbitcert.scalars import Tower
-from orbitcert.witnesses import build_group
+from orbitcert.witnesses import build_group, reflection
+
+from conftest import deep_scalars, gauss, tower_of_depth
 
 # every group build_group names, on one model of each case, and the real
 # orthogonal group of the quadric that quadric_algebras solves beside g2
@@ -413,3 +416,110 @@ def test_intersection_of_algebras():
     assert meet.dim == 4
     for x in meet.matrices:
         assert sp.contains(x) and so.contains(x)
+
+
+# -- the half check of PreservesBilinear / PreservesHermitian ---------------
+
+# every form build_group reads, and b_sig, which isotropic_normal_form_real
+# preserves with its Witt transports (a diagonal Gram of both signs)
+HALF_FORMS = [
+    (dict(case="projective-split", n=2), "omega"),
+    (dict(case="projective-split", n=2), "h"),
+    (dict(case="projective-pq", p=1, q=1), "omega"),
+    (dict(case="projective-pq", p=1, q=1), "h"),
+    (dict(case="quadric7"), "b"),
+    (dict(case="quadric7"), "h"),
+    (dict(case="isotropic", p=2, q=1), "b"),
+    (dict(case="isotropic", p=2, q=1), "hhat"),
+    (dict(case="isotropic", p=2, q=1), "b_sig"),
+    (dict(case="isotropic", p=1, q=2), "b_sig"),
+]
+HALF_IDS = ["%s:%s" % ("-".join(str(v) for v in info.values()), attr)
+            for info, attr in HALF_FORMS]
+
+
+def _full_product_holds(con, g):
+    """g^T G g' == G (g' = conj(g) for a hermitian G) by full products:
+    the formula ``holds`` evaluates on half the entries."""
+    gram = con.form.gram
+    right = g.conj() if isinstance(con, PreservesHermitian) else g
+    return g.transpose() * gram * right == gram
+
+
+def _null_on_pair(data, f, a, b):
+    """x e_a + zeta x e_b, f-null for the diagonal Gram of f."""
+    t = f.tower
+    x = data.draw(deep_scalars(t).filter(lambda s: not s.is_zero()))
+    ga, gb = f.gram[a, a], f.gram[b, b]
+    if f.kind == "hermitian":
+        zeta = data.draw(st.sampled_from([t.one(), -t.one(), t.i(), -t.i()]))
+    else:
+        zeta = t.one() if ga == -gb else t.i()
+    v = [t.zero()] * f.dim
+    v[a], v[b] = x, zeta * x
+    assert f.norm(v).is_zero()
+    return v
+
+
+def _unitary_reflection(f, u):
+    """x -> x - 2 h(x, u)/h(u, u) u, for a diagonal hermitian Gram."""
+    t = f.tower
+    gu = f.gram.apply([c.conj() for c in u])
+    return Matrix.identity(t, f.dim) - outer(t, u, gu).scale(
+        t.scalar(2) / f.norm(u))
+
+
+def _member(data, f):
+    """A reflection or the exponential of a square-zero element of the
+    algebra of f (with entries over all of its tower)."""
+    t, m = f.tower, f.dim
+    s = data.draw(deep_scalars(t))
+    if f.kind == "antisymmetric":
+        u = [data.draw(deep_scalars(t)) for _ in range(m)]
+        return exp_nilpotent(nilpotent_symplectic(f, u), s)
+    if data.draw(st.booleans()):
+        # reflect in a base-field vector: dividing by a deep norm would
+        # only swell the entries, and the products bring in the depth
+        u = [data.draw(gauss(t)) for _ in range(m)]
+        if f.norm(u).is_zero():
+            return Matrix.identity(t, m)
+        return (reflection(f, u) if f.kind == "symmetric"
+                else _unitary_reflection(f, u))
+    if f.kind == "symmetric":
+        a, b, c, d = data.draw(st.permutations(range(m)))[:4]
+        return exp_nilpotent(nilpotent_orthogonal(
+            f, _null_on_pair(data, f, a, b), _null_on_pair(data, f, c, d)), s)
+    a, b = data.draw(st.sampled_from(
+        [(a, b) for a in range(m) for b in range(m)
+         if (f.gram[a, a] * f.gram[b, b]).sign() < 0]))
+    return exp_nilpotent(nilpotent_unitary(f, _null_on_pair(data, f, a, b)),
+                         s.real_part())
+
+
+@pytest.mark.parametrize("info,attr", HALF_FORMS, ids=HALF_IDS)
+@settings(max_examples=8)
+@given(data=st.data())
+def test_half_check_agrees_with_the_full_product(info, attr, data):
+    t = tower_of_depth(data.draw(st.integers(0, 3)))
+    f = getattr(StandardModel.from_info(t, info), attr)
+    con = (PreservesHermitian if f.kind == "hermitian"
+           else PreservesBilinear)(f)
+    m = f.dim
+    g = Matrix.identity(t, m)
+    for _ in range(data.draw(st.integers(1, 2))):
+        g = g * _member(data, f)
+    assert _full_product_holds(con, g) and con.holds(g)
+    # provable non-members: c I with |c| != 1 (G scaled by c^2 or |c|^2,
+    # so a skipped diagonal lets it through a hermitian or symmetric
+    # check) and a doubled column (a nonzero row of G scaled by 2 and 4)
+    re, im = data.draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+                       .filter(lambda c: c[0] ** 2 + c[1] ** 2 > 1))
+    i, j = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+    doubled = Matrix(t, [[x + x if k == j else x for k, x in enumerate(row)]
+                         for row in g.to_lists()])
+    for bad in (Matrix.identity(t, m).scale(t.scalar(re, im)), doubled):
+        assert not _full_product_holds(con, bad) and not con.holds(bad)
+    rows = g.to_lists()
+    rows[i][j] += data.draw(deep_scalars(t).filter(lambda s: not s.is_zero()))
+    for other in (Matrix(t, rows), g.transpose(), g.conj()):
+        assert con.holds(other) == _full_product_holds(con, other)

@@ -1,6 +1,7 @@
 """Witness construction: reflections, Witt transport, normal forms."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -111,6 +112,24 @@ def test_witt_transport_rejects_gram_mismatch():
     a = [t.one(), t.zero(), t.zero()]
     with pytest.raises(ValueError):
         witt_transport(f, [a], [[t.scalar(2), t.zero(), t.zero()]])
+
+
+@pytest.mark.parametrize("second,where", [
+    ([1, 1, 0, 0], "(0, 1)"),     # an entry above the diagonal
+    ([0, 2, 0, 0], "(1, 1)"),     # a diagonal entry only
+    ([0, 0, 1, 0], None),         # the same Gram: no error
+])
+def test_witt_transport_names_the_first_gram_mismatch(second, where):
+    t = Tower()
+    f = FormSpec("symmetric", Matrix.identity(t, 4), "b")
+    e0, e1 = ([t.scalar(int(k == j)) for k in range(4)] for j in range(2))
+    frame_b = [e0, [t.scalar(c) for c in second]]
+    if where is None:
+        g = witt_transport(f, [e0, e1], frame_b)
+        assert [g.apply(e0), g.apply(e1)] == frame_b
+        return
+    with pytest.raises(ValueError, match="differ at %s" % re.escape(where)):
+        witt_transport(f, [e0, e1], frame_b)
 
 
 def test_witt_transport_stays_in_the_base_tower():
