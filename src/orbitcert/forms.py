@@ -92,14 +92,19 @@ class FormSpec:
     def gram_of(self, vectors: Sequence[Sequence[Scalar]]) -> Matrix:
         """Pairwise value matrix: value(u_a, u_b) for a <= b, mirrored by the
         kind ``__init__`` checked: negated if antisymmetric, ``conj()`` if
-        hermitian (a field automorphism: radicands are real and positive)."""
+        hermitian (a field automorphism: radicands are real and positive).
+        G u_b (G conj(u_b) if hermitian) is formed once per vector."""
         k = len(vectors)
         mirror = {"symmetric": lambda x: x, "antisymmetric": Scalar.__neg__,
                   "hermitian": Scalar.conj}[self.kind]
+        gw = [self.gram.apply([x.conj() for x in w]
+                              if self.kind == "hermitian" else w)
+              for w in vectors]
+        zero = self.tower.zero()
         rows = [[None] * k for _ in range(k)]
         for a, u in enumerate(vectors):
             for b in range(a, k):
-                v = self.value(u, vectors[b])
+                v = fma(zero, zip(u, gw[b]))
                 rows[b][a], rows[a][b] = mirror(v), v   # (a, a) keeps v
         return Matrix(self.tower, rows, cols=k)
 

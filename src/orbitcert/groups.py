@@ -200,11 +200,14 @@ class GroupSpec:
 
     def lie_algebra(self, verify_closure: bool = True,
                     name: str = "") -> "LieAlgebraBasis":
-        """Solve the linearized constraints at the identity."""
-        return solve_linear_constraints(
+        """Solve the linearized constraints at the identity; with
+        ``verify_closure``, certify that the basis closes under brackets."""
+        alg = solve_linear_constraints(
             self.tower, self.dim, self.constraints,
-            verify_closure=verify_closure,
             name=name or (self.name and self.name + "-alg"))
+        if verify_closure:
+            alg.verify_bracket_closure()
+        return alg
 
     def __repr__(self) -> str:
         return "GroupSpec(%s, dim=%d, %d constraints)" % (
@@ -213,7 +216,6 @@ class GroupSpec:
 
 def solve_linear_constraints(tower: Tower, m: int,
                              constraints: Sequence[Constraint],
-                             verify_closure: bool = False,
                              name: str = "") -> "LieAlgebraBasis":
     """The Lie algebra of the group the constraints cut out of GL(m, C).
 
@@ -260,8 +262,7 @@ def solve_linear_constraints(tower: Tower, m: int,
             sol = [fma(a, ((ii, b),)) for a, b in zip(sol[:mm], sol[mm:])]
         mats.append(Matrix(t, [sol[i * m:(i + 1) * m] for i in range(m)],
                            cols=m))
-    return LieAlgebraBasis(t, m, mats, ground, name=name,
-                           verify_closure=verify_closure)
+    return LieAlgebraBasis(t, m, mats, ground, name=name)
 
 
 def _null_combinations(t: Tower, m: int, gens: Sequence[Matrix], image,
@@ -296,8 +297,7 @@ class LieAlgebraBasis:
     """
 
     def __init__(self, tower: Tower, ambient: int, matrices: Sequence[Matrix],
-                 ground: str, name: str = "",
-                 verify_closure: bool = False) -> None:
+                 ground: str, name: str = "") -> None:
         if ground not in ("complex", "real"):
             raise ValueError("ground must be 'complex' or 'real'")
         self.tower = tower
@@ -311,8 +311,6 @@ class LieAlgebraBasis:
             tower, coord_len, [self._flatten(x) for x in self.matrices])
         if self._coords.dim != len(self.matrices):
             raise ValueError("algebra basis is linearly dependent")
-        if verify_closure:
-            self.verify_bracket_closure()
 
     @property
     def dim(self) -> int:
@@ -339,39 +337,23 @@ class LieAlgebraBasis:
                         "bracket of basis elements %d, %d leaves the span"
                         % (i, j))
 
-    def coord_subspace(self) -> Subspace:
-        return self._coords
-
-    def _unflatten(self, vec: list) -> Matrix:
-        m = self.ambient
-        t = self.tower
-        if self.ground == "complex":
-            rows = [[vec[i * m + j] for j in range(m)] for i in range(m)]
-            return Matrix(t, rows, cols=m)
-        ii = t.i()
-        rows = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                re = vec[2 * (i * m + j)]
-                im = vec[2 * (i * m + j) + 1]
-                row.append(re + ii * im)
-            rows.append(row)
-        return Matrix(t, rows, cols=m)
-
     def intersect(self, other: "LieAlgebraBasis",
                   name: str = "") -> "LieAlgebraBasis":
+        """The combinations of this basis that ``other`` contains.  On a
+        real ground ``other``'s residuals are already real coordinates,
+        so only real combinations solve."""
         if self.ground != other.ground or self.ambient != other.ambient:
             raise ValueError("algebras live in different settings")
-        inter = self.coord_subspace().intersect(other.coord_subspace())
-        mats = [self._unflatten(v) for v in inter.basis_vectors()]
+        mats = _null_combinations(
+            self.tower, self.ambient, self.matrices,
+            lambda x: other._coords.residual(other._flatten(x)), False)
         return LieAlgebraBasis(self.tower, self.ambient, mats, self.ground,
                                name=name)
 
     def same_span(self, other: "LieAlgebraBasis") -> bool:
         if self.ground != other.ground or self.ambient != other.ambient:
             return False
-        return self.coord_subspace() == other.coord_subspace()
+        return self._coords == other._coords
 
     def complexify(self, name: str = "") -> "LieAlgebraBasis":
         """Complex span of a real algebra (complex algebras pass through)."""
@@ -390,30 +372,39 @@ class LieAlgebraBasis:
             self.name or "?", self.dim, self.ground)
 
 
+def _action_coords(space: Subspace):
+    """The tangent map X -> X|S mod S at the point S = ``space``: X goes
+    to the residuals of X b, for each echelon basis vector b, at the rows
+    that are not pivots (the residuals vanish on the pivot rows)."""
+    basis = space.basis_vectors()
+    pivots = set(space.pivots())
+    others = [r for r in range(space.ambient_dim) if r not in pivots]
+
+    def image(x: Matrix) -> list:
+        out = []
+        for bv in basis:
+            red = space.residual(x.apply(bv))
+            out.extend(red[r] for r in others)
+        return out
+
+    return image
+
+
 def isotropy_subalgebra(alg: LieAlgebraBasis, stab,
                         name: str = "") -> LieAlgebraBasis:
-    """{X in alg : X(stab) is contained in stab}.
+    """{X in alg : X(stab) is contained in stab}, the kernel of
+    ``_action_coords``.
 
     ``stab`` is a Subspace, or a plain vector which is read as the line it
-    spans.  Works for lines and higher-dimensional subspaces alike: the
-    condition is that the canonical-complement coordinates of X.v vanish
-    for every basis vector v.
+    spans.
     """
     t = alg.tower
     if isinstance(stab, Subspace):
         space = stab
     else:
         space = Subspace.from_vectors(t, alg.ambient, [list(stab)])
-    basis = space.basis_vectors()
-
-    def image(x: Matrix) -> list:
-        out = []
-        for bv in basis:
-            out.extend(space.residual(x.apply(bv)))
-        return out
-
-    mats = _null_combinations(t, alg.ambient, alg.matrices, image,
-                              alg.ground == "real")
+    mats = _null_combinations(t, alg.ambient, alg.matrices,
+                              _action_coords(space), alg.ground == "real")
     return LieAlgebraBasis(t, alg.ambient, mats, alg.ground, name=name)
 
 

@@ -110,9 +110,6 @@ class Matrix:
         i, j = ij
         return self._e[i][j]
 
-    def row(self, i: int) -> list:
-        return list(self._e[i])
-
     def col(self, j: int) -> list:
         return [self._e[i][j] for i in range(self.rows)]
 
@@ -486,12 +483,6 @@ class Subspace:
                 out = [x if s.is_zero() else fma(x, ((f, s),))
                        for x, s in zip(out, b)]
         return out
-
-    def contains(self, v: Sequence[Scalar]) -> bool:
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector length does not match ambient dimension")
-        aug = self.matrix.hstack(Matrix.from_cols(self.tower, [list(v)]))
-        return rank(aug) == self.dim
 
     def intersect(self, other: Subspace) -> Subspace:
         if self.ambient_dim != other.ambient_dim:

@@ -331,8 +331,9 @@ def derivations(alg: OctonionAlgebra,
 
     units = [outer(t, basis[j], basis[k]) for j in range(8) for k in range(8)]
     mats = _null_combinations(t, 8, units, condition, True)
-    sol = LieAlgebraBasis(t, 8, mats, "real", name="g2-derivations",
-                          verify_closure=verify_closure)
+    sol = LieAlgebraBasis(t, 8, mats, "real", name="g2-derivations")
+    if verify_closure:
+        sol.verify_bracket_closure()
     if sol.dim != 14:
         raise AssertionError(
             "derivation algebra has dimension %d, expected 14 — "

@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Tuple
 
 from .forms import FormSpec, StandardModel
 from .groups import (GroupSpec, LieAlgebraBasis, PreservesBilinear,
-                     RealEntries, nilpotent_orthogonal)
+                     RealEntries, _action_coords, nilpotent_orthogonal)
 from .linalg import (Matrix, Subspace, hermitian_signature, rank, real_coords,
                      vec_add, vec_scale)
 from .octonions import octonion_product
@@ -76,52 +76,40 @@ def vector_text(v: Sequence[Scalar]) -> str:
 def tangent_dim_projective(alg: LieAlgebraBasis, z: Sequence) -> int:
     """Dimension (over the algebra's ground field) of the orbit tangent
     space at the projective point [z]: span{X z} modulo the line itself
-    (modulo the real plane spanned by z and iz for real algebras)."""
+    (modulo the real plane spanned by z and iz for real algebras), i.e.
+    the rank of the X z together with the line, less the line's rank."""
     t = alg.tower.host(z)
     zz = [t.lift(x) for x in z]
     if all(x.is_zero() for x in zz):
         raise ValueError("the zero vector does not represent a point")
-    images = [x.apply(zz) for x in alg.matrices]
-    if alg.ground == "complex":
-        full = Matrix.from_cols(t, images + [zz])
-        return rank(full) - 1
-    iz = vec_scale(t.i(), zz)
-    base = [real_coords(zz), real_coords(iz)]
-    cols = [real_coords(w) for w in images] + base
-    return rank(Matrix.from_cols(t, cols)) - rank(Matrix.from_cols(t, base))
+    cols = [x.apply(zz) for x in alg.matrices] + [zz]
+    real = alg.ground == "real"
+    if real:
+        cols = [real_coords(w) for w in cols + [vec_scale(t.i(), zz)]]
+    return rank(Matrix.from_cols(t, cols)) - (2 if real else 1)
 
 
 def tangent_dim_grassmann(alg: LieAlgebraBasis, s: Subspace,
                           ambient_constraint: Optional[FormSpec] = None) \
         -> int:
     """Dimension of the image of the algebra in Hom(S, ambient/S), i.e.
-    of the orbit tangent space at the Grassmannian point S.
+    of the orbit tangent space at the Grassmannian point S: the rank of
+    ``groups._action_coords`` over the algebra's ground.
 
     When ``ambient_constraint`` is given the point must be isotropic for
     it; the algebra is assumed to preserve the form, so its tangent
     directions automatically stay inside the isotropic Grassmannian.
     """
-    basis = s.basis_vectors()
-    t = alg.tower.host(x for v in basis for x in v)
-    if ambient_constraint is not None and any(
-            not ambient_constraint.value(u, v).is_zero()
-            for u in basis for v in basis):
+    if ambient_constraint is not None and not \
+            ambient_constraint.is_isotropic(s):
         raise ValueError("subspace is not isotropic for the ambient "
                          "constraint")
-    # residual entries off the pivot rows are coordinates on ambient/S
-    others = sorted(set(range(s.ambient_dim)) - set(s.pivots()))
-    stacked = []
-    for x in alg.matrices:
-        coords = []
-        for bv in basis:
-            red = s.residual(x.apply(bv))
-            coords.extend(red[r] for r in others)
-        stacked.append(coords)
-    if not stacked:
-        return 0
-    if alg.ground == "complex":
-        return rank(Matrix.from_cols(t, stacked))
-    return rank(Matrix.from_cols(t, [real_coords(v) for v in stacked]))
+    t = alg.tower.host(x for v in s.basis_vectors() for x in v)
+    image = _action_coords(s)
+    cols = [image(x) for x in alg.matrices]
+    if alg.ground == "real":
+        cols = [real_coords(v) for v in cols]
+    return rank(Matrix.from_cols(t, cols))
 
 
 def classify_point(model: StandardModel, point) -> str:
@@ -156,15 +144,9 @@ def classify_point(model: StandardModel, point) -> str:
             vecs = [v for v in point]
             t = model.tower.host(x for v in vecs for x in v)
             s = Subspace.from_vectors(t, model.ambient_dim, vecs)
-        basis = s.basis_vectors()
-        host = model.tower.host(x for v in basis for x in v)
-        iso_ok = all(model.b.value(u, v).is_zero()
-                     for u in basis for v in basis)
-        if s.dim != model.n or not iso_ok:
+        if s.dim != model.n or not model.b.is_isotropic(s):
             raise ValueError("point is not an isotropic n-plane")
-        gram = Matrix(host, [[model.hhat.value(u, v) for v in basis]
-                             for u in basis], cols=len(basis))
-        pos, neg, zero = hermitian_signature(gram)
+        pos, neg, zero = hermitian_signature(model.hhat.restrict(s))
         label = "signature(%d,%d)" % (pos, neg)
         if zero:
             label += "+null(%d)" % zero

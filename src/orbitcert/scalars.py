@@ -166,9 +166,6 @@ class Tower:
     def depth(self) -> int:
         return len(self._radicands)
 
-    def radicand(self, level: int) -> Scalar:
-        return self._radicands[level]
-
     def clone(self) -> Tower:
         """Independent tower with the same radicands (for isolated tasks)."""
         t = Tower()

@@ -63,3 +63,13 @@ def tower_of_depth(depth: int) -> Tower:
     for r in (2, 3, 5)[:depth]:
         t.adjoin_sqrt(r)
     return t
+
+
+def in_span(space, v) -> bool:
+    """Rank oracle for membership in a ``Subspace``: ``v`` lies in it iff
+    appending ``v`` to the echelon basis keeps the rank.  ``residual`` is
+    tested against it."""
+    from orbitcert.linalg import Matrix, rank
+
+    aug = space.matrix.hstack(Matrix.from_cols(space.tower, [list(v)]))
+    return rank(aug) == space.dim

@@ -18,7 +18,7 @@ from orbitcert.octonions import PreservesCrossProduct, _cross7, _cross_pairs
 from orbitcert.scalars import Tower
 from orbitcert.witnesses import build_group, reflection
 
-from conftest import deep_scalars, gauss, tower_of_depth
+from conftest import deep_scalars, gauss, in_span, tower_of_depth
 
 # every group build_group names, on one model of each case, and the real
 # orthogonal group of the quadric that quadric_algebras solves beside g2
@@ -321,7 +321,7 @@ def test_isotropy_subalgebra_of_a_line():
     iso.verify_bracket_closure()
     line = Subspace.from_vectors(t, 4, [e0])
     for x in iso.matrices:
-        assert line.contains(x.apply(e0))
+        assert in_span(line, x.apply(e0))
 
 
 def test_isotropy_subalgebra_of_a_plane():
@@ -332,7 +332,7 @@ def test_isotropy_subalgebra_of_a_plane():
     assert iso.dim == so4.dim - model.flag_dim_complex
     for x in iso.matrices:
         for v in plane.basis_vectors():
-            assert plane.contains(x.apply(v))
+            assert in_span(plane, x.apply(v))
 
 
 def test_real_form_dimensions_match_complex_ones():
@@ -416,6 +416,22 @@ def test_intersection_of_algebras():
     assert meet.dim == 4
     for x in meet.matrices:
         assert sp.contains(x) and so.contains(x)
+
+
+def test_intersection_of_real_algebras():
+    # u(2,1) and gl(3,R): neither holds the other, and they meet in o(2,1)
+    t = Tower()
+    h = FormSpec("hermitian", Matrix.diag(t, [1, 1, -1]), "h")
+    u = GroupSpec(t, 3, [PreservesHermitian(h)]).lie_algebra()
+    gl = GroupSpec(t, 3, [RealEntries()]).lie_algebra()
+    o = GroupSpec(t, 3, [PreservesHermitian(h), RealEntries()]).lie_algebra()
+    assert (u.ground, gl.ground, u.dim, gl.dim, o.dim) == (
+        "real", "real", 9, 9, 3)
+    assert not all(u.contains(x) for x in gl.matrices)
+    assert not all(gl.contains(x) for x in u.matrices)
+    for a, b in ((u, gl), (gl, u)):
+        meet = a.intersect(b)
+        assert meet.ground == "real" and meet.same_span(o)
 
 
 # -- the half check of PreservesBilinear / PreservesHermitian ---------------

@@ -1,5 +1,7 @@
 """Source hygiene: no module or test file imports a name it neither uses
-nor exports, and every exported name exists."""
+nor exports, every exported name exists, and every method a class in the
+package defines is read somewhere in the package, its tests or its
+benchmark."""
 
 import ast
 import importlib
@@ -7,10 +9,13 @@ import os
 
 import pytest
 
+from orbitcert.forms import StandardModel
+
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "orbitcert")
 MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
 TESTS = os.path.dirname(__file__)
 TEST_FILES = sorted(f for f in os.listdir(TESTS) if f.endswith(".py"))
+BENCH = os.path.join(TESTS, os.pardir, "bench")
 
 
 def _exported(tree: ast.Module) -> set:
@@ -62,3 +67,44 @@ def test_exported_names_resolve(module):
     name = "orbitcert" if module == "__init__.py" else "orbitcert." + module[:-3]
     mod = importlib.import_module(name)
     assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == []
+
+
+def _trees(folder: str) -> list:
+    trees = []
+    for name in sorted(os.listdir(folder)):
+        if name.endswith(".py"):
+            with open(os.path.join(folder, name)) as fh:
+                trees.append(ast.parse(fh.read()))
+    return trees
+
+
+def unreferenced_methods(defining: list, reading: list,
+                         by_name=()) -> list:
+    """Methods other than dunders, defined on a class in the ``defining``
+    trees, whose name no attribute access in the ``reading`` trees reads
+    and ``by_name`` does not hold."""
+    read = {n.attr for tree in reading for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute)} | set(by_name)
+    return sorted(
+        "%s.%s" % (cls.name, f.name)
+        for tree in defining for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) for f in cls.body
+        if isinstance(f, ast.FunctionDef) and f.name not in read
+        and not (f.name.startswith("__") and f.name.endswith("__")))
+
+
+def test_method_detector_flags_unread_and_keeps_read():
+    lib = ast.parse("class A:\n"
+                    "    def __init__(self): pass\n"
+                    "    def used(self): pass\n"
+                    "    def dead(self): pass\n")
+    user = ast.parse("A().used()\n")
+    assert unreferenced_methods([lib], [lib, user]) == ["A.dead"]
+
+
+def test_every_method_is_referenced():
+    src = _trees(SRC)
+    # from_info reaches each case's constructor by the name CASES holds
+    by_name = [case.constructor for case in StandardModel.CASES.values()]
+    assert unreferenced_methods(src, src + _trees(TESTS) + _trees(BENCH),
+                                by_name) == []

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from conftest import vectors
 from orbitcert.forms import StandardModel
-from orbitcert.groups import exp_nilpotent
+from orbitcert.groups import exp_nilpotent, isotropy_subalgebra
 from orbitcert.linalg import Matrix, Subspace, vec_add, vec_scale
 from orbitcert.orbits import (STRATA, _quadric_nilpotents, classify_point,
                               quadric_algebras, spans_null_subalgebra,
@@ -61,6 +61,52 @@ def test_grassmann_tangents_at_the_normal_form():
         so_pq = build_group(model, "SO(p,q)").lie_algebra()
         nfr = model.normal_form_real()
         assert tangent_dim_grassmann(so_pq, nfr, model.b) == 2 * want
+
+
+def _case_algebras_and_points(case):
+    """The algebras of the groups ``case`` carries, on its model at the
+    campaign defaults, and campaign-style points as subspaces: lines on
+    the projective models (one moved by a line transport into a deeper
+    tower) and on the quadric, the two normal forms on the isotropic
+    model."""
+    model = StandardModel.from_info(
+        Tower(), dict(case=case, **StandardModel.CASES[case].defaults))
+    t, m = model.tower, model.ambient_dim
+    algs = [build_group(model, g).lie_algebra()
+            for g in StandardModel.CASES[case].groups]
+    if case == "isotropic":
+        return algs, [model.normal_form_complex(), model.normal_form_real()]
+    if case == "quadric7":
+        lines = list(model.stratum_representatives.values())
+    else:
+        e0 = [t.one()] + [t.zero()] * (m - 1)
+        null = [t.one(), t.one()] + [t.zero()] * (m - 2)
+        generic = [t.scalar(k + 1, 1 - k) for k in range(m)]
+        w = transport_positive_line_sp(
+            model, e0, [t.scalar(2), t.one()] + [t.zero()] * (m - 2))
+        lines = [e0, null, generic, w.element.apply(
+            [w.element.tower.lift(c) for c in e0])]
+    return algs, [Subspace.from_vectors(t.host(z), m, [z]) for z in lines]
+
+
+@pytest.mark.parametrize("case", list(StandardModel.CASES))
+def test_tangent_and_isotropy_dimensions_add_up(case):
+    algs, points = _case_algebras_and_points(case)
+    assert {alg.ground for alg in algs} == {"complex", "real"}
+    for alg in algs:
+        for s in points:
+            assert (tangent_dim_grassmann(alg, s)
+                    + isotropy_subalgebra(alg, s).dim == alg.dim)
+
+
+@pytest.mark.parametrize("case", ["projective-split", "projective-pq",
+                                  "quadric7"])
+def test_projective_tangent_is_the_grassmann_tangent_of_the_line(case):
+    algs, lines = _case_algebras_and_points(case)
+    for alg in algs:
+        for line in lines:
+            assert (tangent_dim_projective(alg, line.basis_vectors()[0])
+                    == tangent_dim_grassmann(alg, line))
 
 
 def test_classify_projective_lines():
