@@ -9,7 +9,13 @@ the linear map L(x) gains ``coeff * x[j][k]`` (or ``coeff * conj(x[j][k])``),
 with coefficients read off Gram entries, a fixed vector or the octonion
 structure constants.  ``solve_linear_constraints`` assembles these terms
 into one coefficient matrix, one column per matrix unit, and solves it by
-exact kernel computation.
+exact kernel computation on the rows that are distinct up to sign.
+
+A ``LieAlgebraBasis`` acts through the nonzero entries of its matrices,
+kept row by row when it is built: Lie bases are sparse (at most 4
+nonzeros per matrix for the models' groups), so ``images`` forms every
+X v and ``verify_bracket_closure`` every bracket from those lists, with
+no dense product.
 
 Ground fields.  Conditions coming from bilinear forms, determinant and
 fixed vectors are complex-linear; hermitian and reality conditions only
@@ -250,12 +256,11 @@ def solve_linear_constraints(tower: Tower, m: int,
                 for part in (Scalar.real_part, Scalar.imag_part)]
     ncols = 2 * mm if imaginary else mm
     coeff = []
-    for r in rows:
-        if any(r.values()):
-            dense = [zero] * ncols
-            for col, c in r.items():
-                dense[col] = c
-            coeff.append(dense)
+    for r in _distinct_up_to_sign(rows):
+        dense = [zero] * ncols
+        for col, c in r:
+            dense[col] = c
+        coeff.append(dense)
     mats = []
     for sol in kernel(Matrix(t, coeff, cols=ncols)):
         if imaginary:
@@ -265,13 +270,38 @@ def solve_linear_constraints(tower: Tower, m: int,
     return LieAlgebraBasis(t, m, mats, ground, name=name)
 
 
-def _null_combinations(t: Tower, m: int, gens: Sequence[Matrix], image,
-                       real: bool) -> list:
-    """A basis of the combinations sum c_k gens[k] that the linear map
-    ``image`` (a Matrix to a list of scalars) sends to zero.  With ``real``
-    only real coefficients c_k count: every image entry is split into its
-    real and imaginary part."""
-    columns = [real_coords(image(x)) if real else image(x) for x in gens]
+def _distinct_up_to_sign(rows: Sequence[dict]) -> list:
+    """The nonzero rows ({column: coefficient}) as sorted (column,
+    coefficient) lists, each row that repeats an earlier one or its
+    negative left out.  The reduced row echelon form depends only on the
+    row space, so the kernel basis is the same as on every row."""
+    seen = set()
+    out = []
+    for r in rows:
+        row = sorted((col, c) for col, c in r.items() if c)
+        if not row:
+            continue
+        key = tuple((col, tuple(sorted(c._terms.items()))) for col, c in row)
+        # the sign that makes the first coefficient's first term positive
+        re, im, _ = key[0][1][0][1]
+        if re < 0 or (re == 0 and im < 0):
+            key = tuple((col, tuple((mask, (-a, -b, d))
+                                    for mask, (a, b, d) in terms))
+                        for col, terms in key)
+        if key not in seen:
+            seen.add(key)
+            out.append(row)
+    return out
+
+
+def _null_combinations(t: Tower, m: int, gens: Sequence[Matrix],
+                       columns: Sequence[list], real: bool) -> list:
+    """A basis of the combinations sum c_k gens[k] that a linear map sends
+    to zero, given the image ``columns[k]`` of each ``gens[k]``.  With
+    ``real`` only real coefficients c_k count: every image entry is split
+    into its real and imaginary part."""
+    if real:
+        columns = [real_coords(col) for col in columns]
     nrows = len(columns[0]) if columns else 0
     coeff = Matrix(t, [[col[i] for col in columns] for i in range(nrows)],
                    cols=len(gens))
@@ -294,6 +324,10 @@ class LieAlgebraBasis:
     real Lie algebra, membership means real linear combination; coordinates
     are doubled (real and imaginary parts) so all span computations stay
     honest about which combinations are allowed.
+
+    Each basis matrix is also kept as its nonzero entries, row by row:
+    ``images`` and the brackets of ``verify_bracket_closure`` are formed
+    from them.
     """
 
     def __init__(self, tower: Tower, ambient: int, matrices: Sequence[Matrix],
@@ -311,6 +345,9 @@ class LieAlgebraBasis:
             tower, coord_len, [self._flatten(x) for x in self.matrices])
         if self._coords.dim != len(self.matrices):
             raise ValueError("algebra basis is linearly dependent")
+        # per matrix, per row: the (column, entry) pairs with entry != 0
+        self._nonzeros = [[[(k, a) for k, a in enumerate(row) if a]
+                           for row in x.to_lists()] for x in self.matrices]
 
     @property
     def dim(self) -> int:
@@ -326,13 +363,42 @@ class LieAlgebraBasis:
         return all(s.is_zero()
                    for s in self._coords.residual(self._flatten(x)))
 
+    def images(self, v: Sequence[Scalar]) -> list:
+        """[X v for each basis matrix X], from the nonzero entries."""
+        if len(v) != self.ambient:
+            raise ValueError("vector length %d does not match %d columns"
+                             % (len(v), self.ambient))
+        zero = self.tower.host(v).zero()
+        return [[fma(zero, [(a, v[k]) for k, a in row]) if row else zero
+                 for row in nz] for nz in self._nonzeros]
+
+    def _bracket(self, i: int, j: int) -> Matrix:
+        """[X_i, X_j] = X_i X_j - X_j X_i: entry (r, c) gathers a b over
+        the nonzeros a = X_i[r, k], b = X_j[k, c], and -a b with the roles
+        of X_i and X_j swapped."""
+        zero = self.tower.zero()
+        xi, xj = self._nonzeros[i], self._nonzeros[j]
+        rows = []
+        for ri, rj in zip(xi, xj):
+            pairs: dict = {}
+            for k, a in ri:
+                for c, b in xj[k]:
+                    pairs.setdefault(c, []).append((a, b))
+            for k, a in rj:
+                a = -a
+                for c, b in xi[k]:
+                    pairs.setdefault(c, []).append((a, b))
+            rows.append([fma(zero, pairs[c]) if c in pairs else zero
+                         for c in range(self.ambient)])
+        return Matrix(self.tower, rows, cols=self.ambient)
+
     def verify_bracket_closure(self) -> None:
+        """Certify that the span is closed under brackets: every
+        [X_i, X_j], i < j, passes ``contains``.  Raises ValueError on the
+        first bracket that does not."""
         for i in range(self.dim):
-            xi = self.matrices[i]
             for j in range(i + 1, self.dim):
-                xj = self.matrices[j]
-                br = xi * xj - xj * xi
-                if not self.contains(br):
+                if not self.contains(self._bracket(i, j)):
                     raise ValueError(
                         "bracket of basis elements %d, %d leaves the span"
                         % (i, j))
@@ -346,7 +412,8 @@ class LieAlgebraBasis:
             raise ValueError("algebras live in different settings")
         mats = _null_combinations(
             self.tower, self.ambient, self.matrices,
-            lambda x: other._coords.residual(other._flatten(x)), False)
+            [other._coords.residual(other._flatten(x))
+             for x in self.matrices], False)
         return LieAlgebraBasis(self.tower, self.ambient, mats, self.ground,
                                name=name)
 
@@ -372,22 +439,19 @@ class LieAlgebraBasis:
             self.name or "?", self.dim, self.ground)
 
 
-def _action_coords(space: Subspace):
-    """The tangent map X -> X|S mod S at the point S = ``space``: X goes
-    to the residuals of X b, for each echelon basis vector b, at the rows
-    that are not pivots (the residuals vanish on the pivot rows)."""
-    basis = space.basis_vectors()
+def _action_coords(alg: LieAlgebraBasis, space: Subspace) -> list:
+    """The tangent map X -> X|S mod S at the point S = ``space``, one
+    column per basis matrix X of ``alg``: the residuals of X b, for each
+    echelon basis vector b, at the rows that are not pivots (the residuals
+    vanish on the pivot rows)."""
     pivots = set(space.pivots())
     others = [r for r in range(space.ambient_dim) if r not in pivots]
-
-    def image(x: Matrix) -> list:
-        out = []
-        for bv in basis:
-            red = space.residual(x.apply(bv))
-            out.extend(red[r] for r in others)
-        return out
-
-    return image
+    cols: list = [[] for _ in alg.matrices]
+    for bv in space.basis_vectors():
+        for col, xb in zip(cols, alg.images(bv)):
+            red = space.residual(xb)
+            col.extend(red[r] for r in others)
+    return cols
 
 
 def isotropy_subalgebra(alg: LieAlgebraBasis, stab,
@@ -396,15 +460,18 @@ def isotropy_subalgebra(alg: LieAlgebraBasis, stab,
     ``_action_coords``.
 
     ``stab`` is a Subspace, or a plain vector which is read as the line it
-    spans.
+    spans.  The isotropy basis lives in the tower that hosts both the
+    algebra and the point, since its matrices may need the point's roots.
     """
-    t = alg.tower
     if isinstance(stab, Subspace):
         space = stab
+        t = alg.tower.host(x for v in space.basis_vectors() for x in v)
     else:
+        t = alg.tower.host(stab)
         space = Subspace.from_vectors(t, alg.ambient, [list(stab)])
     mats = _null_combinations(t, alg.ambient, alg.matrices,
-                              _action_coords(space), alg.ground == "real")
+                              _action_coords(alg, space),
+                              alg.ground == "real")
     return LieAlgebraBasis(t, alg.ambient, mats, alg.ground, name=name)
 
 

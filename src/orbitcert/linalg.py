@@ -5,10 +5,14 @@ which keeps canonical forms reproducible across runs.  Vectors are plain
 lists of scalars; matrices are immutable row-major wrappers.  Products,
 eliminations and reductions run on the one fused multiply-accumulate
 kernel ``scalars.fma``, through the Gaussian elimination ``_rref``;
-``det`` reads its pivots.  ``rank`` alone has a second path: a matrix
+``det`` reads its pivots.  Rank alone has a second path: a matrix
 whose entries all lie in Q(i), in a tower of any depth, is reduced
 fraction-free over the Gaussian integers (Bareiss), and ``_rref`` stays
-the reference it is tested against.
+the reference it is tested against.  ``rank`` takes that path on the
+rows of a matrix; ``real_rank``, the dimension of the real span of some
+vectors, builds its rows straight from each entry's ``gaussian()``
+triple (a real and an imaginary row per coordinate) and falls back to
+``rank`` on the matrix of ``real_coords`` when an entry needs a root.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .scalars import Scalar, Tower, TowerError, fma
 
 __all__ = [
-    "Matrix", "Subspace", "rank", "kernel", "column_echelon",
+    "Matrix", "Subspace", "rank", "real_rank", "kernel", "column_echelon",
     "column_space_equal", "hermitian_signature", "congruence_diagonalize",
     "vec_add", "vec_sub", "vec_scale", "vec_is_zero", "real_coords",
 ]
@@ -46,11 +50,15 @@ def vec_is_zero(v: Sequence[Scalar]) -> bool:
 
 def real_coords(v: Sequence[Scalar]) -> list:
     """Real and imaginary part of each entry, interleaved: the coordinates
-    in which only real linear combinations of vectors count."""
+    in which only real linear combinations of vectors count.  A zero
+    entry is its own real and imaginary part."""
     out = []
     for x in v:
-        out.append(x.real_part())
-        out.append(x.imag_part())
+        if x:
+            out.append(x.real_part())
+            out.append(x.imag_part())
+        else:
+            out += (x, x)
     return out
 
 
@@ -333,6 +341,25 @@ def rank(m: Matrix) -> int:
     rows = _gaussian_integer_rows(m)
     if rows is None:
         return len(_rref(m.tower, m.to_lists())[1])
+    return len(_bareiss_pivots(rows))
+
+
+def real_rank(tower: Tower, vectors: Sequence[Sequence[Scalar]]) -> int:
+    """Dimension of the real span of ``vectors``: the rank of the matrix
+    whose columns are their ``real_coords``.  When every entry lies in
+    Q(i), that matrix's rows go straight to ``_bareiss_pivots``: for each
+    coordinate, the real parts and the imaginary parts over the vectors,
+    both scaled by one lcm of the coordinate's denominators.  Otherwise
+    ``rank`` runs on the ``real_coords`` matrix in ``tower``."""
+    rows = []
+    for coord in zip(*vectors):
+        cs = [x.gaussian() for x in coord]
+        if None in cs:
+            return rank(Matrix.from_cols(
+                tower, [real_coords(v) for v in vectors]))
+        den = lcm(*[c[2] for c in cs])
+        rows.append([(x * (den // d), 0) for x, _, d in cs])
+        rows.append([(y * (den // d), 0) for _, y, d in cs])
     return len(_bareiss_pivots(rows))
 
 

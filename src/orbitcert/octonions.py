@@ -330,7 +330,8 @@ def derivations(alg: OctonionAlgebra,
         return rows
 
     units = [outer(t, basis[j], basis[k]) for j in range(8) for k in range(8)]
-    mats = _null_combinations(t, 8, units, condition, True)
+    mats = _null_combinations(t, 8, units,
+                              [condition(x) for x in units], True)
     sol = LieAlgebraBasis(t, 8, mats, "real", name="g2-derivations")
     if verify_closure:
         sol.verify_bracket_closure()

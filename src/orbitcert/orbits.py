@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Tuple
 from .forms import FormSpec, StandardModel
 from .groups import (GroupSpec, LieAlgebraBasis, PreservesBilinear,
                      RealEntries, _action_coords, nilpotent_orthogonal)
-from .linalg import (Matrix, Subspace, hermitian_signature, rank, real_coords,
+from .linalg import (Matrix, Subspace, hermitian_signature, rank, real_rank,
                      vec_add, vec_scale)
 from .octonions import octonion_product
 from .rng import SplitMix64
@@ -77,16 +77,16 @@ def tangent_dim_projective(alg: LieAlgebraBasis, z: Sequence) -> int:
     """Dimension (over the algebra's ground field) of the orbit tangent
     space at the projective point [z]: span{X z} modulo the line itself
     (modulo the real plane spanned by z and iz for real algebras), i.e.
-    the rank of the X z together with the line, less the line's rank."""
+    the rank of the X z together with the line, less the line's rank.
+    The X z come from ``alg.images``, the real rank from ``real_rank``."""
     t = alg.tower.host(z)
     zz = [t.lift(x) for x in z]
     if all(x.is_zero() for x in zz):
         raise ValueError("the zero vector does not represent a point")
-    cols = [x.apply(zz) for x in alg.matrices] + [zz]
-    real = alg.ground == "real"
-    if real:
-        cols = [real_coords(w) for w in cols + [vec_scale(t.i(), zz)]]
-    return rank(Matrix.from_cols(t, cols)) - (2 if real else 1)
+    cols = alg.images(zz) + [zz]
+    if alg.ground == "real":
+        return real_rank(t, cols + [vec_scale(t.i(), zz)]) - 2
+    return rank(Matrix(t, cols)) - 1
 
 
 def tangent_dim_grassmann(alg: LieAlgebraBasis, s: Subspace,
@@ -94,7 +94,8 @@ def tangent_dim_grassmann(alg: LieAlgebraBasis, s: Subspace,
         -> int:
     """Dimension of the image of the algebra in Hom(S, ambient/S), i.e.
     of the orbit tangent space at the Grassmannian point S: the rank of
-    ``groups._action_coords`` over the algebra's ground.
+    ``groups._action_coords`` over the algebra's ground (``real_rank`` on
+    a real ground).
 
     When ``ambient_constraint`` is given the point must be isotropic for
     it; the algebra is assumed to preserve the form, so its tangent
@@ -105,11 +106,10 @@ def tangent_dim_grassmann(alg: LieAlgebraBasis, s: Subspace,
         raise ValueError("subspace is not isotropic for the ambient "
                          "constraint")
     t = alg.tower.host(x for v in s.basis_vectors() for x in v)
-    image = _action_coords(s)
-    cols = [image(x) for x in alg.matrices]
+    cols = _action_coords(alg, s)
     if alg.ground == "real":
-        cols = [real_coords(v) for v in cols]
-    return rank(Matrix.from_cols(t, cols))
+        return real_rank(t, cols)
+    return rank(Matrix(t, cols))
 
 
 def classify_point(model: StandardModel, point) -> str:

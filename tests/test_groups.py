@@ -6,17 +6,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbitcert import groups
 from orbitcert.forms import FormSpec, StandardModel
 from orbitcert.groups import (DetOne, FixesVector, GroupSpec,
-                              PreservesBilinear, PreservesHermitian,
-                              RealEntries, _null_combinations,
+                              LieAlgebraBasis, PreservesBilinear,
+                              PreservesHermitian, RealEntries,
+                              _distinct_up_to_sign, _null_combinations,
                               check_onishchik_triple, exp_nilpotent,
                               isotropy_subalgebra, nilpotent_orthogonal,
                               nilpotent_symplectic, nilpotent_unitary, outer)
 from orbitcert.linalg import Matrix, Subspace
 from orbitcert.octonions import PreservesCrossProduct, _cross7, _cross_pairs
 from orbitcert.scalars import Tower
-from orbitcert.witnesses import build_group, reflection
+from orbitcert.witnesses import (build_group, reflection,
+                                 transport_positive_line_sp)
 
 from conftest import deep_scalars, gauss, in_span, tower_of_depth
 
@@ -107,7 +110,8 @@ def _unit_reference_solve(group):
     def image(x):
         return [s for c in group.constraints for s in _reference(c, x)]
 
-    return _null_combinations(t, m, units, image, real)
+    return _null_combinations(t, m, units, [image(x) for x in units],
+                              real)
 
 
 def _split(n):
@@ -432,6 +436,146 @@ def test_intersection_of_real_algebras():
     for a, b in ((u, gl), (gl, u)):
         meet = a.intersect(b)
         assert meet.ground == "real" and meet.same_span(o)
+
+
+def test_constraint_rows_are_kept_once_up_to_sign():
+    t = Tower()
+    i, r2 = t.i(), t.adjoin_sqrt(2)
+    rows = [{0: t.one(), 2: -i}, {0: -t.one(), 2: i}, {2: t.zero()},
+            {1: -i, 3: r2}, {1: i, 3: -r2}, {1: i, 3: r2},
+            {0: t.scalar(2), 2: -i}, {0: t.zero(), 1: i, 3: -r2}]
+    kept = _distinct_up_to_sign(rows)
+    assert [[col for col, _ in row] for row in kept] == [
+        [0, 2], [1, 3], [1, 3], [0, 2]]
+    assert [[c for _, c in row] for row in kept] == [
+        [t.one(), -i], [-i, r2], [i, r2], [t.scalar(2), -i]]
+
+
+def test_g2_solve_reduces_its_distinct_rows_only(monkeypatch):
+    group = _group(dict(case="quadric7"), "G2split")
+    seen = []
+    solve = groups.kernel
+
+    def recording(m):
+        seen.append(m.rows)
+        return solve(m)
+
+    monkeypatch.setattr(groups, "kernel", recording)
+    assert group.lie_algebra(verify_closure=False).dim == 14
+    assert seen == [77]
+
+
+# -- acting through the nonzero entries of a basis ---------------------------
+
+DEPTHS = [tower_of_depth(d) for d in range(3)]
+
+
+def _derived_algebras():
+    """Bases no constraint solve returns: an isotropy algebra, the trace
+    of a triple, and the complexification of a real form."""
+    model = _split(2)
+    t = model.tower
+    sp = build_group(model, "Sp2nC").lie_algebra()
+    sl = build_group(model, "SL2nC").lie_algebra()
+    su = build_group(model, "SU(n,n)").lie_algebra()
+    iso = isotropy_subalgebra(sl, _e(t, 4, 0))
+    return [iso, iso.intersect(sp), isotropy_subalgebra(su, _e(t, 4, 0)),
+            su.complexify()]
+
+
+_ALGEBRAS = {}
+
+
+def _algebra(info, name):
+    key = (info["case"], name)
+    if key not in _ALGEBRAS:
+        _ALGEBRAS[key] = _group(info, name).lie_algebra(verify_closure=False)
+    return _ALGEBRAS[key]
+
+
+@pytest.mark.parametrize("info,name", GROUPS, ids=GROUP_IDS)
+@settings(max_examples=6)
+@given(data=st.data())
+def test_images_equal_the_dense_products(info, name, data):
+    alg = _algebra(info, name)
+    t = data.draw(st.sampled_from(DEPTHS))
+    v = data.draw(st.lists(deep_scalars(t), min_size=alg.ambient,
+                           max_size=alg.ambient))
+    assert alg.images(v) == [x.apply(v) for x in alg.matrices]
+
+
+def test_images_of_derived_bases_equal_the_dense_products():
+    rng = random.Random(3)
+    for alg in _derived_algebras():
+        for t in DEPTHS:
+            v = [t.scalar(rng.randint(-3, 3), rng.randint(-3, 3))
+                 + t.scalar(rng.randint(-3, 3)) * sum(
+                     (t.root(k) for k in range(t.depth)), t.zero())
+                 for _ in range(alg.ambient)]
+            assert alg.images(v) == [x.apply(v) for x in alg.matrices]
+    with pytest.raises(ValueError, match="does not match 4 columns"):
+        alg.images([t.one()] * 3)
+
+
+@pytest.mark.parametrize("info,name", [
+    (dict(case="projective-split", n=2), "SU(n,n)"),
+    (dict(case="quadric7"), "G2split"),
+    (dict(case="isotropic", p=2, q=1), "SO2n-1C"),
+    (dict(case="projective-pq", p=1, q=1), "Sp(2p,2q)"),
+], ids=["su22", "g2", "so5C", "sp11"])
+def test_sparse_bracket_equals_the_dense_commutator(info, name):
+    alg = _algebra(info, name)
+    xs = alg.matrices
+    for i in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            assert alg._bracket(i, j) == xs[i] * xs[j] - xs[j] * xs[i]
+
+
+def test_closure_makes_no_matrix_products(monkeypatch):
+    algs = [_algebra(dict(case="projective-split", n=2), "SU(n,n)"),
+            _algebra(dict(case="isotropic", p=2, q=1), "SO2nC")]
+    calls = []
+
+    def refuse(name):
+        def counting(self, *args):
+            calls.append(name)
+        return counting
+
+    monkeypatch.setattr(Matrix, "__mul__", refuse("__mul__"))
+    monkeypatch.setattr(Matrix, "apply", refuse("apply"))
+    for alg in algs:
+        alg.verify_bracket_closure()
+    assert calls == []
+
+
+@pytest.mark.parametrize("ground", ["complex", "real"])
+def test_a_basis_that_does_not_close_is_refused(ground):
+    # [E01, E10] = E00 - E11 lies outside span{E01, E10} in gl2
+    t = Tower()
+    e01 = Matrix.from_rows(t, [[0, 1], [0, 0]])
+    e10 = Matrix.from_rows(t, [[0, 0], [1, 0]])
+    alg = LieAlgebraBasis(t, 2, [e01, e10], ground)
+    with pytest.raises(ValueError, match="0, 1 leaves the span"):
+        alg.verify_bracket_closure()
+
+
+def test_onishchik_triple_at_a_point_of_a_deeper_tower():
+    model = _split(1)
+    t = model.tower
+    sp = build_group(model, "Sp2nC").lie_algebra(name="sp2")
+    sl = build_group(model, "SL2nC").lie_algebra(name="sl2")
+    e0 = _e(t, 2, 0)
+    w = transport_positive_line_sp(model, e0, [t.scalar(2), t.one()])
+    z = w.element.apply([w.element.tower.lift(c) for c in e0])
+    assert w.element.tower.depth == 1 and any(
+        x.gaussian() is None for x in z)
+    at_e0 = check_onishchik_triple(sp, sl, e0)
+    moved = check_onishchik_triple(sp, sl, z)
+    assert moved == at_e0 and moved["ok"]
+    q = isotropy_subalgebra(sp, z)
+    assert q.tower is w.element.tower
+    for x in q.matrices:
+        assert in_span(Subspace.from_vectors(q.tower, 2, [z]), x.apply(z))
 
 
 # -- the half check of PreservesBilinear / PreservesHermitian ---------------

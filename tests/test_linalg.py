@@ -7,10 +7,12 @@ from orbitcert import linalg
 from orbitcert.linalg import (Matrix, Subspace, _bareiss_pivots,
                               _gaussian_integer_rows, _rref, column_echelon,
                               column_space_equal, congruence_diagonalize,
-                              hermitian_signature, kernel, rank)
+                              hermitian_signature, kernel, rank, real_coords,
+                              real_rank)
 from orbitcert.scalars import Tower
 
-from conftest import gauss, in_span, square_matrices, vectors
+from conftest import (deep_scalars, gauss, in_span, square_matrices,
+                      tower_of_depth, vectors)
 
 T = Tower()
 
@@ -273,3 +275,59 @@ def test_rank_path_depends_on_the_entries_only(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(linalg, "_rref", refuse)
         assert rank(qi) == 2
+
+
+# -- the real rank of vectors against the real-coordinate matrix ------------
+
+def _real_coords_rank(t, vecs):
+    return rank(Matrix.from_cols(t, [real_coords(v) for v in vecs]))
+
+
+@st.composite
+def qi_vector_sets(draw):
+    """Up to 7 Q(i) vectors of length up to 6, zero-heavy, some of them
+    real combinations of earlier ones, in the base tower or a depth-2 one."""
+    t = draw(st.sampled_from([T, DEEP]))
+    n = draw(st.integers(min_value=0, max_value=6))
+    k = draw(st.integers(min_value=0, max_value=7))
+    entry = st.one_of(st.just(0), gauss(t))
+    vecs = [[t.lift(x) for x in v] for v in draw(st.lists(
+        st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))]
+    for j in range(2, k):
+        if draw(st.booleans()):
+            cs = draw(st.lists(st.integers(-3, 3), min_size=j, max_size=j))
+            vecs[j] = [sum((c * v[e] for c, v in zip(cs, vecs)), t.zero())
+                       for e in range(n)]
+    return t, vecs
+
+
+@settings(max_examples=100)
+@given(qi_vector_sets())
+def test_real_rank_matches_the_real_coordinate_rank(tv):
+    t, vecs = tv
+    assert real_rank(t, vecs) == _real_coords_rank(t, vecs)
+
+
+@settings(max_examples=25)
+@given(st.data())
+def test_real_rank_of_rooted_vectors_falls_back_to_rank(data):
+    t = tower_of_depth(data.draw(st.integers(min_value=1, max_value=2)))
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    vecs = data.draw(st.lists(st.lists(deep_scalars(t), min_size=n,
+                                       max_size=n), min_size=1, max_size=4))
+    vecs.append([a + b for a, b in zip(vecs[0], vecs[-1])])
+    assert real_rank(t, vecs) == _real_coords_rank(t, vecs)
+
+
+def test_real_rank_reads_gaussian_triples_and_falls_back(monkeypatch):
+    i, r2 = DEEP.i(), DEEP.root(0)
+    qi = [[DEEP.one(), i], [i, -DEEP.one()], [DEEP.scalar(1, 1), DEEP.zero()]]
+    rooted = [[DEEP.one(), r2], [r2, DEEP.scalar(2)], [i, i * r2]]
+    assert [real_rank(DEEP, v) for v in (qi, rooted, [], [[], []])] == [
+        3, 2, 0, 0]
+    calls = []
+    monkeypatch.setattr(linalg, "rank", lambda m: calls.append(m) or 0)
+    real_rank(DEEP, qi)
+    assert calls == []
+    real_rank(DEEP, rooted)
+    assert len(calls) == 1

@@ -109,6 +109,27 @@ def test_projective_tangent_is_the_grassmann_tangent_of_the_line(case):
                     == tangent_dim_grassmann(alg, line))
 
 
+def test_projective_tangent_makes_no_matrix_products(monkeypatch):
+    model = StandardModel.quadric7(Tower())
+    algs = quadric_algebras(model)
+    sl = build_group(model, "SO7C").lie_algebra()
+    points = list(model.stratum_representatives.values())
+    want = [[tangent_dim_projective(a, z) for z in points]
+            for a in algs + (sl,)]
+    calls = []
+
+    def counting(name):
+        def record(self, *args):
+            calls.append(name)
+        return record
+
+    monkeypatch.setattr(Matrix, "__mul__", counting("__mul__"))
+    monkeypatch.setattr(Matrix, "apply", counting("apply"))
+    assert [[tangent_dim_projective(a, z) for z in points]
+            for a in algs + (sl,)] == want
+    assert calls == []
+
+
 def test_classify_projective_lines():
     model = StandardModel.projective_split(Tower(), 1)
     t = model.tower
