@@ -18,10 +18,8 @@ from .linalg import (Matrix, Subspace, column_echelon, column_space_equal,
 from .forms import FormSpec, StandardModel
 from .groups import (DetOne, FixesVector, GroupSpec, LieAlgebraBasis,
                      PreservesBilinear, PreservesHermitian, RealEntries,
-                     check_onishchik_triple, exp_nilpotent,
-                     isotropy_subalgebra, nilpotent_orthogonal,
-                     nilpotent_symplectic, nilpotent_unitary,
-                     solve_linear_constraints)
+                     check_onishchik_triple, isotropy_subalgebra,
+                     nilpotent_orthogonal, solve_linear_constraints)
 from .octonions import (OctonionAlgebra, PreservesCrossProduct, derivations,
                         split_octonions)
 from .witnesses import (NotInDomainError, Witness, WitnessVerificationError,
@@ -43,9 +41,8 @@ __all__ = [
     "FormSpec", "StandardModel",
     "DetOne", "FixesVector", "GroupSpec", "LieAlgebraBasis",
     "PreservesBilinear", "PreservesHermitian", "RealEntries",
-    "check_onishchik_triple", "exp_nilpotent", "isotropy_subalgebra",
-    "nilpotent_orthogonal", "nilpotent_symplectic", "nilpotent_unitary",
-    "solve_linear_constraints",
+    "check_onishchik_triple", "isotropy_subalgebra",
+    "nilpotent_orthogonal", "solve_linear_constraints",
     "OctonionAlgebra", "PreservesCrossProduct", "derivations",
     "split_octonions",
     "NotInDomainError", "Witness", "WitnessVerificationError", "build_group",

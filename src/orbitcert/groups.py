@@ -27,7 +27,6 @@ doubled real coordinates so that only real linear combinations count.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence, Union
 
 from .forms import FormSpec
@@ -38,8 +37,7 @@ __all__ = [
     "PreservesBilinear", "PreservesHermitian", "DetOne", "FixesVector",
     "RealEntries", "GroupSpec", "LieAlgebraBasis", "solve_linear_constraints",
     "isotropy_subalgebra", "check_onishchik_triple",
-    "exp_nilpotent", "outer", "nilpotent_orthogonal", "nilpotent_symplectic",
-    "nilpotent_unitary",
+    "outer", "nilpotent_orthogonal",
 ]
 
 
@@ -505,29 +503,12 @@ def check_onishchik_triple(sub: LieAlgebraBasis, amb: LieAlgebraBasis,
     }
 
 
-# -- nilpotents and exponentials ------------------------------------------------
+# -- nilpotents -----------------------------------------------------------------
 
 
 def outer(tower: Tower, u: Sequence[Scalar], v: Sequence[Scalar]) -> Matrix:
     """The rank-one matrix u v^T."""
     return Matrix(tower, [[a * b for b in v] for a in u], cols=len(v))
-
-
-def exp_nilpotent(x: Matrix, t) -> Matrix:
-    """exp(t x) for nilpotent x, as a finite exact sum."""
-    tow = x.tower
-    if not isinstance(t, Scalar):
-        t = tow.scalar(Fraction(t))
-    acc = Matrix.identity(tow, x.rows)
-    term = Matrix.identity(tow, x.rows)
-    fact = Fraction(1)
-    for k in range(1, x.rows + 1):
-        term = term * x
-        if term.is_zero():
-            return acc
-        fact = fact * k
-        acc = acc + term.scale(t ** k * tow.scalar(Fraction(1, 1) / fact))
-    raise ValueError("matrix is not nilpotent")
 
 
 def nilpotent_orthogonal(form: FormSpec, u: Sequence[Scalar],
@@ -545,27 +526,4 @@ def nilpotent_orthogonal(form: FormSpec, u: Sequence[Scalar],
     x = (outer(t, u, v) - outer(t, v, u)) * form.gram
     if not (x * x).is_zero():
         raise ValueError("internal: orthogonal nilpotent is not square-zero")
-    return x
-
-def nilpotent_symplectic(form: FormSpec, u: Sequence[Scalar]) -> Matrix:
-    """X = u u^T J; always square-zero since omega(u, u) = 0."""
-    if form.kind != "antisymmetric":
-        raise ValueError("symplectic nilpotents need an antisymmetric form")
-    t = form.tower
-    x = outer(t, u, u) * form.gram
-    if not (x * x).is_zero():
-        raise ValueError("internal: symplectic nilpotent is not square-zero")
-    return x
-
-
-def nilpotent_unitary(form: FormSpec, u: Sequence[Scalar]) -> Matrix:
-    """X = i u conj(u)^T E for h-isotropic u; traceless and square-zero."""
-    if form.kind != "hermitian":
-        raise ValueError("unitary nilpotents need a hermitian form")
-    if not form.norm(u).is_zero():
-        raise ValueError("need an h-isotropic vector")
-    t = form.tower
-    x = outer(t, u, [a.conj() for a in u]).scale(t.i()) * form.gram
-    if not (x * x).is_zero():
-        raise ValueError("internal: unitary nilpotent is not square-zero")
     return x

@@ -305,8 +305,7 @@ def split_octonions(tower: Optional[Tower] = None) -> OctonionAlgebra:
     return OctonionAlgebra(tower if tower is not None else Tower())
 
 
-def derivations(alg: OctonionAlgebra,
-                verify_closure: bool = True) -> LieAlgebraBasis:
+def derivations(alg: OctonionAlgebra) -> LieAlgebraBasis:
     """Solve D(x y) = D(x) y + x D(y) on all basis pairs; dim must be 14.
 
     Each real matrix unit is pushed through the condition by octonion
@@ -333,8 +332,7 @@ def derivations(alg: OctonionAlgebra,
     mats = _null_combinations(t, 8, units,
                               [condition(x) for x in units], True)
     sol = LieAlgebraBasis(t, 8, mats, "real", name="g2-derivations")
-    if verify_closure:
-        sol.verify_bracket_closure()
+    sol.verify_bracket_closure()
     if sol.dim != 14:
         raise AssertionError(
             "derivation algebra has dimension %d, expected 14 — "

@@ -5,12 +5,17 @@ constraint group it is claimed to live in, and the mapping claim it was
 built for.  ``Witness.verify`` re-checks everything from scratch using
 only exact linear algebra — membership in the group and the claim itself
 — so a verified witness does not depend on any construction internals.
+It is also the one certificate a builder runs: each builder calls it on
+the element it assembled and raises ``WitnessVerificationError`` unless
+it holds, and re-proves none of it beforehand.  The checks left inside
+the builders are the ones a step needs in order to go on.
 
 Square-root discipline: reflections never extend the scalar tower; the
 only square roots adjoined are h-norm normalizations (one per plane in
 the symplectic line transport, one per placed pair in the real isotropic
-normal form, where they are unavoidable: a rational frame generally has
-no rational same-norm orthogonal companion).  Each construction works on
+normal form).  Not all of them are forced: on the projective-split model
+every phi-plane after the first is h-hyperbolic, so its norm could be
+matched without a root.  Each construction works on
 ``model.clone()``, the model rebuilt over a clone of its tower: the
 forms, normal forms and group it uses live in the tower the witness
 grows, and repeated constructions do not pile radicals onto the
@@ -38,8 +43,8 @@ from .forms import FormSpec, StandardModel
 from .groups import (DetOne, FixesVector, GroupSpec, PreservesBilinear,
                      PreservesHermitian, RealEntries, outer)
 from .linalg import (Matrix, Subspace, column_space_equal,
-                     congruence_diagonalize, hermitian_signature, kernel,
-                     rank, vec_add, vec_scale, vec_sub)
+                     congruence_diagonalize, hermitian_signature, rank,
+                     vec_add, vec_scale, vec_sub)
 from .octonions import PreservesCrossProduct
 from .scalars import Scalar, Tower
 
@@ -177,8 +182,8 @@ def build_group(model: StandardModel, name: str) -> GroupSpec:
 def witness_from_json(obj: dict) -> Witness:
     if obj.get("schema") != "witness/1":
         raise ValueError("not a witness document")
-    tower = Tower.deserialize(obj["element"]["radicands"])
-    element = Matrix.from_json(obj["element"], tower)
+    element = Matrix.from_json(obj["element"])
+    tower = element.tower
     source = Matrix.from_json(obj["claim"]["source"], tower)
     target = Matrix.from_json(obj["claim"]["target"], tower)
     _check_element(_model_dim(obj["model"]), element)
@@ -342,11 +347,10 @@ def transport_positive_line_sp(model: StandardModel, line_src, line_dst) \
                         "plane decomposition stalled at step %d" % step)
             alpha = h.norm(u)
             phi_u = mt.phi(u)
-            plane = Subspace.from_vectors(t, m, [u, phi_u])
-            if plane.dim != 2:
+            if Subspace.from_vectors(t, m, [u, phi_u]).dim != 2:
                 raise WitnessVerificationError("phi-plane degenerated")
             out.append((u, phi_u, alpha))
-            space = space.intersect(h.perp(plane))
+            space = h.perp([u, phi_u], space)
         if space.dim != 0:
             raise WitnessVerificationError("phi-plane decomposition is not "
                                            "exhaustive")
@@ -361,16 +365,10 @@ def transport_positive_line_sp(model: StandardModel, line_src, line_dst) \
         if ratio.sign() <= 0:
             raise WitnessVerificationError("norm ratio is not positive")
         c = t.adjoin_sqrt(ratio)
-        ub2 = vec_scale(c, ub)
-        pb2 = vec_scale(c, pb)
         frame_a.extend([ua, pa])
-        frame_b.extend([ub2, pb2])
-    ma = Matrix.from_cols(t, frame_a)
-    mb = Matrix.from_cols(t, frame_b)
-    if not (mt.omega.gram_of(frame_a) == mt.omega.gram_of(frame_b)
-            and h.gram_of(frame_a) == h.gram_of(frame_b)):
-        raise WitnessVerificationError("frame Grams disagree after scaling")
-    element = mb * ma.inverse()
+        frame_b.extend([vec_scale(c, ub), vec_scale(c, pb)])
+    element = (Matrix.from_cols(t, frame_b)
+               * Matrix.from_cols(t, frame_a).inverse())
     group = build_group(mt, "Sp2nR" if mt.case == "projective-split"
                         else "Sp(2p,2q)")
     w = Witness(group, element, "maps_line",
@@ -395,6 +393,11 @@ def _embed(t: Tower, m: int, idx: Sequence[int], small: Matrix) -> Matrix:
         for bj, j in enumerate(idx):
             rows[i][j] = small[bi, bj]
     return Matrix(t, rows, cols=m)
+
+
+def _flip(t: Tower, m: int, j: int) -> Matrix:
+    """The diagonal matrix negating coordinate ``j`` of C^m."""
+    return Matrix.diag(t, [-1 if k == j else 1 for k in range(m)])
 
 
 def _as_subspace(t: Tower, m: int, w) -> Subspace:
@@ -475,15 +478,10 @@ def isotropic_normal_form_complex(model: StandardModel, w_hat) -> Witness:
     for k in range(1, n + 1):
         rows[k - 1][2 * k - 2] = one
         rows[n + k - 1][2 * k - 1] = one
-    perm = Matrix(t, rows, cols=m)
-    correction = perm
+    correction = Matrix(t, rows, cols=m)
     if not sign_plus:
-        flip = Matrix.diag(t, [1] + [-1] + [1] * (m - 2))
-        correction = perm * flip
+        correction = correction * _flip(t, m, 1)
     g = correction * g_total
-    if not g.det().is_one():
-        raise WitnessVerificationError(
-            "assembled element is not special orthogonal")
     witness = Witness(build_group(mt, "SO2n-1C"), g, "maps_subspace",
                       w0.matrix, nf.matrix, mt.info)
     if not witness.verify():
@@ -581,9 +579,7 @@ def isotropic_normal_form_real(model: StandardModel, w_hat) -> Witness:
         g_k = _embed(t, m, sub, g_small)
         g_total = g_k * g_total
         # pass to the h-complement of u inside the current plane
-        row = [h_sig.value(bv, u) for bv in cur.basis_vectors()]
-        coeffs = kernel(Matrix(t, [row], cols=len(row)))
-        nxt = [g_k.apply(cur.matrix.apply(c)) for c in coeffs]
+        nxt = [g_k.apply(v) for v in h_sig.perp([u], cur).basis_vectors()]
         prev_dim = cur.dim
         cur = Subspace.from_vectors(t, m, nxt)
         if cur.dim != prev_dim - 1:
@@ -609,14 +605,7 @@ def isotropic_normal_form_real(model: StandardModel, w_hat) -> Witness:
         # leftover lands on the conjugate line; negating the paired real
         # coordinate fixes both at once (it commutes with the diagonal
         # Gram, fixes the last vector and all placed pairs)
-        flip = Matrix.diag(t, [-1 if j == a_fin else 1 for j in range(m)])
-        g_total = flip * g_total
-        moved = Subspace.from_vectors(
-            t, m, [flip.apply(bv) for bv in moved.basis_vectors()])
-    if not column_space_equal(moved.matrix, nf_sig.matrix):
-        raise WitnessVerificationError("plane did not reach the normal form")
-    if not g_total.det().is_one():
-        raise WitnessVerificationError("element is not special orthogonal")
+        g_total = _flip(t, m, a_fin) * g_total
     g_std = s_mat * g_total * s_inv
     witness = Witness(build_group(mt, "SO(p,q)"), g_std, "maps_subspace",
                       w_std.matrix, nf_std.matrix, mt.info)

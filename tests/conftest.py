@@ -1,10 +1,15 @@
-"""Shared hypothesis profile and strategies for exact-arithmetic tests."""
+"""Shared hypothesis profile and strategies for exact-arithmetic tests,
+and the test-only nilpotents and exponentials that build group elements."""
 
 from fractions import Fraction
+from typing import Sequence
 
 from hypothesis import HealthCheck, Phase, settings, strategies as st
 
-from orbitcert.scalars import Tower
+from orbitcert.forms import FormSpec
+from orbitcert.groups import outer
+from orbitcert.linalg import Matrix, rank
+from orbitcert.scalars import Scalar, Tower
 
 # Exact arithmetic is deterministic but not uniformly fast; wall-clock
 # deadlines only add flakiness on loaded machines.  Shrinking is left out:
@@ -41,8 +46,6 @@ def vectors(tower: Tower, n: int):
 
 
 def square_matrices(tower: Tower, n: int):
-    from orbitcert.linalg import Matrix
-
     return st.builds(lambda rows: Matrix.from_rows(tower, rows),
                      st.lists(vectors(tower, n), min_size=n, max_size=n))
 
@@ -69,7 +72,46 @@ def in_span(space, v) -> bool:
     """Rank oracle for membership in a ``Subspace``: ``v`` lies in it iff
     appending ``v`` to the echelon basis keeps the rank.  ``residual`` is
     tested against it."""
-    from orbitcert.linalg import Matrix, rank
-
     aug = space.matrix.hstack(Matrix.from_cols(space.tower, [list(v)]))
     return rank(aug) == space.dim
+
+
+def exp_nilpotent(x: Matrix, t) -> Matrix:
+    """exp(t x) for nilpotent x, as a finite exact sum."""
+    tow = x.tower
+    if not isinstance(t, Scalar):
+        t = tow.scalar(Fraction(t))
+    acc = Matrix.identity(tow, x.rows)
+    term = Matrix.identity(tow, x.rows)
+    fact = Fraction(1)
+    for k in range(1, x.rows + 1):
+        term = term * x
+        if term.is_zero():
+            return acc
+        fact = fact * k
+        acc = acc + term.scale(t ** k * tow.scalar(Fraction(1, 1) / fact))
+    raise ValueError("matrix is not nilpotent")
+
+
+def nilpotent_symplectic(form: FormSpec, u: Sequence[Scalar]) -> Matrix:
+    """X = u u^T J; always square-zero since omega(u, u) = 0."""
+    if form.kind != "antisymmetric":
+        raise ValueError("symplectic nilpotents need an antisymmetric form")
+    t = form.tower
+    x = outer(t, u, u) * form.gram
+    if not (x * x).is_zero():
+        raise ValueError("internal: symplectic nilpotent is not square-zero")
+    return x
+
+
+def nilpotent_unitary(form: FormSpec, u: Sequence[Scalar]) -> Matrix:
+    """X = i u conj(u)^T E for h-isotropic u; traceless and square-zero."""
+    if form.kind != "hermitian":
+        raise ValueError("unitary nilpotents need a hermitian form")
+    if not form.norm(u).is_zero():
+        raise ValueError("need an h-isotropic vector")
+    t = form.tower
+    x = outer(t, u, [a.conj() for a in u]).scale(t.i()) * form.gram
+    if not (x * x).is_zero():
+        raise ValueError("internal: unitary nilpotent is not square-zero")
+    return x

@@ -8,9 +8,9 @@ import subprocess
 import sys
 
 import orbitcert
+from conftest import exp_nilpotent
 from orbitcert.cli import main
 from orbitcert.forms import StandardModel
-from orbitcert.groups import exp_nilpotent
 from orbitcert.linalg import Matrix
 from orbitcert.orbits import _quadric_nilpotents
 from orbitcert.scalars import Tower

@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitcert.forms import FormSpec, StandardModel
-from orbitcert.linalg import Matrix, Subspace, hermitian_signature
+from orbitcert.linalg import Matrix, Subspace, hermitian_signature, kernel
 from orbitcert.scalars import Tower
 
 from conftest import deep_scalars, gauss, tower_of_depth, vectors
 
 T2 = Tower()
 SPLIT2 = StandardModel.projective_split(T2, 2)
+ISO21 = StandardModel.isotropic(Tower(), 2, 1)
 
 
 def test_projective_structure_matrices():
@@ -61,8 +62,9 @@ def test_phi_plane_has_equal_perps(z):
     gram = model.h.restrict(plane)
     if gram.det().is_zero():
         return
-    perp_h = model.h.perp(plane)
-    perp_w = model.omega.perp(plane)
+    whole = Subspace.from_vectors(T2, 4, Matrix.identity(T2, 4).col_list())
+    perp_h = model.h.perp(plane.basis_vectors(), whole)
+    perp_w = model.omega.perp(plane.basis_vectors(), whole)
     assert perp_h == perp_w
     assert plane.intersect(perp_h).dim == 0
     join = Subspace.from_vectors(
@@ -146,11 +148,42 @@ def test_restrict_and_perp_shapes():
     plane = Subspace.from_vectors(t, 4, [[1, 0, 0, 0], [0, 1, 0, 0]])
     gram = model.h.restrict(plane)
     assert gram.rows == gram.cols == 2
-    perp = model.h.perp(plane)
+    whole = Subspace.from_vectors(t, 4, Matrix.identity(t, 4).col_list())
+    perp = model.h.perp(plane.basis_vectors(), whole)
     assert perp.dim == 2
     for v in perp.basis_vectors():
         for u in plane.basis_vectors():
             assert model.h.value(u, v).is_zero()
+
+
+def _intersect_with_second_slot_perp(form, vectors, within, t):
+    """within ∩ {v : value(w, v) = 0 for every w}: the kernel of the
+    rows G^T w (conjugated if hermitian), intersected with ``within``,
+    all in the tower ``t`` of the vectors."""
+    rows = Matrix(t, [form.gram.transpose().apply(w) for w in vectors],
+                  cols=form.dim)
+    if form.kind == "hermitian":
+        rows = rows.conj()
+    perp = Subspace.from_vectors(t, form.dim, kernel(rows))
+    return Subspace.from_vectors(t, form.dim,
+                                 within.basis_vectors()).intersect(perp)
+
+
+@pytest.mark.parametrize("form", [SPLIT2.omega, SPLIT2.h, ISO21.b,
+                                  ISO21.hhat], ids=lambda f: f.name)
+@settings(max_examples=15)
+@given(st.data())
+def test_perp_within_is_the_intersection_with_the_perp(form, data):
+    m = form.dim
+    within = Subspace.from_vectors(form.tower, m, data.draw(
+        st.lists(vectors(form.tower, m), max_size=m)))
+    deep = tower_of_depth(data.draw(st.integers(1, 2)))
+    ws = data.draw(st.lists(st.lists(deep_scalars(deep), min_size=m,
+                                     max_size=m), min_size=1, max_size=2))
+    got = form.perp(ws, within)
+    assert got == _intersect_with_second_slot_perp(form, ws, within, deep)
+    for v in got.basis_vectors():
+        assert all(form.value(v, w).is_zero() for w in ws)
 
 
 def test_model_guards():

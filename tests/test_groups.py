@@ -12,16 +12,16 @@ from orbitcert.groups import (DetOne, FixesVector, GroupSpec,
                               LieAlgebraBasis, PreservesBilinear,
                               PreservesHermitian, RealEntries,
                               _distinct_up_to_sign, _null_combinations,
-                              check_onishchik_triple, exp_nilpotent,
-                              isotropy_subalgebra, nilpotent_orthogonal,
-                              nilpotent_symplectic, nilpotent_unitary, outer)
+                              check_onishchik_triple, isotropy_subalgebra,
+                              nilpotent_orthogonal, outer)
 from orbitcert.linalg import Matrix, Subspace
 from orbitcert.octonions import PreservesCrossProduct, _cross7, _cross_pairs
 from orbitcert.scalars import Tower
 from orbitcert.witnesses import (build_group, reflection,
                                  transport_positive_line_sp)
 
-from conftest import deep_scalars, gauss, in_span, tower_of_depth
+from conftest import (deep_scalars, exp_nilpotent, gauss, in_span,
+                      nilpotent_symplectic, nilpotent_unitary, tower_of_depth)
 
 # every group build_group names, on one model of each case, and the real
 # orthogonal group of the quadric that quadric_algebras solves beside g2

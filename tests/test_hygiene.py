@@ -1,7 +1,8 @@
 """Source hygiene: no module or test file imports a name it neither uses
-nor exports, every exported name exists, and every method a class in the
+nor exports, every exported name exists, every method a class in the
 package defines is read somewhere in the package, its tests or its
-benchmark."""
+benchmark, and every module-level function is read by the package
+itself."""
 
 import ast
 import importlib
@@ -108,3 +109,32 @@ def test_every_method_is_referenced():
     by_name = [case.constructor for case in StandardModel.CASES.values()]
     assert unreferenced_methods(src, src + _trees(TESTS) + _trees(BENCH),
                                 by_name) == []
+
+
+def unread_functions(trees: list, allowed=()) -> list:
+    """Module-level functions of the ``trees`` that no name or attribute
+    in the same trees reads and ``allowed`` does not hold."""
+    read = set(allowed)
+    for tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    return sorted(f.name for tree in trees for f in tree.body
+                  if isinstance(f, ast.FunctionDef) and f.name not in read)
+
+
+def test_function_detector_flags_unread_and_keeps_read():
+    lib = ast.parse("def used(): pass\n"
+                    "def dead(): pass\n"
+                    "def kept(): pass\n"
+                    "__all__ = ['dead']\n"
+                    "x = used()\n")
+    assert unread_functions([lib], ["kept"]) == ["dead"]
+
+
+def test_every_function_is_read_by_the_package():
+    # ``derivations`` is the definitional g2 that the tests check
+    # ``build_group(quadric7, "G2split")`` against and the benchmark traces
+    assert unread_functions(_trees(SRC), ["derivations"]) == []

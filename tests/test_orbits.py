@@ -3,9 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import vectors
+from conftest import exp_nilpotent, vectors
 from orbitcert.forms import StandardModel
-from orbitcert.groups import exp_nilpotent, isotropy_subalgebra
+from orbitcert.groups import isotropy_subalgebra
 from orbitcert.linalg import Matrix, Subspace, vec_add, vec_scale
 from orbitcert.orbits import (STRATA, _quadric_nilpotents, classify_point,
                               quadric_algebras, spans_null_subalgebra,

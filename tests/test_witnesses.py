@@ -6,13 +6,15 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import exp_nilpotent
+from orbitcert import witnesses
 from orbitcert.forms import FormSpec, StandardModel
-from orbitcert.groups import exp_nilpotent
 from orbitcert.linalg import Matrix, column_space_equal
 from orbitcert.orbits import _quadric_nilpotents
 from orbitcert.rng import SplitMix64
 from orbitcert.scalars import Tower
-from orbitcert.witnesses import (NotInDomainError, Witness, _model_dim,
+from orbitcert.witnesses import (NotInDomainError, Witness,
+                                 WitnessVerificationError, _model_dim,
                                  build_group, isotropic_normal_form_complex,
                                  isotropic_normal_form_real, reflection,
                                  transport_positive_line_sp, witness_from_json,
@@ -205,6 +207,70 @@ def test_line_transport_seeded_pairs():
         w = transport_positive_line_sp(model, z, zt)
         assert w.verified
         done += 1
+
+
+# -- the one certificate ---------------------------------------------------------
+#
+# A builder proves nothing about its element apart from ``Witness.verify``:
+# each test breaks one construction step and expects the builder's own
+# ``verify`` call to refuse the element.
+
+
+def test_line_transport_refuses_a_wrongly_scaled_frame(monkeypatch):
+    # frame b scaled by 2 sqrt(ratio): the element still maps the line,
+    # but it no longer preserves omega or h
+    scale = witnesses.vec_scale
+    monkeypatch.setattr(witnesses, "vec_scale",
+                        lambda c, v: scale(c + c, v))
+    model = StandardModel.projective_split(Tower(), 2)
+    with pytest.raises(WitnessVerificationError):
+        transport_positive_line_sp(model, [1, 0, 0, 0], [1, 1, 0, 0])
+
+
+def _without_flips(monkeypatch) -> list:
+    """Make ``witnesses._flip`` the identity; the list records its calls."""
+    calls = []
+
+    def identity(t, m, j):
+        calls.append(j)
+        return Matrix.identity(t, m)
+
+    monkeypatch.setattr(witnesses, "_flip", identity)
+    return calls
+
+
+def test_complex_normal_form_refuses_a_missing_sign_correction(monkeypatch):
+    # this scramble ends on the line e1 - i e2, which the sign correction
+    # turns round; without it the element has det -1 and misses the plane
+    model = StandardModel.isotropic(Tower(), 2, 1)
+    t = model.tower
+    scr = (reflection(model.b, [t.zero(), t.zero(), t.one(), t.zero()])
+           * reflection(model.b, [t.zero(), t.one(), t.one(), t.zero()]))
+    plane = [scr.apply(v) for v in model.normal_form_complex().basis_vectors()]
+    assert isotropic_normal_form_complex(model, plane).verified
+    calls = _without_flips(monkeypatch)
+    with pytest.raises(WitnessVerificationError):
+        isotropic_normal_form_complex(model, plane)
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("p, q, v1, v2", [(2, 1, 2, 1), (1, 2, 2, 0)])
+def test_real_normal_form_refuses_a_skipped_final_flip(monkeypatch, p, q,
+                                                        v1, v2):
+    # scrambles by the reflections in e_v1 and e_v2 (signature
+    # coordinates) whose leftover line lands on the conjugate line
+    model = StandardModel.isotropic(Tower(), p, q)
+    t, m = model.tower, model.ambient_dim
+    e = Matrix.identity(t, m)
+    gsig = reflection(model.b_sig, e.col(v1)) * reflection(model.b_sig,
+                                                           e.col(v2))
+    g_std = model.sig_change * gsig * model.sig_change.inverse()
+    plane = [g_std.apply(v) for v in model.normal_form_real().basis_vectors()]
+    assert isotropic_normal_form_real(model, plane).verified
+    calls = _without_flips(monkeypatch)
+    with pytest.raises(WitnessVerificationError):
+        isotropic_normal_form_real(model, plane)
+    assert len(calls) == 1
 
 
 # -- witness documents -----------------------------------------------------------
