@@ -1,23 +1,37 @@
 """Seeded verification campaigns and machine-readable reports.
 
-A campaign bundles every check for one of the model cases — dimension
-certificates, inclusion-triple certification, witness round-trips,
-tangent-dimension equalities and stratum invariance — into a JSON report
-that is byte-identical for identical (config, version).  Reports carry no
-timestamps and all randomness comes from the documented splitmix64
-generator, so a report is a reproducible certificate.
+A campaign bundles every check for one of the model cases into a JSON
+report that is byte-identical for identical (config, version).  Reports
+carry no timestamps and all randomness comes from the documented
+splitmix64 generator, so a report is a reproducible certificate.
+
+One driver runs every case over the roles of its Onishchik quadruple
+(G, Ghat, G0, Ghat0 in ``StandardModel.CASES``).  The case's ``Plan``
+in ``PLANS`` names the checks and holds what else differs; in order:
+
+1. ``dims``: the dimension of each role the report checks, in report
+   order; only those roles are built, each by ``build_group`` with its
+   bracket closure certified;
+2. the triple G in Ghat at the point ``base`` (``check_onishchik_triple``),
+   with orbit codimension dim_C Z;
+3. ``section``: the case's own witness and sampling checks;
+4. where the case has them, ``sampled``: the complex tangent dimensions
+   of G and Ghat at three sampled points, both dim_C Z, and ``opened``:
+   G0's real tangent dimension at a point of D, 2 dim_C Z.  ``tangent``
+   gives the dimensions.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter, namedtuple
 from typing import Callable, Optional
 
 from ._version import __version__
 from .forms import FormSpec, StandardModel
 from .groups import check_onishchik_triple
 from .linalg import Matrix, Subspace
-from .orbits import (classify_point, quadric_algebras, tangent_dim_grassmann,
+from .orbits import (classify_point, tangent_dim_grassmann,
                      tangent_dim_projective, verify_orbit_equality)
 from .rng import SplitMix64
 from .scalars import Tower
@@ -76,34 +90,54 @@ def run_campaign(cfg: CampaignConfig) -> dict:
     checks = []
 
     def rec(name: str, ok: bool, details: dict) -> None:
-        checks.append({
-            "name": name,
-            "status": "pass" if ok else "fail",
-            "details": details,
-        })
+        checks.append({"name": name, "status": "pass" if ok else "fail",
+                       "details": details})
         if cfg.strict and not ok:
             raise _StrictStop()
 
     try:
-        if cfg.case in ("projective-split", "projective-pq"):
-            _campaign_projective(cfg, cfg.model, rec)
-        elif cfg.case == "quadric7":
-            _campaign_quadric(cfg, cfg.model, rec)
-        else:
-            _campaign_isotropic(cfg, cfg.model, rec)
+        _run_checks(cfg, rec)
     except _StrictStop:
         pass
-    n_pass = sum(1 for c in checks if c["status"] == "pass")
-    n_fail = sum(1 for c in checks if c["status"] == "fail")
-    n_skip = sum(1 for c in checks if c["status"] == "skipped")
+    count = Counter(c["status"] for c in checks)
     return {
         "schema": REPORT_SCHEMA,
         "version": __version__,
         "config": cfg.to_json(),
         "checks": checks,
-        "summary": {"pass": n_pass, "fail": n_fail, "skipped": n_skip},
-        "status": "pass" if n_fail == 0 else "fail",
+        "summary": {k: count[k] for k in ("pass", "fail", "skipped")},
+        "status": "pass" if count["fail"] == 0 else "fail",
     }
+
+
+def _run_checks(cfg: CampaignConfig, rec: Callable) -> None:
+    """The driver of the module docstring, with the case's ``Plan``."""
+    model = cfg.model
+    plan = PLANS[cfg.case](cfg)
+    roles = StandardModel.CASES[cfg.case].groups._asdict()
+    algs = {}
+    for role, name, want in plan.dims:
+        alg = algs[role] = build_group(model, roles[role]).lie_algebra()
+        details = {"dim": alg.dim, "expected": want}
+        if alg.ground == "real":
+            details["ground"] = alg.ground
+        rec(name, alg.dim == want, details)
+    codim = model.flag_dim_complex
+    triple = check_onishchik_triple(algs["G"], algs["Ghat"], plan.base)
+    rec(plan.triple, triple["ok"] and triple["codim_sub"] == codim, triple)
+    rng = SplitMix64(cfg.seed)
+    plan.section(cfg, algs, rng, rec)
+    if plan.sampled:
+        name, sample = plan.sampled
+        pairs = [[plan.tangent(algs[role], point) for role in ("G", "Ghat")]
+                 for point in (sample(rng) for _ in range(3))]
+        rec(name, all(pair == [codim, codim] for pair in pairs),
+            {"pairs": pairs, "expected": codim})
+    if plan.opened:
+        name, point = plan.opened
+        d_open = plan.tangent(algs["G0"], point)
+        rec(name, d_open == 2 * codim,
+            {"tangent": d_open, "ambient_real": 2 * codim})
 
 
 def report_text(report: dict) -> str:
@@ -113,17 +147,14 @@ def report_text(report: dict) -> str:
 # -- sampling helpers ---------------------------------------------------------------
 
 
-def _random_vector(rng: SplitMix64, tower: Tower, m: int, bound: int) -> list:
-    # arguments are evaluated left to right: the real part is drawn first
-    return [tower.scalar(rng.randint(-bound, bound),
-                         rng.randint(-bound, bound)) for _ in range(m)]
-
-
 def _random_line_with_sign(rng, model, bound, want_sign=None):
     """A random integer-coordinate vector with nonzero h-norm (of the
     requested sign when given), in at most 200 draws."""
     for _ in range(200):
-        z = _random_vector(rng, model.tower, model.ambient_dim, bound)
+        # arguments are evaluated left to right: the real part is drawn first
+        z = [model.tower.scalar(rng.randint(-bound, bound),
+                                rng.randint(-bound, bound))
+             for _ in range(model.ambient_dim)]
         val = model.h.norm(z)
         if val.is_zero():
             continue
@@ -143,9 +174,8 @@ def _even_reflection_scramble(rng, form: FormSpec, coords: list, bound: int,
     while made < 2:
         v = [t.zero()] * form.dim
         for j in coords:
-            re = rng.randint(-bound, bound)
-            im = 0 if real else rng.randint(-bound, bound)
-            v[j] = t.scalar(re, im)
+            v[j] = t.scalar(rng.randint(-bound, bound),
+                            0 if real else rng.randint(-bound, bound))
         if all(x.is_zero() for x in v) or form.norm(v).is_zero():
             continue
         g = reflection(form, v) * g
@@ -153,40 +183,74 @@ def _even_reflection_scramble(rng, form: FormSpec, coords: list, bound: int,
     return g
 
 
-# -- projective campaigns -------------------------------------------------------------
+# -- the per-case plans --------------------------------------------------------------
+
+# ``section(cfg, algs, rng, rec)``, ``tangent(alg, point)``, ``sampled``
+# (name, sampler(rng) -> point) and ``opened`` (name, point), or None
+Plan = namedtuple("Plan", "dims triple base section tangent sampled opened")
 
 
-def _campaign_projective(cfg: CampaignConfig, model: StandardModel,
-                         rec: Callable) -> None:
-    split = cfg.case == "projective-split"
-    tower, n, m = model.tower, model.n, model.ambient_dim
+def _projective_plan(cfg: CampaignConfig) -> Plan:
+    model, n, m = cfg.model, cfg.model.n, cfg.model.ambient_dim
+    roles = StandardModel.CASES[model.case].groups
+    e0 = [model.tower.one()] + [model.tower.zero()] * (m - 1)
+    return Plan(
+        dims=(("G", "dim sp_2n(C) == n(2n+1)", n * (2 * n + 1)),
+              ("Ghat", "dim sl_2n(C) == (2n)^2 - 1", m * m - 1),
+              ("G0", "dim_R %s == n(2n+1)" % roles.G0, n * (2 * n + 1)),
+              ("Ghat0", "dim_R %s == (2n)^2 - 1" % roles.Ghat0, m * m - 1)),
+        triple="triple sp_2n in sl_2n at [e1]: codim %d both" % (m - 1),
+        base=e0, section=_line_transports, tangent=tangent_dim_projective,
+        sampled=("complex tangent dims: sp == sl == 2n-1 at sampled points",
+                 lambda rng: _random_line_with_sign(rng, model, cfg.bound)),
+        opened=("real form open at a definite line (tangent == 2(2n-1))",
+                e0))
 
-    sp_c = build_group(model, "Sp2nC").lie_algebra(name="sp2nC")
-    rec("dim sp_2n(C) == n(2n+1)", sp_c.dim == n * (2 * n + 1),
-        {"dim": sp_c.dim, "expected": n * (2 * n + 1)})
 
-    sl_c = build_group(model, "SL2nC").lie_algebra(name="sl2nC")
-    rec("dim sl_2n(C) == (2n)^2 - 1", sl_c.dim == m * m - 1,
-        {"dim": sl_c.dim, "expected": m * m - 1})
+def _quadric_plan(cfg: CampaignConfig) -> Plan:
+    return Plan(
+        dims=(("G0", "dim der(octonions) == 14", 14),
+              ("Ghat0", "dim_R so(3,4) == 21", 21),
+              ("Ghat", "dim so_7(C) == 21", 21),
+              ("G", "dim_C complexified derivations == 14", 14)),
+        triple="triple g2 in so7 at [z+]: codim 5 both", base=cfg.model.z_plus,
+        section=_quadric_strata, tangent=tangent_dim_projective,
+        sampled=None, opened=None)
 
-    real_name = "Sp2nR" if split else "Sp(2p,2q)"
-    sp_r = build_group(model, real_name).lie_algebra(name=real_name)
-    rec("dim_R %s == n(2n+1)" % real_name, sp_r.dim == n * (2 * n + 1),
-        {"dim": sp_r.dim, "expected": n * (2 * n + 1), "ground": sp_r.ground})
 
-    su_name = "SU(n,n)" if split else "SU(2p,2q)"
-    su_r = build_group(model, su_name).lie_algebra(name=su_name)
-    rec("dim_R %s == (2n)^2 - 1" % su_name, su_r.dim == m * m - 1,
-        {"dim": su_r.dim, "expected": m * m - 1, "ground": su_r.ground})
+def _isotropic_plan(cfg: CampaignConfig) -> Plan:
+    model, m = cfg.model, cfg.model.ambient_dim
+    want_small = (m - 1) * (m - 2) // 2
+    nf_c, nf_r = model.normal_form_complex(), model.normal_form_real()
+    return Plan(
+        dims=(("Ghat", "dim so_2n(C) == n(2n-1)", m * (m - 1) // 2),
+              ("G", "dim so_2n-1(C) == (n-1)(2n-1)", want_small),
+              ("G0", "dim_R so(%d,%d) == %d" % (model.p, model.q, want_small),
+               want_small)),
+        triple="triple so_2n-1 in so_2n at the normal form: codim %d both"
+               % model.flag_dim_complex,
+        base=nf_c, section=lambda cfg, algs, rng, rec: _isotropic_normal_forms(
+            cfg, nf_c, nf_r, rng, rec),
+        tangent=lambda alg, s: tangent_dim_grassmann(alg, s, model.b),
+        sampled=("complex tangent dims: so_2n-1 == so_2n == dim Z at "
+                 "sampled planes",
+                 lambda rng: _scrambled_plane(rng, model, nf_c, cfg.bound)),
+        opened=("real form open at the normal form (tangent == n(n-1))",
+                nf_r))
 
-    e0 = [tower.one()] + [tower.zero()] * (m - 1)
-    triple = check_onishchik_triple(sp_c, sl_c, e0)
-    rec("triple sp_2n in sl_2n at [e1]: codim %d both" % (m - 1),
-        triple["ok"] and triple["codim_sub"] == m - 1, triple)
 
-    rng = SplitMix64(cfg.seed)
-    failures = 0
-    label_mismatch = 0
+PLANS = {"projective-split": _projective_plan,
+         "projective-pq": _projective_plan,
+         "quadric7": _quadric_plan, "isotropic": _isotropic_plan}
+
+
+# -- the per-case sections -----------------------------------------------------------
+
+
+def _line_transports(cfg: CampaignConfig, algs: dict, rng: SplitMix64,
+                     rec: Callable) -> None:
+    model = cfg.model
+    failures = label_mismatch = 0
     for _ in range(cfg.samples):
         z = _random_line_with_sign(rng, model, cfg.bound)
         sgn = model.h.norm(z).sign()
@@ -196,8 +260,8 @@ def _campaign_projective(cfg: CampaignConfig, model: StandardModel,
         except NotInDomainError:
             failures += 1
             continue
-        img = w.element.apply(z)
-        if not (classify_point(model, img) == classify_point(model, z)):
+        if classify_point(model, w.element.apply(z)) != \
+                classify_point(model, z):
             label_mismatch += 1
     rec("line transports: %d same-sign pairs, all witnesses verify"
         % cfg.samples, failures == 0,
@@ -205,58 +269,23 @@ def _campaign_projective(cfg: CampaignConfig, model: StandardModel,
     rec("stratum label constant along each witness", label_mismatch == 0,
         {"mismatches": label_mismatch})
 
-    dims_equal = True
-    seen = []
-    for _ in range(3):
-        z = _random_line_with_sign(rng, model, cfg.bound)
-        d_sp = tangent_dim_projective(sp_c, z)
-        d_sl = tangent_dim_projective(sl_c, z)
-        seen.append([d_sp, d_sl])
-        dims_equal = dims_equal and d_sp == d_sl == m - 1
-    rec("complex tangent dims: sp == sl == 2n-1 at sampled points",
-        dims_equal, {"pairs": seen, "expected": m - 1})
 
-    d_open = tangent_dim_projective(sp_r, e0)
-    rec("real form open at a definite line (tangent == 2(2n-1))",
-        d_open == 2 * (m - 1),
-        {"tangent": d_open, "ambient_real": 2 * (m - 1)})
-
-
-# -- quadric campaign ----------------------------------------------------------------
-
-
-def _campaign_quadric(cfg: CampaignConfig, model: StandardModel,
-                      rec: Callable) -> None:
-    g2, so34 = quadric_algebras(model)
-    rec("dim der(octonions) == 14", g2.dim == 14,
-        {"dim": g2.dim, "expected": 14, "ground": g2.ground})
-    rec("dim_R so(3,4) == 21", so34.dim == 21,
-        {"dim": so34.dim, "expected": 21, "ground": so34.ground})
-
-    so7c = build_group(model, "SO7C").lie_algebra(name="so7C")
-    rec("dim so_7(C) == 21", so7c.dim == 21,
-        {"dim": so7c.dim, "expected": 21})
-    g2c = g2.complexify(name="g2C")
-    rec("dim_C complexified derivations == 14", g2c.dim == 14,
-        {"dim": g2c.dim, "expected": 14})
-
-    triple = check_onishchik_triple(g2c, so7c, model.z_plus)
-    rec("triple g2 in so7 at [z+]: codim 5 both",
-        triple["ok"] and triple["codim_sub"] == 5, triple)
-
-    pairs = verify_orbit_equality(model, samples=cfg.samples, seed=cfg.seed,
-                                  bound=cfg.bound, algebras=(g2, so34))
+def _quadric_strata(cfg: CampaignConfig, algs: dict, rng: SplitMix64,
+                    rec: Callable) -> None:
+    # verify_orbit_equality draws from its own generator, seeded alike
+    pairs = verify_orbit_equality(cfg.model, samples=cfg.samples,
+                                  seed=cfg.seed, bound=cfg.bound,
+                                  algebras=(algs["G0"], algs["Ghat0"]))
     per_stratum = {}
     equal = True
     for rh, ra in pairs:
         equal = equal and rh.tangent_dim == ra.tangent_dim
         per_stratum.setdefault(rh.stratum, []).append(rh.tangent_dim)
+    seen = {s: sorted(set(v)) for s, v in per_stratum.items()}
     rec("tangent dims equal (g2 vs so(3,4)) on %d samples per stratum"
-        % cfg.samples, equal,
-        {s: sorted(set(v)) for s, v in per_stratum.items()})
-    const = all(len(set(v)) == 1 for v in per_stratum.values())
-    rec("tangent dim constant within each stratum", const,
-        {s: sorted(set(v)) for s, v in per_stratum.items()})
+        % cfg.samples, equal, seen)
+    rec("tangent dim constant within each stratum",
+        all(len(v) == 1 for v in seen.values()), seen)
     open_ok = all(
         (rh.open and ra.open) == (rh.stratum in ("positive", "negative"))
         for rh, ra in pairs)
@@ -267,42 +296,28 @@ def _campaign_quadric(cfg: CampaignConfig, model: StandardModel,
         {"ambient_real": 10})
 
 
-# -- isotropic campaign ----------------------------------------------------------------
+def _scrambled_plane(rng: SplitMix64, model: StandardModel, nf_c: Subspace,
+                     bound: int) -> Subspace:
+    """The complex normal form moved by a random even reflection product."""
+    m = model.ambient_dim
+    g = _even_reflection_scramble(rng, model.b, list(range(m)), bound,
+                                  real=False)
+    return Subspace.from_vectors(model.tower, m,
+                                 [g.apply(v) for v in nf_c.basis_vectors()])
 
 
-def _campaign_isotropic(cfg: CampaignConfig, model: StandardModel,
-                        rec: Callable) -> None:
-    tower, n, m = model.tower, model.n, model.ambient_dim
-
-    so_big = build_group(model, "SO2nC").lie_algebra(name="so2nC")
-    rec("dim so_2n(C) == n(2n-1)", so_big.dim == m * (m - 1) // 2,
-        {"dim": so_big.dim, "expected": m * (m - 1) // 2})
-    so_small = build_group(model, "SO2n-1C").lie_algebra(name="so2n-1C")
-    want_small = (m - 1) * (m - 2) // 2
-    rec("dim so_2n-1(C) == (n-1)(2n-1)", so_small.dim == want_small,
-        {"dim": so_small.dim, "expected": want_small})
-    so_pq = build_group(model, "SO(p,q)").lie_algebra(name="so(p,q)")
-    rec("dim_R so(%d,%d) == %d" % (cfg.p, cfg.q, want_small),
-        so_pq.dim == want_small,
-        {"dim": so_pq.dim, "expected": want_small, "ground": so_pq.ground})
-
-    nf_c = model.normal_form_complex()
-    triple = check_onishchik_triple(so_small, so_big, nf_c)
-    want_codim = n * (n - 1) // 2
-    rec("triple so_2n-1 in so_2n at the normal form: codim %d both"
-        % want_codim,
-        triple["ok"] and triple["codim_sub"] == want_codim, triple)
-
+def _isotropic_normal_forms(cfg: CampaignConfig, nf_c: Subspace,
+                            nf_r: Subspace, rng: SplitMix64,
+                            rec: Callable) -> None:
+    model = cfg.model
+    m = model.ambient_dim
     # complex normal-form round-trips: scramble by even reflection products
     # supported inside the fixed hyperplane
-    rng = SplitMix64(cfg.seed)
-    b_c = model.b
     v_coords = list(range(m - 1))
-    failures = 0
-    retries = 0
+    failures = retries = 0
     for _ in range(cfg.samples):
         for _attempt in range(10):
-            g = _even_reflection_scramble(rng, b_c, v_coords, cfg.bound,
+            g = _even_reflection_scramble(rng, model.b, v_coords, cfg.bound,
                                           real=False)
             w_in = [g.apply(v) for v in nf_c.basis_vectors()]
             try:
@@ -318,16 +333,13 @@ def _campaign_isotropic(cfg: CampaignConfig, model: StandardModel,
         {"samples": cfg.samples, "failures": failures, "retries": retries})
 
     # real round-trips: scramble in the signature presentation
-    b_sig = model.b_sig
     s_mat = model.sig_change
     s_inv = s_mat.inverse()
-    nf_r = model.normal_form_real()
-    real_failures = 0
-    label_bad = 0
+    real_failures = label_bad = 0
     open_label = "signature(%d,%d)-open" % model.open_signature
     for _ in range(cfg.samples):
-        gsig = _even_reflection_scramble(rng, b_sig, v_coords, cfg.bound,
-                                         real=True)
+        gsig = _even_reflection_scramble(rng, model.b_sig, v_coords,
+                                         cfg.bound, real=True)
         g_std = s_mat * gsig * s_inv
         w_in = [g_std.apply(v) for v in nf_r.basis_vectors()]
         try:
@@ -342,22 +354,3 @@ def _campaign_isotropic(cfg: CampaignConfig, model: StandardModel,
         {"samples": cfg.samples, "failures": real_failures})
     rec("scrambled planes all classify as the open stratum %r" % open_label,
         label_bad == 0, {"mismatches": label_bad})
-
-    dims_equal = True
-    seen = []
-    for _ in range(3):
-        g = _even_reflection_scramble(rng, b_c, list(range(m)), cfg.bound,
-                                      real=False)
-        plane = Subspace.from_vectors(
-            tower, m, [g.apply(v) for v in nf_c.basis_vectors()])
-        d_small = tangent_dim_grassmann(so_small, plane, model.b)
-        d_big = tangent_dim_grassmann(so_big, plane, model.b)
-        seen.append([d_small, d_big])
-        dims_equal = dims_equal and d_small == d_big == want_codim
-    rec("complex tangent dims: so_2n-1 == so_2n == dim Z at sampled planes",
-        dims_equal, {"pairs": seen, "expected": want_codim})
-
-    d_open = tangent_dim_grassmann(so_pq, nf_r, model.b)
-    rec("real form open at the normal form (tangent == n(n-1))",
-        d_open == n * (n - 1),
-        {"tangent": d_open, "ambient_real": n * (n - 1)})

@@ -27,10 +27,13 @@ The model constructors package the three geometries:
 
 ``StandardModel.CASES`` is the one table of case rules.  For each case
 it names the constructor, the integer parameters it takes after the tower
-with the values a campaign uses when none is given, and the groups
-``build_group`` builds on that case's model.  The constructors are the
-only range checks.  Each model records its name in ``info``, the dict
-witness files carry: its ``case`` plus that case's parameters.
+with the values a campaign uses when none is given, and the case's
+Onishchik quadruple, the groups ``build_group`` builds on its model by
+role: G inside Ghat, both transitive on Ghat's flag manifold Z, and their
+real forms G0 and Ghat0 (the source paper's theorem: Ghat0 = Aut(D)^0 for
+a flag domain D in Z).  The constructors are the only range checks.  Each
+model records its name in ``info``, the dict witness files carry: its
+``case`` plus that case's parameters.
 ``StandardModel.from_info`` builds the model a name stands for, and
 ``model.clone()`` rebuilds a model over a clone of its tower.
 """
@@ -152,21 +155,24 @@ def _epq(p: int, q: int) -> list:
 
 
 # a row of ``StandardModel.CASES``: the constructor's name, its parameters
-# with their campaign defaults, and the group names the case carries
+# with their campaign defaults, and its group names by role
 Case = namedtuple("Case", "constructor defaults groups")
+Quadruple = namedtuple("Quadruple", "G Ghat G0 Ghat0")
 
 
 class StandardModel:
     """One of the explicit geometries, with its forms and reference data."""
 
     CASES = {
-        "projective-split": Case("projective_split", {"n": 1},
-                                 ("Sp2nC", "SL2nC", "Sp2nR", "SU(n,n)")),
+        "projective-split": Case("projective_split", {"n": 1}, Quadruple(
+            "Sp2nC", "SL2nC", "Sp2nR", "SU(n,n)")),
         "projective-pq": Case("projective_signature", {"p": 1, "q": 1},
-                              ("Sp2nC", "SL2nC", "Sp(2p,2q)", "SU(2p,2q)")),
-        "quadric7": Case("quadric7", {}, ("SO7C", "G2split")),
-        "isotropic": Case("isotropic", {"p": 2, "q": 1},
-                          ("SO2nC", "SO2n-1C", "SO(p,q)")),
+                              Quadruple("Sp2nC", "SL2nC", "Sp(2p,2q)",
+                                        "SU(2p,2q)")),
+        "quadric7": Case("quadric7", {}, Quadruple(
+            "G2C", "SO7C", "G2split", "SO(3,4)")),
+        "isotropic": Case("isotropic", {"p": 2, "q": 1}, Quadruple(
+            "SO2n-1C", "SO2nC", "SO(p,q)", "SO(hhat)")),
     }
 
     def __init__(self, case: str, tower: Tower, ambient_dim: int, **data):

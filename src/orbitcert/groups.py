@@ -202,15 +202,13 @@ class GroupSpec:
     def contains(self, g: Matrix) -> bool:
         return not self.violations(g)
 
-    def lie_algebra(self, verify_closure: bool = True,
-                    name: str = "") -> "LieAlgebraBasis":
-        """Solve the linearized constraints at the identity; with
-        ``verify_closure``, certify that the basis closes under brackets."""
+    def lie_algebra(self, name: str = "") -> "LieAlgebraBasis":
+        """Solve the linearized constraints at the identity, and certify
+        that the basis closes under brackets."""
         alg = solve_linear_constraints(
             self.tower, self.dim, self.constraints,
             name=name or (self.name and self.name + "-alg"))
-        if verify_closure:
-            alg.verify_bracket_closure()
+        alg.verify_bracket_closure()
         return alg
 
     def __repr__(self) -> str:

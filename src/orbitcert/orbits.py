@@ -20,8 +20,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 from .forms import FormSpec, StandardModel
-from .groups import (GroupSpec, LieAlgebraBasis, PreservesBilinear,
-                     RealEntries, _action_coords, nilpotent_orthogonal)
+from .groups import LieAlgebraBasis, _action_coords, nilpotent_orthogonal
 from .linalg import (Matrix, Subspace, hermitian_signature, rank, real_rank,
                      vec_add, vec_scale)
 from .octonions import octonion_product
@@ -158,17 +157,15 @@ def classify_point(model: StandardModel, point) -> str:
 
 def quadric_algebras(model: StandardModel) -> Tuple[LieAlgebraBasis,
                                                     LieAlgebraBasis]:
-    """The two real algebras acting on the quadric: split g2, the algebra
-    of the group keeping the octonion cross product on e1..e7, and the
-    real orthogonal algebra of the same Gram matrix."""
+    """The quadric case's real pair (G0, Ghat0) from ``StandardModel.CASES``,
+    built by ``build_group`` with their closure certified: split g2, the
+    algebra of the group keeping the octonion cross product on e1..e7, and
+    so(3,4), the real orthogonal algebra of the same Gram matrix."""
     if model.case != "quadric7":
         raise ValueError("needs the quadric model")
-    t = model.tower
-    g2 = build_group(model, "G2split").lie_algebra(name="g2-split")
-    so34 = GroupSpec(t, 7, [PreservesBilinear(model.b), RealEntries()],
-                     "SO(3,4)").lie_algebra(verify_closure=False,
-                                            name="so(3,4)")
-    return g2, so34
+    roles = StandardModel.CASES["quadric7"].groups
+    return (build_group(model, roles.G0).lie_algebra(name="g2-split"),
+            build_group(model, roles.Ghat0).lie_algebra(name="so(3,4)"))
 
 
 # real isotropic orthogonal pairs for the Gram diag(1,1,1,-1,-1,-1,-1):

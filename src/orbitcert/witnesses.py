@@ -145,38 +145,44 @@ def _model_dim(info: dict) -> int:
     return 2 * sum(args) if case.startswith("projective") else sum(args) + 1
 
 
+# every group name a case carries, as constraint tags: a form of the model
+# by name, "det", "cross", "real", or "fix" (fix the last basis vector)
+GROUP_CONSTRAINTS = {
+    "Sp2nC": ("omega",), "SL2nC": ("det",),
+    "Sp2nR": ("omega", "h"), "SU(n,n)": ("det", "h"),
+    "Sp(2p,2q)": ("omega", "h"), "SU(2p,2q)": ("det", "h"),
+    "G2C": ("b", "cross"), "SO7C": ("b", "det"),
+    "G2split": ("b", "cross", "real"), "SO(3,4)": ("b", "det", "real"),
+    "SO2n-1C": ("b", "det", "fix"), "SO2nC": ("b", "det"),
+    "SO(p,q)": ("b", "hhat", "det", "fix"), "SO(hhat)": ("b", "hhat", "det"),
+}
+
+
+def _constraint(model: StandardModel, tag: str):
+    """The constraint a ``GROUP_CONSTRAINTS`` tag stands for on ``model``."""
+    t, m = model.tower, model.ambient_dim
+    if tag == "fix":
+        return FixesVector([t.zero()] * (m - 1) + [t.one()])
+    plain = {"det": DetOne, "cross": PreservesCrossProduct,
+             "real": RealEntries}
+    if tag in plain:
+        return plain[tag]()
+    form = getattr(model, tag)
+    return (PreservesHermitian if form.kind == "hermitian"
+            else PreservesBilinear)(form)
+
+
 def build_group(model: StandardModel, name: str) -> GroupSpec:
     """The named constraint group on ``model``: one of the group names its
-    case carries in ``StandardModel.CASES``."""
+    case carries in ``StandardModel.CASES``, with the constraints
+    ``GROUP_CONSTRAINTS`` lists for it."""
     groups = StandardModel.CASES[model.case].groups
     if name not in groups:
         raise ValueError("the %s model carries the groups %s, not %r"
                          % (model.case, ", ".join(groups), name))
-    t = model.tower
-    m = model.ambient_dim
-    e_last = [t.zero()] * m
-    e_last[m - 1] = t.one()
-    if name == "Sp2nC":
-        return GroupSpec(t, m, [PreservesBilinear(model.omega)], name)
-    if name == "SL2nC":
-        return GroupSpec(t, m, [DetOne()], name)
-    if name in ("Sp2nR", "Sp(2p,2q)"):
-        return GroupSpec(t, m, [PreservesBilinear(model.omega),
-                                PreservesHermitian(model.h)], name)
-    if name in ("SU(n,n)", "SU(2p,2q)"):
-        return GroupSpec(t, m, [DetOne(), PreservesHermitian(model.h)], name)
-    if name in ("SO7C", "SO2nC"):
-        return GroupSpec(t, m, [PreservesBilinear(model.b), DetOne()], name)
-    if name == "SO2n-1C":
-        return GroupSpec(t, m, [PreservesBilinear(model.b), DetOne(),
-                                FixesVector(e_last)], name)
-    if name == "SO(p,q)":
-        return GroupSpec(t, m, [PreservesBilinear(model.b),
-                                PreservesHermitian(model.hhat), DetOne(),
-                                FixesVector(e_last)], name)
-    # the one name left is G2split
-    return GroupSpec(t, m, [PreservesBilinear(model.b),
-                            PreservesCrossProduct(), RealEntries()], name)
+    return GroupSpec(model.tower, model.ambient_dim,
+                     [_constraint(model, tag)
+                      for tag in GROUP_CONSTRAINTS[name]], name)
 
 
 def witness_from_json(obj: dict) -> Witness:
@@ -369,8 +375,7 @@ def transport_positive_line_sp(model: StandardModel, line_src, line_dst) \
         frame_b.extend([vec_scale(c, ub), vec_scale(c, pb)])
     element = (Matrix.from_cols(t, frame_b)
                * Matrix.from_cols(t, frame_a).inverse())
-    group = build_group(mt, "Sp2nR" if mt.case == "projective-split"
-                        else "Sp(2p,2q)")
+    group = build_group(mt, StandardModel.CASES[mt.case].groups.G0)
     w = Witness(group, element, "maps_line",
                 Matrix.from_cols(t, [z]), Matrix.from_cols(t, [zt]), mt.info)
     if not w.verify():

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from orbitcert import campaigns
 from orbitcert.campaigns import (CASES, CampaignConfig, report_text,
                                  run_campaign)
 from orbitcert.forms import StandardModel
@@ -108,6 +109,22 @@ def test_strict_mode_passes_cleanly():
     a, b = run_campaign(base), run_campaign(strict)
     assert a["status"] == b["status"] == "pass"
     assert [c["name"] for c in a["checks"]] == [c["name"] for c in b["checks"]]
+
+
+def test_strict_mode_stops_at_a_failing_triple(monkeypatch):
+    # every case runs its dimension checks, then the triple; under strict
+    # the report ends there when the triple fails
+    monkeypatch.setattr(campaigns, "check_onishchik_triple",
+                        lambda sub, amb, point: {"ok": False})
+    for case in CASES:
+        report = run_campaign(CampaignConfig(case, samples=1, strict=True))
+        *dims, last = report["checks"]
+        assert last["name"].startswith("triple ") and \
+            last["status"] == "fail", case
+        assert dims and all(c["name"].startswith("dim") for c in dims)
+        assert report["summary"] == {"pass": len(dims), "fail": 1,
+                                     "skipped": 0}
+        assert report["status"] == "fail"
 
 
 def test_all_cases_run_green_at_small_scale():

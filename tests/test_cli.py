@@ -187,6 +187,17 @@ def test_witness_verify_g2split(tmp_path, capsys):
         w = Witness(group, g, "maps_line", src, g * src, {"case": "quadric7"})
         path.write_text(json.dumps(w.to_json()))
         assert main(["witness", "verify", str(path)]) == code
+    # SO(3,4) refuses a reflection (determinant -1) and admits the identity;
+    # G2C admits the split-G2 element
+    t = model.tower
+    flip = Matrix.diag(t, [-1, 1, 1, 1, 1, 1, 1])
+    for name, g, code in (("SO(3,4)", flip, 1),
+                          ("SO(3,4)", Matrix.identity(t, 7), 0),
+                          ("G2C", exp_nilpotent(nil[4], 2), 0)):
+        w = Witness(build_group(model, name), g, "maps_line", src, g * src,
+                    {"case": "quadric7"})
+        path.write_text(json.dumps(w.to_json()))
+        assert main(["witness", "verify", str(path)]) == code, name
     capsys.readouterr()
 
 

@@ -13,36 +13,27 @@ from orbitcert.groups import (DetOne, FixesVector, GroupSpec,
                               PreservesHermitian, RealEntries,
                               _distinct_up_to_sign, _null_combinations,
                               check_onishchik_triple, isotropy_subalgebra,
-                              nilpotent_orthogonal, outer)
+                              nilpotent_orthogonal, outer,
+                              solve_linear_constraints)
 from orbitcert.linalg import Matrix, Subspace
 from orbitcert.octonions import PreservesCrossProduct, _cross7, _cross_pairs
 from orbitcert.scalars import Tower
-from orbitcert.witnesses import (build_group, reflection,
+from orbitcert.witnesses import (GROUP_CONSTRAINTS, build_group, reflection,
                                  transport_positive_line_sp)
 
 from conftest import (deep_scalars, exp_nilpotent, gauss, in_span,
                       nilpotent_symplectic, nilpotent_unitary, tower_of_depth)
 
-# every group build_group names, on one model of each case, and the real
-# orthogonal group of the quadric that quadric_algebras solves beside g2
-CASE_GROUPS = [
-    (dict(case="projective-split", n=2), ("Sp2nC", "SL2nC", "Sp2nR",
-                                          "SU(n,n)")),
-    (dict(case="projective-pq", p=1, q=1), ("Sp2nC", "SL2nC", "Sp(2p,2q)",
-                                            "SU(2p,2q)")),
-    (dict(case="quadric7"), ("SO7C", "G2split", "SO(3,4)")),
-    (dict(case="isotropic", p=2, q=1), ("SO2nC", "SO2n-1C", "SO(p,q)")),
-]
+# every group build_group names, on one model of each case
+CASE_GROUPS = [(info, StandardModel.CASES[info["case"]].groups) for info in (
+    dict(case="projective-split", n=2), dict(case="projective-pq", p=1, q=1),
+    dict(case="quadric7"), dict(case="isotropic", p=2, q=1))]
 GROUPS = [(info, name) for info, names in CASE_GROUPS for name in names]
 GROUP_IDS = ["%s:%s" % (info["case"], name) for info, name in GROUPS]
 
 
 def _group(info, name):
-    model = StandardModel.from_info(Tower(), info)
-    if name == "SO(3,4)":
-        return GroupSpec(model.tower, 7, [PreservesBilinear(model.b),
-                                          RealEntries()], name)
-    return build_group(model, name)
+    return build_group(StandardModel.from_info(Tower(), info), name)
 
 
 def _reference(con, x):
@@ -175,7 +166,7 @@ def test_linear_terms_match_the_product_formulas(info, name):
 @pytest.mark.parametrize("info,name", GROUPS, ids=GROUP_IDS)
 def test_assembled_basis_equals_the_unit_matrix_solve(info, name):
     group = _group(info, name)
-    alg = group.lie_algebra(verify_closure=False)
+    alg = solve_linear_constraints(group.tower, group.dim, group.constraints)
     assert alg.ground == group.ground
     assert [x.to_json() for x in alg.matrices] == [
         x.to_json() for x in _unit_reference_solve(group)]
@@ -225,7 +216,8 @@ def test_assembly_makes_no_matrix_products(monkeypatch):
         return product(self, other)
 
     monkeypatch.setattr(Matrix, "__mul__", counting)
-    dims = [g.lie_algebra(verify_closure=False).dim for g in groups]
+    dims = [solve_linear_constraints(g.tower, g.dim, g.constraints).dim
+            for g in groups]
     assert dims == [3, 14]
     assert calls == []
 
@@ -350,14 +342,44 @@ def test_real_form_dimensions_match_complex_ones():
     assert su_r.dim == sl_c.dim
 
 
-def test_complexified_real_forms_recover_complex_algebras():
-    model = _split(1)
-    sp_c = build_group(model, "Sp2nC").lie_algebra()
-    sl_c = build_group(model, "SL2nC").lie_algebra()
-    sp_r = build_group(model, "Sp2nR").lie_algebra()
-    su_r = build_group(model, "SU(n,n)").lie_algebra()
-    assert sp_r.complexify().same_span(sp_c)
-    assert su_r.complexify().same_span(sl_c)
+# the campaign default of each case, and the other isotropic signatures
+QUADRUPLE_MODELS = [dict(case=case, **rule.defaults)
+                    for case, rule in StandardModel.CASES.items()]
+QUADRUPLE_MODELS += [dict(case="isotropic", p=p, q=q)
+                     for p, q in ((1, 2), (2, 3), (3, 2))]
+
+
+@pytest.mark.parametrize("info", QUADRUPLE_MODELS, ids=lambda info: "-".join(
+    str(v) for v in info.values()))
+def test_quadruple_real_forms_complexify_and_nest(info):
+    # G0 and Ghat0 are real forms of G and Ghat, and G0 in Ghat0 as G in Ghat
+    model = StandardModel.from_info(Tower(), info)
+    roles = StandardModel.CASES[model.case].groups
+    g, ghat, g0, ghat0 = (build_group(model, name).lie_algebra()
+                          for name in roles)
+    assert [a.ground for a in (g, ghat, g0, ghat0)] == [
+        "complex", "complex", "real", "real"]
+    assert (g0.dim, ghat0.dim) == (g.dim, ghat.dim)
+    assert g0.complexify().same_span(g)
+    assert ghat0.complexify().same_span(ghat)
+    assert all(ghat.contains(x) for x in g.matrices)
+    assert all(ghat0.contains(x) for x in g0.matrices)
+
+
+def test_every_group_name_has_its_own_constraints():
+    # each name a case carries builds that group, with constraints no other
+    # name on the model shares, and the name table lists no other name
+    carried = set()
+    for case, rule in StandardModel.CASES.items():
+        model = StandardModel.from_info(Tower(), dict(case=case,
+                                                      **rule.defaults))
+        built = [build_group(model, name) for name in rule.groups]
+        assert [g.name for g in built] == list(rule.groups)
+        kinds = {tuple(sorted(c.describe() for c in g.constraints))
+                 for g in built}
+        assert len(kinds) == len(built), case
+        carried.update(rule.groups)
+    assert carried == set(GROUP_CONSTRAINTS)
 
 
 def test_onishchik_triple_report_positive():
@@ -461,7 +483,8 @@ def test_g2_solve_reduces_its_distinct_rows_only(monkeypatch):
         return solve(m)
 
     monkeypatch.setattr(groups, "kernel", recording)
-    assert group.lie_algebra(verify_closure=False).dim == 14
+    assert solve_linear_constraints(group.tower, group.dim,
+                                    group.constraints).dim == 14
     assert seen == [77]
 
 
@@ -489,7 +512,9 @@ _ALGEBRAS = {}
 def _algebra(info, name):
     key = (info["case"], name)
     if key not in _ALGEBRAS:
-        _ALGEBRAS[key] = _group(info, name).lie_algebra(verify_closure=False)
+        g = _group(info, name)
+        _ALGEBRAS[key] = solve_linear_constraints(g.tower, g.dim,
+                                                  g.constraints)
     return _ALGEBRAS[key]
 
 
