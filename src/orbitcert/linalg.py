@@ -26,7 +26,7 @@ from .scalars import Scalar, Tower, TowerError, fma
 __all__ = [
     "Matrix", "Subspace", "rank", "real_rank", "kernel", "column_echelon",
     "column_space_equal", "hermitian_signature", "congruence_diagonalize",
-    "vec_add", "vec_sub", "vec_scale", "vec_is_zero", "real_coords",
+    "vec_add", "vec_sub", "vec_scale", "real_coords",
 ]
 
 Entry = Union[Scalar, int, Fraction]
@@ -42,10 +42,6 @@ def vec_sub(u: Sequence[Scalar], v: Sequence[Scalar]) -> list:
 
 def vec_scale(c: Scalar, v: Sequence[Scalar]) -> list:
     return [c * a for a in v]
-
-
-def vec_is_zero(v: Sequence[Scalar]) -> bool:
-    return all(a.is_zero() for a in v)
 
 
 def real_coords(v: Sequence[Scalar]) -> list:
@@ -514,15 +510,12 @@ class Subspace:
     def intersect(self, other: Subspace) -> Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimensions differ")
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.from_vectors(self.tower, self.ambient_dim, [])
+        # both bases have full column rank, so no kernel vector of [A | B]
+        # maps to zero under A
         joined = self.matrix.hstack(other.matrix)
-        vecs = []
-        for k in kernel(joined):
-            v = self.matrix.apply(k[:self.dim])
-            if not vec_is_zero(v):
-                vecs.append(v)
-        return Subspace.from_vectors(self.tower, self.ambient_dim, vecs)
+        return Subspace.from_vectors(
+            self.tower, self.ambient_dim,
+            [self.matrix.apply(k[:self.dim]) for k in kernel(joined)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):

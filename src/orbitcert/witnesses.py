@@ -10,6 +10,10 @@ the element it assembled and raises ``WitnessVerificationError`` unless
 it holds, and re-proves none of it beforehand.  The checks left inside
 the builders are the ones a step needs in order to go on.
 
+Reflections are applied to columns as rank-one updates,
+v -> v - (2 f(v,u)/f(u,u)) u; only ``reflection`` forms one as a matrix.
+The Witt transports run on the model's own forms at full length.
+
 Square-root discipline: reflections never extend the scalar tower; the
 only square roots adjoined are h-norm normalizations (one per plane in
 the symplectic line transport, one per placed pair in the real isotropic
@@ -41,12 +45,12 @@ from typing import Optional, Sequence
 
 from .forms import FormSpec, StandardModel
 from .groups import (DetOne, FixesVector, GroupSpec, PreservesBilinear,
-                     PreservesHermitian, RealEntries, outer)
+                     PreservesHermitian, RealEntries)
 from .linalg import (Matrix, Subspace, column_space_equal,
                      congruence_diagonalize, hermitian_signature, rank,
                      vec_add, vec_scale, vec_sub)
 from .octonions import PreservesCrossProduct
-from .scalars import Scalar, Tower
+from .scalars import Scalar, Tower, fma
 
 __all__ = [
     "NotInDomainError", "WitnessVerificationError", "Witness",
@@ -72,7 +76,7 @@ class Witness:
 
     def __init__(self, group: GroupSpec, element: Matrix, claim_kind: str,
                  source: Matrix, target: Matrix, model_info: dict) -> None:
-        if claim_kind not in ("maps_line", "maps_subspace", "maps_vector"):
+        if claim_kind not in ("maps_line", "maps_subspace"):
             raise ValueError("unknown claim kind %r" % (claim_kind,))
         _check_claim(group.dim, element, claim_kind, source, target)
         self.group = group
@@ -84,14 +88,10 @@ class Witness:
         self.verified = False
 
     def verify(self) -> bool:
-        ok = self.group.contains(self.element)
-        image = self.element * self.source
-        if self.claim_kind == "maps_vector":
-            ok = ok and image == self.target
-        else:
-            ok = ok and column_space_equal(image, self.target)
-        self.verified = ok
-        return ok
+        self.verified = (self.group.contains(self.element)
+                         and column_space_equal(self.element * self.source,
+                                                self.target))
+        return self.verified
 
     def to_json(self) -> dict:
         return {
@@ -110,8 +110,8 @@ class Witness:
 def _check_claim(dim: int, element: Matrix, claim_kind: str,
                  source: Matrix, target: Matrix) -> None:
     """Reject a claim that is mis-shaped or vacuous: it must live in the
-    model's ambient space, a line or vector claim takes one nonzero
-    column, and a subspace claim maps a basis to a basis."""
+    model's ambient space, a line claim takes one nonzero column, and a
+    subspace claim maps a basis to a basis."""
     _check_element(dim, element)
     for name, mat in (("source", source), ("target", target)):
         if mat.rows != dim:
@@ -122,8 +122,8 @@ def _check_claim(dim: int, element: Matrix, claim_kind: str,
                 raise ValueError("claim %s columns are not independent"
                                  % (name,))
         elif mat.cols != 1 or mat.is_zero():
-            raise ValueError("%s claim needs one nonzero %s column"
-                             % (claim_kind, name))
+            raise ValueError("line claim needs one nonzero %s column"
+                             % (name,))
     if source.cols != target.cols:
         raise ValueError("claim source and target differ in column count")
 
@@ -202,17 +202,31 @@ def witness_from_json(obj: dict) -> Witness:
 # -- reflections and Witt transport ----------------------------------------------
 
 
-def reflection(f: FormSpec, u: Sequence[Scalar]) -> Matrix:
-    """The f-orthogonal reflection x -> x - 2 f(x,u)/f(u,u) u."""
+def _reflect(f: FormSpec, u: Sequence[Scalar], vectors) -> list:
+    """Each v - (2 f(v,u)/f(u,u)) u: the f-orthogonal reflection in ``u``
+    applied to the vectors as a rank-one update, with no matrix formed."""
     if f.kind != "symmetric":
         raise ValueError("reflections need a symmetric form")
     q = f.norm(u)
     if q.is_zero():
         raise ValueError("reflection vector is isotropic")
-    t = f.tower
     gu = f.gram.apply(list(u))
-    factor = t.scalar(2) / q
-    return Matrix.identity(t, f.dim) - outer(t, list(u), gu).scale(factor)
+    factor = -f.tower.scalar(2) / q
+    zero = f.tower.zero()
+    out = []
+    for v in vectors:
+        c = factor * fma(zero, zip(v, gu))
+        out.append([fma(x, ((c, y),)) for x, y in zip(v, u)] if c
+                   else list(v))
+    return out
+
+
+def reflection(f: FormSpec, u: Sequence[Scalar]) -> Matrix:
+    """The f-orthogonal reflection x -> x - 2 f(x,u)/f(u,u) u, as a matrix:
+    ``_reflect`` on the identity's columns."""
+    t = f.tower
+    cols = _reflect(f, u, Matrix.identity(t, f.dim).col_list())
+    return Matrix(t, list(zip(*cols)), cols=f.dim)
 
 
 def witt_transport(f: FormSpec, frame_a: Sequence[Sequence[Scalar]],
@@ -225,9 +239,11 @@ def witt_transport(f: FormSpec, frame_a: Sequence[Sequence[Scalar]],
     reflection in a_k - b_k fixes already-placed vectors automatically; if
     that difference is isotropic, the pair of reflections in a_k + b_k and
     b_k is used instead (valid here because every placed target is
-    orthogonal to the pivot pair in all our call sites; re-checked).  With
-    ``extra_real`` all inputs must be real and the output is then real as
-    well.  No square roots are ever taken.
+    orthogonal to the pivot pair in all our call sites; re-checked).  Each
+    reflection is applied to the running product's columns and to the
+    frame together, as a rank-one update; no reflection matrix is formed.
+    With ``extra_real`` all inputs must be real and the output is then
+    real as well.  No square roots are ever taken.
     """
     t = f.tower
     k = len(frame_a)
@@ -253,15 +269,15 @@ def witt_transport(f: FormSpec, frame_a: Sequence[Sequence[Scalar]],
         if any(not f.gram[i, j].is_real()
                for i in range(f.dim) for j in range(f.dim)):
             raise ValueError("extra_real set but the form is not real")
-    g = Matrix.identity(t, f.dim)
-    current = [list(v) for v in fa]
+    # the running product's columns, then the frame's current images
+    cols = Matrix.identity(t, f.dim).col_list() + fa
     for idx in range(k):
-        a, b = current[idx], fb[idx]
+        a, b = cols[f.dim + idx], fb[idx]
         if all((x - y).is_zero() for x, y in zip(a, b)):
             continue
         d = vec_sub(a, b)
         if not f.norm(d).is_zero():
-            s = reflection(f, d)
+            cols = _reflect(f, d, cols)
         else:
             d2 = vec_add(a, b)
             if f.norm(d2).is_zero():
@@ -274,13 +290,11 @@ def witt_transport(f: FormSpec, frame_a: Sequence[Sequence[Scalar]],
                     raise ValueError(
                         "isotropic pivot with non-orthogonal placed "
                         "vectors is unsupported")
-            s = reflection(f, b) * reflection(f, d2)
-        g = s * g
-        current = [s.apply(v) for v in current]
-        if any(not (x - y).is_zero() for x, y in zip(current[idx], b)):
+            cols = _reflect(f, b, _reflect(f, d2, cols))
+        if any(not (x - y).is_zero() for x, y in zip(cols[f.dim + idx], b)):
             raise WitnessVerificationError("reflection step failed to place "
                                            "frame vector %d" % idx)
-    return g
+    return Matrix(t, list(zip(*cols[:f.dim])), cols=f.dim)
 
 
 def _vector_with_sign(h: FormSpec, space: Subspace,
@@ -339,8 +353,10 @@ def transport_positive_line_sp(model: StandardModel, line_src, line_dst) \
         raise NotInDomainError(
             "lines lie in different open orbits (opposite h-norm signs)")
 
+    whole = _coordinate_subspace(t, m, range(m))
+
     def decompose(seed, prescribed):
-        space = _coordinate_subspace(t, m, range(m))
+        space = whole
         out = []
         for step in range(mt.n):
             if step == 0:
@@ -352,9 +368,9 @@ def transport_positive_line_sp(model: StandardModel, line_src, line_dst) \
                     raise WitnessVerificationError(
                         "plane decomposition stalled at step %d" % step)
             alpha = h.norm(u)
+            # u, phi(u) span a plane: h(u, phi u) = -u^T (EJE) u = 0, EJE
+            # being antisymmetric, while h(u) != 0
             phi_u = mt.phi(u)
-            if Subspace.from_vectors(t, m, [u, phi_u]).dim != 2:
-                raise WitnessVerificationError("phi-plane degenerated")
             out.append((u, phi_u, alpha))
             space = h.perp([u, phi_u], space)
         if space.dim != 0:
@@ -389,15 +405,6 @@ def transport_positive_line_sp(model: StandardModel, line_src, line_dst) \
 def _coordinate_subspace(t: Tower, m: int, idx: Sequence[int]) -> Subspace:
     ident = Matrix.identity(t, m)
     return Subspace.from_vectors(t, m, [ident.col(j) for j in idx])
-
-
-def _embed(t: Tower, m: int, idx: Sequence[int], small: Matrix) -> Matrix:
-    """Identity on C^m except the block on the listed coordinates."""
-    rows = Matrix.identity(t, m).to_lists()
-    for bi, i in enumerate(idx):
-        for bj, j in enumerate(idx):
-            rows[i][j] = small[bi, bj]
-    return Matrix(t, rows, cols=m)
 
 
 def _flip(t: Tower, m: int, j: int) -> Matrix:
@@ -450,12 +457,11 @@ def isotropic_normal_form_complex(model: StandardModel, w_hat) -> Witness:
         v[last] = t.zero()
         if not mt.b.norm(v).is_one():
             raise WitnessVerificationError("extracted vector has norm != 1")
-        sub_idx = list(range(m2 - 1))
-        f_sub = FormSpec("symmetric", Matrix.identity(t, m2 - 1), "b")
-        target = [t.zero()] * (m2 - 1)
+        target = [t.zero()] * m
         target[m2 - 2] = t.one()
-        g_small = witt_transport(f_sub, [[v[j] for j in sub_idx]], [target])
-        g_k = _embed(t, m, sub_idx, g_small)
+        # v and the target lie in span(e_1..e_{m2-1}), so the transport
+        # acts as the identity on the other coordinates
+        g_k = witt_transport(mt.b, [v], [target])
         g_total = g_k * g_total
         moved = Subspace.from_vectors(t, m,
                                       [g_k.apply(bv)
@@ -533,9 +539,7 @@ def isotropic_normal_form_real(model: StandardModel, w_hat) -> Witness:
     w_sig = Subspace.from_vectors(
         t, m, [s_inv.apply(bv) for bv in w_std.basis_vectors()])
     nf_std = mt.normal_form_real()
-    nf_sig = Subspace.from_vectors(
-        t, m, [s_inv.apply(bv) for bv in nf_std.basis_vectors()])
-    if (w_sig.intersect(nf_sig).dim - n) % 2 != 0:
+    if (w_std.intersect(nf_std).dim - n) % 2 != 0:
         raise NotInDomainError(
             "plane lies in the other connected family; no witness fixing "
             "the last vector exists")
@@ -552,7 +556,6 @@ def isotropic_normal_form_real(model: StandardModel, w_hat) -> Witness:
         raise NotInDomainError(
             "boundary configuration: h-signature on the hyperplane part "
             "is %r, the procedure needs %r" % (sig_v, expected))
-    remaining = list(range(m - 1))
     cur = w_v
     g_total = Matrix.identity(t, m)
     half = t.scalar(Fraction(1, 2))
@@ -572,16 +575,12 @@ def isotropic_normal_form_real(model: StandardModel, w_hat) -> Witness:
                                            "violates its Gram identities")
         alpha_abs = alpha if alpha.sign() > 0 else -alpha
         root = t.adjoin_sqrt(alpha_abs * half)
-        sub = remaining
-        f_sub = FormSpec("symmetric", b_sig.gram.submatrix(sub, sub), "b_sub")
-        ta = [t.zero()] * len(sub)
-        tb = [t.zero()] * len(sub)
-        ta[sub.index(a_idx)] = root
-        tb[sub.index(b_idx)] = root
-        g_small = witt_transport(f_sub,
-                                 [[x[j] for j in sub], [y[j] for j in sub]],
-                                 [ta, tb], extra_real=True)
-        g_k = _embed(t, m, sub, g_small)
+        ta, tb = ([root if j == c else t.zero() for j in range(m)]
+                  for c in (a_idx, b_idx))
+        # x and y vanish on the last coordinate and on every placed pair
+        # (b- and h-orthogonality to its e_a + i e_b), so the transport
+        # acts as the identity there
+        g_k = witt_transport(b_sig, [x, y], [ta, tb], extra_real=True)
         g_total = g_k * g_total
         # pass to the h-complement of u inside the current plane
         nxt = [g_k.apply(v) for v in h_sig.perp([u], cur).basis_vectors()]
@@ -589,7 +588,6 @@ def isotropic_normal_form_real(model: StandardModel, w_hat) -> Witness:
         cur = Subspace.from_vectors(t, m, nxt)
         if cur.dim != prev_dim - 1:
             raise WitnessVerificationError("complement has wrong dimension")
-        remaining = [j for j in remaining if j not in (a_idx, b_idx)]
     # leftover line must now sit on the final coordinate pair
     moved = Subspace.from_vectors(
         t, m, [g_total.apply(bv) for bv in w_sig.basis_vectors()])

@@ -143,6 +143,19 @@ def test_witness_verify_parse_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_witness_verify_refuses_vector_claims(tmp_path, capsys):
+    # claims are lines or subspaces; any other kind is malformed input
+    golden = os.path.join(os.path.dirname(__file__), "data", "golden",
+                          "witness-transport-n2.json")
+    with open(golden) as fh:
+        obj = json.load(fh)
+    obj["claim"]["kind"] = "maps_vector"
+    path = tmp_path / "vector.json"
+    path.write_text(json.dumps(obj))
+    assert main(["witness", "verify", str(path)]) == 2
+    assert "unknown claim kind 'maps_vector'" in capsys.readouterr().err
+
+
 def test_witness_verify_sizes_the_model_before_building_it(
         tmp_path, capsys, monkeypatch):
     # the golden n=2 witness has a 4x4 element; a model of another size

@@ -8,6 +8,9 @@ them is a change in behaviour.  The transports reach tower depth 2 and 3
 and the real normal form depth 1, so their JSON pins the text form of
 coordinates over adjoined roots.  ``quadric7-samples8-seed17`` was
 generated before the quadric sampler stopped forming its group elements.
+The isotropic (3,2) normal forms were generated while each Witt step still
+ran on a sub-form and was embedded; the complex one peels three levels and
+the real one places two pairs.
 """
 
 import json
@@ -96,11 +99,32 @@ def _real_normal_form():
     return isotropic_normal_form_real(model, moved)
 
 
+def _complex_normal_form_p3_q2():
+    model = StandardModel.isotropic(Tower(), 3, 2)
+    moved = _scrambled(model.b,
+                       [[(1, 2), (0, 1), (3, 0), (1, 0), (2, -1), (0, 0)],
+                        [(2, 0), (1, -1), (0, 0), (1, 1), (0, 3), (0, 0)]],
+                       model.normal_form_complex().basis_vectors())
+    return isotropic_normal_form_complex(model, moved)
+
+
+def _real_normal_form_p3_q2():
+    model = StandardModel.isotropic(Tower(), 3, 2)
+    moved = _scrambled(model.b_sig, [[(2,), (1,), (1,), (3,), (-1,), (0,)],
+                                     [(1,), (0,), (2,), (1,), (1,), (0,)]],
+                       [model.sig_change.inverse().apply(u)
+                        for u in model.normal_form_real().basis_vectors()])
+    moved = [model.sig_change.apply(u) for u in moved]
+    return isotropic_normal_form_real(model, moved)
+
+
 WITNESSES = {
     "witness-transport-n2": lambda: _transport(2, 11),
     "witness-transport-n3": lambda: _transport(3, 12),
     "witness-normal-form-complex-p2-q1": _complex_normal_form,
     "witness-normal-form-real-p2-q1": _real_normal_form,
+    "witness-normal-form-complex-p3-q2": _complex_normal_form_p3_q2,
+    "witness-normal-form-real-p3-q2": _real_normal_form_p3_q2,
 }
 
 

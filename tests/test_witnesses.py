@@ -5,11 +5,13 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
-from conftest import exp_nilpotent
+from conftest import deep_scalars, exp_nilpotent, tower_of_depth
 from orbitcert import witnesses
 from orbitcert.forms import FormSpec, StandardModel
-from orbitcert.linalg import Matrix, column_space_equal
+from orbitcert.groups import outer
+from orbitcert.linalg import Matrix, column_space_equal, rank
 from orbitcert.orbits import _quadric_nilpotents
 from orbitcert.rng import SplitMix64
 from orbitcert.scalars import Tower
@@ -473,3 +475,105 @@ def test_builders_work_on_a_clone_of_the_model():
         assert w.model_info == model.info
         deepest = max(deepest, w.element.tower.depth)
     assert deepest > 0
+
+
+# -- rank-one reflections against the dense paths ---------------------------------
+
+
+def _dense_reflection(f, u):
+    """I - (2/f(u,u)) u (G u)^T, formed as a matrix: the oracle for the
+    rank-one updates behind ``reflection`` and ``witt_transport``."""
+    t = f.tower
+    gu = f.gram.apply(list(u))
+    return (Matrix.identity(t, f.dim)
+            - outer(t, list(u), gu).scale(t.scalar(2) / f.norm(u)))
+
+
+def _embed(t, m, idx, small):
+    """Identity on C^m except the block ``small`` on the listed coordinates."""
+    rows = Matrix.identity(t, m).to_lists()
+    for bi, i in enumerate(idx):
+        for bj, j in enumerate(idx):
+            rows[i][j] = small[bi, bj]
+    return Matrix(t, rows, cols=m)
+
+
+@given(st.data())
+def test_reflection_is_the_dense_formula(data):
+    t = tower_of_depth(data.draw(st.integers(0, 1)))
+    n = data.draw(st.integers(1, 4))
+    upper = data.draw(st.lists(deep_scalars(t), min_size=n * (n + 1) // 2,
+                               max_size=n * (n + 1) // 2))
+    rows = [[None] * n for _ in range(n)]
+    cells = iter(upper)
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = next(cells)
+    gram = Matrix(t, rows)
+    assume(not gram.det().is_zero())
+    f = FormSpec("symmetric", gram, "f")
+    u = data.draw(st.lists(deep_scalars(t), min_size=n, max_size=n))
+    assume(not f.norm(u).is_zero())
+    assert reflection(f, u).to_json() == _dense_reflection(f, u).to_json()
+
+
+def _assert_embedded_transport(f, sub, frame_a, frame_b, real):
+    """``witt_transport`` on the whole form equals the transport on the
+    sub-form of the coordinates ``sub``, which carry both frames, embedded
+    by the identity; or both refuse the frames."""
+    t, m = f.tower, f.dim
+    f_sub = FormSpec("symmetric", f.gram.submatrix(sub, sub), "sub")
+    cut = [[[v[j] for j in sub] for v in fr] for fr in (frame_a, frame_b)]
+    try:
+        small = witt_transport(f_sub, *cut, extra_real=real)
+    except ValueError:
+        with pytest.raises(ValueError):
+            witt_transport(f, frame_a, frame_b, extra_real=real)
+        return None
+    full = witt_transport(f, frame_a, frame_b, extra_real=real)
+    assert full.to_json() == _embed(t, m, sub, small).to_json()
+    return full
+
+
+@given(st.data())
+def test_full_form_witt_transport_is_the_embedded_sub_form_one(data):
+    p, q = data.draw(st.sampled_from([(2, 1), (1, 2), (2, 3), (3, 2)]))
+    model = StandardModel.isotropic(Tower(), p, q)
+    real = data.draw(st.booleans())
+    f = model.b_sig if real else model.b
+    t, m = model.tower, model.ambient_dim
+    # the last coordinate is never moved, as in both normal forms
+    sub = sorted(data.draw(st.sets(st.integers(0, m - 2), min_size=2)))
+    entry = st.integers(-3, 3)
+
+    def vector():
+        v = [t.zero()] * m
+        for j in sub:
+            v[j] = t.scalar(data.draw(entry), 0 if real else data.draw(entry))
+        return v
+
+    k = data.draw(st.integers(1, min(2, len(sub) - 1)))
+    frame_a = [vector() for _ in range(k)]
+    assume(rank(Matrix.from_cols(t, frame_a)) == k)
+    g = Matrix.identity(t, m)
+    for _ in range(2):
+        u = vector()
+        assume(not f.norm(u).is_zero())
+        g = _dense_reflection(f, u) * g
+    frame_b = [g.apply(v) for v in frame_a]
+    full = _assert_embedded_transport(f, sub, frame_a, frame_b, real)
+    if full is not None:
+        assert [full.apply(v) for v in frame_a] == frame_b
+
+
+def test_full_form_witt_transport_fallback_is_the_embedded_one():
+    # on b_sig = diag(1,1,1,-1,-1,1), a = e2 and b = e1 + e2 + e4 have
+    # norm 1 and an isotropic difference: the a + b, then b, path
+    model = StandardModel.isotropic(Tower(), 3, 2)
+    t = model.tower
+    e = Matrix.identity(t, 6).col_list()
+    a = e[1]
+    b = [x + y + z for x, y, z in zip(e[0], e[1], e[3])]
+    assert model.b_sig.norm([x - y for x, y in zip(a, b)]).is_zero()
+    full = _assert_embedded_transport(model.b_sig, [0, 1, 3], [a], [b], True)
+    assert full.apply(a) == b
