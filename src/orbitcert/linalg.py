@@ -7,12 +7,12 @@ eliminations and reductions run on the one fused multiply-accumulate
 kernel ``scalars.fma``, through the Gaussian elimination ``_rref``;
 ``det`` reads its pivots.  Rank alone has a second path: a matrix
 whose entries all lie in Q(i), in a tower of any depth, is reduced
-fraction-free over the Gaussian integers (Bareiss), and ``_rref`` stays
-the reference it is tested against.  ``rank`` takes that path on the
-rows of a matrix; ``real_rank``, the dimension of the real span of some
-vectors, builds its rows straight from each entry's ``gaussian()``
-triple (a real and an imaginary row per coordinate) and falls back to
-``rank`` on the matrix of ``real_coords`` when an entry needs a root.
+fraction-free (Bareiss), and ``_rref`` stays the reference it is tested
+against.  ``rank`` takes that path over Z[i] on the rows of a matrix;
+``real_rank``, the dimension of the real span of some vectors, takes it
+over Z on integer rows built from each entry's ``gaussian()`` triple (a
+real and an imaginary row per coordinate) and falls back to ``rank`` on
+the matrix of ``real_coords`` when an entry needs a root.
 """
 
 from __future__ import annotations
@@ -343,10 +343,10 @@ def rank(m: Matrix) -> int:
 def real_rank(tower: Tower, vectors: Sequence[Sequence[Scalar]]) -> int:
     """Dimension of the real span of ``vectors``: the rank of the matrix
     whose columns are their ``real_coords``.  When every entry lies in
-    Q(i), that matrix's rows go straight to ``_bareiss_pivots``: for each
-    coordinate, the real parts and the imaginary parts over the vectors,
-    both scaled by one lcm of the coordinate's denominators.  Otherwise
-    ``rank`` runs on the ``real_coords`` matrix in ``tower``."""
+    Q(i), its integer rows go to the integer Bareiss ``_integer_pivots``:
+    per coordinate, the real parts and the imaginary parts over the
+    vectors, both scaled by one lcm of the coordinate's denominators.
+    Otherwise ``rank`` runs on the ``real_coords`` matrix in ``tower``."""
     rows = []
     for coord in zip(*vectors):
         cs = [x.gaussian() for x in coord]
@@ -354,9 +354,9 @@ def real_rank(tower: Tower, vectors: Sequence[Sequence[Scalar]]) -> int:
             return rank(Matrix.from_cols(
                 tower, [real_coords(v) for v in vectors]))
         den = lcm(*[c[2] for c in cs])
-        rows.append([(x * (den // d), 0) for x, _, d in cs])
-        rows.append([(y * (den // d), 0) for _, y, d in cs])
-    return len(_bareiss_pivots(rows))
+        rows.append([x * (den // d) for x, _, d in cs])
+        rows.append([y * (den // d) for _, y, d in cs])
+    return len(_integer_pivots(rows))
 
 
 _GZ = (0, 0)
@@ -376,9 +376,29 @@ def _gaussian_integer_rows(m: Matrix) -> Optional[list]:
     return out
 
 
+def _integer_pivots(rows: list) -> list:
+    """``_bareiss_pivots`` over Z, on integer ``rows``: each entry below a
+    pivot ``p`` becomes ``(p*x - a*y) // prev``, a minor of the input, so
+    the division is exact and within the Hadamard bound.  Consumes rows."""
+    pivots, prev = [], 1
+    while rows and rows[0]:
+        piv = next((i for i, row in enumerate(rows) if row[0]), None)
+        if piv is None:
+            rows = [row[1:] for row in rows]
+            continue
+        rows[0], rows[piv] = rows[piv], rows[0]
+        p, *prow = rows[0]
+        rows = [[(p * x - a * y) // prev for x, y in zip(rest, prow)]
+                for a, *rest in rows[1:]]
+        pivots.append(p)
+        prev = p
+    return pivots
+
+
 def _bareiss_pivots(rows: list) -> list:
     """Pivots of a one-step fraction-free elimination over Z[i] (Bareiss
-    1968, *Math. Comp.* 22); their number is the rank of ``rows``.
+    1968, *Math. Comp.* 22); their number is the rank of ``rows``.  It
+    serves ``rank`` on Q(i) matrices, nonzero imaginary parts included.
 
     Each entry below a pivot ``p`` becomes ``(p*x - a*y) / prev``, where
     ``a`` is its row's entry under ``p``, ``y`` the pivot row's entry and

@@ -331,3 +331,70 @@ def test_real_rank_reads_gaussian_triples_and_falls_back(monkeypatch):
     assert calls == []
     real_rank(DEEP, rooted)
     assert len(calls) == 1
+
+
+# -- the integer fraction-free rank of real rows against both oracles -------
+
+@st.composite
+def integer_rows(draw):
+    """Integer matrices up to 6x8 with entries in [-9, 9], zero-heavy,
+    some rows integer combinations of earlier ones."""
+    r = draw(st.integers(min_value=0, max_value=6))
+    c = draw(st.integers(min_value=0, max_value=8))
+    entry = st.one_of(st.just(0), st.integers(min_value=-9, max_value=9))
+    rows = draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                         min_size=r, max_size=r))
+    for k in range(2, r):
+        if draw(st.booleans()):
+            cs = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+            rows[k] = [sum(a * row[j] for a, row in zip(cs, rows))
+                       for j in range(c)]
+    return rows
+
+
+@settings(max_examples=100)
+@given(integer_rows())
+def test_integer_pivots_are_the_gaussian_ones(rows):
+    gaussian = _bareiss_pivots([[(x, 0) for x in row] for row in rows])
+    pivots = linalg._integer_pivots([list(row) for row in rows])
+    assert pivots == [p for p, _ in gaussian]
+    assert len(pivots) == _rref_rank(Matrix.from_rows(T, rows))
+
+
+@given(st.data())
+def test_integer_pivots_are_minors(data):
+    # the last pivot of a square integer matrix is its determinant up to
+    # the sign of the row swaps
+    n = data.draw(st.integers(min_value=2, max_value=5))
+    small = st.integers(min_value=-9, max_value=9)
+    ints = data.draw(st.lists(st.lists(small, min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+    m = Matrix.from_rows(T, ints)
+    pivots = linalg._integer_pivots([list(row) for row in ints])
+    assert len(pivots) == _rref_rank(m)
+    d = m.det()
+    if d:
+        assert T.scalar(pivots[-1]) in (d, -d)
+
+
+def test_integer_pivots_of_large_integers():
+    big = [[10 ** 6 + (7 * i + 13 * j) % 17 - 8 for j in range(8)]
+           for i in range(5)]
+    big.append([a - 3 * b for a, b in zip(big[0], big[4])])
+    for rows in (big, [list(col) for col in zip(*big)]):
+        assert len(linalg._integer_pivots([list(r) for r in rows])) == 5
+
+
+def test_real_rank_of_gaussian_vectors_runs_the_integer_kernel(monkeypatch):
+    i = DEEP.i()
+    half = DEEP.scalar(1, -2).inv()
+    vecs = [[DEEP.one(), i, DEEP.zero()], [i, -DEEP.one(), half],
+            [DEEP.scalar(1, 1), i - DEEP.one(), half],
+            [DEEP.scalar(3), DEEP.zero(), half * i]]
+    want = _real_coords_rank(DEEP, vecs)
+
+    def refuse(*args):
+        raise AssertionError("wrong rank path")
+    for name in ("_bareiss_pivots", "_rref", "rank"):
+        monkeypatch.setattr(linalg, name, refuse)
+    assert real_rank(DEEP, vecs) == want == 3
