@@ -3,7 +3,12 @@
 A group is described by a list of constraint tags (preserve a bilinear
 form, preserve a hermitian form, determinant one, fix a vector, real
 entries).  Each tag knows how to test a group element exactly; the form
-tags compare only the independent half of g^T G g (``_preserves``).  Each
+tags compare only the independent half of g^T G g (``_preserves``), in
+one kernel at every tower depth: the rows of g^T G and the columns of g
+(or conj(g)) are split by tower monomial into Gaussian-integer vectors
+over one denominator each, so an entry is a plain-int dot product per
+pair of monomials (one pair at depth 0), and the canonical coefficient
+triples make the comparison with G tuple equality.  Each
 lists its linearization at the identity as sparse terms: row ``row`` of
 the linear map L(x) gains ``coeff * x[j][k]`` (or ``coeff * conj(x[j][k])``),
 with coefficients read off Gram entries, a fixed vector or the octonion
@@ -27,11 +32,13 @@ doubled real coordinates so that only real linear combinations count.
 
 from __future__ import annotations
 
+from math import lcm
+from operator import mul
 from typing import Sequence, Union
 
 from .forms import FormSpec
 from .linalg import Matrix, Subspace, _rref, kernel, real_coords
-from .scalars import Scalar, Tower, fma
+from .scalars import Scalar, Tower, _gnorm, _mul_into, fma
 
 __all__ = [
     "PreservesBilinear", "PreservesHermitian", "DetOne", "FixesVector",
@@ -90,13 +97,58 @@ class PreservesHermitian:
 
 def _preserves(g: Matrix, form: FormSpec, right: Matrix) -> bool:
     """g^T G right == G on the entries a <= b (a < b if G is antisymmetric,
-    where both diagonals are zero); right is g, or conj(g) for hermitian G."""
-    gram, zero, cols = form.gram, g.tower.zero(), right.col_list()
+    where both diagonals are zero); right is g, or conj(g) for hermitian G.
+
+    Each row of g^T G and each column of ``right`` is split by tower
+    monomial (``_split_by_mask``): per mask, a Gaussian-integer vector over
+    one lcm denominator.  Entry (a, b) is then a plain-int dot product per
+    pair of masks (mu, nu), put into the canonical terms by ``_mul_into``
+    with the radicals mu & nu multiplied out.  Every entry fits the one
+    ``Tower.host`` (a radicand conflict raises ``TowerError``), so the
+    masks of all of them name the same roots.  The result is compared with
+    G by ``Scalar`` equality, which is tuple equality of the canonical
+    (re, im, den) triples per mask: the products of distinct roots are a
+    basis of the tower over Q(i), so equal values have equal terms."""
+    gram = form.gram
+    if g.cols != gram.cols:
+        return False
+    left, right_cols = (g.transpose() * gram).to_lists(), right.col_list()
+    t = g.tower.host([x for vec in left + right_cols for x in vec])
+    rows = [_split_by_mask(r) for r in left]
+    cols = [_split_by_mask(c) for c in right_cols]
     skip = form.kind == "antisymmetric"
-    return g.cols == gram.cols and all(
-        fma(zero, zip(row, cols[b])) == gram[a, b]
-        for a, row in enumerate((g.transpose() * gram).to_lists())
-        for b in range(a + skip, gram.cols))
+    for a, row in enumerate(rows):
+        for b in range(a + skip, gram.cols):
+            out: dict = {}
+            for mu, (ur, ui, du) in row.items():
+                for nu, (vr, vi, dv) in cols[b].items():
+                    re = sum(map(mul, ur, vr)) - sum(map(mul, ui, vi))
+                    im = sum(map(mul, ur, vi)) + sum(map(mul, ui, vr))
+                    if re or im:
+                        _mul_into(t, out, mu & nu, mu ^ nu,
+                                  _gnorm(re, im, du * dv))
+            if Scalar(t, out) != gram[a, b]:
+                return False
+    return True
+
+
+def _split_by_mask(vec: Sequence[Scalar]) -> dict:
+    """{mask: (re, im, den)} of a vector: per tower monomial, the
+    coefficients of the entries as Gaussian integers, real parts ``re``
+    and imaginary parts ``im`` (0 where an entry lacks the mask), over the
+    lcm ``den`` of their denominators."""
+    by_mask: dict = {}
+    for k, x in enumerate(vec):
+        for mask, c in x._terms.items():
+            by_mask.setdefault(mask, []).append((k, c))
+    out = {}
+    for mask, kcs in by_mask.items():
+        den = lcm(*[c[2] for _, c in kcs])
+        re, im = [0] * len(vec), [0] * len(vec)
+        for k, (x, y, d) in kcs:
+            re[k], im[k] = x * (den // d), y * (den // d)
+        out[mask] = (re, im, den)
+    return out
 
 
 def _gram_terms(form: FormSpec, m: int, conj: bool) -> list:

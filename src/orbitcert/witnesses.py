@@ -47,8 +47,8 @@ from .forms import FormSpec, StandardModel
 from .groups import (DetOne, FixesVector, GroupSpec, PreservesBilinear,
                      PreservesHermitian, RealEntries)
 from .linalg import (Matrix, Subspace, column_space_equal,
-                     congruence_diagonalize, hermitian_signature, rank,
-                     vec_add, vec_scale, vec_sub)
+                     congruence_diagonalize, hermitian_signature, kernel,
+                     rank, vec_add, vec_scale, vec_sub)
 from .octonions import PreservesCrossProduct
 from .scalars import Scalar, Tower, fma
 
@@ -353,7 +353,7 @@ def transport_positive_line_sp(model: StandardModel, line_src, line_dst) \
         raise NotInDomainError(
             "lines lie in different open orbits (opposite h-norm signs)")
 
-    whole = _coordinate_subspace(t, m, range(m))
+    whole = Subspace(t, m, Matrix.identity(t, m))
 
     def decompose(seed, prescribed):
         space = whole
@@ -402,9 +402,17 @@ def transport_positive_line_sp(model: StandardModel, line_src, line_dst) \
 # -- isotropic normal forms --------------------------------------------------------
 
 
-def _coordinate_subspace(t: Tower, m: int, idx: Sequence[int]) -> Subspace:
-    ident = Matrix.identity(t, m)
-    return Subspace.from_vectors(t, m, [ident.col(j) for j in idx])
+def _on_coordinates(t: Tower, m: int, vectors: Sequence[Sequence[Scalar]],
+                    idx: Sequence[int]) -> Subspace:
+    """span(vectors) meet span{e_j : j in idx}, for linearly independent
+    ``vectors``: the columns of A = [vectors] combined by the kernel of
+    A's rows at the other coordinates."""
+    keep = set(idx)
+    other_rows = [[v[r] for v in vectors] for r in range(m) if r not in keep]
+    a = Matrix.from_cols(t, vectors)
+    return Subspace.from_vectors(
+        t, m, [a.apply(k) for k in kernel(
+            Matrix(t, other_rows, cols=len(vectors)))])
 
 
 def _flip(t: Tower, m: int, j: int) -> Matrix:
@@ -463,10 +471,9 @@ def isotropic_normal_form_complex(model: StandardModel, w_hat) -> Witness:
         # acts as the identity on the other coordinates
         g_k = witt_transport(mt.b, [v], [target])
         g_total = g_k * g_total
-        moved = Subspace.from_vectors(t, m,
-                                      [g_k.apply(bv)
-                                       for bv in cur.basis_vectors()])
-        cur = moved.intersect(_coordinate_subspace(t, m, range(m2 - 2)))
+        cur = _on_coordinates(t, m, [g_k.apply(bv)
+                                     for bv in cur.basis_vectors()],
+                              range(m2 - 2))
         if cur.dim != level - 1:
             raise WitnessVerificationError(
                 "peeled plane has wrong dimension at level %d" % level)
@@ -536,8 +543,7 @@ def isotropic_normal_form_real(model: StandardModel, w_hat) -> Witness:
     # move to the signature presentation
     s_mat = mt.sig_change
     s_inv = s_mat.inverse()
-    w_sig = Subspace.from_vectors(
-        t, m, [s_inv.apply(bv) for bv in w_std.basis_vectors()])
+    w_sig = [s_inv.apply(bv) for bv in w_std.basis_vectors()]
     nf_std = mt.normal_form_real()
     if (w_std.intersect(nf_std).dim - n) % 2 != 0:
         raise NotInDomainError(
@@ -547,7 +553,7 @@ def isotropic_normal_form_real(model: StandardModel, w_hat) -> Witness:
     eps = mt.eps
     expected = (mt.open_signature[0] - (1 if eps > 0 else 0),
                 mt.open_signature[1] - (1 if eps < 0 else 0))
-    w_v = w_sig.intersect(_coordinate_subspace(t, m, range(m - 1)))
+    w_v = _on_coordinates(t, m, w_sig, range(m - 1))
     if w_v.dim != n - 1:
         raise WitnessVerificationError(
             "plane meets the fixed hyperplane in dimension %d" % w_v.dim)
@@ -589,10 +595,10 @@ def isotropic_normal_form_real(model: StandardModel, w_hat) -> Witness:
         if cur.dim != prev_dim - 1:
             raise WitnessVerificationError("complement has wrong dimension")
     # leftover line must now sit on the final coordinate pair
-    moved = Subspace.from_vectors(
-        t, m, [g_total.apply(bv) for bv in w_sig.basis_vectors()])
     a_fin, b_fin = pairs[-1]
-    leftover = moved.intersect(_coordinate_subspace(t, m, [a_fin, b_fin]))
+    leftover = _on_coordinates(
+        t, m, [g_total.apply(bv) for bv in w_sig],
+        [a_fin, b_fin])
     if leftover.dim != 1:
         raise WitnessVerificationError("leftover line is displaced")
     w = leftover.basis_vectors()[0]

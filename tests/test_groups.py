@@ -17,7 +17,7 @@ from orbitcert.groups import (DetOne, FixesVector, GroupSpec,
                               solve_linear_constraints)
 from orbitcert.linalg import Matrix, Subspace
 from orbitcert.octonions import PreservesCrossProduct, _cross7, _cross_pairs
-from orbitcert.scalars import Tower
+from orbitcert.scalars import Tower, TowerError
 from orbitcert.witnesses import (GROUP_CONSTRAINTS, build_group, reflection,
                                  transport_positive_line_sp)
 
@@ -708,3 +708,109 @@ def test_half_check_agrees_with_the_full_product(info, attr, data):
     rows[i][j] += data.draw(deep_scalars(t).filter(lambda s: not s.is_zero()))
     for other in (Matrix(t, rows), g.transpose(), g.conj()):
         assert con.holds(other) == _full_product_holds(con, other)
+
+
+# -- the monomial split of _preserves against the full product ---------------
+
+
+def _nested_tower():
+    """sqrt(2), then sqrt(1 + sqrt(2)): the square of the second root has a
+    root in it, so products of roots recurse in ``_mul_into``."""
+    t = Tower()
+    t.adjoin_sqrt(1 + t.adjoin_sqrt(2))
+    return t
+
+
+def _constraint(f):
+    return (PreservesHermitian if f.kind == "hermitian"
+            else PreservesBilinear)(f)
+
+
+def _unipotent(t, m, r, sign=1):
+    """I + sign r E_01: real when r is, with inverse I - sign r E_01."""
+    rows = Matrix.identity(t, m).to_lists()
+    rows[0][1] = r if sign > 0 else -r
+    return Matrix(t, rows)
+
+
+@pytest.mark.parametrize("info,attr", HALF_FORMS, ids=HALF_IDS)
+@settings(max_examples=8)
+@given(data=st.data())
+def test_monomial_split_agrees_with_the_full_product(info, attr, data):
+    """Members, tampered members and perturbed elements, over towers of
+    depth 0-3 and the nested tower; the element may live in a separate
+    tower one level deeper than the Gram's, and the Gram may have a root
+    in it (G' = P^T G P, members P^-1 g P, for P = I + r E_01)."""
+    depth = data.draw(st.sampled_from([0, 1, 2, 3, "nested"]))
+    base = _nested_tower() if depth == "nested" else tower_of_depth(depth)
+    f = getattr(StandardModel.from_info(base, info), attr)
+    t, m = base, f.dim
+    if data.draw(st.booleans()):
+        t = base.clone()
+        t.adjoin_sqrt(7)
+    g = _member(data, FormSpec(f.kind, Matrix.from_rows(t, f.gram.to_lists()),
+                               f.name))
+    if base.depth and data.draw(st.booleans()):
+        r = base.root(base.depth - 1)
+        p = _unipotent(base, m, r)
+        f = FormSpec(f.kind, p.transpose() * f.gram * p, f.name)
+        g = _unipotent(base, m, r, -1) * g * p
+        assert any(not x.gaussian() for row in f.gram.to_lists() for x in row)
+    con = _constraint(f)
+    assert con.holds(g) and _full_product_holds(con, g)
+    tg = g.tower
+    re, im = data.draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+                       .filter(lambda c: c[0] ** 2 + c[1] ** 2 > 1))
+    j = data.draw(st.integers(0, m - 1))
+    doubled = Matrix(tg, [[x + x if k == j else x for k, x in enumerate(row)]
+                          for row in g.to_lists()])
+    for bad in (Matrix.identity(tg, m).scale(tg.scalar(re, im)), doubled):
+        assert not con.holds(bad) and not _full_product_holds(con, bad)
+    i = data.draw(st.integers(0, m - 1))
+    rows = g.to_lists()
+    rows[i][j] += data.draw(deep_scalars(t).filter(lambda s: not s.is_zero()))
+    for other in (Matrix(tg, rows), g.transpose(), g.conj()):
+        assert con.holds(other) == _full_product_holds(con, other)
+
+
+def _outcome(holds, con, g):
+    """``holds(con, g)``, or "TowerError" when it raises one."""
+    try:
+        return holds(con, g)
+    except TowerError:
+        return "TowerError"
+
+
+@pytest.mark.parametrize("attr", ["omega", "h"])
+def test_a_radicand_conflict_raises_as_the_full_product_does(attr):
+    """A member g over Q(i)(sqrt 2), checked against forms over Q(i)(sqrt 3):
+    a rational Gram, or rational entries of the other tower, meet no
+    conflict; an entry or a Gram entry using sqrt 3 next to the sqrt 2 of
+    g raises TowerError in both checks."""
+    t2, t3 = tower_of_depth(1), Tower()
+    t3.adjoin_sqrt(3)
+    info = dict(case="projective-split", n=2)
+    f2 = getattr(StandardModel.from_info(t2, info), attr)
+    f3 = getattr(StandardModel.from_info(t3, info), attr)
+    r2 = t2.root(0)
+    if f2.kind == "antisymmetric":
+        x = nilpotent_symplectic(f2, [1 + r2, t2.scalar(2), r2, t2.one()])
+    else:
+        x = nilpotent_unitary(f2, [1 + r2, t2.zero(), 1 + r2, t2.zero()])
+    g = exp_nilpotent(x, 1)
+    assert any(not e.gaussian() for row in g.to_lists() for e in row)
+
+    def with_entry(e):
+        rows = g.to_lists()
+        rows[1][2] = e
+        return Matrix(t2, rows)
+
+    p = _unipotent(t3, 4, t3.root(0))
+    rooted = FormSpec(f3.kind, p.transpose() * f3.gram * p, f3.name)
+    cases = [(f3, g, True), (f3, with_entry(t3.scalar(5, 1)), False),
+             (f3, with_entry(t3.root(0) + 1), "TowerError"),
+             (rooted, g, "TowerError")]
+    for f, elem, want in cases:
+        con = _constraint(f)
+        assert _outcome(_full_product_holds, con, elem) == want
+        assert _outcome(type(con).holds, con, elem) == want
