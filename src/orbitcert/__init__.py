@@ -24,7 +24,7 @@ from .octonions import (OctonionAlgebra, PreservesCrossProduct, derivations,
                         split_octonions)
 from .witnesses import (NotInDomainError, Witness, WitnessVerificationError,
                         build_group, isotropic_normal_form_complex,
-                        isotropic_normal_form_real, reflection,
+                        isotropic_normal_form_real, reflect,
                         transport_positive_line_sp, witness_from_json,
                         witt_transport)
 from .orbits import (OrbitReport, classify_point, quadric_algebras,
@@ -47,7 +47,7 @@ __all__ = [
     "split_octonions",
     "NotInDomainError", "Witness", "WitnessVerificationError", "build_group",
     "isotropic_normal_form_complex", "isotropic_normal_form_real",
-    "reflection", "transport_positive_line_sp",
+    "reflect", "transport_positive_line_sp",
     "witness_from_json",
     "witt_transport",
     "OrbitReport", "classify_point", "quadric_algebras",

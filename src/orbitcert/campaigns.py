@@ -19,6 +19,12 @@ in ``PLANS`` names the checks and holds what else differs; in order:
    of G and Ghat at three sampled points, both dim_C Z, and ``opened``:
    G0's real tangent dimension at a point of D, 2 dim_C Z.  ``tangent``
    gives the dimensions.
+
+The isotropic section scrambles its normal forms by pairs of random
+reflections applied straight to their basis vectors (``reflect``); the
+real one is scrambled in the signature presentation, on the S^-1-images
+of its basis, and mapped back by S.  No reflection matrix and no
+S g S^-1 product is formed.
 """
 
 from __future__ import annotations
@@ -30,14 +36,14 @@ from typing import Callable, Optional
 from ._version import __version__
 from .forms import FormSpec, StandardModel
 from .groups import check_onishchik_triple
-from .linalg import Matrix, Subspace
+from .linalg import Subspace
 from .orbits import (classify_point, tangent_dim_grassmann,
                      tangent_dim_projective, verify_orbit_equality)
 from .rng import SplitMix64
 from .scalars import Tower
 from .witnesses import (NotInDomainError, build_group,
                         isotropic_normal_form_complex,
-                        isotropic_normal_form_real, reflection,
+                        isotropic_normal_form_real, reflect,
                         transport_positive_line_sp)
 
 CASES = tuple(StandardModel.CASES)
@@ -164,12 +170,12 @@ def _random_line_with_sign(rng, model, bound, want_sign=None):
 
 
 def _even_reflection_scramble(rng, form: FormSpec, coords: list, bound: int,
-                              real: bool) -> Matrix:
-    """A product of two reflections in vectors supported on the listed
-    coordinates — an exact special isometry of the form fixing the
-    complementary coordinates."""
+                              real: bool, vectors: list) -> list:
+    """``vectors`` moved by a product of two reflections in vectors
+    supported on the listed coordinates — an exact special isometry of the
+    form fixing the complementary coordinates — applied by ``reflect``,
+    with no matrix formed."""
     t = form.tower
-    g = Matrix.identity(t, form.dim)
     made = 0
     while made < 2:
         v = [t.zero()] * form.dim
@@ -178,9 +184,9 @@ def _even_reflection_scramble(rng, form: FormSpec, coords: list, bound: int,
                             0 if real else rng.randint(-bound, bound))
         if all(x.is_zero() for x in v) or form.norm(v).is_zero():
             continue
-        g = reflection(form, v) * g
+        vectors = reflect(form, v, vectors)
         made += 1
-    return g
+    return vectors
 
 
 # -- the per-case plans --------------------------------------------------------------
@@ -300,10 +306,8 @@ def _scrambled_plane(rng: SplitMix64, model: StandardModel, nf_c: Subspace,
                      bound: int) -> Subspace:
     """The complex normal form moved by a random even reflection product."""
     m = model.ambient_dim
-    g = _even_reflection_scramble(rng, model.b, list(range(m)), bound,
-                                  real=False)
-    return Subspace.from_vectors(model.tower, m,
-                                 [g.apply(v) for v in nf_c.basis_vectors()])
+    return Subspace.from_vectors(model.tower, m, _even_reflection_scramble(
+        rng, model.b, list(range(m)), bound, False, nf_c.basis_vectors()))
 
 
 def _isotropic_normal_forms(cfg: CampaignConfig, nf_c: Subspace,
@@ -317,9 +321,9 @@ def _isotropic_normal_forms(cfg: CampaignConfig, nf_c: Subspace,
     failures = retries = 0
     for _ in range(cfg.samples):
         for _attempt in range(10):
-            g = _even_reflection_scramble(rng, model.b, v_coords, cfg.bound,
-                                          real=False)
-            w_in = [g.apply(v) for v in nf_c.basis_vectors()]
+            w_in = _even_reflection_scramble(rng, model.b, v_coords,
+                                             cfg.bound, False,
+                                             nf_c.basis_vectors())
             try:
                 isotropic_normal_form_complex(model, w_in)
             except NotInDomainError:
@@ -332,16 +336,16 @@ def _isotropic_normal_forms(cfg: CampaignConfig, nf_c: Subspace,
         % cfg.samples, failures == 0,
         {"samples": cfg.samples, "failures": failures, "retries": retries})
 
-    # real round-trips: scramble in the signature presentation
+    # real round-trips: scramble in the signature presentation, where the
+    # normal form's basis is S^-1 nf_r, and map back by S
     s_mat = model.sig_change
     s_inv = s_mat.inverse()
+    nf_sig = [s_inv.apply(v) for v in nf_r.basis_vectors()]
     real_failures = label_bad = 0
     open_label = "signature(%d,%d)-open" % model.open_signature
     for _ in range(cfg.samples):
-        gsig = _even_reflection_scramble(rng, model.b_sig, v_coords,
-                                         cfg.bound, real=True)
-        g_std = s_mat * gsig * s_inv
-        w_in = [g_std.apply(v) for v in nf_r.basis_vectors()]
+        w_in = [s_mat.apply(v) for v in _even_reflection_scramble(
+            rng, model.b_sig, v_coords, cfg.bound, True, nf_sig)]
         try:
             isotropic_normal_form_real(model, w_in)
         except NotInDomainError:

@@ -13,6 +13,7 @@ witness does not verify), 2 usage or parse error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -30,7 +31,9 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The whole parser, built once per process and reused by ``main``."""
     parser = argparse.ArgumentParser(
         prog="orbitcert",
         description="exact verification campaigns for the three "

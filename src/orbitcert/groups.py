@@ -32,13 +32,12 @@ doubled real coordinates so that only real linear combinations count.
 
 from __future__ import annotations
 
-from math import lcm
 from operator import mul
 from typing import Sequence, Union
 
 from .forms import FormSpec
 from .linalg import Matrix, Subspace, _rref, kernel, real_coords
-from .scalars import Scalar, Tower, _gnorm, _mul_into, fma
+from .scalars import Scalar, Tower, _gnorm, _mul_into, _split_by_mask, fma
 
 __all__ = [
     "PreservesBilinear", "PreservesHermitian", "DetOne", "FixesVector",
@@ -130,25 +129,6 @@ def _preserves(g: Matrix, form: FormSpec, right: Matrix) -> bool:
             if Scalar(t, out) != gram[a, b]:
                 return False
     return True
-
-
-def _split_by_mask(vec: Sequence[Scalar]) -> dict:
-    """{mask: (re, im, den)} of a vector: per tower monomial, the
-    coefficients of the entries as Gaussian integers, real parts ``re``
-    and imaginary parts ``im`` (0 where an entry lacks the mask), over the
-    lcm ``den`` of their denominators."""
-    by_mask: dict = {}
-    for k, x in enumerate(vec):
-        for mask, c in x._terms.items():
-            by_mask.setdefault(mask, []).append((k, c))
-    out = {}
-    for mask, kcs in by_mask.items():
-        den = lcm(*[c[2] for _, c in kcs])
-        re, im = [0] * len(vec), [0] * len(vec)
-        for k, (x, y, d) in kcs:
-            re[k], im[k] = x * (den // d), y * (den // d)
-        out[mask] = (re, im, den)
-    return out
 
 
 def _gram_terms(form: FormSpec, m: int, conj: bool) -> list:

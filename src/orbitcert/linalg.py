@@ -5,23 +5,20 @@ which keeps canonical forms reproducible across runs.  Vectors are plain
 lists of scalars; matrices are immutable row-major wrappers.  Products,
 eliminations and reductions run on the one fused multiply-accumulate
 kernel ``scalars.fma``, through the Gaussian elimination ``_rref``;
-``det`` reads its pivots.  Rank alone has a second path: a matrix
-whose entries all lie in Q(i), in a tower of any depth, is reduced
-fraction-free (Bareiss), and ``_rref`` stays the reference it is tested
-against.  ``rank`` takes that path over Z[i] on the rows of a matrix;
-``real_rank``, the dimension of the real span of some vectors, takes it
-over Z on integer rows built from each entry's ``gaussian()`` triple (a
-real and an imaginary row per coordinate) and falls back to ``rank`` on
-the matrix of ``real_coords`` when an entry needs a root.
+``rank`` and ``det`` read its pivots.  Only ``real_rank``, the dimension
+of the real span of some vectors, is fraction-free: each coordinate is
+split by tower monomial (``scalars._split_by_mask``), and when every
+coordinate lies in Q(i) its real and imaginary integer rows are reduced
+over Z by Bareiss (``_integer_pivots``); a coordinate that needs a root
+sends the vectors to ``rank`` on the matrix of their ``real_coords``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
-from .scalars import Scalar, Tower, TowerError, fma
+from .scalars import Scalar, Tower, TowerError, _split_by_mask, fma
 
 __all__ = [
     "Matrix", "Subspace", "rank", "real_rank", "kernel", "column_echelon",
@@ -331,55 +328,38 @@ def _rref(tower: Tower, rows: list) -> tuple:
 
 
 def rank(m: Matrix) -> int:
-    """Rank of ``m``.  When every entry lies in Q(i) the rank is that of
-    the Gaussian-integer rows (rank does not change under field extension,
-    whatever tower holds the entries); any other matrix runs ``_rref``."""
-    rows = _gaussian_integer_rows(m)
-    if rows is None:
-        return len(_rref(m.tower, m.to_lists())[1])
-    return len(_bareiss_pivots(rows))
+    """Rank of ``m``: the number of pivots ``_rref`` finds."""
+    return len(_rref(m.tower, m.to_lists())[1])
 
 
 def real_rank(tower: Tower, vectors: Sequence[Sequence[Scalar]]) -> int:
     """Dimension of the real span of ``vectors``: the rank of the matrix
-    whose columns are their ``real_coords``.  When every entry lies in
-    Q(i), its integer rows go to the integer Bareiss ``_integer_pivots``:
-    per coordinate, the real parts and the imaginary parts over the
-    vectors, both scaled by one lcm of the coordinate's denominators.
-    Otherwise ``rank`` runs on the ``real_coords`` matrix in ``tower``."""
+    whose columns are their ``real_coords``.  Each coordinate over the
+    vectors is split by tower monomial; mask 0 alone gives its real and its
+    imaginary integer row (over one denominator) to ``_integer_pivots``,
+    and an all-zero coordinate gives none.  Any other mask sends the
+    vectors to ``rank`` on the ``real_coords`` matrix in ``tower``."""
     rows = []
     for coord in zip(*vectors):
-        cs = [x.gaussian() for x in coord]
-        if None in cs:
+        split = _split_by_mask(coord)
+        if split.keys() - {0}:
             return rank(Matrix.from_cols(
                 tower, [real_coords(v) for v in vectors]))
-        den = lcm(*[c[2] for c in cs])
-        rows.append([x * (den // d) for x, _, d in cs])
-        rows.append([y * (den // d) for _, y, d in cs])
+        if split:
+            re, im, _ = split[0]
+            rows += (re, im)
     return len(_integer_pivots(rows))
 
 
-_GZ = (0, 0)
-
-
-def _gaussian_integer_rows(m: Matrix) -> Optional[list]:
-    """Rows of ``m`` as lists of Gaussian integers ``(re, im)``, each row
-    multiplied by the lcm of its denominators; None unless every entry
-    lies in Q(i)."""
-    out = []
-    for row in m._e:
-        cs = [x.gaussian() for x in row]
-        if None in cs:
-            return None
-        den = lcm(*[c[2] for c in cs])
-        out.append([(x * (den // d), y * (den // d)) for x, y, d in cs])
-    return out
-
-
 def _integer_pivots(rows: list) -> list:
-    """``_bareiss_pivots`` over Z, on integer ``rows``: each entry below a
-    pivot ``p`` becomes ``(p*x - a*y) // prev``, a minor of the input, so
-    the division is exact and within the Hadamard bound.  Consumes rows."""
+    """Pivots of a one-step fraction-free elimination over Z (Bareiss
+    1968, *Math. Comp.* 22) of the integer ``rows``; their number is the
+    rank.  Each entry below a pivot ``p`` becomes ``(p*x - a*y) // prev``,
+    where ``a`` is its row's entry under ``p``, ``y`` the pivot row's entry
+    and ``prev`` the previous pivot.  Every entry is then a minor of the
+    input, so the division is exact and entries stay within the Hadamard
+    bound, hostile input included.  The first row with a nonzero entry in
+    the column is the pivot row, as in ``_rref``.  Consumes ``rows``."""
     pivots, prev = [], 1
     while rows and rows[0]:
         piv = next((i for i, row in enumerate(rows) if row[0]), None)
@@ -392,53 +372,6 @@ def _integer_pivots(rows: list) -> list:
                 for a, *rest in rows[1:]]
         pivots.append(p)
         prev = p
-    return pivots
-
-
-def _bareiss_pivots(rows: list) -> list:
-    """Pivots of a one-step fraction-free elimination over Z[i] (Bareiss
-    1968, *Math. Comp.* 22); their number is the rank of ``rows``.  It
-    serves ``rank`` on Q(i) matrices, nonzero imaginary parts included.
-
-    Each entry below a pivot ``p`` becomes ``(p*x - a*y) / prev``, where
-    ``a`` is its row's entry under ``p``, ``y`` the pivot row's entry and
-    ``prev`` the previous pivot.  Every entry is then a minor of the input,
-    so the division is exact and entries stay within the Hadamard bound,
-    hostile input included.  The first row with a nonzero entry in the
-    column is the pivot row, as in ``_rref``.  Consumes ``rows``: only the
-    rows below the pivot and the columns right of it are kept.
-    """
-    pivots = []
-    qr, qi = 1, 0
-    while rows and rows[0]:
-        piv = next((i for i, row in enumerate(rows) if row[0] != _GZ), None)
-        if piv is None:
-            rows = [row[1:] for row in rows]
-            continue
-        rows[0], rows[piv] = rows[piv], rows[0]
-        (pr, pi), *prow = rows[0]
-        norm = qr * qr + qi * qi
-        reduced = []
-        for row in rows[1:]:
-            it = iter(row)
-            ar, ai = next(it)
-            out = []
-            for (xr, xi), (yr, yi) in zip(it, prow):
-                if not (xr or xi or yr or yi):
-                    out.append(_GZ)
-                    continue
-                zr = pr * xr - pi * xi - ar * yr + ai * yi
-                zi = pr * xi + pi * xr - ar * yi - ai * yr
-                if qi:
-                    zr, zi = ((zr * qr + zi * qi) // norm,
-                              (zi * qr - zr * qi) // norm)
-                else:
-                    zr, zi = zr // qr, zi // qr
-                out.append((zr, zi))
-            reduced.append(out)
-        rows = reduced
-        pivots.append((pr, pi))
-        qr, qi = pr, pi
     return pivots
 
 

@@ -28,14 +28,18 @@ every entry lifts into.  The operators and ``fma`` both go through it.
 
 Term masks: bit j of a term's integer key selects sqrt(r_{j+1}), so the
 key 0 is the rational part and key 0b101 tags sqrt(r1)*sqrt(r3).
+``_split_by_mask`` reads a vector in the same keys: per mask, the
+Gaussian-integer real and imaginary parts of its entries over one
+denominator, the rows that the integer kernels of ``groups`` and
+``linalg`` work on.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt
-from typing import Iterable, Optional, Union
+from math import gcd, isqrt, lcm
+from typing import Iterable, Optional, Sequence, Union
 
 __all__ = ["Tower", "Scalar", "TowerError", "fma"]
 
@@ -677,6 +681,25 @@ def _mul_into(tower: Tower, out: dict, common: int, sym: int, coeff: Coeff) -> N
         # basis(mf) and basis(sym) may themselves overlap; recurse.  The top
         # bit of the overlap strictly decreases, so this terminates.
         _mul_into(tower, out, mf & sym, mf ^ sym, _gmul(coeff, cf))
+
+
+def _split_by_mask(vec: Sequence[Scalar]) -> dict:
+    """{mask: (re, im, den)} of a vector: per tower monomial, the
+    coefficients of the entries as Gaussian integers, real parts ``re``
+    and imaginary parts ``im`` (0 where an entry lacks the mask), over the
+    lcm ``den`` of their denominators."""
+    by_mask: dict = {}
+    for k, x in enumerate(vec):
+        for mask, c in x._terms.items():
+            by_mask.setdefault(mask, []).append((k, c))
+    out = {}
+    for mask, kcs in by_mask.items():
+        den = lcm(*[c[2] for _, c in kcs])
+        real, imag = [0] * len(vec), [0] * len(vec)
+        for k, (x, y, d) in kcs:
+            real[k], imag[k] = x * (den // d), y * (den // d)
+        out[mask] = (real, imag, den)
+    return out
 
 
 def _sign_terms(tower: Tower, terms: dict) -> int:

@@ -10,9 +10,9 @@ the element it assembled and raises ``WitnessVerificationError`` unless
 it holds, and re-proves none of it beforehand.  The checks left inside
 the builders are the ones a step needs in order to go on.
 
-Reflections are applied to columns as rank-one updates,
-v -> v - (2 f(v,u)/f(u,u)) u; only ``reflection`` forms one as a matrix.
-The Witt transports run on the model's own forms at full length.
+Reflections are applied to vectors as rank-one updates,
+v -> v - (2 f(v,u)/f(u,u)) u (``reflect``); no reflection matrix is
+formed.  The Witt transports run on the model's own forms at full length.
 
 Square-root discipline: reflections never extend the scalar tower; the
 only square roots adjoined are h-norm normalizations (one per plane in
@@ -54,7 +54,7 @@ from .scalars import Scalar, Tower, fma
 
 __all__ = [
     "NotInDomainError", "WitnessVerificationError", "Witness",
-    "reflection", "witt_transport", "transport_positive_line_sp",
+    "reflect", "witt_transport", "transport_positive_line_sp",
     "isotropic_normal_form_complex", "isotropic_normal_form_real",
     "build_group", "witness_from_json",
 ]
@@ -202,7 +202,7 @@ def witness_from_json(obj: dict) -> Witness:
 # -- reflections and Witt transport ----------------------------------------------
 
 
-def _reflect(f: FormSpec, u: Sequence[Scalar], vectors) -> list:
+def reflect(f: FormSpec, u: Sequence[Scalar], vectors) -> list:
     """Each v - (2 f(v,u)/f(u,u)) u: the f-orthogonal reflection in ``u``
     applied to the vectors as a rank-one update, with no matrix formed."""
     if f.kind != "symmetric":
@@ -219,14 +219,6 @@ def _reflect(f: FormSpec, u: Sequence[Scalar], vectors) -> list:
         out.append([fma(x, ((c, y),)) for x, y in zip(v, u)] if c
                    else list(v))
     return out
-
-
-def reflection(f: FormSpec, u: Sequence[Scalar]) -> Matrix:
-    """The f-orthogonal reflection x -> x - 2 f(x,u)/f(u,u) u, as a matrix:
-    ``_reflect`` on the identity's columns."""
-    t = f.tower
-    cols = _reflect(f, u, Matrix.identity(t, f.dim).col_list())
-    return Matrix(t, list(zip(*cols)), cols=f.dim)
 
 
 def witt_transport(f: FormSpec, frame_a: Sequence[Sequence[Scalar]],
@@ -277,7 +269,7 @@ def witt_transport(f: FormSpec, frame_a: Sequence[Sequence[Scalar]],
             continue
         d = vec_sub(a, b)
         if not f.norm(d).is_zero():
-            cols = _reflect(f, d, cols)
+            cols = reflect(f, d, cols)
         else:
             d2 = vec_add(a, b)
             if f.norm(d2).is_zero():
@@ -290,7 +282,7 @@ def witt_transport(f: FormSpec, frame_a: Sequence[Sequence[Scalar]],
                     raise ValueError(
                         "isotropic pivot with non-orthogonal placed "
                         "vectors is unsupported")
-            cols = _reflect(f, b, _reflect(f, d2, cols))
+            cols = reflect(f, b, reflect(f, d2, cols))
         if any(not (x - y).is_zero() for x, y in zip(cols[f.dim + idx], b)):
             raise WitnessVerificationError("reflection step failed to place "
                                            "frame vector %d" % idx)

@@ -1,5 +1,6 @@
 """Shared hypothesis profile and strategies for exact-arithmetic tests,
-and the test-only nilpotents and exponentials that build group elements."""
+and the test-only nilpotents, exponentials and reflection matrices that
+build group elements."""
 
 from fractions import Fraction
 from typing import Sequence
@@ -10,6 +11,7 @@ from orbitcert.forms import FormSpec
 from orbitcert.groups import outer
 from orbitcert.linalg import Matrix, rank
 from orbitcert.scalars import Scalar, Tower
+from orbitcert.witnesses import reflect
 
 # Exact arithmetic is deterministic but not uniformly fast; wall-clock
 # deadlines only add flakiness on loaded machines.  Shrinking is left out:
@@ -115,3 +117,10 @@ def nilpotent_unitary(form: FormSpec, u: Sequence[Scalar]) -> Matrix:
     if not (x * x).is_zero():
         raise ValueError("internal: unitary nilpotent is not square-zero")
     return x
+
+
+def reflection(f: FormSpec, u: Sequence[Scalar]) -> Matrix:
+    """The f-orthogonal reflection x -> x - 2 f(x,u)/f(u,u) u, as a matrix:
+    ``reflect`` on the identity's columns."""
+    cols = reflect(f, u, Matrix.identity(f.tower, f.dim).col_list())
+    return Matrix(f.tower, list(zip(*cols)), cols=f.dim)

@@ -20,8 +20,10 @@ from orbitcert.rng import SplitMix64
 from orbitcert.scalars import Tower
 from orbitcert.witnesses import (NotInDomainError, build_group,
                                  isotropic_normal_form_complex,
-                                 isotropic_normal_form_real, reflection,
+                                 isotropic_normal_form_real,
                                  transport_positive_line_sp)
+
+from conftest import reflection
 
 SAMPLES = 25
 

@@ -24,8 +24,10 @@ from orbitcert.linalg import Matrix
 from orbitcert.rng import SplitMix64
 from orbitcert.scalars import Tower
 from orbitcert.witnesses import (isotropic_normal_form_complex,
-                                 isotropic_normal_form_real, reflection,
+                                 isotropic_normal_form_real,
                                  transport_positive_line_sp)
+
+from conftest import reflection
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
 

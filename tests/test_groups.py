@@ -18,11 +18,12 @@ from orbitcert.groups import (DetOne, FixesVector, GroupSpec,
 from orbitcert.linalg import Matrix, Subspace
 from orbitcert.octonions import PreservesCrossProduct, _cross7, _cross_pairs
 from orbitcert.scalars import Tower, TowerError
-from orbitcert.witnesses import (GROUP_CONSTRAINTS, build_group, reflection,
+from orbitcert.witnesses import (GROUP_CONSTRAINTS, build_group,
                                  transport_positive_line_sp)
 
 from conftest import (deep_scalars, exp_nilpotent, gauss, in_span,
-                      nilpotent_symplectic, nilpotent_unitary, tower_of_depth)
+                      nilpotent_symplectic, nilpotent_unitary, reflection,
+                      tower_of_depth)
 
 # every group build_group names, on one model of each case
 CASE_GROUPS = [(info, StandardModel.CASES[info["case"]].groups) for info in (

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitcert import linalg
-from orbitcert.linalg import (Matrix, Subspace, _bareiss_pivots,
-                              _gaussian_integer_rows, _rref, column_echelon,
+from orbitcert.linalg import (Matrix, Subspace, _rref, column_echelon,
                               column_space_equal, congruence_diagonalize,
                               hermitian_signature, kernel, rank, real_coords,
                               real_rank)
@@ -192,7 +191,7 @@ def test_residual_agrees_with_rank_membership(gens, v, coeffs):
                    for j, o in enumerate(s.basis_vectors()) if j != k)
 
 
-# -- the fraction-free rank of Q(i) matrices against _rref -----------------
+# -- rank of large integer entries, and the towers shared below ------------
 
 DEEP = Tower()
 for _r in (2, 3):
@@ -203,78 +202,12 @@ def _rref_rank(m):
     return len(_rref(m.tower, m.to_lists())[1])
 
 
-@st.composite
-def qi_matrices(draw):
-    """Q(i) matrices up to 6x8, zero-heavy, in the base tower or held in a
-    depth-2 one, with zeroed rows and columns and rows that combine
-    earlier rows."""
-    t = draw(st.sampled_from([T, DEEP]))
-    r = draw(st.integers(min_value=0, max_value=6))
-    c = draw(st.integers(min_value=0, max_value=8))
-    entry = st.one_of(st.just(0), gauss(t))
-    rows = [[t.lift(x) for x in row] for row in draw(st.lists(
-        st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))]
-    index = st.integers(min_value=0, max_value=max(r, c))
-    for i in draw(st.lists(index, max_size=2)):
-        if i < r:
-            rows[i] = [t.zero()] * c
-    for j in draw(st.lists(index, max_size=2)):
-        for row in rows:
-            if j < c:
-                row[j] = t.zero()
-    for k in range(2, r):
-        if draw(st.booleans()):
-            cs = draw(st.lists(gauss(t), min_size=k, max_size=k))
-            rows[k] = [sum((a * row[j] for a, row in zip(cs, rows)),
-                           t.zero()) for j in range(c)]
-    return Matrix(t, rows, cols=c)
-
-
-@settings(max_examples=100)
-@given(qi_matrices())
-def test_fraction_free_rank_matches_rref(m):
-    assert rank(m) == _rref_rank(m)
-
-
 def test_fraction_free_rank_of_large_integers():
     big = [[10 ** 6 + (7 * i + 13 * j) % 17 - 8 for j in range(8)]
            for i in range(5)]
     big.append([a - 3 * b for a, b in zip(big[0], big[4])])
     for m in (Matrix.from_rows(T, big), Matrix.from_rows(T, big).transpose()):
         assert rank(m) == _rref_rank(m) == 5
-
-
-@given(st.data())
-def test_fraction_free_pivots_are_minors(data):
-    # the last pivot of a square Gaussian-integer matrix is its determinant
-    # up to the sign of the row swaps: the entries never outgrow the minors
-    n = data.draw(st.integers(min_value=2, max_value=5))
-    small = st.integers(min_value=-9, max_value=9)
-    ints = data.draw(st.lists(st.lists(st.tuples(small, small),
-                                       min_size=n, max_size=n),
-                              min_size=n, max_size=n))
-    m = Matrix(T, [[T.scalar(*z) for z in row] for row in ints])
-    pivots = _bareiss_pivots([list(row) for row in ints])
-    assert len(pivots) == _rref_rank(m)
-    d = m.det()
-    if d:
-        assert T.scalar(*pivots[-1]) in (d, -d)
-
-
-def test_rank_path_depends_on_the_entries_only(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("wrong rank path")
-    r2 = DEEP.root(0)
-    rooted = Matrix.from_rows(DEEP, [[1, r2, 0], [r2, 2, 0], [0, 1, DEEP.i()]])
-    want = _rref_rank(rooted)
-    qi = Matrix.from_rows(DEEP, [[1, 2, 0], [2, 4, 0], [0, 1, DEEP.i()]])
-    assert _gaussian_integer_rows(rooted) is None
-    with monkeypatch.context() as mp:
-        mp.setattr(linalg, "_bareiss_pivots", refuse)
-        assert rank(rooted) == want == 2
-    with monkeypatch.context() as mp:
-        mp.setattr(linalg, "_rref", refuse)
-        assert rank(qi) == 2
 
 
 # -- the real rank of vectors against the real-coordinate matrix ------------
@@ -323,17 +256,19 @@ def test_real_rank_reads_gaussian_triples_and_falls_back(monkeypatch):
     i, r2 = DEEP.i(), DEEP.root(0)
     qi = [[DEEP.one(), i], [i, -DEEP.one()], [DEEP.scalar(1, 1), DEEP.zero()]]
     rooted = [[DEEP.one(), r2], [r2, DEEP.scalar(2)], [i, i * r2]]
-    assert [real_rank(DEEP, v) for v in (qi, rooted, [], [[], []])] == [
-        3, 2, 0, 0]
+    zero_coord = [[DEEP.zero(), DEEP.one()], [DEEP.zero(), i]]
+    assert [real_rank(DEEP, v)
+            for v in (qi, rooted, zero_coord, [], [[], []])] == [3, 2, 2, 0, 0]
     calls = []
     monkeypatch.setattr(linalg, "rank", lambda m: calls.append(m) or 0)
     real_rank(DEEP, qi)
+    real_rank(DEEP, zero_coord)
     assert calls == []
     real_rank(DEEP, rooted)
     assert len(calls) == 1
 
 
-# -- the integer fraction-free rank of real rows against both oracles -------
+# -- the integer fraction-free rank of real rows against _rref --------------
 
 @st.composite
 def integer_rows(draw):
@@ -354,10 +289,8 @@ def integer_rows(draw):
 
 @settings(max_examples=100)
 @given(integer_rows())
-def test_integer_pivots_are_the_gaussian_ones(rows):
-    gaussian = _bareiss_pivots([[(x, 0) for x in row] for row in rows])
+def test_integer_pivots_give_the_rref_rank(rows):
     pivots = linalg._integer_pivots([list(row) for row in rows])
-    assert pivots == [p for p, _ in gaussian]
     assert len(pivots) == _rref_rank(Matrix.from_rows(T, rows))
 
 
@@ -395,6 +328,6 @@ def test_real_rank_of_gaussian_vectors_runs_the_integer_kernel(monkeypatch):
 
     def refuse(*args):
         raise AssertionError("wrong rank path")
-    for name in ("_bareiss_pivots", "_rref", "rank"):
+    for name in ("_rref", "rank"):
         monkeypatch.setattr(linalg, name, refuse)
     assert real_rank(DEEP, vecs) == want == 3

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import deep_scalars, exp_nilpotent, tower_of_depth
+from conftest import deep_scalars, exp_nilpotent, reflection, tower_of_depth
 from orbitcert import witnesses
 from orbitcert.forms import FormSpec, StandardModel
 from orbitcert.groups import outer
@@ -18,7 +18,7 @@ from orbitcert.scalars import Tower
 from orbitcert.witnesses import (NotInDomainError, Witness,
                                  WitnessVerificationError, _model_dim,
                                  build_group, isotropic_normal_form_complex,
-                                 isotropic_normal_form_real, reflection,
+                                 isotropic_normal_form_real,
                                  transport_positive_line_sp, witness_from_json,
                                  witt_transport)
 
