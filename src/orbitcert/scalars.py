@@ -697,7 +697,11 @@ def _split_by_mask(vec: Sequence[Scalar]) -> dict:
         den = lcm(*[c[2] for _, c in kcs])
         real, imag = [0] * len(vec), [0] * len(vec)
         for k, (x, y, d) in kcs:
-            real[k], imag[k] = x * (den // d), y * (den // d)
+            if d == den:
+                real[k], imag[k] = x, y
+            else:
+                f = den // d
+                real[k], imag[k] = x * f, y * f
         out[mask] = (real, imag, den)
     return out
 
