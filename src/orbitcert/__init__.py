@@ -17,9 +17,9 @@ from .linalg import (Matrix, Subspace, column_echelon, column_space_equal,
                      rank)
 from .forms import FormSpec, StandardModel
 from .groups import (DetOne, FixesVector, GroupSpec, LieAlgebraBasis,
-                     PreservesBilinear, PreservesHermitian, RealEntries,
-                     check_onishchik_triple, isotropy_subalgebra,
-                     nilpotent_orthogonal, solve_linear_constraints)
+                     PreservesForm, RealEntries, check_onishchik_triple,
+                     isotropy_subalgebra, nilpotent_orthogonal,
+                     solve_linear_constraints)
 from .octonions import (OctonionAlgebra, PreservesCrossProduct, derivations,
                         split_octonions)
 from .witnesses import (NotInDomainError, Witness, WitnessVerificationError,
@@ -40,7 +40,7 @@ __all__ = [
     "congruence_diagonalize", "hermitian_signature", "kernel", "rank",
     "FormSpec", "StandardModel",
     "DetOne", "FixesVector", "GroupSpec", "LieAlgebraBasis",
-    "PreservesBilinear", "PreservesHermitian", "RealEntries",
+    "PreservesForm", "RealEntries",
     "check_onishchik_triple", "isotropy_subalgebra",
     "nilpotent_orthogonal", "solve_linear_constraints",
     "OctonionAlgebra", "PreservesCrossProduct", "derivations",

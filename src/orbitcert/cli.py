@@ -108,9 +108,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_witness_verify(args) -> int:
     try:
-        with open(args.file) as fh:
+        with open(args.file, encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON and a file that is not UTF-8,
+        # RecursionError JSON nested deeper than the parser goes
         print("orbitcert: cannot read witness: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     try:

@@ -10,6 +10,12 @@ value(z, w) and value(w, z) vanish together for every kind (they differ
 by a sign or by ``conj``), so ``perp``, the one complement routine, may
 read either slot.
 
+Every Gram is monomial, with one nonzero entry in each row and column
+(J, diag(+-1), the identity and the octonion norm all are).
+``FormSpec`` reads it as a permutation and its entries, refuses any
+other Gram, and applies it by indexing: ``value``, ``gram_of`` and
+``perp`` form no matrix product.
+
 The model constructors package the three geometries:
 
 * ``projective_split(n)`` / ``projective_signature(p, q)``: C^{2n} with the
@@ -50,29 +56,47 @@ __all__ = ["FormSpec", "StandardModel"]
 
 KINDS = ("symmetric", "antisymmetric", "hermitian")
 
+# value(w, z) from value(z, w), by kind: also what G[b, a] is to G[a, b]
+_MIRROR = {"symmetric": lambda x: x, "antisymmetric": Scalar.__neg__,
+           "hermitian": Scalar.conj}
+
 
 class FormSpec:
-    """A nondegenerate form given by kind and Gram matrix."""
+    """A nondegenerate form given by kind and a monomial Gram matrix: one
+    nonzero entry in each row and column, G[a, perm[a]] = entries[a].
 
-    __slots__ = ("kind", "gram", "name")
+    ``__init__`` reads ``perm`` and ``entries`` off the Gram and refuses
+    any other Gram.  The kind is checked in O(m) as G[perm[a], a] =
+    mirror(G[a, perm[a]]) (``_MIRROR``), which makes ``perm`` an
+    involution and so a permutation, refuses a hermitian diagonal entry
+    that is not real, and refuses any fixed point of an antisymmetric
+    form; a monomial Gram is nondegenerate by its shape."""
+
+    __slots__ = ("kind", "gram", "name", "perm", "entries")
 
     def __init__(self, kind: str, gram: Matrix, name: str = "") -> None:
         if kind not in KINDS:
             raise ValueError("unknown form kind %r" % (kind,))
         if gram.rows != gram.cols:
             raise ValueError("Gram matrix must be square")
-        t = gram.transpose()
-        if kind == "symmetric" and not t == gram:
-            raise ValueError("symmetric form needs a symmetric Gram")
-        if kind == "antisymmetric" and not t == -gram:
-            raise ValueError("antisymmetric form needs an antisymmetric Gram")
-        if kind == "hermitian" and not t == gram.conj():
-            raise ValueError("hermitian form needs a hermitian-symmetric Gram")
-        if gram.det().is_zero():
-            raise ValueError("Gram matrix is singular")
+        perm, entries = [], []
+        for a, row in enumerate(gram.to_lists()):
+            nonzero = [(b, x) for b, x in enumerate(row) if x]
+            if len(nonzero) != 1:
+                raise ValueError("Gram row %d has %d nonzero entries, a "
+                                 "monomial Gram one" % (a, len(nonzero)))
+            perm.append(nonzero[0][0])
+            entries.append(nonzero[0][1])
+        mirror = _MIRROR[kind]
+        for a, b in enumerate(perm):
+            if perm[b] != a or entries[b] != mirror(entries[a]):
+                raise ValueError("Gram is not %s: entry (%d, %d) does not "
+                                 "mirror (%d, %d)" % (kind, b, a, a, b))
         self.kind = kind
         self.gram = gram
         self.name = name or kind
+        self.perm = perm
+        self.entries = entries
 
     @property
     def dim(self) -> int:
@@ -85,26 +109,29 @@ class FormSpec:
     def value(self, z: Sequence[Scalar], w: Sequence[Scalar]) -> Scalar:
         """The form on (z, w).  The vectors may live in a deeper tower than
         the Gram matrix; the value then lives in theirs."""
-        if len(z) != self.dim or len(w) != self.dim:
+        if len(z) != self.dim:
             raise ValueError("vector length does not match form dimension")
         return fma(self.tower.zero(), zip(z, self._against(w)))
 
     def _against(self, w: Sequence[Scalar]) -> list:
-        """G w (G conj(w) if hermitian): value(z, w) is z . _against(w)."""
-        return self.gram.apply([x.conj() for x in w]
-                               if self.kind == "hermitian" else w)
+        """G w (G conj(w) if hermitian), read off ``perm`` and ``entries``:
+        value(z, w) is z . _against(w)."""
+        if len(w) != self.dim:
+            raise ValueError("vector length does not match form dimension")
+        if self.kind == "hermitian":
+            return [e * w[p].conj() for p, e in zip(self.perm, self.entries)]
+        return [e * w[p] for p, e in zip(self.perm, self.entries)]
 
     def norm(self, z: Sequence[Scalar]) -> Scalar:
         return self.value(z, z)
 
     def gram_of(self, vectors: Sequence[Sequence[Scalar]]) -> Matrix:
         """Pairwise value matrix: value(u_a, u_b) for a <= b, mirrored by the
-        kind ``__init__`` checked: negated if antisymmetric, ``conj()`` if
-        hermitian (a field automorphism: radicands are real and positive).
-        ``_against(u_b)`` is formed once per vector."""
+        kind ``__init__`` checked (``_MIRROR``; ``conj`` is a field
+        automorphism, radicands being real and positive).  ``_against(u_b)``
+        is formed once per vector."""
         k = len(vectors)
-        mirror = {"symmetric": lambda x: x, "antisymmetric": Scalar.__neg__,
-                  "hermitian": Scalar.conj}[self.kind]
+        mirror = _MIRROR[self.kind]
         gw = [self._against(w) for w in vectors]
         zero = self.tower.zero()
         rows = [[None] * k for _ in range(k)]

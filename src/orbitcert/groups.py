@@ -1,18 +1,20 @@
 """Matrix groups cut out by exact constraints, and their Lie algebras.
 
-A group is described by a list of constraint tags (preserve a bilinear
-form, preserve a hermitian form, determinant one, fix a vector, real
-entries).  Each tag knows how to test a group element exactly; the form
-tags compare only the independent half of g^T G g (``_preserves``), in
-one kernel at every tower depth: the rows of g^T G and the columns of g
-(or conj(g)) are split by tower monomial into Gaussian-integer vectors
-over one denominator each, so an entry is a plain-int dot product per
-pair of monomials (one pair at depth 0), and the canonical coefficient
-triples make the comparison with G tuple equality.  Each
-lists its linearization at the identity as sparse terms: row ``row`` of
-the linear map L(x) gains ``coeff * x[j][k]`` (or ``coeff * conj(x[j][k])``),
-with coefficients read off Gram entries, a fixed vector or the octonion
-structure constants.  ``solve_linear_constraints`` assembles these terms
+A group is described by a list of constraint tags (preserve a form,
+determinant one, fix a vector, real entries).  Each tag knows how to
+test a group element exactly.  ``PreservesForm`` takes any ``FormSpec``
+and reads from it whether its condition is antilinear (hermitian) or
+not; it compares only the independent half of g^T G g (``_preserves``),
+in one kernel at every tower depth: the rows of g^T G, read off the
+monomial Gram by index, and the columns of g (or conj(g)) are split by
+tower monomial into Gaussian-integer vectors over one denominator each,
+so an entry is a plain-int dot product per pair of monomials (one pair
+at depth 0), and the canonical coefficient triples make the comparison
+with G tuple equality.  Each tag lists its linearization at the identity
+as sparse terms: row ``row`` of the linear map L(x) gains
+``coeff * x[j][k]`` (or ``coeff * conj(x[j][k])``), with coefficients
+read off Gram entries, a fixed vector or the octonion structure
+constants.  ``solve_linear_constraints`` assembles these terms
 into one coefficient matrix, one column per matrix unit, and solves it by
 exact kernel computation on the rows that are distinct up to sign.
 
@@ -40,78 +42,57 @@ from .linalg import Matrix, Subspace, _rref, kernel, real_coords
 from .scalars import Scalar, Tower, _gnorm, _mul_into, _split_by_mask, fma
 
 __all__ = [
-    "PreservesBilinear", "PreservesHermitian", "DetOne", "FixesVector",
-    "RealEntries", "GroupSpec", "LieAlgebraBasis", "solve_linear_constraints",
-    "isotropy_subalgebra", "check_onishchik_triple",
-    "outer", "nilpotent_orthogonal",
+    "PreservesForm", "DetOne", "FixesVector", "RealEntries", "GroupSpec",
+    "LieAlgebraBasis", "solve_linear_constraints", "isotropy_subalgebra",
+    "check_onishchik_triple", "outer", "nilpotent_orthogonal",
 ]
 
 
-class PreservesBilinear:
-    """g^T G g = G for a symmetric or antisymmetric Gram G.  ``holds``
-    compares only entries a <= b (a < b if G is antisymmetric): g^T G g has
-    the symmetry of G, which ``FormSpec`` checked, so they decide the rest."""
-
-    antilinear = False
+class PreservesForm:
+    """g^T G g' = G, with g' = conj(g) for a hermitian G (then h(gz, gw) =
+    h(z, w)) and g' = g otherwise.  ``holds`` compares only entries a <= b
+    (a < b if G is antisymmetric): M = g^T G g' has the symmetry of G,
+    which ``FormSpec`` checked (M^T = conj(M) for hermitian G, as radicands
+    are real and positive, so ``conj`` is a field automorphism fixing each
+    root), so they decide the rest."""
 
     def __init__(self, form: FormSpec) -> None:
-        if form.kind == "hermitian":
-            raise ValueError("use PreservesHermitian for hermitian forms")
         self.form = form
+        self.antilinear = form.kind == "hermitian"
 
     def holds(self, g: Matrix) -> bool:
-        return _preserves(g, self.form, g)
+        return _preserves(g, self.form, g.conj() if self.antilinear else g)
 
     def linear_terms(self, m: int) -> list:
-        """x^T G + G x."""
-        return _gram_terms(self.form, m, conj=False)
+        """x^T G + G x' (x' = conj(x) for a hermitian G)."""
+        return _gram_terms(self.form, m, conj=self.antilinear)
 
     def describe(self) -> str:
         return "preserves %s form %r" % (self.form.kind, self.form.name)
-
-
-class PreservesHermitian:
-    """g^T G conj(g) = G, so that h(gz, gw) = h(z, w).  ``holds`` compares
-    only entries a <= b: like G (``FormSpec`` checked), M = g^T G conj(g) has
-    M^T = conj(M), as radicands are real and positive, so ``conj`` is a field
-    automorphism fixing each root."""
-
-    antilinear = True
-
-    def __init__(self, form: FormSpec) -> None:
-        if form.kind != "hermitian":
-            raise ValueError("PreservesHermitian needs a hermitian form")
-        self.form = form
-
-    def holds(self, g: Matrix) -> bool:
-        return _preserves(g, self.form, g.conj())
-
-    def linear_terms(self, m: int) -> list:
-        """x^T G + G conj(x)."""
-        return _gram_terms(self.form, m, conj=True)
-
-    def describe(self) -> str:
-        return "preserves hermitian form %r" % (self.form.name,)
 
 
 def _preserves(g: Matrix, form: FormSpec, right: Matrix) -> bool:
     """g^T G right == G on the entries a <= b (a < b if G is antisymmetric,
     where both diagonals are zero); right is g, or conj(g) for hermitian G.
 
-    Each row of g^T G and each column of ``right`` is split by tower
-    monomial (``_split_by_mask``): per mask, a Gaussian-integer vector over
-    one lcm denominator.  Entry (a, b) is then a plain-int dot product per
-    pair of masks (mu, nu), put into the canonical terms by ``_mul_into``
-    with the radicals mu & nu multiplied out.  Every entry fits the one
-    ``Tower.host`` (a radicand conflict raises ``TowerError``), so the
-    masks of all of them name the same roots.  The result is compared with
-    G by ``Scalar`` equality, which is tuple equality of the canonical
-    (re, im, den) triples per mask: the products of distinct roots are a
-    basis of the tower over Q(i), so equal values have equal terms."""
+    Row a of g^T G is read off the monomial Gram: entries[p] * g[p, a] for
+    p in ``form.perm``.  Each row of g^T G and each column of ``right`` is
+    split by tower monomial (``_split_by_mask``): per mask, a
+    Gaussian-integer vector over one lcm denominator.  Entry (a, b) is then
+    a plain-int dot product per pair of masks (mu, nu), put into the
+    canonical terms by ``_mul_into`` with the radicals mu & nu multiplied
+    out.  Every entry fits the one ``Tower.host`` (a radicand conflict
+    raises ``TowerError``), so the masks of all of them name the same
+    roots.  The result is compared with G by ``Scalar`` equality, which is
+    tuple equality of the canonical (re, im, den) triples per mask: the
+    products of distinct roots are a basis of the tower over Q(i), so
+    equal values have equal terms."""
     gram = form.gram
     if g.cols != gram.cols:
         return False
-    left, right_cols = (g.transpose() * gram).to_lists(), right.col_list()
+    pe = [(p, form.entries[p]) for p in form.perm]
+    left = [[e * col[p] for p, e in pe] for col in g.col_list()]
+    right_cols = right.col_list()
     t = g.tower.host([x for vec in left + right_cols for x in vec])
     rows = [_split_by_mask(r) for r in left]
     cols = [_split_by_mask(c) for c in right_cols]
@@ -133,13 +114,12 @@ def _preserves(g: Matrix, form: FormSpec, right: Matrix) -> bool:
 
 def _gram_terms(form: FormSpec, m: int, conj: bool) -> list:
     """Terms of x^T G + G x' (x' = conj(x) when ``conj`` is set): entry
-    (a, b), row a*m + b, gains G[j,b] at x[j,a] and G[a,j] at x'[j,b]."""
+    (a, b), row a*m + b, gains G[j,b] at x[j,a] and G[a,j] at x'[j,b],
+    for the one nonzero G[j, perm[j]] of each row j."""
     if form.dim != m:
         raise ValueError("form %r has dimension %d, the group acts on %d"
                          % (form.name, form.dim, m))
-    g = form.gram
-    nonzero = [(j, b, g[j, b]) for j in range(m) for b in range(m)
-               if g[j, b]]
+    nonzero = list(zip(range(m), form.perm, form.entries))
     terms = [(a * m + b, j, a, c, False)
              for a in range(m) for j, b, c in nonzero]
     terms += [(a * m + b, j, b, c, conj)
@@ -200,8 +180,7 @@ class RealEntries:
         return "real entries"
 
 
-Constraint = Union[PreservesBilinear, PreservesHermitian, DetOne,
-                   FixesVector, RealEntries]
+Constraint = Union[PreservesForm, DetOne, FixesVector, RealEntries]
 
 
 def _ground(constraints: Sequence[Constraint]) -> str:

@@ -211,11 +211,6 @@ class Matrix:
         return Matrix(self.tower, [r1 + r2 for r1, r2 in zip(self._e, other._e)],
                       cols=self.cols + other.cols)
 
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> Matrix:
-        return Matrix(self.tower,
-                      [[self._e[i][j] for j in col_idx] for i in row_idx],
-                      cols=len(col_idx))
-
     def flatten(self) -> list:
         """Row-major vector of all entries."""
         return [a for r in self._e for a in r]

@@ -350,14 +350,6 @@ class Scalar:
     def is_real(self) -> bool:
         return all(c[1] == 0 for c in self._terms.values())
 
-    def gaussian(self) -> Optional[Coeff]:
-        """``(re, im, den)`` of Python ints with self = (re + im*i)/den,
-        ``den`` > 0 and gcd 1, when the scalar lies in Q(i); else None."""
-        t = self._terms
-        if not t:
-            return _G0
-        return t.get(0) if len(t) == 1 else None
-
     def _level(self) -> int:
         lvl = 0
         for m in self._terms:

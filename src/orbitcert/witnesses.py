@@ -44,8 +44,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .forms import FormSpec, StandardModel
-from .groups import (DetOne, FixesVector, GroupSpec, PreservesBilinear,
-                     PreservesHermitian, RealEntries)
+from .groups import (DetOne, FixesVector, GroupSpec, PreservesForm,
+                     RealEntries)
 from .linalg import (Matrix, Subspace, column_space_equal,
                      congruence_diagonalize, hermitian_signature, kernel,
                      rank, vec_add, vec_scale, vec_sub)
@@ -167,9 +167,7 @@ def _constraint(model: StandardModel, tag: str):
              "real": RealEntries}
     if tag in plain:
         return plain[tag]()
-    form = getattr(model, tag)
-    return (PreservesHermitian if form.kind == "hermitian"
-            else PreservesBilinear)(form)
+    return PreservesForm(getattr(model, tag))
 
 
 def build_group(model: StandardModel, name: str) -> GroupSpec:
@@ -186,7 +184,7 @@ def build_group(model: StandardModel, name: str) -> GroupSpec:
 
 
 def witness_from_json(obj: dict) -> Witness:
-    if obj.get("schema") != "witness/1":
+    if not isinstance(obj, dict) or obj.get("schema") != "witness/1":
         raise ValueError("not a witness document")
     element = Matrix.from_json(obj["element"])
     tower = element.tower
@@ -207,12 +205,12 @@ def reflect(f: FormSpec, u: Sequence[Scalar], vectors) -> list:
     applied to the vectors as a rank-one update, with no matrix formed."""
     if f.kind != "symmetric":
         raise ValueError("reflections need a symmetric form")
-    q = f.norm(u)
+    gu = f._against(u)
+    zero = f.tower.zero()
+    q = fma(zero, zip(u, gu))
     if q.is_zero():
         raise ValueError("reflection vector is isotropic")
-    gu = f.gram.apply(list(u))
     factor = -f.tower.scalar(2) / q
-    zero = f.tower.zero()
     out = []
     for v in vectors:
         c = factor * fma(zero, zip(v, gu))
@@ -258,8 +256,7 @@ def witt_transport(f: FormSpec, frame_a: Sequence[Sequence[Scalar]],
         for v in fa + fb:
             if any(not x.is_real() for x in v):
                 raise ValueError("extra_real set but frames are not real")
-        if any(not f.gram[i, j].is_real()
-               for i in range(f.dim) for j in range(f.dim)):
+        if any(not e.is_real() for e in f.entries):
             raise ValueError("extra_real set but the form is not real")
     # the running product's columns, then the frame's current images
     cols = Matrix.identity(t, f.dim).col_list() + fa

@@ -1,6 +1,6 @@
 """Shared hypothesis profile and strategies for exact-arithmetic tests,
-and the test-only nilpotents, exponentials and reflection matrices that
-build group elements."""
+the test-only nilpotents, exponentials and reflection matrices that
+build group elements, and the scalar and matrix readers only tests use."""
 
 from fractions import Fraction
 from typing import Sequence
@@ -68,6 +68,21 @@ def tower_of_depth(depth: int) -> Tower:
     for r in (2, 3, 5)[:depth]:
         t.adjoin_sqrt(r)
     return t
+
+
+def gaussian(x: Scalar):
+    """``(re, im, den)`` of Python ints with x = (re + im*i)/den, ``den`` > 0
+    and gcd 1, when the scalar lies in Q(i); else None."""
+    terms = x._terms
+    if not terms:
+        return (0, 0, 1)
+    return terms.get(0) if len(terms) == 1 else None
+
+
+def submatrix(a: Matrix, row_idx: Sequence[int],
+              col_idx: Sequence[int]) -> Matrix:
+    return Matrix(a.tower, [[a[i, j] for j in col_idx] for i in row_idx],
+                  cols=len(col_idx))
 
 
 def in_span(space, v) -> bool:

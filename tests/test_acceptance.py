@@ -10,7 +10,7 @@ are built once at import and shared by criteria 3, 4 and 6.
 
 from orbitcert.campaigns import CampaignConfig, report_text, run_campaign
 from orbitcert.forms import FormSpec, StandardModel
-from orbitcert.groups import GroupSpec, PreservesBilinear, check_onishchik_triple
+from orbitcert.groups import GroupSpec, PreservesForm, check_onishchik_triple
 from orbitcert.linalg import Matrix, Subspace
 from orbitcert.octonions import derivations, split_octonions
 from orbitcert.orbits import (classify_point, quadric_algebras,
@@ -157,7 +157,7 @@ def test_criterion_1_dimension_certificates():
     for m in range(4, 9):
         t = Tower()
         form = FormSpec("symmetric", Matrix.identity(t, m), "b")
-        alg = GroupSpec(t, m, [PreservesBilinear(form)],
+        alg = GroupSpec(t, m, [PreservesForm(form)],
                         "so%dC" % m).lie_algebra()
         assert alg.dim == m * (m - 1) // 2, "so_%d" % m
     for n in (1, 2):

@@ -107,6 +107,15 @@ def test_witness_verify_parse_errors(tmp_path, capsys):
     not_witness = tmp_path / "n.json"
     not_witness.write_text("{\"schema\": \"something-else\"}")
     assert main(["witness", "verify", str(not_witness)]) == 2
+    # a top-level value that is not an object, a file that is not UTF-8,
+    # and arrays nested past the parser's recursion limit
+    for name, raw in (("list.json", b"[1, 2]"),
+                      ("string.json", b'"witness/1"'), ("null.json", b"null"),
+                      ("latin1.json", b'{"schema": "caf\xe9"}'),
+                      ("deep.json", b"[" * 200000)):
+        hostile = tmp_path / name
+        hostile.write_bytes(raw)
+        assert main(["witness", "verify", str(hostile)]) == 2
     zero_den = _fresh_witness_file(tmp_path, "z.json")
     obj = json.loads(zero_den.read_text())
     obj["claim"]["source"]["entries"][0][0] = "1/0+0/1*i"

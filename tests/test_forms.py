@@ -198,17 +198,19 @@ def test_model_guards():
         quad.normal_form_complex()
 
 
-# Gram matrices over Q(i), and vectors from a tower two levels deeper
+# monomial Gram matrices with entries in Q(i), and vectors from a tower
+# two levels deeper
 _GT = Tower()
 _DEEP = _GT.clone()
 _R2, _R3 = _DEEP.adjoin_sqrt(2), _DEEP.adjoin_sqrt(3)
 _I = _GT.i()
 _GRAMS = {
-    "symmetric": [[1, 2, _I, 0], [2, -1, 0, 1], [_I, 0, 3, 0], [0, 1, 0, 2]],
-    "antisymmetric": [[0, 1, 0, _I], [-1, 0, 2, 0], [0, -2, 0, 1],
-                      [-_I, 0, -1, 0]],
-    "hermitian": [[1, 2 + _I, 0, 0], [2 - _I, -1, 0, _I], [0, 0, 3, 0],
-                  [0, -_I, 0, 2]],
+    "symmetric": [[0, 0, 2 + _I, 0], [0, -3, 0, 0], [2 + _I, 0, 0, 0],
+                  [0, 0, 0, _I]],
+    "antisymmetric": [[0, 0, 0, 1 - _I], [0, 0, 2, 0], [0, -2, 0, 0],
+                      [_I - 1, 0, 0, 0]],
+    "hermitian": [[0, 2 + _I, 0, 0], [2 - _I, 0, 0, 0], [0, 0, 3, 0],
+                  [0, 0, 0, -1]],
 }
 _deep_scalars = st.builds(
     lambda a, b, c: _DEEP.lift(a) + _DEEP.lift(b) * _R2
@@ -248,3 +250,61 @@ def test_gram_of_equals_the_full_pairwise_values(info, attr, data):
                                      max_size=f.dim), max_size=4))
     full = [[f.value(u, v) for v in vs] for u in vs]
     assert f.gram_of(vs) == Matrix(f.tower, full, cols=len(vs))
+
+
+# -- the Grams FormSpec refuses ---------------------------------------------
+
+@pytest.mark.parametrize("kind,rows,match", [
+    ("symmetric", [[1, 0, 0], [0, 1, 0]], "must be square"),
+    ("symmetric", [[0, 1], [1, 1]], "row 1 has 2 nonzero"),
+    ("hermitian", [[1, 0], [0, 0]], "row 1 has 0 nonzero"),
+    ("symmetric", [[0, 1], [0, 1]], r"entry \(1, 0\)"),
+    ("symmetric", [[0, 1], [2, 0]], "not symmetric"),
+    ("antisymmetric", [[0, 1], [1, 0]], "not antisymmetric"),
+    ("hermitian", [[0, _I], [_I, 0]], "not hermitian"),
+    ("antisymmetric", [[0, 1, 0], [-1, 0, 0], [0, 0, 1]], r"entry \(2, 2\)"),
+    ("hermitian", [[1, 0], [0, 1 + _I]], r"entry \(1, 1\)"),
+], ids=["not-square", "dense-row", "zero-row", "shared-column",
+        "symmetric-mirror", "antisymmetric-mirror", "hermitian-mirror",
+        "antisymmetric-diagonal", "hermitian-nonreal-diagonal"])
+def test_form_spec_refuses_a_gram_that_is_not_monomial_of_its_kind(
+        kind, rows, match):
+    with pytest.raises(ValueError, match=match):
+        FormSpec(kind, Matrix.from_rows(_GT, rows))
+
+
+def test_form_spec_reads_the_permutation_and_entries():
+    f = FormSpec("hermitian", Matrix.from_rows(_GT, _GRAMS["hermitian"]))
+    assert f.perm == [1, 0, 2, 3]
+    assert f.entries == [2 + _I, 2 - _I, 3, -1]
+    assert SPLIT2.omega.perm == [2, 3, 0, 1]
+
+
+@pytest.mark.parametrize("form", [SPLIT2.omega, SPLIT2.h, ISO21.b],
+                         ids=lambda f: f.name)
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+def test_a_vector_of_the_wrong_length_is_refused(form, extra):
+    t, m = form.tower, form.dim
+    good, bad = [t.one()] * m, [t.one()] * (m + extra)
+    whole = Subspace.from_vectors(t, m, Matrix.identity(t, m).col_list())
+    for call in (lambda: form.value(good, bad), lambda: form.value(bad, good),
+                 lambda: form.gram_of([good, bad]),
+                 lambda: form.perp([bad], whole)):
+        with pytest.raises(ValueError, match="vector length"):
+            call()
+
+
+def test_models_are_built_with_no_determinant(monkeypatch):
+    calls = []
+    det = Matrix.det
+
+    def counting(self):
+        calls.append(self)
+        return det(self)
+
+    monkeypatch.setattr(Matrix, "det", counting)
+    for info in (dict(case="projective-split", n=2),
+                 dict(case="projective-pq", p=2, q=1), dict(case="quadric7"),
+                 dict(case="isotropic", p=2, q=3)):
+        StandardModel.from_info(Tower(), info)
+    assert calls == []

@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 from orbitcert import groups
 from orbitcert.forms import FormSpec, StandardModel
 from orbitcert.groups import (DetOne, FixesVector, GroupSpec,
-                              LieAlgebraBasis, PreservesBilinear,
-                              PreservesHermitian, RealEntries,
+                              LieAlgebraBasis, PreservesForm, RealEntries,
                               _distinct_up_to_sign, _null_combinations,
                               check_onishchik_triple, isotropy_subalgebra,
                               nilpotent_orthogonal, outer,
@@ -21,7 +20,7 @@ from orbitcert.scalars import Tower, TowerError
 from orbitcert.witnesses import (GROUP_CONSTRAINTS, build_group,
                                  transport_positive_line_sp)
 
-from conftest import (deep_scalars, exp_nilpotent, gauss, in_span,
+from conftest import (deep_scalars, exp_nilpotent, gauss, gaussian, in_span,
                       nilpotent_symplectic, nilpotent_unitary, reflection,
                       tower_of_depth)
 
@@ -40,12 +39,10 @@ def _group(info, name):
 def _reference(con, x):
     """The linearized constraint at x by matrix products: the formulas
     the assembled terms replace."""
-    if isinstance(con, PreservesBilinear):
+    if isinstance(con, PreservesForm):
         g = con.form.gram
-        return (x.transpose() * g + g * x).flatten()
-    if isinstance(con, PreservesHermitian):
-        g = con.form.gram
-        return (x.transpose() * g + g * x.conj()).flatten()
+        return (x.transpose() * g
+                + g * (x.conj() if con.antilinear else x)).flatten()
     if isinstance(con, DetOne):
         return [x.trace()]
     if isinstance(con, FixesVector):
@@ -127,7 +124,7 @@ def test_symplectic_dimensions():
 def test_orthogonal_dimensions():
     t = Tower()
     for m in (4, 5):
-        b = PreservesBilinear(
+        b = PreservesForm(
             FormSpec("symmetric", Matrix.identity(t, m), "b"))
         alg = GroupSpec(t, m, [b], "so%dC" % m).lie_algebra()
         assert alg.dim == m * (m - 1) // 2
@@ -174,16 +171,17 @@ def test_assembled_basis_equals_the_unit_matrix_solve(info, name):
 
 
 def _complex_forms(t):
-    """A hermitian Gram with non-real entries off the diagonal and a
-    complex symmetric Gram: on the models' real Grams x and conj(x) solve
-    alike, so only forms like these tell the i E_jk columns' signs apart."""
-    i = t.i()
-    h = Matrix(t, [[t.one(), i, t.zero()],
-                   [-i, t.scalar(2), t.scalar(1, 1)],
-                   [t.zero(), t.scalar(1, -1), t.scalar(-1)]])
-    b = Matrix(t, [[t.one(), i, t.zero()],
-                   [i, t.zero(), t.scalar(2)],
-                   [t.zero(), t.scalar(2), t.scalar(0, 3)]])
+    """Monomial Grams with non-real entries: a hermitian one with
+    h[0, 1] = 1 + i = conj(h[1, 0]), and a complex symmetric one.  On the
+    models' real Grams x and conj(x) solve alike, so only forms like these
+    tell the i E_jk columns' signs apart."""
+    i, zero = t.i(), t.zero()
+    h = Matrix(t, [[zero, t.scalar(1, 1), zero],
+                   [t.scalar(1, -1), zero, zero],
+                   [zero, zero, t.scalar(-1)]])
+    b = Matrix(t, [[zero, i, zero],
+                   [i, zero, zero],
+                   [zero, zero, t.scalar(0, 3)]])
     return (FormSpec("hermitian", h, "h"), FormSpec("symmetric", b, "b"))
 
 
@@ -195,8 +193,8 @@ def test_assembled_basis_equals_the_unit_matrix_solve_on_complex_grams(
         kinds, dim):
     t = Tower()
     h, b = _complex_forms(t)
-    make = {"h": lambda: PreservesHermitian(h),
-            "b": lambda: PreservesBilinear(b), "det": DetOne,
+    make = {"h": lambda: PreservesForm(h),
+            "b": lambda: PreservesForm(b), "det": DetOne,
             "fix": lambda: FixesVector([t.one(), t.i(), t.zero()]),
             "real": RealEntries}
     group = GroupSpec(t, 3, [make[k]() for k in kinds.split(",")])
@@ -225,14 +223,14 @@ def test_assembly_makes_no_matrix_products(monkeypatch):
 
 def test_wrong_size_bilinear_form_is_rejected():
     t = Tower()
-    b = PreservesBilinear(FormSpec("symmetric", Matrix.identity(t, 4), "b"))
+    b = PreservesForm(FormSpec("symmetric", Matrix.identity(t, 4), "b"))
     with pytest.raises(ValueError, match="dimension 4, the group acts on 5"):
         GroupSpec(t, 5, [b]).lie_algebra()
 
 
 def test_wrong_size_hermitian_form_is_rejected():
     t = Tower()
-    h = PreservesHermitian(FormSpec("hermitian", Matrix.identity(t, 3), "h"))
+    h = PreservesForm(FormSpec("hermitian", Matrix.identity(t, 3), "h"))
     with pytest.raises(ValueError, match="dimension 3, the group acts on 4"):
         GroupSpec(t, 4, [DetOne(), h]).lie_algebra()
 
@@ -254,9 +252,9 @@ def test_wrong_size_cross_product_is_rejected():
 
 
 @pytest.mark.parametrize("make", [
-    lambda t: PreservesBilinear(
+    lambda t: PreservesForm(
         FormSpec("symmetric", Matrix.identity(t, 3), "b")),
-    lambda t: PreservesHermitian(
+    lambda t: PreservesForm(
         FormSpec("hermitian", Matrix.identity(t, 3), "h")),
     lambda t: FixesVector(_e(t, 3, 0)),
     lambda t: PreservesCrossProduct(),
@@ -436,7 +434,7 @@ def test_intersection_of_algebras():
     model = _split(2)
     t = model.tower
     sp = build_group(model, "Sp2nC").lie_algebra(name="sp4")
-    b_id = PreservesBilinear(model.b)
+    b_id = PreservesForm(model.b)
     so = GroupSpec(t, 4, [b_id], "so4C").lie_algebra(name="so4")
     meet = sp.intersect(so, name="sp^so")
     # skew matrices commuting with J form a copy of gl_2: dimension 4
@@ -449,9 +447,9 @@ def test_intersection_of_real_algebras():
     # u(2,1) and gl(3,R): neither holds the other, and they meet in o(2,1)
     t = Tower()
     h = FormSpec("hermitian", Matrix.diag(t, [1, 1, -1]), "h")
-    u = GroupSpec(t, 3, [PreservesHermitian(h)]).lie_algebra()
+    u = GroupSpec(t, 3, [PreservesForm(h)]).lie_algebra()
     gl = GroupSpec(t, 3, [RealEntries()]).lie_algebra()
-    o = GroupSpec(t, 3, [PreservesHermitian(h), RealEntries()]).lie_algebra()
+    o = GroupSpec(t, 3, [PreservesForm(h), RealEntries()]).lie_algebra()
     assert (u.ground, gl.ground, u.dim, gl.dim, o.dim) == (
         "real", "real", 9, 9, 3)
     assert not all(u.contains(x) for x in gl.matrices)
@@ -594,7 +592,7 @@ def test_onishchik_triple_at_a_point_of_a_deeper_tower():
     w = transport_positive_line_sp(model, e0, [t.scalar(2), t.one()])
     z = w.element.apply([w.element.tower.lift(c) for c in e0])
     assert w.element.tower.depth == 1 and any(
-        x.gaussian() is None for x in z)
+        gaussian(x) is None for x in z)
     at_e0 = check_onishchik_triple(sp, sl, e0)
     moved = check_onishchik_triple(sp, sl, z)
     assert moved == at_e0 and moved["ok"]
@@ -604,7 +602,7 @@ def test_onishchik_triple_at_a_point_of_a_deeper_tower():
         assert in_span(Subspace.from_vectors(q.tower, 2, [z]), x.apply(z))
 
 
-# -- the half check of PreservesBilinear / PreservesHermitian ---------------
+# -- the half check of PreservesForm ------------------------------------------
 
 # every form build_group reads, and b_sig, which isotropic_normal_form_real
 # preserves with its Witt transports (a diagonal Gram of both signs)
@@ -624,11 +622,31 @@ HALF_IDS = ["%s:%s" % ("-".join(str(v) for v in info.values()), attr)
             for info, attr in HALF_FORMS]
 
 
+@pytest.mark.parametrize("info,attr", HALF_FORMS, ids=HALF_IDS)
+def test_the_form_check_makes_no_matrix_products(info, attr, monkeypatch):
+    model = StandardModel.from_info(Tower(), info)
+    con = PreservesForm(getattr(model, attr))
+    t, m = model.tower, model.ambient_dim
+    member = Matrix.diag(t, [-1] * m)
+    calls = []
+    product = Matrix.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return product(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting)
+    assert con.holds(member) and not con.holds(member.scale(t.scalar(2)))
+    assert calls == []
+    assert con.antilinear == (con.form.kind == "hermitian")
+    assert con.describe() == "preserves %s form %r" % (con.form.kind, attr)
+
+
 def _full_product_holds(con, g):
     """g^T G g' == G (g' = conj(g) for a hermitian G) by full products:
     the formula ``holds`` evaluates on half the entries."""
     gram = con.form.gram
-    right = g.conj() if isinstance(con, PreservesHermitian) else g
+    right = g.conj() if con.antilinear else g
     return g.transpose() * gram * right == gram
 
 
@@ -688,8 +706,7 @@ def _member(data, f):
 def test_half_check_agrees_with_the_full_product(info, attr, data):
     t = tower_of_depth(data.draw(st.integers(0, 3)))
     f = getattr(StandardModel.from_info(t, info), attr)
-    con = (PreservesHermitian if f.kind == "hermitian"
-           else PreservesBilinear)(f)
+    con = PreservesForm(f)
     m = f.dim
     g = Matrix.identity(t, m)
     for _ in range(data.draw(st.integers(1, 2))):
@@ -722,16 +739,12 @@ def _nested_tower():
     return t
 
 
-def _constraint(f):
-    return (PreservesHermitian if f.kind == "hermitian"
-            else PreservesBilinear)(f)
-
-
-def _unipotent(t, m, r, sign=1):
-    """I + sign r E_01: real when r is, with inverse I - sign r E_01."""
-    rows = Matrix.identity(t, m).to_lists()
-    rows[0][1] = r if sign > 0 else -r
-    return Matrix(t, rows)
+def _rooting(t, m, r, inverse=False):
+    """P = diag(c, 1, ..., 1) for c = 1 + r, or P^-1: real, and P^T G P is
+    monomial with a root in it for every monomial G, since c and c^2 =
+    1 + 2r + r^2 both have one."""
+    c = 1 + r
+    return Matrix.diag(t, [t.one() / c if inverse else c] + [1] * (m - 1))
 
 
 @pytest.mark.parametrize("info,attr", HALF_FORMS, ids=HALF_IDS)
@@ -741,7 +754,7 @@ def test_monomial_split_agrees_with_the_full_product(info, attr, data):
     """Members, tampered members and perturbed elements, over towers of
     depth 0-3 and the nested tower; the element may live in a separate
     tower one level deeper than the Gram's, and the Gram may have a root
-    in it (G' = P^T G P, members P^-1 g P, for P = I + r E_01)."""
+    in it (G' = P^T G P, members P^-1 g P, for P = diag(1 + r, 1, ..., 1))."""
     depth = data.draw(st.sampled_from([0, 1, 2, 3, "nested"]))
     base = _nested_tower() if depth == "nested" else tower_of_depth(depth)
     f = getattr(StandardModel.from_info(base, info), attr)
@@ -753,11 +766,11 @@ def test_monomial_split_agrees_with_the_full_product(info, attr, data):
                                f.name))
     if base.depth and data.draw(st.booleans()):
         r = base.root(base.depth - 1)
-        p = _unipotent(base, m, r)
+        p = _rooting(base, m, r)
         f = FormSpec(f.kind, p.transpose() * f.gram * p, f.name)
-        g = _unipotent(base, m, r, -1) * g * p
-        assert any(not x.gaussian() for row in f.gram.to_lists() for x in row)
-    con = _constraint(f)
+        g = _rooting(base, m, r, inverse=True) * g * p
+        assert any(not gaussian(x) for row in f.gram.to_lists() for x in row)
+    con = PreservesForm(f)
     assert con.holds(g) and _full_product_holds(con, g)
     tg = g.tower
     re, im = data.draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2))
@@ -799,19 +812,19 @@ def test_a_radicand_conflict_raises_as_the_full_product_does(attr):
     else:
         x = nilpotent_unitary(f2, [1 + r2, t2.zero(), 1 + r2, t2.zero()])
     g = exp_nilpotent(x, 1)
-    assert any(not e.gaussian() for row in g.to_lists() for e in row)
+    assert any(not gaussian(e) for row in g.to_lists() for e in row)
 
     def with_entry(e):
         rows = g.to_lists()
         rows[1][2] = e
         return Matrix(t2, rows)
 
-    p = _unipotent(t3, 4, t3.root(0))
+    p = _rooting(t3, 4, t3.root(0))
     rooted = FormSpec(f3.kind, p.transpose() * f3.gram * p, f3.name)
     cases = [(f3, g, True), (f3, with_entry(t3.scalar(5, 1)), False),
              (f3, with_entry(t3.root(0) + 1), "TowerError"),
              (rooted, g, "TowerError")]
     for f, elem, want in cases:
-        con = _constraint(f)
+        con = PreservesForm(f)
         assert _outcome(_full_product_holds, con, elem) == want
         assert _outcome(type(con).holds, con, elem) == want

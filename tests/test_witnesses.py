@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import deep_scalars, exp_nilpotent, reflection, tower_of_depth
+from conftest import (deep_scalars, exp_nilpotent, reflection, submatrix,
+                      tower_of_depth)
 from orbitcert import witnesses
 from orbitcert.forms import FormSpec, StandardModel
 from orbitcert.groups import outer
@@ -502,16 +503,19 @@ def _embed(t, m, idx, small):
 def test_reflection_is_the_dense_formula(data):
     t = tower_of_depth(data.draw(st.integers(0, 1)))
     n = data.draw(st.integers(1, 4))
-    upper = data.draw(st.lists(deep_scalars(t), min_size=n * (n + 1) // 2,
-                               max_size=n * (n + 1) // 2))
-    rows = [[None] * n for _ in range(n)]
-    cells = iter(upper)
-    for i in range(n):
-        for j in range(i, n):
-            rows[i][j] = rows[j][i] = next(cells)
-    gram = Matrix(t, rows)
-    assume(not gram.det().is_zero())
-    f = FormSpec("symmetric", gram, "f")
+    # a random involution: the first k pairs of a shuffled order swap
+    order = data.draw(st.permutations(range(n)))
+    k = data.draw(st.integers(0, n // 2))
+    perm = list(range(n))
+    for a, b in zip(order[:2 * k:2], order[1:2 * k:2]):
+        perm[a], perm[b] = b, a
+    rows = [[t.zero()] * n for _ in range(n)]
+    for a, b in enumerate(perm):
+        if a <= b:
+            rows[a][b] = rows[b][a] = data.draw(
+                deep_scalars(t).filter(lambda s: not s.is_zero()))
+    f = FormSpec("symmetric", Matrix(t, rows), "f")
+    assert f.perm == perm
     u = data.draw(st.lists(deep_scalars(t), min_size=n, max_size=n))
     assume(not f.norm(u).is_zero())
     assert reflection(f, u).to_json() == _dense_reflection(f, u).to_json()
@@ -522,7 +526,7 @@ def _assert_embedded_transport(f, sub, frame_a, frame_b, real):
     sub-form of the coordinates ``sub``, which carry both frames, embedded
     by the identity; or both refuse the frames."""
     t, m = f.tower, f.dim
-    f_sub = FormSpec("symmetric", f.gram.submatrix(sub, sub), "sub")
+    f_sub = FormSpec("symmetric", submatrix(f.gram, sub, sub), "sub")
     cut = [[[v[j] for j in sub] for v in fr] for fr in (frame_a, frame_b)]
     try:
         small = witt_transport(f_sub, *cut, extra_real=real)
