@@ -20,8 +20,7 @@ from .groups import (DetOne, FixesVector, GroupSpec, LieAlgebraBasis,
                      PreservesForm, RealEntries, check_onishchik_triple,
                      isotropy_subalgebra, nilpotent_orthogonal,
                      solve_linear_constraints)
-from .octonions import (OctonionAlgebra, PreservesCrossProduct, derivations,
-                        split_octonions)
+from .octonions import OctonionAlgebra, PreservesCrossProduct, derivations
 from .witnesses import (NotInDomainError, Witness, WitnessVerificationError,
                         build_group, isotropic_normal_form_complex,
                         isotropic_normal_form_real, reflect,
@@ -44,7 +43,6 @@ __all__ = [
     "check_onishchik_triple", "isotropy_subalgebra",
     "nilpotent_orthogonal", "solve_linear_constraints",
     "OctonionAlgebra", "PreservesCrossProduct", "derivations",
-    "split_octonions",
     "NotInDomainError", "Witness", "WitnessVerificationError", "build_group",
     "isotropic_normal_form_complex", "isotropic_normal_form_real",
     "reflect", "transport_positive_line_sp",

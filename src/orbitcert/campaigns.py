@@ -219,7 +219,8 @@ def _quadric_plan(cfg: CampaignConfig) -> Plan:
               ("Ghat0", "dim_R so(3,4) == 21", 21),
               ("Ghat", "dim so_7(C) == 21", 21),
               ("G", "dim_C complexified derivations == 14", 14)),
-        triple="triple g2 in so7 at [z+]: codim 5 both", base=cfg.model.z_plus,
+        triple="triple g2 in so7 at [z+]: codim 5 both",
+        base=cfg.model.stratum_representatives["positive"],
         section=_quadric_strata, tangent=tangent_dim_projective,
         sampled=None, opened=None)
 

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from ._version import __version__
 from .campaigns import CASES, CampaignConfig, report_text, run_campaign
 from .forms import StandardModel
-from .octonions import split_octonions
+from .octonions import OctonionAlgebra
 from .scalars import Tower
 from .witnesses import witness_from_json
 
@@ -133,7 +133,7 @@ def _cmd_witness_verify(args) -> int:
 
 def _cmd_dump(args) -> int:
     if args.dump_command == "octonion-table":
-        table = split_octonions(Tower()).table_json()
+        table = OctonionAlgebra(Tower()).table_json()
         sys.stdout.write(json.dumps(table, indent=2, sort_keys=True) + "\n")
         return EXIT_PASS
     if args.dump_command == "model":

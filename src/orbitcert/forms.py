@@ -272,7 +272,6 @@ class StandardModel:
         return StandardModel(
             case, tower, m,
             n=n, p=p, q=q,
-            J=j, E=e,
             b=FormSpec("symmetric", Matrix.identity(tower, m), "b"),
             omega=FormSpec("antisymmetric", j, "omega"),
             h=FormSpec("hermitian", e, "h"),
@@ -284,10 +283,6 @@ class StandardModel:
     def quadric7(tower: Tower) -> StandardModel:
         g = Matrix.diag(tower, [1, 1, 1, -1, -1, -1, -1])
         i = tower.i()
-        z_plus = [tower.scalar(1), i, tower.zero(), tower.zero(),
-                  tower.zero(), tower.zero(), tower.zero()]
-        z_minus = [tower.zero()] * 3 + [tower.scalar(1), i,
-                                        tower.zero(), tower.zero()]
         real_rep = [tower.zero(), tower.zero(), tower.scalar(1),
                     tower.scalar(1), tower.zero(), tower.zero(), tower.zero()]
         # on the quadric, h-null, and not proportional to a real vector
@@ -297,10 +292,11 @@ class StandardModel:
             "quadric7", tower, 7,
             b=FormSpec("symmetric", g, "b"),
             h=FormSpec("hermitian", g, "h"),
-            z_plus=z_plus, z_minus=z_minus,
             stratum_representatives={
-                "positive": z_plus,
-                "negative": z_minus,
+                "positive": [tower.scalar(1), i, tower.zero(), tower.zero(),
+                             tower.zero(), tower.zero(), tower.zero()],
+                "negative": [tower.zero()] * 3 + [tower.scalar(1), i,
+                                                  tower.zero(), tower.zero()],
                 "null-real": real_rep,
                 "null-nonreal": null_nonreal,
             },
@@ -322,11 +318,10 @@ class StandardModel:
             n=n, p=p, q=q, eps=eps,
             b=FormSpec("symmetric", Matrix.identity(tower, m), "b"),
             hhat=FormSpec("hermitian", Matrix.diag(tower, hhat_diag), "hhat"),
-            # in signature coordinates both Grams coincide and the real
-            # isometry groups consist of real matrices; std_vec = S * sig_vec
+            # in signature coordinates (std_vec = S * sig_vec) b becomes
+            # b_sig, with hhat's Gram, hhat stays hhat (S^H hhat S = hhat),
+            # and the real isometry groups consist of real matrices
             b_sig=FormSpec("symmetric", Matrix.diag(tower, hhat_diag), "b_sig"),
-            hhat_sig=FormSpec("hermitian", Matrix.diag(tower, hhat_diag),
-                              "hhat_sig"),
             sig_change=s_change,
             open_signature=((p // 2, (q + 1) // 2) if p % 2 == 0
                             else ((p + 1) // 2, q // 2)),

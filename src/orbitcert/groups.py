@@ -213,12 +213,10 @@ class GroupSpec:
     def contains(self, g: Matrix) -> bool:
         return not self.violations(g)
 
-    def lie_algebra(self, name: str = "") -> "LieAlgebraBasis":
+    def lie_algebra(self) -> "LieAlgebraBasis":
         """Solve the linearized constraints at the identity, and certify
         that the basis closes under brackets."""
-        alg = solve_linear_constraints(
-            self.tower, self.dim, self.constraints,
-            name=name or (self.name and self.name + "-alg"))
+        alg = solve_linear_constraints(self.tower, self.dim, self.constraints)
         alg.verify_bracket_closure()
         return alg
 
@@ -228,8 +226,8 @@ class GroupSpec:
 
 
 def solve_linear_constraints(tower: Tower, m: int,
-                             constraints: Sequence[Constraint],
-                             name: str = "") -> "LieAlgebraBasis":
+                             constraints: Sequence[Constraint]) \
+        -> "LieAlgebraBasis":
     """The Lie algebra of the group the constraints cut out of GL(m, C).
 
     The coefficient matrix is assembled from the constraints'
@@ -274,7 +272,7 @@ def solve_linear_constraints(tower: Tower, m: int,
             sol = [fma(a, ((ii, b),)) for a, b in zip(sol[:mm], sol[mm:])]
         mats.append(Matrix(t, [sol[i * m:(i + 1) * m] for i in range(m)],
                            cols=m))
-    return LieAlgebraBasis(t, m, mats, ground, name=name)
+    return LieAlgebraBasis(t, m, mats, ground)
 
 
 def _distinct_up_to_sign(rows: Sequence[dict]) -> list:
@@ -338,14 +336,13 @@ class LieAlgebraBasis:
     """
 
     def __init__(self, tower: Tower, ambient: int, matrices: Sequence[Matrix],
-                 ground: str, name: str = "") -> None:
+                 ground: str) -> None:
         if ground not in ("complex", "real"):
             raise ValueError("ground must be 'complex' or 'real'")
         self.tower = tower
         self.ambient = ambient
         self.matrices = list(matrices)
         self.ground = ground
-        self.name = name
         coord_len = 2 * ambient * ambient if ground == "real" \
             else ambient * ambient
         self._coords = Subspace.from_vectors(
@@ -410,8 +407,7 @@ class LieAlgebraBasis:
                         "bracket of basis elements %d, %d leaves the span"
                         % (i, j))
 
-    def intersect(self, other: "LieAlgebraBasis",
-                  name: str = "") -> "LieAlgebraBasis":
+    def intersect(self, other: "LieAlgebraBasis") -> "LieAlgebraBasis":
         """The combinations of this basis that ``other`` contains.  On a
         real ground ``other``'s residuals are already real coordinates,
         so only real combinations solve."""
@@ -421,15 +417,14 @@ class LieAlgebraBasis:
             self.tower, self.ambient, self.matrices,
             [other._coords.residual(other._flatten(x))
              for x in self.matrices], False)
-        return LieAlgebraBasis(self.tower, self.ambient, mats, self.ground,
-                               name=name)
+        return LieAlgebraBasis(self.tower, self.ambient, mats, self.ground)
 
     def same_span(self, other: "LieAlgebraBasis") -> bool:
         if self.ground != other.ground or self.ambient != other.ambient:
             return False
         return self._coords == other._coords
 
-    def complexify(self, name: str = "") -> "LieAlgebraBasis":
+    def complexify(self) -> "LieAlgebraBasis":
         """Complex span of a real algebra (complex algebras pass through)."""
         if self.ground == "complex":
             return self
@@ -439,11 +434,10 @@ class LieAlgebraBasis:
         _, pivots, _ = _rref(t, Matrix.from_cols(
             t, [x.flatten() for x in cand]).to_lists())
         keep = [cand[j] for j in pivots]
-        return LieAlgebraBasis(t, self.ambient, keep, "complex", name=name)
+        return LieAlgebraBasis(t, self.ambient, keep, "complex")
 
     def __repr__(self) -> str:
-        return "LieAlgebraBasis(%s, dim=%d over %s)" % (
-            self.name or "?", self.dim, self.ground)
+        return "LieAlgebraBasis(dim=%d over %s)" % (self.dim, self.ground)
 
 
 def _action_coords(alg: LieAlgebraBasis, space: Subspace) -> list:
@@ -461,8 +455,7 @@ def _action_coords(alg: LieAlgebraBasis, space: Subspace) -> list:
     return cols
 
 
-def isotropy_subalgebra(alg: LieAlgebraBasis, stab,
-                        name: str = "") -> LieAlgebraBasis:
+def isotropy_subalgebra(alg: LieAlgebraBasis, stab) -> LieAlgebraBasis:
     """{X in alg : X(stab) is contained in stab}, the kernel of
     ``_action_coords``.
 
@@ -479,7 +472,7 @@ def isotropy_subalgebra(alg: LieAlgebraBasis, stab,
     mats = _null_combinations(t, alg.ambient, alg.matrices,
                               _action_coords(alg, space),
                               alg.ground == "real")
-    return LieAlgebraBasis(t, alg.ambient, mats, alg.ground, name=name)
+    return LieAlgebraBasis(t, alg.ambient, mats, alg.ground)
 
 
 def check_onishchik_triple(sub: LieAlgebraBasis, amb: LieAlgebraBasis,
@@ -492,11 +485,11 @@ def check_onishchik_triple(sub: LieAlgebraBasis, amb: LieAlgebraBasis,
     checks (inclusion, equal codimension, isotropy equality).
     """
     included = all(amb.contains(x) for x in sub.matrices)
-    q_sub = isotropy_subalgebra(sub, point, name="isotropy-sub")
-    q_amb = isotropy_subalgebra(amb, point, name="isotropy-amb")
+    q_sub = isotropy_subalgebra(sub, point)
+    q_amb = isotropy_subalgebra(amb, point)
     codim_sub = sub.dim - q_sub.dim
     codim_amb = amb.dim - q_amb.dim
-    trace = q_amb.intersect(sub, name="trace")
+    trace = q_amb.intersect(sub)
     isotropy_match = trace.same_span(q_sub)
     return {
         "included": included,

@@ -32,15 +32,15 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .forms import FormSpec
 from .linalg import Matrix
 from .scalars import Scalar, Tower, fma
 from .groups import LieAlgebraBasis, _null_combinations, outer
 
-__all__ = ["OctonionAlgebra", "split_octonions", "derivations",
-           "octonion_product", "PreservesCrossProduct"]
+__all__ = ["OctonionAlgebra", "derivations", "octonion_product",
+           "PreservesCrossProduct"]
 
 
 def _cross(u, v):
@@ -109,8 +109,6 @@ class OctonionAlgebra:
 
     def __init__(self, tower: Tower) -> None:
         self.tower = tower
-        self.structure_constants = [[list(cell) for cell in row]
-                                    for row in _integer_table()]
         gram = [[Fraction(0)] * 8 for _ in range(8)]
         norms = [_zorn_norm(_basis_tuple(i)) for i in range(8)]
         for i in range(8):
@@ -139,7 +137,7 @@ class OctonionAlgebra:
     def table_json(self) -> dict:
         return {"schema": "octonion-structure-constants/1",
                 "dim": 8, "unit_index": 0,
-                "table": self.structure_constants}
+                "table": _integer_table()}
 
     def _self_check(self) -> None:
         t = self.tower
@@ -301,10 +299,6 @@ def _zorn_mul_add(i: int, j: int):
             [w1[k] + w2[k] for k in range(3)], b1 + b2)
 
 
-def split_octonions(tower: Optional[Tower] = None) -> OctonionAlgebra:
-    return OctonionAlgebra(tower if tower is not None else Tower())
-
-
 def derivations(alg: OctonionAlgebra) -> LieAlgebraBasis:
     """Solve D(x y) = D(x) y + x D(y) on all basis pairs; dim must be 14.
 
@@ -331,7 +325,7 @@ def derivations(alg: OctonionAlgebra) -> LieAlgebraBasis:
     units = [outer(t, basis[j], basis[k]) for j in range(8) for k in range(8)]
     mats = _null_combinations(t, 8, units,
                               [condition(x) for x in units], True)
-    sol = LieAlgebraBasis(t, 8, mats, "real", name="g2-derivations")
+    sol = LieAlgebraBasis(t, 8, mats, "real")
     sol.verify_bracket_closure()
     if sol.dim != 14:
         raise AssertionError(

@@ -17,6 +17,7 @@ tangent dimension reaches twice the complex manifold dimension.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import Optional, Sequence, Tuple
 
 from .forms import FormSpec, StandardModel
@@ -37,35 +38,9 @@ __all__ = [
 STRATA = ("positive", "negative", "null-real", "null-nonreal")
 
 
-class OrbitReport:
-    """Tangent data of one algebra at one point."""
-
-    def __init__(self, point: str, algebra: str, field: str,
-                 tangent_dim: int, ambient_dim: int, stratum: str) -> None:
-        self.point = point
-        self.algebra = algebra
-        self.field = field          # ground field the dimension is over
-        self.tangent_dim = tangent_dim
-        self.ambient_dim = ambient_dim
-        self.stratum = stratum
-        self.open = tangent_dim == ambient_dim
-
-    def to_json(self) -> dict:
-        return {
-            "point": self.point,
-            "algebra": self.algebra,
-            "field": self.field,
-            "tangent_dim": self.tangent_dim,
-            "ambient_dim": self.ambient_dim,
-            "open": self.open,
-            "stratum": self.stratum,
-        }
-
-    def __repr__(self) -> str:
-        return ("OrbitReport(%s at %s: %d/%d %s%s)"
-                % (self.algebra, self.stratum, self.tangent_dim,
-                   self.ambient_dim, self.field,
-                   ", open" if self.open else ""))
+# the tangent data of one algebra at one sampled point: its stratum, its
+# real tangent dimension and whether that fills the manifold
+OrbitReport = namedtuple("OrbitReport", "point stratum tangent_dim open")
 
 
 def vector_text(v: Sequence[Scalar]) -> str:
@@ -164,8 +139,8 @@ def quadric_algebras(model: StandardModel) -> Tuple[LieAlgebraBasis,
     if model.case != "quadric7":
         raise ValueError("needs the quadric model")
     roles = StandardModel.CASES["quadric7"].groups
-    return (build_group(model, roles.G0).lie_algebra(name="g2-split"),
-            build_group(model, roles.Ghat0).lie_algebra(name="so(3,4)"))
+    return (build_group(model, roles.G0).lie_algebra(),
+            build_group(model, roles.Ghat0).lie_algebra())
 
 
 # real isotropic orthogonal pairs for the Gram diag(1,1,1,-1,-1,-1,-1):
@@ -222,9 +197,9 @@ def verify_orbit_equality(model: StandardModel, samples: int = 10,
     same real tangent dimension at the moved point.  g is never formed:
     since x^2 = 0, exp(w x) p = p + w x p exactly, so the exponentials
     are applied to the vector one at a time, right to left, which gives
-    the point g p.  Returns one OrbitReport pair per sample.  This is the
-    infinitesimal part of orbit equality; it does not claim global
-    transitivity.
+    the point g p.  Returns one OrbitReport pair per sample, g2's first,
+    both holding the moved point's text.  This is the infinitesimal part
+    of orbit equality; it does not claim global transitivity.
 
     Equality is certified at generic points of each stratum.  The
     null-nonreal stratum holds one smaller split-G2 orbit: the lines
@@ -266,12 +241,8 @@ def verify_orbit_equality(model: StandardModel, samples: int = 10,
                 raise RuntimeError("sampling failed to stay in stratum %r "
                                    "after 20 attempts" % (stratum,))
             text = vector_text(point)
-            d_hat = tangent_dim_projective(g2, point)
-            d_amb = tangent_dim_projective(so34, point)
-            pairs.append((
-                OrbitReport(text, g2.name or "g2-split", "real", d_hat,
-                            ambient_real, stratum),
-                OrbitReport(text, so34.name or "so(3,4)", "real", d_amb,
-                            ambient_real, stratum),
-            ))
+            pairs.append(tuple(
+                OrbitReport(text, stratum, d, d == ambient_real)
+                for d in (tangent_dim_projective(g2, point),
+                          tangent_dim_projective(so34, point))))
     return pairs

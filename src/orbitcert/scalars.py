@@ -453,18 +453,6 @@ class Scalar:
     def __rtruediv__(self, other):
         return self.inv().__mul__(other)
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = self._tower.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
     def conj(self) -> Scalar:
         """Complex conjugation: i -> -i, fixing every adjoined root."""
         return Scalar(self._tower,

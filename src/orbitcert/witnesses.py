@@ -515,7 +515,7 @@ def isotropic_normal_form_real(model: StandardModel, w_hat) -> Witness:
     mt = model.clone()
     t, n, m = mt.tower, mt.n, mt.ambient_dim
     w_std = _as_subspace(t, m, w_hat)
-    b_sig, h_sig = mt.b_sig, mt.hhat_sig
+    b_sig, h_sig = mt.b_sig, mt.hhat
     if w_std.dim != n:
         raise ValueError("plane has dimension %d, expected %d"
                          % (w_std.dim, n))

@@ -100,13 +100,13 @@ def exp_nilpotent(x: Matrix, t) -> Matrix:
         t = tow.scalar(Fraction(t))
     acc = Matrix.identity(tow, x.rows)
     term = Matrix.identity(tow, x.rows)
-    fact = Fraction(1)
+    coeff = tow.one()   # t^k / k!
     for k in range(1, x.rows + 1):
         term = term * x
         if term.is_zero():
             return acc
-        fact = fact * k
-        acc = acc + term.scale(t ** k * tow.scalar(Fraction(1, 1) / fact))
+        coeff = coeff * t * tow.scalar(Fraction(1, k))
+        acc = acc + term.scale(coeff)
     raise ValueError("matrix is not nilpotent")
 
 

@@ -12,7 +12,7 @@ from orbitcert.campaigns import CampaignConfig, report_text, run_campaign
 from orbitcert.forms import FormSpec, StandardModel
 from orbitcert.groups import GroupSpec, PreservesForm, check_onishchik_triple
 from orbitcert.linalg import Matrix, Subspace
-from orbitcert.octonions import derivations, split_octonions
+from orbitcert.octonions import OctonionAlgebra, derivations
 from orbitcert.orbits import (classify_point, quadric_algebras,
                               tangent_dim_grassmann, tangent_dim_projective,
                               verify_orbit_equality)
@@ -165,7 +165,7 @@ def test_criterion_1_dimension_certificates():
         su = build_group(model, "SU(n,n)").lie_algebra()
         assert su.ground == "real"
         assert su.dim == (2 * n) ** 2 - 1, "su(%d,%d)" % (n, n)
-    der = derivations(split_octonions())
+    der = derivations(OctonionAlgebra(Tower()))
     assert der.dim == 14
 
 
@@ -174,8 +174,8 @@ def test_criterion_2_onishchik_triples():
     for n in (1, 2, 3):
         model = StandardModel.projective_split(Tower(), n)
         t = model.tower
-        sp = build_group(model, "Sp2nC").lie_algebra(name="sp")
-        sl = build_group(model, "SL2nC").lie_algebra(name="sl")
+        sp = build_group(model, "Sp2nC").lie_algebra()
+        sl = build_group(model, "SL2nC").lie_algebra()
         e0 = [t.one()] + [t.zero()] * (2 * n - 1)
         rep = check_onishchik_triple(sp, sl, e0)
         assert rep["ok"], rep
@@ -184,9 +184,9 @@ def test_criterion_2_onishchik_triples():
 
     quad = StandardModel.quadric7(Tower())
     g2, _ = quadric_algebras(quad)
-    g2c = g2.complexify(name="g2C")
-    so7 = build_group(quad, "SO7C").lie_algebra(name="so7")
-    rep = check_onishchik_triple(g2c, so7, quad.z_plus)
+    so7 = build_group(quad, "SO7C").lie_algebra()
+    rep = check_onishchik_triple(g2.complexify(), so7,
+                                 quad.stratum_representatives["positive"])
     assert rep["ok"], rep
     assert rep["codim_sub"] == rep["codim_amb"] == 5
     assert rep["isotropy_is_trace"]
@@ -194,8 +194,8 @@ def test_criterion_2_onishchik_triples():
     for p, q in ((2, 1), (2, 3)):           # n = 2 and n = 3
         model = StandardModel.isotropic(Tower(), p, q)
         n = model.n
-        so_big = build_group(model, "SO2nC").lie_algebra(name="so2n")
-        so_small = build_group(model, "SO2n-1C").lie_algebra(name="so2n-1")
+        so_big = build_group(model, "SO2nC").lie_algebra()
+        so_small = build_group(model, "SO2n-1C").lie_algebra()
         rep = check_onishchik_triple(so_small, so_big,
                                      model.normal_form_complex())
         assert rep["ok"], rep

@@ -203,7 +203,8 @@ def test_witness_verify_g2split(tmp_path, capsys):
     model = StandardModel.quadric7(Tower())
     group = build_group(model, "G2split")
     nil = _quadric_nilpotents(model)
-    src = Matrix.from_cols(model.tower, [model.z_plus])
+    src = Matrix.from_cols(model.tower,
+                           [model.stratum_representatives["positive"]])
     for g, code in ((exp_nilpotent(nil[4], 2), 0),
                     (exp_nilpotent(nil[0], 2), 1)):
         w = Witness(group, g, "maps_line", src, g * src, {"case": "quadric7"})

@@ -17,16 +17,18 @@ ISO21 = StandardModel.isotropic(Tower(), 2, 1)
 def test_projective_structure_matrices():
     # phi is a real structure on the split model (phi^2 = +Id: fixed group
     # Sp(2n,R)) and a quaternionic one on the signature model (phi^2 = -Id:
-    # fixed group Sp(2p,2q)); J and E identities are common to both.
+    # fixed group Sp(2p,2q)); the identities of the omega Gram J and the
+    # h Gram E are common to both.
     for model, phi_sq_sign in (
             (SPLIT2, 1),
             (StandardModel.projective_signature(Tower(), 2, 1), -1)):
         m = model.ambient_dim
         t = model.tower
         ident = Matrix.identity(t, m)
-        assert model.J * model.J == -ident
-        assert model.J.transpose() * model.J == ident
-        assert model.E * model.E == ident
+        j, e = model.omega.gram, model.h.gram
+        assert j * j == -ident
+        assert j.transpose() * j == ident
+        assert e * e == ident
         phi2 = model.phi_mat * model.phi_mat.conj()
         assert phi2 == ident.scale(phi_sq_sign)
 
@@ -137,9 +139,9 @@ def test_isotropic_model_normal_forms():
 def test_isotropic_signature_coordinates():
     model = StandardModel.isotropic(Tower(), 2, 3)
     s = model.sig_change
-    # the change of basis carries the signature Grams to the standard ones
+    # the change of basis carries b to the signature Gram and keeps hhat
     assert s.transpose() * model.b.gram * s == model.b_sig.gram
-    assert s.conj_transpose() * model.hhat.gram * s == model.hhat_sig.gram
+    assert s.conj_transpose() * model.hhat.gram * s == model.hhat.gram
 
 
 def test_restrict_and_perp_shapes():

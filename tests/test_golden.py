@@ -10,14 +10,20 @@ coordinates over adjoined roots.  ``quadric7-samples8-seed17`` was
 generated before the quadric sampler stopped forming its group elements.
 The isotropic (3,2) normal forms were generated while each Witt step still
 ran on a sub-form and was embedded; the complex one peels three levels and
-the real one places two pairs.
+the real one places two pairs.  The ``dump-*`` files are the output of
+``orbitcert dump`` for four models and the octonion table, generated
+while the models still stored their Grams and base points twice and the
+octonion algebra kept a copy of its structure constants.
 """
 
+import contextlib
+import io
 import json
 import os
 
 import pytest
 
+from orbitcert.cli import main
 from orbitcert.campaigns import CampaignConfig, report_text, run_campaign
 from orbitcert.forms import FormSpec, StandardModel
 from orbitcert.linalg import Matrix
@@ -135,3 +141,23 @@ def test_witness_matches_golden(name):
     w = WITNESSES[name]()
     assert w.verified
     assert json.dumps(w.to_json(), sort_keys=True) + "\n" == _golden(name)
+
+
+DUMPS = {
+    "dump-model-projective-split-n2": ["model", "projective-split",
+                                       "--n", "2"],
+    "dump-model-projective-pq-p2-q1": ["model", "projective-pq",
+                                       "--p", "2", "--q", "1"],
+    "dump-model-quadric7": ["model", "quadric7"],
+    "dump-model-isotropic-p3-q2": ["model", "isotropic",
+                                   "--p", "3", "--q", "2"],
+    "dump-octonion-table": ["octonion-table"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUMPS))
+def test_dump_matches_golden(name):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["dump"] + DUMPS[name]) == 0
+    assert out.getvalue() == _golden(name)

@@ -285,7 +285,8 @@ def test_exp_of_nilpotents_lies_in_the_group():
     quad = StandardModel.quadric7(Tower())
     tq = quad.tower
     so7 = build_group(quad, "SO7C")
-    y = nilpotent_orthogonal(quad.b, quad.z_plus, quad.z_minus)
+    reps = quad.stratum_representatives
+    y = nilpotent_orthogonal(quad.b, reps["positive"], reps["negative"])
     assert so7.contains(exp_nilpotent(y, Fraction(3, 2)))
 
     su = build_group(model, "SU(n,n)")
@@ -311,7 +312,7 @@ def test_isotropy_subalgebra_of_a_line():
     t = model.tower
     sp = build_group(model, "Sp2nC").lie_algebra()
     e0 = _e(t, 4, 0)
-    iso = isotropy_subalgebra(sp, e0, name="q")
+    iso = isotropy_subalgebra(sp, e0)
     assert iso.dim == sp.dim - 3          # codim 2n-1 = 3
     iso.verify_bracket_closure()
     line = Subspace.from_vectors(t, 4, [e0])
@@ -323,7 +324,7 @@ def test_isotropy_subalgebra_of_a_plane():
     model = StandardModel.isotropic(Tower(), 2, 1)
     so4 = build_group(model, "SO2nC").lie_algebra()
     plane = model.normal_form_complex()
-    iso = isotropy_subalgebra(so4, plane, name="q")
+    iso = isotropy_subalgebra(so4, plane)
     assert iso.dim == so4.dim - model.flag_dim_complex
     for x in iso.matrices:
         for v in plane.basis_vectors():
@@ -384,8 +385,8 @@ def test_every_group_name_has_its_own_constraints():
 def test_onishchik_triple_report_positive():
     model = _split(2)
     t = model.tower
-    sp = build_group(model, "Sp2nC").lie_algebra(name="sp4")
-    sl = build_group(model, "SL2nC").lie_algebra(name="sl4")
+    sp = build_group(model, "Sp2nC").lie_algebra()
+    sl = build_group(model, "SL2nC").lie_algebra()
     rep = check_onishchik_triple(sp, sl, _e(t, 4, 0))
     assert rep["included"]
     assert (rep["dim_sub"], rep["dim_amb"]) == (10, 15)
@@ -401,8 +402,8 @@ def test_onishchik_triple_report_negative():
     t = model.tower
     e0 = _e(t, 4, 0)
     small = GroupSpec(t, 4, [DetOne(), FixesVector(e0)],
-                      "stab").lie_algebra(name="stab")
-    sl = build_group(model, "SL2nC").lie_algebra(name="sl4")
+                      "stab").lie_algebra()
+    sl = build_group(model, "SL2nC").lie_algebra()
     rep = check_onishchik_triple(small, sl, e0)
     assert rep["included"]
     assert rep["codim_sub"] == 0 and rep["codim_amb"] == 3
@@ -433,10 +434,10 @@ def test_real_entries_ground():
 def test_intersection_of_algebras():
     model = _split(2)
     t = model.tower
-    sp = build_group(model, "Sp2nC").lie_algebra(name="sp4")
+    sp = build_group(model, "Sp2nC").lie_algebra()
     b_id = PreservesForm(model.b)
-    so = GroupSpec(t, 4, [b_id], "so4C").lie_algebra(name="so4")
-    meet = sp.intersect(so, name="sp^so")
+    so = GroupSpec(t, 4, [b_id], "so4C").lie_algebra()
+    meet = sp.intersect(so)
     # skew matrices commuting with J form a copy of gl_2: dimension 4
     assert meet.dim == 4
     for x in meet.matrices:
@@ -586,8 +587,8 @@ def test_a_basis_that_does_not_close_is_refused(ground):
 def test_onishchik_triple_at_a_point_of_a_deeper_tower():
     model = _split(1)
     t = model.tower
-    sp = build_group(model, "Sp2nC").lie_algebra(name="sp2")
-    sl = build_group(model, "SL2nC").lie_algebra(name="sl2")
+    sp = build_group(model, "Sp2nC").lie_algebra()
+    sl = build_group(model, "SL2nC").lie_algebra()
     e0 = _e(t, 2, 0)
     w = transport_positive_line_sp(model, e0, [t.scalar(2), t.one()])
     z = w.element.apply([w.element.tower.lift(c) for c in e0])
@@ -747,15 +748,24 @@ def _rooting(t, m, r, inverse=False):
     return Matrix.diag(t, [t.one() / c if inverse else c] + [1] * (m - 1))
 
 
-@pytest.mark.parametrize("info,attr", HALF_FORMS, ids=HALF_IDS)
+# every half form twice: as the model builds it, and with a root in its Gram
+SPLIT_FORMS = [(info, attr, rooted) for rooted in (False, True)
+               for info, attr in HALF_FORMS]
+SPLIT_IDS = HALF_IDS + [i + ":rooted" for i in HALF_IDS]
+
+
+@pytest.mark.parametrize("info,attr,rooted", SPLIT_FORMS, ids=SPLIT_IDS)
 @settings(max_examples=8)
 @given(data=st.data())
-def test_monomial_split_agrees_with_the_full_product(info, attr, data):
+def test_monomial_split_agrees_with_the_full_product(info, attr, rooted,
+                                                     data):
     """Members, tampered members and perturbed elements, over towers of
     depth 0-3 and the nested tower; the element may live in a separate
-    tower one level deeper than the Gram's, and the Gram may have a root
-    in it (G' = P^T G P, members P^-1 g P, for P = diag(1 + r, 1, ..., 1))."""
-    depth = data.draw(st.sampled_from([0, 1, 2, 3, "nested"]))
+    tower one level deeper than the Gram's.  A ``rooted`` case draws a
+    tower of depth 1-3 or the nested one and puts a root in the Gram
+    (G' = P^T G P, members P^-1 g P, for P = diag(1 + r, 1, ..., 1))."""
+    depth = data.draw(st.sampled_from([1, 2, 3, "nested"] if rooted
+                                      else [0, 1, 2, 3, "nested"]))
     base = _nested_tower() if depth == "nested" else tower_of_depth(depth)
     f = getattr(StandardModel.from_info(base, info), attr)
     t, m = base, f.dim
@@ -764,7 +774,7 @@ def test_monomial_split_agrees_with_the_full_product(info, attr, data):
         t.adjoin_sqrt(7)
     g = _member(data, FormSpec(f.kind, Matrix.from_rows(t, f.gram.to_lists()),
                                f.name))
-    if base.depth and data.draw(st.booleans()):
+    if rooted:
         r = base.root(base.depth - 1)
         p = _rooting(base, m, r)
         f = FormSpec(f.kind, p.transpose() * f.gram * p, f.name)

@@ -1,8 +1,8 @@
 """Source hygiene: no module or test file imports a name it neither uses
 nor exports, every exported name exists, every method a class in the
 package defines is read somewhere in the package, its tests or its
-benchmark, and every module-level function is read by the package
-itself."""
+benchmark, every module-level function is read by the package itself,
+and the package's parameters with a default do not grow in number."""
 
 import ast
 import importlib
@@ -138,3 +138,35 @@ def test_every_function_is_read_by_the_package():
     # ``derivations`` is the definitional g2 that the tests check
     # ``build_group(quadric7, "G2split")`` against and the benchmark traces
     assert unread_functions(_trees(SRC), ["derivations"]) == []
+
+
+# Lower this when a default goes; raise it only with the reason in
+# CHANGES.md.
+MAX_DEFAULTS = 24
+
+
+def count_defaults(trees: list) -> int:
+    """Positional and keyword parameter defaults of every function and
+    lambda in the ``trees``."""
+    return sum(len(f.args.defaults)
+               + sum(d is not None for d in f.args.kw_defaults)
+               for tree in trees for f in ast.walk(tree)
+               if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)))
+
+
+def test_default_counter_counts_positional_and_keyword_defaults():
+    lib = ast.parse("def f(a, b=1, *c, d, e=2, **g): pass\n"
+                    "h = lambda x=0: x\n"
+                    "class A:\n"
+                    "    def m(self, y=None): pass\n")
+    assert count_defaults([lib]) == 4
+
+
+def test_parameters_with_a_default_do_not_grow():
+    count = count_defaults(_trees(SRC))
+    assert count <= MAX_DEFAULTS, (
+        "src has %d parameters with a default, more than %d: every default "
+        "is an option some caller may set; lower MAX_DEFAULTS when a "
+        "default goes, and raise it only with a reason in CHANGES.md"
+        % (count, MAX_DEFAULTS))

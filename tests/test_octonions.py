@@ -6,10 +6,11 @@ from conftest import gaussian, submatrix
 from orbitcert.forms import StandardModel
 from orbitcert.groups import LieAlgebraBasis
 from orbitcert.linalg import Matrix, hermitian_signature, rank
-from orbitcert.octonions import derivations, split_octonions
+from orbitcert.octonions import OctonionAlgebra, derivations
+from orbitcert.scalars import Tower
 from orbitcert.witnesses import build_group
 
-ALG = split_octonions()
+ALG = OctonionAlgebra(Tower())
 T = ALG.tower
 
 ints8 = st.lists(st.integers(min_value=-4, max_value=4),

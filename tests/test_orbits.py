@@ -218,18 +218,6 @@ def test_orbit_equality_across_strata():
         assert rep_small.open == rep_big.open == is_open
 
 
-def test_orbit_report_serialization():
-    model = StandardModel.quadric7(Tower())
-    algebras = quadric_algebras(model)
-    rep, _ = verify_orbit_equality(model, samples=1, seed=3,
-                                   algebras=algebras)[0]
-    obj = rep.to_json()
-    assert obj["tangent_dim"] == rep.tangent_dim
-    assert obj["stratum"] == rep.stratum
-    assert obj["open"] == rep.open
-    assert isinstance(obj["point"], str) and obj["point"]
-
-
 @pytest.fixture(scope="module")
 def quadric():
     model = StandardModel.quadric7(Tower())
