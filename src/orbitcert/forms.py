@@ -74,7 +74,7 @@ class FormSpec:
 
     __slots__ = ("kind", "gram", "name", "perm", "entries")
 
-    def __init__(self, kind: str, gram: Matrix, name: str = "") -> None:
+    def __init__(self, kind: str, gram: Matrix, name: str) -> None:
         if kind not in KINDS:
             raise ValueError("unknown form kind %r" % (kind,))
         if gram.rows != gram.cols:
@@ -94,7 +94,7 @@ class FormSpec:
                                  "mirror (%d, %d)" % (kind, b, a, a, b))
         self.kind = kind
         self.gram = gram
-        self.name = name or kind
+        self.name = name
         self.perm = perm
         self.entries = entries
 

@@ -1,7 +1,8 @@
 """Matrix groups cut out by exact constraints, and their Lie algebras.
 
 A group is described by a list of constraint tags (preserve a form,
-determinant one, fix a vector, real entries).  Each tag knows how to
+commute with a conjugation, determinant one, fix a vector, real
+entries).  Each tag knows how to
 test a group element exactly.  ``PreservesForm`` takes any ``FormSpec``
 and reads from it whether its condition is antilinear (hermitian) or
 not; it compares only the independent half of g^T G g (``_preserves``),
@@ -10,7 +11,22 @@ monomial Gram by index, and the columns of g (or conj(g)) are split by
 tower monomial into Gaussian-integer vectors over one denominator each,
 so an entry is a plain-int dot product per pair of monomials (one pair
 at depth 0), and the canonical coefficient triples make the comparison
-with G tuple equality.  Each tag lists its linearization at the identity
+with G tuple equality.
+
+A real form cut out by a bilinear form B and a hermitian form H (Sp(2n,R)
+and Sp(2p,2q) by omega and h, SO(p,q) and SO(hhat) by b and hhat) is
+checked by ``CommutesWithConj`` and ``PreservesForm(B)``, not by a second
+``PreservesForm(H)``.  With M = B^-1 H, H(z, w) = B(z, M conj(w)), and
+when g^T B g = B (so g is invertible),
+
+    H(gz, gw) - H(z, w) = B(gz, (M conj(g) - g M) conj(w)),
+
+so g preserves H exactly when g M = M conj(g): the group is the same set
+of matrices, and its Lie algebra the same, since x M - M conj(x) and
+x^T H + H conj(x) differ by combinations of the rows of x^T B + B x.  The
+commutation is m^2 scalar comparisons with no split by monomial, and
+``GroupSpec.contains`` tests it first and stops at the first constraint
+that fails.  Each tag lists its linearization at the identity
 as sparse terms: row ``row`` of the linear map L(x) gains
 ``coeff * x[j][k]`` (or ``coeff * conj(x[j][k])``), with coefficients
 read off Gram entries, a fixed vector or the octonion structure
@@ -25,9 +41,10 @@ X v and ``verify_bracket_closure`` every bracket from those lists, with
 no dense product.
 
 Ground fields.  Conditions coming from bilinear forms, determinant and
-fixed vectors are complex-linear; hermitian and reality conditions only
-real-linear.  When any of the latter appear the algebra is solved as a
-real Lie algebra (basis over R, ``ground == "real"``); otherwise over C.
+fixed vectors are complex-linear; hermitian, conjugation and reality
+conditions only real-linear.  When any of the latter appear the algebra
+is solved as a real Lie algebra (basis over R, ``ground == "real"``);
+otherwise over C.
 Membership, intersections and spans of a real algebra always work with
 doubled real coordinates so that only real linear combinations count.
 """
@@ -42,8 +59,9 @@ from .linalg import Matrix, Subspace, _rref, kernel, real_coords
 from .scalars import Scalar, Tower, _gnorm, _mul_into, _split_by_mask, fma
 
 __all__ = [
-    "PreservesForm", "DetOne", "FixesVector", "RealEntries", "GroupSpec",
-    "LieAlgebraBasis", "solve_linear_constraints", "isotropy_subalgebra",
+    "PreservesForm", "CommutesWithConj", "DetOne", "FixesVector",
+    "RealEntries", "GroupSpec", "LieAlgebraBasis",
+    "solve_linear_constraints", "isotropy_subalgebra",
     "check_onishchik_triple", "outer", "nilpotent_orthogonal",
 ]
 
@@ -110,6 +128,64 @@ def _preserves(g: Matrix, form: FormSpec, right: Matrix) -> bool:
             if Scalar(t, out) != gram[a, b]:
                 return False
     return True
+
+
+class CommutesWithConj:
+    """g M = M conj(g) for M = B^-1 H, where B is a bilinear form and H a
+    hermitian one: then H(z, w) = B(z, M conj(w)).  Given g^T B g = B (a
+    separate constraint; it makes g invertible), g preserves H exactly
+    when g commutes with the conjugation z -> M conj(z) (module
+    docstring).  M is monomial, read off the two forms without an inverse
+    or a product: M[perm_B[a], perm_H[a]] = entries_H[a] / entries_B[a]."""
+
+    antilinear = True
+
+    def __init__(self, bilinear: FormSpec, hermitian: FormSpec) -> None:
+        if bilinear.kind == "hermitian" or hermitian.kind != "hermitian":
+            raise ValueError("need a bilinear and a hermitian form")
+        if bilinear.dim != hermitian.dim:
+            raise ValueError("forms %r and %r differ in dimension"
+                             % (bilinear.name, hermitian.name))
+        self.bilinear, self.hermitian = bilinear, hermitian
+        m = bilinear.dim
+        # M[r, perm[r]] = entries[r]
+        self.perm, self.entries = [0] * m, [None] * m
+        for a, (pb, ph) in enumerate(zip(bilinear.perm, hermitian.perm)):
+            self.perm[pb] = ph
+            self.entries[pb] = hermitian.entries[a] / bilinear.entries[a]
+
+    def holds(self, g: Matrix) -> bool:
+        """(g M)[r, perm[j]] = g[r, j] M[j, perm[j]] against
+        (M conj(g))[r, perm[j]] = M[r, perm[r]] conj(g[perm[r], perm[j]])."""
+        m = len(self.perm)
+        if g.rows != m or g.cols != m:
+            return False
+        rows = g.to_lists()
+        pe = list(zip(self.perm, self.entries))
+        for row, (pr, er) in zip(rows, pe):
+            mirror = rows[pr]
+            for x, (pj, ej) in zip(row, pe):
+                if x * ej != er * mirror[pj].conj():
+                    return False
+        return True
+
+    def linear_terms(self, m: int) -> list:
+        """x M - M conj(x): entry (r, perm[j]) gains M[j, perm[j]] at
+        x[r, j], and entry (r, c) gains -M[r, perm[r]] at conj(x)[perm[r],
+        c]."""
+        if len(self.perm) != m:
+            raise ValueError("forms have dimension %d, the group acts on %d"
+                             % (len(self.perm), m))
+        pe = list(enumerate(zip(self.perm, self.entries)))
+        terms = [(r * m + p, r, j, e, False)
+                 for r in range(m) for j, (p, e) in pe]
+        terms += [(r * m + c, p, c, -e, True)
+                  for r, (p, e) in pe for c in range(m)]
+        return terms
+
+    def describe(self) -> str:
+        return "commutes with the conjugation %r^-1 %r" % (
+            self.bilinear.name, self.hermitian.name)
 
 
 def _gram_terms(form: FormSpec, m: int, conj: bool) -> list:
@@ -180,7 +256,8 @@ class RealEntries:
         return "real entries"
 
 
-Constraint = Union[PreservesForm, DetOne, FixesVector, RealEntries]
+Constraint = Union[PreservesForm, CommutesWithConj, DetOne, FixesVector,
+                   RealEntries]
 
 
 def _ground(constraints: Sequence[Constraint]) -> str:
@@ -193,7 +270,7 @@ class GroupSpec:
     """A matrix group inside GL(dim, C) cut out by constraint tags."""
 
     def __init__(self, tower: Tower, dim: int,
-                 constraints: Sequence[Constraint], name: str = "") -> None:
+                 constraints: Sequence[Constraint], name: str) -> None:
         self.tower = tower
         self.dim = dim
         self.constraints = list(constraints)
@@ -205,13 +282,12 @@ class GroupSpec:
     def ground(self) -> str:
         return _ground(self.constraints)
 
-    def violations(self, g: Matrix) -> list:
-        if g.rows != self.dim or g.cols != self.dim:
-            return ["element has wrong shape"]
-        return [c.describe() for c in self.constraints if not c.holds(g)]
-
     def contains(self, g: Matrix) -> bool:
-        return not self.violations(g)
+        """Every constraint holds, tested in order up to the first that
+        fails."""
+        if g.rows != self.dim or g.cols != self.dim:
+            return False
+        return all(c.holds(g) for c in self.constraints)
 
     def lie_algebra(self) -> "LieAlgebraBasis":
         """Solve the linearized constraints at the identity, and certify
@@ -222,7 +298,7 @@ class GroupSpec:
 
     def __repr__(self) -> str:
         return "GroupSpec(%s, dim=%d, %d constraints)" % (
-            self.name or "?", self.dim, len(self.constraints))
+            self.name, self.dim, len(self.constraints))
 
 
 def solve_linear_constraints(tower: Tower, m: int,

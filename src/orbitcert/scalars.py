@@ -125,6 +125,10 @@ def _format_coeff(c: Coeff) -> str:
     return "%d/%d+%d/%d*i" % (x // g, d // g, y // h, d // h)
 
 
+# the text ``_format_coeff`` writes for zero; ``from_coords`` skips it
+_ZERO_TEXT = "0/1+0/1*i"
+
+
 def _parse_coeff(text: str) -> Coeff:
     m = _QI_RE.match(text)
     if m is None:
@@ -582,6 +586,8 @@ class Scalar:
             raise TowerError("coordinate list exceeds tower depth")
         terms = {}
         for m, text in enumerate(coords):
+            if text == _ZERO_TEXT:
+                continue
             c = _parse_coeff(text)
             if c != _G0:
                 terms[m] = c

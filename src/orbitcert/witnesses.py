@@ -44,8 +44,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .forms import FormSpec, StandardModel
-from .groups import (DetOne, FixesVector, GroupSpec, PreservesForm,
-                     RealEntries)
+from .groups import (CommutesWithConj, DetOne, FixesVector, GroupSpec,
+                     PreservesForm, RealEntries)
 from .linalg import (Matrix, Subspace, column_space_equal,
                      congruence_diagonalize, hermitian_signature, kernel,
                      rank, vec_add, vec_scale, vec_sub)
@@ -146,15 +146,19 @@ def _model_dim(info: dict) -> int:
 
 
 # every group name a case carries, as constraint tags: a form of the model
-# by name, "det", "cross", "real", or "fix" (fix the last basis vector)
+# by name, "B/H" (commute with the conjugation B^-1 H of the model's
+# bilinear form B and hermitian form H), "det", "cross", "real", or "fix"
+# (fix the last basis vector).  ``contains`` stops at the first tag that
+# fails, so the O(m^2) checks come first, then the forms, then det.
 GROUP_CONSTRAINTS = {
     "Sp2nC": ("omega",), "SL2nC": ("det",),
-    "Sp2nR": ("omega", "h"), "SU(n,n)": ("det", "h"),
-    "Sp(2p,2q)": ("omega", "h"), "SU(2p,2q)": ("det", "h"),
+    "Sp2nR": ("omega/h", "omega"), "SU(n,n)": ("h", "det"),
+    "Sp(2p,2q)": ("omega/h", "omega"), "SU(2p,2q)": ("h", "det"),
     "G2C": ("b", "cross"), "SO7C": ("b", "det"),
-    "G2split": ("b", "cross", "real"), "SO(3,4)": ("b", "det", "real"),
-    "SO2n-1C": ("b", "det", "fix"), "SO2nC": ("b", "det"),
-    "SO(p,q)": ("b", "hhat", "det", "fix"), "SO(hhat)": ("b", "hhat", "det"),
+    "G2split": ("real", "b", "cross"), "SO(3,4)": ("real", "b", "det"),
+    "SO2n-1C": ("fix", "b", "det"), "SO2nC": ("b", "det"),
+    "SO(p,q)": ("b/hhat", "fix", "b", "det"),
+    "SO(hhat)": ("b/hhat", "b", "det"),
 }
 
 
@@ -167,6 +171,9 @@ def _constraint(model: StandardModel, tag: str):
              "real": RealEntries}
     if tag in plain:
         return plain[tag]()
+    if "/" in tag:
+        b, h = tag.split("/")
+        return CommutesWithConj(getattr(model, b), getattr(model, h))
     return PreservesForm(getattr(model, tag))
 
 

@@ -1,6 +1,7 @@
 """Shared hypothesis profile and strategies for exact-arithmetic tests,
 the test-only nilpotents, exponentials and reflection matrices that
-build group elements, and the scalar and matrix readers only tests use."""
+build group elements, and the scalar, matrix and group readers only tests
+use."""
 
 from fractions import Fraction
 from typing import Sequence
@@ -139,3 +140,11 @@ def reflection(f: FormSpec, u: Sequence[Scalar]) -> Matrix:
     ``reflect`` on the identity's columns."""
     cols = reflect(f, u, Matrix.identity(f.tower, f.dim).col_list())
     return Matrix(f.tower, list(zip(*cols)), cols=f.dim)
+
+
+def violations(group, g: Matrix) -> list:
+    """The ``describe`` text of every constraint of ``group`` that ``g``
+    fails, after all of them (``GroupSpec.contains`` stops at the first)."""
+    if g.rows != group.dim or g.cols != group.dim:
+        return ["element has wrong shape"]
+    return [c.describe() for c in group.constraints if not c.holds(g)]

@@ -224,7 +224,7 @@ _deep_scalars = st.builds(
        st.lists(_deep_scalars, min_size=4, max_size=4),
        st.lists(_deep_scalars, min_size=4, max_size=4))
 def test_value_on_deeper_vectors_is_the_explicit_sum(kind, u, v):
-    f = FormSpec(kind, Matrix.from_rows(_GT, _GRAMS[kind]))
+    f = FormSpec(kind, Matrix.from_rows(_GT, _GRAMS[kind]), "f")
     acc = _DEEP.zero()
     for i in range(4):
         for j in range(4):
@@ -272,11 +272,12 @@ def test_gram_of_equals_the_full_pairwise_values(info, attr, data):
 def test_form_spec_refuses_a_gram_that_is_not_monomial_of_its_kind(
         kind, rows, match):
     with pytest.raises(ValueError, match=match):
-        FormSpec(kind, Matrix.from_rows(_GT, rows))
+        FormSpec(kind, Matrix.from_rows(_GT, rows), "f")
 
 
 def test_form_spec_reads_the_permutation_and_entries():
-    f = FormSpec("hermitian", Matrix.from_rows(_GT, _GRAMS["hermitian"]))
+    f = FormSpec("hermitian", Matrix.from_rows(_GT, _GRAMS["hermitian"]),
+                 "h")
     assert f.perm == [1, 0, 2, 3]
     assert f.entries == [2 + _I, 2 - _I, 3, -1]
     assert SPLIT2.omega.perm == [2, 3, 0, 1]

@@ -1,15 +1,18 @@
 """Constraint groups, Lie-algebra solving and the inclusion-triple check."""
 
+import json
+import os
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitcert import groups
+from orbitcert import groups, witnesses
 from orbitcert.forms import FormSpec, StandardModel
-from orbitcert.groups import (DetOne, FixesVector, GroupSpec,
-                              LieAlgebraBasis, PreservesForm, RealEntries,
+from orbitcert.groups import (CommutesWithConj, DetOne, FixesVector,
+                              GroupSpec, LieAlgebraBasis, PreservesForm,
+                              RealEntries,
                               _distinct_up_to_sign, _null_combinations,
                               check_onishchik_triple, isotropy_subalgebra,
                               nilpotent_orthogonal, outer,
@@ -22,7 +25,7 @@ from orbitcert.witnesses import (GROUP_CONSTRAINTS, build_group,
 
 from conftest import (deep_scalars, exp_nilpotent, gauss, gaussian, in_span,
                       nilpotent_symplectic, nilpotent_unitary, reflection,
-                      tower_of_depth)
+                      tower_of_depth, violations)
 
 # every group build_group names, on one model of each case
 CASE_GROUPS = [(info, StandardModel.CASES[info["case"]].groups) for info in (
@@ -43,6 +46,9 @@ def _reference(con, x):
         g = con.form.gram
         return (x.transpose() * g
                 + g * (x.conj() if con.antilinear else x)).flatten()
+    if isinstance(con, CommutesWithConj):
+        m = _conjugation(con)
+        return (x * m - m * x.conj()).flatten()
     if isinstance(con, DetOne):
         return [x.trace()]
     if isinstance(con, FixesVector):
@@ -61,6 +67,12 @@ def _reference(con, x):
         return rows
     assert isinstance(con, RealEntries)
     return []
+
+
+def _conjugation(con):
+    """M = B^-1 H by a matrix inverse and product, so that H(z, w) =
+    B(z, M conj(w))."""
+    return con.bilinear.gram.inverse() * con.hermitian.gram
 
 
 def _evaluate(terms, x, nrows):
@@ -197,7 +209,7 @@ def test_assembled_basis_equals_the_unit_matrix_solve_on_complex_grams(
             "b": lambda: PreservesForm(b), "det": DetOne,
             "fix": lambda: FixesVector([t.one(), t.i(), t.zero()]),
             "real": RealEntries}
-    group = GroupSpec(t, 3, [make[k]() for k in kinds.split(",")])
+    group = GroupSpec(t, 3, [make[k]() for k in kinds.split(",")], kinds)
     alg = group.lie_algebra()
     assert alg.dim == dim
     assert [x.to_json() for x in alg.matrices] == [
@@ -225,27 +237,27 @@ def test_wrong_size_bilinear_form_is_rejected():
     t = Tower()
     b = PreservesForm(FormSpec("symmetric", Matrix.identity(t, 4), "b"))
     with pytest.raises(ValueError, match="dimension 4, the group acts on 5"):
-        GroupSpec(t, 5, [b]).lie_algebra()
+        GroupSpec(t, 5, [b], "so5C").lie_algebra()
 
 
 def test_wrong_size_hermitian_form_is_rejected():
     t = Tower()
     h = PreservesForm(FormSpec("hermitian", Matrix.identity(t, 3), "h"))
     with pytest.raises(ValueError, match="dimension 3, the group acts on 4"):
-        GroupSpec(t, 4, [DetOne(), h]).lie_algebra()
+        GroupSpec(t, 4, [DetOne(), h], "SU(4)").lie_algebra()
 
 
 def test_wrong_size_fixed_vector_is_rejected():
     t = Tower()
     with pytest.raises(ValueError, match="length 3, the group acts on 4"):
-        GroupSpec(t, 4, [FixesVector(_e(t, 3, 0))]).lie_algebra()
+        GroupSpec(t, 4, [FixesVector(_e(t, 3, 0))], "stab").lie_algebra()
 
 
 def test_wrong_size_cross_product_is_rejected():
     t = Tower()
     for m in (6, 8):
         with pytest.raises(ValueError, match="the group acts on %d" % m):
-            GroupSpec(t, m, [PreservesCrossProduct()]).lie_algebra()
+            GroupSpec(t, m, [PreservesCrossProduct()], "G2").lie_algebra()
     with pytest.raises(ValueError, match="not on a 8x8 matrix"):
         PreservesCrossProduct().holds(Matrix.identity(t, 8))
     assert PreservesCrossProduct().holds(Matrix.identity(t, 7))
@@ -262,7 +274,7 @@ def test_wrong_size_cross_product_is_rejected():
 def test_group_spec_rejects_a_constraint_of_another_size(make):
     t = Tower()
     with pytest.raises(ValueError, match="the group acts on 4"):
-        GroupSpec(t, 4, [DetOne(), make(t)])
+        GroupSpec(t, 4, [DetOne(), make(t)], "G")
 
 
 def test_bracket_closure_reverified():
@@ -418,8 +430,8 @@ def test_group_membership_and_violations():
     ident = Matrix.identity(t, 4)
     assert sp.contains(ident)
     assert not sp.contains(ident.scale(2))
-    assert sp.violations(ident) == []
-    assert sp.violations(ident.scale(2)) != []
+    assert violations(sp, ident) == []
+    assert violations(sp, ident.scale(2)) != []
 
 
 def test_real_entries_ground():
@@ -448,9 +460,10 @@ def test_intersection_of_real_algebras():
     # u(2,1) and gl(3,R): neither holds the other, and they meet in o(2,1)
     t = Tower()
     h = FormSpec("hermitian", Matrix.diag(t, [1, 1, -1]), "h")
-    u = GroupSpec(t, 3, [PreservesForm(h)]).lie_algebra()
-    gl = GroupSpec(t, 3, [RealEntries()]).lie_algebra()
-    o = GroupSpec(t, 3, [PreservesForm(h), RealEntries()]).lie_algebra()
+    u = GroupSpec(t, 3, [PreservesForm(h)], "U(2,1)").lie_algebra()
+    gl = GroupSpec(t, 3, [RealEntries()], "GL3R").lie_algebra()
+    o = GroupSpec(t, 3, [PreservesForm(h), RealEntries()],
+                  "O(2,1)").lie_algebra()
     assert (u.ground, gl.ground, u.dim, gl.dim, o.dim) == (
         "real", "real", 9, 9, 3)
     assert not all(u.contains(x) for x in gl.matrices)
@@ -838,3 +851,205 @@ def test_a_radicand_conflict_raises_as_the_full_product_does(attr):
         con = PreservesForm(f)
         assert _outcome(_full_product_holds, con, elem) == want
         assert _outcome(type(con).holds, con, elem) == want
+
+
+# -- the conjugation check of the real forms ----------------------------------
+
+# every (bilinear, hermitian) pair of forms a model carries
+CONJ_PAIRS = [
+    (dict(case="projective-split", n=2), "omega", "h"),
+    (dict(case="projective-split", n=2), "b", "h"),
+    (dict(case="projective-pq", p=1, q=1), "omega", "h"),
+    (dict(case="projective-pq", p=1, q=1), "b", "h"),
+    (dict(case="quadric7"), "b", "h"),
+    (dict(case="isotropic", p=2, q=1), "b", "hhat"),
+    (dict(case="isotropic", p=2, q=1), "b_sig", "hhat"),
+    (dict(case="isotropic", p=1, q=2), "b", "hhat"),
+]
+CONJ_IDS = ["%s:%s/%s" % ("-".join(str(v) for v in info.values()), b, h)
+            for info, b, h in CONJ_PAIRS]
+
+
+def _conj_forms(info, battr, hattr):
+    if info is None:
+        h, b = _complex_forms(Tower())
+        return b, h
+    model = StandardModel.from_info(Tower(), info)
+    return getattr(model, battr), getattr(model, hattr)
+
+
+@pytest.mark.parametrize("info,battr,hattr",
+                         CONJ_PAIRS + [(None, "b", "h")],
+                         ids=CONJ_IDS + ["complex-grams"])
+@settings(max_examples=8)
+@given(data=st.data())
+def test_the_hermitian_form_is_the_bilinear_one_through_the_conjugation(
+        info, battr, hattr, data):
+    """H(z, w) = B(z, M conj(w)) for the M that ``CommutesWithConj`` reads
+    off the two forms, which is B^-1 H; the vectors may live in a deeper
+    tower than the forms."""
+    b, h = _conj_forms(info, battr, hattr)
+    con = CommutesWithConj(b, h)
+    t, m = b.tower, b.dim
+    rows = [[t.zero()] * m for _ in range(m)]
+    for r, (p, e) in enumerate(zip(con.perm, con.entries)):
+        rows[r][p] = e
+    mat = Matrix(t, rows)
+    assert mat == _conjugation(con)
+    deep = tower_of_depth(data.draw(st.integers(0, 3)))
+    z, w = (data.draw(st.lists(deep_scalars(deep), min_size=m, max_size=m))
+            for _ in range(2))
+    assert h.value(z, w) == b.value(z, mat.apply([x.conj() for x in w]))
+
+
+def test_the_conjugation_check_refuses_forms_that_do_not_pair():
+    model = StandardModel.isotropic(Tower(), 2, 1)
+    with pytest.raises(ValueError, match="a bilinear and a hermitian"):
+        CommutesWithConj(model.hhat, model.b)
+    with pytest.raises(ValueError, match="a bilinear and a hermitian"):
+        CommutesWithConj(model.b, model.b_sig)
+    small = FormSpec("hermitian", Matrix.identity(model.tower, 3), "h3")
+    with pytest.raises(ValueError, match="differ in dimension"):
+        CommutesWithConj(model.b, small)
+    with pytest.raises(ValueError, match="the group acts on 5"):
+        GroupSpec(model.tower, 5, [CommutesWithConj(model.b, model.hhat)],
+                  "G")
+
+
+# the tags the four real forms had before ``CommutesWithConj``: their
+# hermitian form itself, through ``PreservesForm``
+HERMITIAN_TABLE = {
+    "Sp2nR": ("omega", "h"), "Sp(2p,2q)": ("omega", "h"),
+    "SO(p,q)": ("b", "hhat", "det", "fix"), "SO(hhat)": ("b", "hhat", "det"),
+}
+
+
+def _hermitian_group(model, name):
+    return GroupSpec(model.tower, model.ambient_dim,
+                     [witnesses._constraint(model, tag)
+                      for tag in HERMITIAN_TABLE[name]], name)
+
+
+# the configs whose bases the two tables must give byte for byte
+CONJ_GROUPS = [(dict(case="projective-split", n=n), "Sp2nR") for n in (2, 3)]
+CONJ_GROUPS += [(dict(case="projective-pq", p=p, q=q), "Sp(2p,2q)")
+                for p, q in ((1, 1), (2, 1))]
+CONJ_GROUPS += [(dict(case="isotropic", p=p, q=q), name)
+                for p, q in ((2, 1), (1, 2), (2, 3), (3, 2), (4, 1))
+                for name in ("SO(p,q)", "SO(hhat)")]
+
+
+@pytest.mark.parametrize("info,name", CONJ_GROUPS, ids=[
+    "%s:%s" % ("-".join(str(v) for v in info.values()), name)
+    for info, name in CONJ_GROUPS])
+def test_the_conjugation_table_solves_to_the_same_basis(info, name):
+    model = StandardModel.from_info(Tower(), info)
+    new, old = build_group(model, name), _hermitian_group(model, name)
+    assert any(isinstance(c, CommutesWithConj) for c in new.constraints)
+    a = solve_linear_constraints(model.tower, model.ambient_dim,
+                                 new.constraints)
+    b = solve_linear_constraints(model.tower, model.ambient_dim,
+                                 old.constraints)
+    assert [x.to_json() for x in a.matrices] == [
+        x.to_json() for x in b.matrices]
+
+
+def test_the_conjugation_solves_as_the_hermitian_form_on_complex_grams():
+    # M = b^-1 h has non-real entries here, unlike on the models' forms
+    t = Tower()
+    h, b = _complex_forms(t)
+    con = CommutesWithConj(b, h)
+    assert any(not e.is_real() for e in con.entries)
+    new = GroupSpec(t, 3, [con, PreservesForm(b)], "new")
+    old = GroupSpec(t, 3, [PreservesForm(b), PreservesForm(h)], "old")
+    a, b = new.lie_algebra(), old.lie_algebra()
+    assert a.dim == 1
+    assert [x.to_json() for x in a.matrices] == [
+        x.to_json() for x in b.matrices] == [
+        x.to_json() for x in _unit_reference_solve(new)]
+
+
+def _golden_element(name):
+    golden = os.path.join(os.path.dirname(__file__), "data", "golden")
+    with open(os.path.join(golden, name + ".json")) as fh:
+        return Matrix.from_json(json.load(fh)["element"])
+
+
+def _pq_transport():
+    model = StandardModel.projective_signature(Tower(), 2, 1)
+    t = model.tower
+    src = [t.zero(), t.zero(), t.one(), t.zero(), t.zero(), t.zero()]
+    dst = [t.zero(), t.one(), t.scalar(3), t.zero(), t.zero(), t.one()]
+    return transport_positive_line_sp(model, src, dst).element
+
+
+# a member of each group from a witness: the golden transports and real
+# normal forms (tower depth 1-3), and a pq transport built here
+CONJ_MEMBERS = [
+    (dict(case="projective-split", n=2), "Sp2nR",
+     lambda: _golden_element("witness-transport-n2")),
+    (dict(case="projective-split", n=3), "Sp2nR",
+     lambda: _golden_element("witness-transport-n3")),
+    (dict(case="projective-pq", p=2, q=1), "Sp(2p,2q)", _pq_transport),
+] + [(dict(case="isotropic", p=p, q=q), name,
+      lambda p=p, q=q: _golden_element(
+          "witness-normal-form-real-p%d-q%d" % (p, q)))
+     for p, q in ((2, 1), (3, 2)) for name in ("SO(p,q)", "SO(hhat)")]
+
+
+def _complex_member(model):
+    """An element of the complex group of the bilinear form that is not
+    real for the hermitian one: the exponential of u u^T J for u = (i, 1,
+    0, ..., 0, 2), or of the orthogonal nilpotent of e0 + i e1 and
+    e2 + i e3."""
+    t, m = model.tower, model.ambient_dim
+    if model.case.startswith("projective"):
+        u = [t.i(), t.one()] + [t.zero()] * (m - 3) + [t.scalar(2)]
+        return exp_nilpotent(nilpotent_symplectic(model.omega, u), 1)
+    u, v = _e(t, m, 0), _e(t, m, 2)
+    u[1], v[3] = t.i(), t.i()
+    return exp_nilpotent(nilpotent_orthogonal(model.b, u, v), 1)
+
+
+@pytest.mark.parametrize("info,name,member", CONJ_MEMBERS, ids=[
+    "%s:%s" % ("-".join(str(v) for v in info.values()), name)
+    for info, name, _ in CONJ_MEMBERS])
+@settings(max_examples=4)
+@given(data=st.data())
+def test_the_conjugation_table_agrees_with_the_hermitian_one(info, name,
+                                                             member, data):
+    """``contains`` under ``GROUP_CONSTRAINTS`` against the hermitian
+    table, on a witness element and tampered copies of it, complex
+    elements that are not real, random matrices, and elements over a
+    tower one root deeper than the witness."""
+    g = member()
+    model = StandardModel.from_info(g.tower, info)
+    new, old = build_group(model, name), _hermitian_group(model, name)
+    t, m = g.tower, g.rows
+    ident = Matrix.identity(t, m)
+    cplx = _complex_member(model)
+    bilinear, hermitian = (c.describe() for c in old.constraints[:2])
+    assert hermitian in violations(old, cplx)
+    assert bilinear not in violations(old, cplx)
+    i, j = (data.draw(st.integers(0, m - 1)) for _ in range(2))
+    rows = g.to_lists()
+    rows[i][j] += data.draw(deep_scalars(t).filter(lambda s: not s.is_zero()))
+    deep = t.clone()
+    deep.adjoin_sqrt(7)
+    r7 = deep.root(deep.depth - 1)
+    deep_rows = Matrix.from_rows(deep, g.to_lists()).to_lists()
+    deep_rows[j][i] += r7
+    elements = [
+        g, ident, -ident, g.scale(t.scalar(2)), g.scale(t.i()), cplx,
+        g * cplx, cplx * g, g.conj(), g.transpose(), -g, Matrix(t, rows),
+        Matrix(t, [[x + x if k == j else x for k, x in enumerate(row)]
+                   for row in g.to_lists()]),
+        Matrix.zeros(t, m, m), _random_matrix(t, m, random.Random(j)),
+        Matrix.from_rows(deep, g.to_lists()),
+        Matrix.from_rows(deep, g.to_lists()).scale(r7),
+        Matrix(deep, deep_rows),
+    ]
+    verdicts = [old.contains(x) for x in elements]
+    assert [new.contains(x) for x in elements] == verdicts
+    assert verdicts[:3] == [True, True, name != "SO(p,q)"]
+    assert not any(verdicts[3:8])

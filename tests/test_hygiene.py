@@ -142,7 +142,7 @@ def test_every_function_is_read_by_the_package():
 
 # Lower this when a default goes; raise it only with the reason in
 # CHANGES.md.
-MAX_DEFAULTS = 24
+MAX_DEFAULTS = 22
 
 
 def count_defaults(trees: list) -> int:

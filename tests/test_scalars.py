@@ -391,3 +391,35 @@ def test_a_radicand_mismatch_raises_in_both_orders(data):
     q = data.draw(tower_scalars(ALIEN, 0))
     for op, a, b in _both_orders(x, q):
         _assert_same(op(a, b), op(CHAIN[1].lift(a), CHAIN[1].lift(b)))
+
+
+# -- reading coordinate text --------------------------------------------------
+
+# the canonical zero text, a non-canonical zero, a value written
+# canonically, and one with unreduced parts
+_coord_text = st.one_of(
+    st.just("0/1+0/1*i"),
+    st.tuples(st.integers(1, 9), st.integers(1, 9)).map(
+        lambda d: "0/%d+0/%d*i" % d),
+    st.tuples(rationals, rationals).map(_text),
+    st.tuples(st.integers(-9, 9), st.integers(1, 9), st.integers(-9, 9),
+              st.integers(1, 9)).map(lambda c: "%d/%d+%d/%d*i" % c))
+
+
+@given(st.data())
+def test_from_coords_equals_parsing_every_coordinate(data):
+    t = CHAIN[data.draw(st.integers(0, 3))]
+    size = 1 << data.draw(st.integers(0, t.depth))
+    coords = data.draw(st.lists(_coord_text, min_size=size, max_size=size))
+    parsed = [scalars._parse_coeff(text) for text in coords]
+    want = {m: c for m, c in enumerate(parsed) if c != scalars._G0}
+    got = Scalar.from_coords(t, coords)
+    assert got._tower is t and got._terms == want
+
+
+@pytest.mark.parametrize("bad", ["0/1+0/1", "1/0+0/1*i", "0/1+0/0*i",
+                                 " 0/1+0/1*i", "0/1+0/1*i ", "x"])
+def test_a_malformed_coordinate_after_zeros_raises(bad):
+    t = CHAIN[2]
+    with pytest.raises(TowerError):
+        Scalar.from_coords(t, ["0/1+0/1*i"] * 3 + [bad])
