@@ -131,12 +131,11 @@ def _preserves(g: Matrix, form: FormSpec, right: Matrix) -> bool:
 
 
 class CommutesWithConj:
-    """g M = M conj(g) for M = B^-1 H, where B is a bilinear form and H a
-    hermitian one: then H(z, w) = B(z, M conj(w)).  Given g^T B g = B (a
-    separate constraint; it makes g invertible), g preserves H exactly
-    when g commutes with the conjugation z -> M conj(z) (module
-    docstring).  M is monomial, read off the two forms without an inverse
-    or a product: M[perm_B[a], perm_H[a]] = entries_H[a] / entries_B[a]."""
+    """g M = M conj(g) for M = B^-1 H, B a bilinear and H a hermitian
+    form: next to ``PreservesForm(B)`` it cuts out the group that
+    ``PreservesForm(H)`` would (module docstring).  M is monomial, read off
+    the two forms without an inverse or a product: M[perm_B[a],
+    perm_H[a]] = entries_H[a] / entries_B[a]."""
 
     antilinear = True
 
@@ -162,10 +161,10 @@ class CommutesWithConj:
             return False
         rows = g.to_lists()
         pe = list(zip(self.perm, self.entries))
-        for row, (pr, er) in zip(rows, pe):
-            mirror = rows[pr]
-            for x, (pj, ej) in zip(row, pe):
-                if x * ej != er * mirror[pj].conj():
+        for row, (sr, mr) in zip(rows, pe):
+            mirror = rows[sr]
+            for x, (sj, mj) in zip(row, pe):
+                if x * mj != mr * mirror[sj].conj():
                     return False
         return True
 
