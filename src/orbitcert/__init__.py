@@ -20,7 +20,7 @@ from .groups import (DetOne, FixesVector, GroupSpec, LieAlgebraBasis,
                      PreservesForm, RealEntries, check_onishchik_triple,
                      isotropy_subalgebra, nilpotent_orthogonal,
                      solve_linear_constraints)
-from .octonions import OctonionAlgebra, PreservesCrossProduct, derivations
+from .octonions import PreservesCrossProduct, derivations
 from .witnesses import (NotInDomainError, Witness, WitnessVerificationError,
                         build_group, isotropic_normal_form_complex,
                         isotropic_normal_form_real, reflect,
@@ -42,7 +42,7 @@ __all__ = [
     "PreservesForm", "RealEntries",
     "check_onishchik_triple", "isotropy_subalgebra",
     "nilpotent_orthogonal", "solve_linear_constraints",
-    "OctonionAlgebra", "PreservesCrossProduct", "derivations",
+    "PreservesCrossProduct", "derivations",
     "NotInDomainError", "Witness", "WitnessVerificationError", "build_group",
     "isotropic_normal_form_complex", "isotropic_normal_form_real",
     "reflect", "transport_positive_line_sp",

@@ -60,7 +60,7 @@ class CampaignConfig:
     def __init__(self, case: str, n: Optional[int] = None,
                  p: Optional[int] = None, q: Optional[int] = None,
                  samples: int = 25, seed: int = 0, bound: int = 5,
-                 out: Optional[str] = None, strict: bool = False) -> None:
+                 strict: bool = False) -> None:
         if samples < 1:
             raise ValueError("samples must be >= 1")
         if bound < 1:
@@ -76,11 +76,9 @@ class CampaignConfig:
         self.samples = samples
         self.seed = seed
         self.bound = bound
-        self.out = out
         self.strict = strict
 
     def to_json(self) -> dict:
-        # the output path is deliberately not part of the report
         return {
             "case": self.case, "n": self.n, "p": self.p, "q": self.q,
             "samples": self.samples, "seed": self.seed, "bound": self.bound,

@@ -21,8 +21,7 @@ from typing import Optional, Sequence
 from ._version import __version__
 from .campaigns import CASES, CampaignConfig, report_text, run_campaign
 from .forms import StandardModel
-from .octonions import OctonionAlgebra
-from .scalars import Tower
+from .octonions import table_json
 from .witnesses import witness_from_json
 
 EXIT_PASS = 0
@@ -87,8 +86,7 @@ def _cmd_verify(args) -> int:
     try:
         cfg = CampaignConfig(case=args.case, n=args.n, p=args.p, q=args.q,
                              samples=args.samples, seed=args.seed,
-                             bound=args.bound, out=args.out,
-                             strict=args.strict)
+                             bound=args.bound, strict=args.strict)
     except ValueError as exc:
         print("orbitcert: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
@@ -98,8 +96,8 @@ def _cmd_verify(args) -> int:
         print("orbitcert: internal error: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL
     text = report_text(report)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -133,8 +131,8 @@ def _cmd_witness_verify(args) -> int:
 
 def _cmd_dump(args) -> int:
     if args.dump_command == "octonion-table":
-        table = OctonionAlgebra(Tower()).table_json()
-        sys.stdout.write(json.dumps(table, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(table_json(), indent=2, sort_keys=True)
+                         + "\n")
         return EXIT_PASS
     if args.dump_command == "model":
         try:

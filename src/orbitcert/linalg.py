@@ -186,12 +186,6 @@ class Matrix:
     def conj_transpose(self) -> Matrix:
         return self.transpose().conj()
 
-    def trace(self) -> Scalar:
-        t = self.tower.zero()
-        for i in range(min(self.rows, self.cols)):
-            t = t + self._e[i][i]
-        return t
-
     def is_zero(self) -> bool:
         return all(a.is_zero() for r in self._e for a in r)
 

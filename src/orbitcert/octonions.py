@@ -8,8 +8,10 @@ The algebra is realized in the paired vector-matrix model: an element is
          a2 w1 + b1 w2 + v1 x v2,  b1 b2 + w1.v2)
 
 with the right-handed cross product.  The norm N(a, v; w, b) = a b - v.w
-is multiplicative, which pins down the sign conventions; the constructor
-re-verifies composition and alternativity on a deterministic sample.
+is multiplicative, which pins down the sign conventions.  Everything here
+reads one cached integer table of structure constants
+(:func:`table_json` prints it); composition and alternativity follow
+from the table, and the test suite checks both.
 
 The stored basis diagonalizes the norm form from the start (the raw
 vector-matrix basis would produce half-integer structure constants):
@@ -34,13 +36,12 @@ import functools
 from fractions import Fraction
 from typing import Sequence
 
-from .forms import FormSpec
 from .linalg import Matrix
 from .scalars import Scalar, Tower, fma
 from .groups import LieAlgebraBasis, _null_combinations, outer
 
-__all__ = ["OctonionAlgebra", "derivations", "octonion_product",
-           "PreservesCrossProduct"]
+__all__ = ["derivations", "octonion_product", "PreservesCrossProduct",
+           "table_json"]
 
 
 def _cross(u, v):
@@ -64,11 +65,6 @@ def _zorn_mul(x, y):
         [a2 * w1[i] + b1 * w2[i] + c2[i] for i in range(3)],
         b1 * b2 + _dot(w1, v2),
     )
-
-
-def _zorn_norm(x):
-    a, v, w, b = x
-    return a * b - _dot(v, w)
 
 
 # basis element k as a vector-matrix tuple over Fractions
@@ -101,77 +97,6 @@ def _tuple_coords(x) -> list:
     return out
 
 
-class OctonionAlgebra:
-    """The split octonions with integer structure constants."""
-
-    dim = 8
-    unit_index = 0
-
-    def __init__(self, tower: Tower) -> None:
-        self.tower = tower
-        gram = [[Fraction(0)] * 8 for _ in range(8)]
-        norms = [_zorn_norm(_basis_tuple(i)) for i in range(8)]
-        for i in range(8):
-            for j in range(8):
-                s = _zorn_norm(_zorn_mul_add(i, j))
-                gram[i][j] = Fraction(s - norms[i] - norms[j], 2)
-        self.norm_gram = Matrix(tower,
-                                [[tower.scalar(c) for c in r] for r in gram],
-                                cols=8)
-        self._norm_form = FormSpec("symmetric", self.norm_gram, "N")
-        self._self_check()
-
-    def basis_vector(self, k: int) -> list:
-        t = self.tower
-        return [t.one() if i == k else t.zero() for i in range(8)]
-
-    def multiply(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> list:
-        return octonion_product(self.tower, x, y)
-
-    def conj(self, x: Sequence[Scalar]) -> list:
-        return [x[0]] + [-a for a in x[1:]]
-
-    def norm(self, x: Sequence[Scalar]) -> Scalar:
-        return self._norm_form.norm(list(x))
-
-    def table_json(self) -> dict:
-        return {"schema": "octonion-structure-constants/1",
-                "dim": 8, "unit_index": 0,
-                "table": _integer_table()}
-
-    def _self_check(self) -> None:
-        t = self.tower
-        one = self.basis_vector(0)
-        # unital
-        for k in range(8):
-            e = self.basis_vector(k)
-            if self.multiply(one, e) != e or self.multiply(e, one) != e:
-                raise AssertionError("unit law fails in octonion table")
-        # x * conj(x) = N(x) e0, composition, alternativity on a
-        # deterministic integer sample
-        samples = []
-        state = 1
-        for _ in range(6):
-            vec = []
-            for _k in range(8):
-                state = (state * 1103515245 + 12345) % (1 << 31)
-                vec.append(t.scalar(state % 7 - 3))
-            samples.append(vec)
-        for x in samples:
-            n = self.norm(x)
-            xc = self.multiply(x, self.conj(x))
-            if xc != [n if i == 0 else t.zero() for i in range(8)]:
-                raise AssertionError("norm law fails in octonion table")
-            for y in samples[:3]:
-                if self.norm(self.multiply(x, y)) != n * self.norm(y):
-                    raise AssertionError("composition fails in octonion table")
-                xx = self.multiply(x, x)
-                if self.multiply(xx, y) != self.multiply(x, self.multiply(x, y)):
-                    raise AssertionError("left alternativity fails")
-                if self.multiply(y, xx) != self.multiply(self.multiply(y, x), x):
-                    raise AssertionError("right alternativity fails")
-
-
 @functools.lru_cache(maxsize=None)
 def _integer_table() -> tuple:
     """Structure constants of the stored basis: entry [i][j] holds the
@@ -189,12 +114,17 @@ def _integer_table() -> tuple:
     return tuple(table)
 
 
+def table_json() -> dict:
+    """The structure constants as ``orbitcert dump octonion-table`` prints
+    them: ``table[i][j]`` holds the coordinates of e_i e_j."""
+    return {"schema": "octonion-structure-constants/1",
+            "dim": 8, "unit_index": 0, "table": _integer_table()}
+
+
 def octonion_product(tower: Tower, x: Sequence[Scalar],
                      y: Sequence[Scalar]) -> list:
     """Product of two octonions given by their 8 coordinates in the stored
-    basis.  Reads the integer table directly, so callers that only need
-    products do not build an :class:`OctonionAlgebra` and its
-    self-checks."""
+    basis, read off the integer table."""
     signed = {1: y, -1: [-b for b in y]}
     zero = tower.zero()
     return [fma(zero, [(x[i], signed[c][j]) for i, j, c in terms])
@@ -292,23 +222,17 @@ def _cross_table() -> tuple:
     return tuple(tuple(row) for row in table)
 
 
-def _zorn_mul_add(i: int, j: int):
-    a1, v1, w1, b1 = _basis_tuple(i)
-    a2, v2, w2, b2 = _basis_tuple(j)
-    return (a1 + a2, [v1[k] + v2[k] for k in range(3)],
-            [w1[k] + w2[k] for k in range(3)], b1 + b2)
-
-
-def derivations(alg: OctonionAlgebra) -> LieAlgebraBasis:
+def derivations(tower: Tower) -> LieAlgebraBasis:
     """Solve D(x y) = D(x) y + x D(y) on all basis pairs; dim must be 14.
 
     Each real matrix unit is pushed through the condition by octonion
     products.  No product command calls this: it is the definitional
     reference that ``build_group(quadric7, "G2split")``, assembled from
     the ``PreservesCrossProduct`` terms, is tested against."""
-    t = alg.tower
-    basis = [alg.basis_vector(k) for k in range(8)]
-    products = [[alg.multiply(basis[i], basis[j]) for j in range(8)]
+    t = tower
+    basis = [[t.one() if i == k else t.zero() for i in range(8)]
+             for k in range(8)]
+    products = [[octonion_product(t, basis[i], basis[j]) for j in range(8)]
                 for i in range(8)]
 
     def condition(x: Matrix) -> list:
@@ -317,8 +241,8 @@ def derivations(alg: OctonionAlgebra) -> LieAlgebraBasis:
         for i in range(8):
             for j in range(8):
                 lhs = x.apply(products[i][j])
-                rhs1 = alg.multiply(cols[i], basis[j])
-                rhs2 = alg.multiply(basis[i], cols[j])
+                rhs1 = octonion_product(t, cols[i], basis[j])
+                rhs2 = octonion_product(t, basis[i], cols[j])
                 rows.extend(a - b - c for a, b, c in zip(lhs, rhs1, rhs2))
         return rows
 
@@ -331,8 +255,7 @@ def derivations(alg: OctonionAlgebra) -> LieAlgebraBasis:
         raise AssertionError(
             "derivation algebra has dimension %d, expected 14 — "
             "the multiplication table is wrong" % sol.dim)
-    unit = alg.basis_vector(0)
     for d in sol.matrices:
-        if any(not s.is_zero() for s in d.apply(unit)):
+        if any(not s.is_zero() for s in d.apply(basis[0])):
             raise AssertionError("a derivation fails to kill the unit")
     return sol

@@ -184,8 +184,8 @@ def spans_null_subalgebra(model: StandardModel, z: Sequence) -> bool:
     return all(c.is_zero() for c in prod)
 
 
-def verify_orbit_equality(model: StandardModel, samples: int = 10,
-                          seed: int = 0, bound: int = 5,
+def verify_orbit_equality(model: StandardModel, samples: int, seed: int,
+                          bound: int = 5,
                           algebras: Optional[tuple] = None) -> list:
     """Sampled tangent-equality check on the quadric.
 

@@ -12,7 +12,7 @@ from orbitcert.campaigns import CampaignConfig, report_text, run_campaign
 from orbitcert.forms import FormSpec, StandardModel
 from orbitcert.groups import GroupSpec, PreservesForm, check_onishchik_triple
 from orbitcert.linalg import Matrix, Subspace
-from orbitcert.octonions import OctonionAlgebra, derivations
+from orbitcert.octonions import derivations
 from orbitcert.orbits import (classify_point, quadric_algebras,
                               tangent_dim_grassmann, tangent_dim_projective,
                               verify_orbit_equality)
@@ -165,7 +165,7 @@ def test_criterion_1_dimension_certificates():
         su = build_group(model, "SU(n,n)").lie_algebra()
         assert su.ground == "real"
         assert su.dim == (2 * n) ** 2 - 1, "su(%d,%d)" % (n, n)
-    der = derivations(OctonionAlgebra(Tower()))
+    der = derivations(Tower())
     assert der.dim == 14
 
 

