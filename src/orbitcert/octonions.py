@@ -9,9 +9,9 @@ The algebra is realized in the paired vector-matrix model: an element is
 
 with the right-handed cross product.  The norm N(a, v; w, b) = a b - v.w
 is multiplicative, which pins down the sign conventions.  Everything here
-reads one cached integer table of structure constants
-(:func:`table_json` prints it); composition and alternativity follow
-from the table, and the test suite checks both.
+reads one cached integer table of structure constants (:func:`table_json`
+is its dump); composition and alternativity follow from the table, and
+the test suite checks both.
 
 The stored basis diagonalizes the norm form from the start (the raw
 vector-matrix basis would produce half-integer structure constants):
