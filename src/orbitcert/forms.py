@@ -341,15 +341,7 @@ class StandardModel:
     def normal_form_complex(self) -> Subspace:
         """The reference maximal isotropic span{e_k + i e_{n+k}: k = 1..n}."""
         self._require_isotropic()
-        t, n = self.tower, self.n
-        i = t.i()
-        vecs = []
-        for k in range(n):
-            v = [t.zero()] * self.ambient_dim
-            v[k] = t.one()
-            v[n + k] = i
-            vecs.append(v)
-        return Subspace.from_vectors(t, self.ambient_dim, vecs)
+        return self._pair_span([(k, self.n + k) for k in range(self.n)])
 
     def normal_form_real_pairs(self) -> list:
         """Index pairs (a, b) whose spans e_a + i e_b build the real-case
@@ -370,13 +362,15 @@ class StandardModel:
 
     def normal_form_real(self) -> Subspace:
         """The reference plane W0 + C(last pair) from the real normal form."""
+        return self._pair_span(self.normal_form_real_pairs())
+
+    def _pair_span(self, pairs: list) -> Subspace:
+        """span{e_a + i e_b : (a, b) in pairs}."""
         t = self.tower
-        i = t.i()
         vecs = []
-        for a, b in self.normal_form_real_pairs():
+        for a, b in pairs:
             v = [t.zero()] * self.ambient_dim
-            v[a] = t.one()
-            v[b] = i
+            v[a], v[b] = t.one(), t.i()
             vecs.append(v)
         return Subspace.from_vectors(t, self.ambient_dim, vecs)
 

@@ -2,16 +2,17 @@
 
 A group is described by a list of constraint tags (preserve a form,
 commute with a conjugation, determinant one, fix a vector, real
-entries).  Each tag knows how to
-test a group element exactly.  ``PreservesForm`` takes any ``FormSpec``
-and reads from it whether its condition is antilinear (hermitian) or
-not; it compares only the independent half of g^T G g (``_preserves``),
-in one kernel at every tower depth: the rows of g^T G, read off the
-monomial Gram by index, and the columns of g (or conj(g)) are split by
-tower monomial into Gaussian-integer vectors over one denominator each,
-so an entry is a plain-int dot product per pair of monomials (one pair
-at depth 0), and the canonical coefficient triples make the comparison
-with G tuple equality.
+entries).  Each tag knows how to test a group element exactly, and
+states the size it fits as ``dim`` (None for any size), which
+``GroupSpec`` alone compares with the group's.  ``PreservesForm`` takes
+any ``FormSpec`` and reads from it whether its condition is antilinear
+(hermitian) or not; it compares only the independent half of g^T G g
+(``_preserves``), in one kernel at every tower depth: the rows of g^T G,
+read off the monomial Gram by index, and the columns of g (or conj(g))
+are split by tower monomial into Gaussian-integer vectors over one
+denominator each, so an entry is a plain-int dot product per pair of
+monomials (one pair at depth 0), and the canonical coefficient triples
+make the comparison with G tuple equality.
 
 A real form cut out by a bilinear form B and a hermitian form H (Sp(2n,R)
 and Sp(2p,2q) by omega and h, SO(p,q) and SO(hhat) by b and hhat) is
@@ -52,7 +53,7 @@ doubled real coordinates so that only real linear combinations count.
 from __future__ import annotations
 
 from operator import mul
-from typing import Sequence, Union
+from typing import Sequence
 
 from .forms import FormSpec
 from .linalg import Matrix, Subspace, _rref, kernel, real_coords
@@ -76,6 +77,7 @@ class PreservesForm:
 
     def __init__(self, form: FormSpec) -> None:
         self.form = form
+        self.dim = form.dim
         self.antilinear = form.kind == "hermitian"
 
     def holds(self, g: Matrix) -> bool:
@@ -84,9 +86,6 @@ class PreservesForm:
     def linear_terms(self, m: int) -> list:
         """x^T G + G x' (x' = conj(x) for a hermitian G)."""
         return _gram_terms(self.form, m, conj=self.antilinear)
-
-    def describe(self) -> str:
-        return "preserves %s form %r" % (self.form.kind, self.form.name)
 
 
 def _preserves(g: Matrix, form: FormSpec, right: Matrix) -> bool:
@@ -146,7 +145,7 @@ class CommutesWithConj:
             raise ValueError("forms %r and %r differ in dimension"
                              % (bilinear.name, hermitian.name))
         self.bilinear, self.hermitian = bilinear, hermitian
-        m = bilinear.dim
+        self.dim = m = bilinear.dim
         # M[r, perm[r]] = entries[r]
         self.perm, self.entries = [0] * m, [None] * m
         for a, (pb, ph) in enumerate(zip(bilinear.perm, hermitian.perm)):
@@ -156,7 +155,7 @@ class CommutesWithConj:
     def holds(self, g: Matrix) -> bool:
         """(g M)[r, perm[j]] = g[r, j] M[j, perm[j]] against
         (M conj(g))[r, perm[j]] = M[r, perm[r]] conj(g[perm[r], perm[j]])."""
-        m = len(self.perm)
+        m = self.dim
         if g.rows != m or g.cols != m:
             return False
         rows = g.to_lists()
@@ -172,9 +171,6 @@ class CommutesWithConj:
         """x M - M conj(x): entry (r, perm[j]) gains M[j, perm[j]] at
         x[r, j], and entry (r, c) gains -M[r, perm[r]] at conj(x)[perm[r],
         c]."""
-        if len(self.perm) != m:
-            raise ValueError("forms have dimension %d, the group acts on %d"
-                             % (len(self.perm), m))
         pe = list(enumerate(zip(self.perm, self.entries)))
         terms = [(r * m + p, r, j, e, False)
                  for r in range(m) for j, (p, e) in pe]
@@ -182,18 +178,11 @@ class CommutesWithConj:
                   for r, (p, e) in pe for c in range(m)]
         return terms
 
-    def describe(self) -> str:
-        return "commutes with the conjugation %r^-1 %r" % (
-            self.bilinear.name, self.hermitian.name)
-
 
 def _gram_terms(form: FormSpec, m: int, conj: bool) -> list:
     """Terms of x^T G + G x' (x' = conj(x) when ``conj`` is set): entry
     (a, b), row a*m + b, gains G[j,b] at x[j,a] and G[a,j] at x'[j,b],
     for the one nonzero G[j, perm[j]] of each row j."""
-    if form.dim != m:
-        raise ValueError("form %r has dimension %d, the group acts on %d"
-                         % (form.name, form.dim, m))
     nonzero = list(zip(range(m), form.perm, form.entries))
     terms = [(a * m + b, j, a, c, False)
              for a in range(m) for j, b, c in nonzero]
@@ -204,6 +193,7 @@ def _gram_terms(form: FormSpec, m: int, conj: bool) -> list:
 
 class DetOne:
     antilinear = False
+    dim = None
 
     def holds(self, g: Matrix) -> bool:
         return g.det().is_one()
@@ -212,15 +202,13 @@ class DetOne:
         """The trace."""
         return [(0, a, a, 1, False) for a in range(m)]
 
-    def describe(self) -> str:
-        return "determinant one"
-
 
 class FixesVector:
     antilinear = False
 
     def __init__(self, v: Sequence[Scalar]) -> None:
         self.v = list(v)
+        self.dim = len(self.v)
 
     def holds(self, g: Matrix) -> bool:
         gv = g.apply(self.v)
@@ -228,20 +216,15 @@ class FixesVector:
 
     def linear_terms(self, m: int) -> list:
         """x v."""
-        if len(self.v) != m:
-            raise ValueError("fixed vector has length %d, the group acts on %d"
-                             % (len(self.v), m))
         return [(a, a, k, c, False)
                 for a in range(m) for k, c in enumerate(self.v) if c]
-
-    def describe(self) -> str:
-        return "fixes a marked vector"
 
 
 class RealEntries:
     """Entries of g (and of algebra elements) are real."""
 
     antilinear = True
+    dim = None
 
     def holds(self, g: Matrix) -> bool:
         return all(g[i, j].is_real()
@@ -251,35 +234,26 @@ class RealEntries:
         # structural: a solve with this tag has no i*E_jk columns
         return []
 
-    def describe(self) -> str:
-        return "real entries"
-
-
-Constraint = Union[PreservesForm, CommutesWithConj, DetOne, FixesVector,
-                   RealEntries]
-
-
-def _ground(constraints: Sequence[Constraint]) -> str:
-    if any(c.antilinear for c in constraints):
-        return "real"
-    return "complex"
-
 
 class GroupSpec:
     """A matrix group inside GL(dim, C) cut out by constraint tags."""
 
-    def __init__(self, tower: Tower, dim: int,
-                 constraints: Sequence[Constraint], name: str) -> None:
+    def __init__(self, tower: Tower, dim: int, constraints: Sequence,
+                 name: str) -> None:
         self.tower = tower
         self.dim = dim
         self.constraints = list(constraints)
         for c in self.constraints:
-            c.linear_terms(dim)  # raises ValueError if c does not fit dim
+            if c.dim not in (None, dim):
+                raise ValueError("%s has dimension %d, the group acts on %d"
+                                 % (type(c).__name__, c.dim, dim))
         self.name = name
 
     @property
     def ground(self) -> str:
-        return _ground(self.constraints)
+        if any(c.antilinear for c in self.constraints):
+            return "real"
+        return "complex"
 
     def contains(self, g: Matrix) -> bool:
         """Every constraint holds, tested in order up to the first that
@@ -291,7 +265,7 @@ class GroupSpec:
     def lie_algebra(self) -> "LieAlgebraBasis":
         """Solve the linearized constraints at the identity, and certify
         that the basis closes under brackets."""
-        alg = solve_linear_constraints(self.tower, self.dim, self.constraints)
+        alg = solve_linear_constraints(self)
         alg.verify_bracket_closure()
         return alg
 
@@ -300,10 +274,9 @@ class GroupSpec:
             self.name, self.dim, len(self.constraints))
 
 
-def solve_linear_constraints(tower: Tower, m: int,
-                             constraints: Sequence[Constraint]) \
-        -> "LieAlgebraBasis":
-    """The Lie algebra of the group the constraints cut out of GL(m, C).
+def solve_linear_constraints(group: GroupSpec) -> "LieAlgebraBasis":
+    """The Lie algebra of ``group``, cut out of GL(m, C) by its
+    constraints.
 
     The coefficient matrix is assembled from the constraints'
     ``linear_terms``, with one column per matrix unit E_jk (index
@@ -314,8 +287,8 @@ def solve_linear_constraints(tower: Tower, m: int,
     into its real and imaginary part.  A kernel vector ``sol`` is read
     back as the matrix with entries sol[e] + i sol[m*m + e].
     """
-    t = tower
-    ground = _ground(constraints)
+    t, m, constraints = group.tower, group.dim, group.constraints
+    ground = group.ground
     mm = m * m
     imaginary = ground == "real" and not any(
         isinstance(c, RealEntries) for c in constraints)

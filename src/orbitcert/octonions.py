@@ -151,6 +151,7 @@ class PreservesCrossProduct:
     basis pairs, whose products are read from the integer table."""
 
     antilinear = False
+    dim = 7
 
     def holds(self, g: Matrix) -> bool:
         if g.rows != 7 or g.cols != 7:
@@ -165,9 +166,6 @@ class PreservesCrossProduct:
         """For the pair e_i * e_j = c e_k, rows 7p..7p+6 (p its index in
         ``_cross_pairs``) hold the derivation condition
         c x e_k - (x e_i) * e_j - e_i * (x e_j)."""
-        if m != 7:
-            raise ValueError("the octonion cross product acts on dimension "
-                             "7, the group acts on %d" % (m,))
         table = _cross_table()
         terms = []
         for p, (i, j, k, c) in enumerate(_cross_pairs()):
@@ -182,9 +180,6 @@ class PreservesCrossProduct:
                     kb, cb = table[i][b]
                     terms.append((7 * p + kb, b, j, -cb, False))
         return terms
-
-    def describe(self) -> str:
-        return "preserves the octonion cross product"
 
 
 def _cross7(tower: Tower, u: Sequence[Scalar], v: Sequence[Scalar]) -> list:

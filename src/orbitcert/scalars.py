@@ -493,10 +493,26 @@ class Scalar:
     # -- order structure on the real subfield ---------------------------------
 
     def sign(self) -> int:
-        """-1, 0 or +1; defined for real scalars only."""
+        """-1, 0 or +1; defined for real scalars only.  On the top level in
+        use self = a + b*sqrt(r); when a and b*sqrt(r) differ in sign,
+        a^2 - b^2*r decides which one outweighs the other."""
         if not self.is_real():
             raise TowerError("sign of a non-real scalar")
-        return _sign_terms(self._tower, self._terms)
+        lvl = self._level()
+        if lvl == 0:
+            c = self._terms.get(0, _G0)[0]
+            return (c > 0) - (c < 0)
+        a, b = self._split(1 << (lvl - 1))
+        sa, sb = a.sign(), b.sign()
+        if sb == 0 or sa == sb:
+            return sa
+        if sa == 0:
+            return sb
+        st = (a * a - b * b * self._tower._radicands[lvl - 1]).sign()
+        if st == 0:
+            raise TowerError("tower invariant violated: radicand %d is a "
+                             "square" % (lvl - 1,))
+        return sa * st
 
     def _split(self, bit: int) -> tuple[Scalar, Scalar]:
         """Write self = a + b*sqrt(r) where bit tags sqrt(r)."""
@@ -690,35 +706,3 @@ def _split_by_mask(vec: Sequence[Scalar]) -> dict:
                 real[k], imag[k] = x * f, y * f
         out[mask] = (real, imag, den)
     return out
-
-
-def _sign_terms(tower: Tower, terms: dict) -> int:
-    if not terms:
-        return 0
-    lvl = 0
-    for m in terms:
-        if m.bit_length() > lvl:
-            lvl = m.bit_length()
-    if lvl == 0:
-        c = terms[0][0]
-        return (c > 0) - (c < 0)
-    bit = 1 << (lvl - 1)
-    lo = {m: c for m, c in terms.items() if not m & bit}
-    hi = {m ^ bit: c for m, c in terms.items() if m & bit}
-    sa = _sign_terms(tower, lo)
-    sb = _sign_terms(tower, hi)
-    if sb == 0:
-        return sa
-    if sa == 0:
-        return sb
-    if sa == sb:
-        return sa
-    # a and b*sqrt(r) pull in opposite directions; compare a^2 against b^2*r.
-    a = Scalar(tower, lo)
-    b = Scalar(tower, hi)
-    t = a * a - b * b * tower._radicands[lvl - 1]
-    st = t.sign()
-    if st == 0:
-        raise TowerError("tower invariant violated: radicand %d is a square"
-                         % (lvl - 1,))
-    return sa * st

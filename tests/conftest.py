@@ -9,8 +9,10 @@ from typing import Sequence
 from hypothesis import HealthCheck, Phase, settings, strategies as st
 
 from orbitcert.forms import FormSpec
-from orbitcert.groups import outer
+from orbitcert.groups import (CommutesWithConj, DetOne, FixesVector,
+                              PreservesForm, RealEntries, outer)
 from orbitcert.linalg import Matrix, rank
+from orbitcert.octonions import PreservesCrossProduct
 from orbitcert.scalars import Scalar, Tower
 from orbitcert.witnesses import reflect
 
@@ -142,9 +144,23 @@ def reflection(f: FormSpec, u: Sequence[Scalar]) -> Matrix:
     return Matrix(f.tower, list(zip(*cols)), cols=f.dim)
 
 
+def describe(c) -> str:
+    """A constraint in words: tests tell the constraints of two groups
+    apart by it, and ``violations`` lists it."""
+    if isinstance(c, PreservesForm):
+        return "preserves %s form %r" % (c.form.kind, c.form.name)
+    if isinstance(c, CommutesWithConj):
+        return "commutes with the conjugation %r^-1 %r" % (
+            c.bilinear.name, c.hermitian.name)
+    return {DetOne: "determinant one", FixesVector: "fixes a marked vector",
+            RealEntries: "real entries",
+            PreservesCrossProduct: "preserves the octonion cross product",
+            }[type(c)]
+
+
 def violations(group, g: Matrix) -> list:
     """The ``describe`` text of every constraint of ``group`` that ``g``
     fails, after all of them (``GroupSpec.contains`` stops at the first)."""
     if g.rows != group.dim or g.cols != group.dim:
         return ["element has wrong shape"]
-    return [c.describe() for c in group.constraints if not c.holds(g)]
+    return [describe(c) for c in group.constraints if not c.holds(g)]

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitcert import groups, witnesses
+from orbitcert import groups, octonions, witnesses
 from orbitcert.forms import FormSpec, StandardModel
 from orbitcert.groups import (CommutesWithConj, DetOne, FixesVector,
                               GroupSpec, LieAlgebraBasis, PreservesForm,
@@ -23,9 +23,9 @@ from orbitcert.scalars import Tower, TowerError
 from orbitcert.witnesses import (GROUP_CONSTRAINTS, build_group,
                                  transport_positive_line_sp)
 
-from conftest import (deep_scalars, exp_nilpotent, gauss, gaussian, in_span,
-                      nilpotent_symplectic, nilpotent_unitary, reflection,
-                      tower_of_depth, violations)
+from conftest import (deep_scalars, describe, exp_nilpotent, gauss, gaussian,
+                      in_span, nilpotent_symplectic, nilpotent_unitary,
+                      reflection, tower_of_depth, violations)
 
 # every group build_group names, on one model of each case
 CASE_GROUPS = [(info, StandardModel.CASES[info["case"]].groups) for info in (
@@ -176,7 +176,7 @@ def test_linear_terms_match_the_product_formulas(info, name):
 @pytest.mark.parametrize("info,name", GROUPS, ids=GROUP_IDS)
 def test_assembled_basis_equals_the_unit_matrix_solve(info, name):
     group = _group(info, name)
-    alg = solve_linear_constraints(group.tower, group.dim, group.constraints)
+    alg = solve_linear_constraints(group)
     assert alg.ground == group.ground
     assert [x.to_json() for x in alg.matrices] == [
         x.to_json() for x in _unit_reference_solve(group)]
@@ -227,8 +227,7 @@ def test_assembly_makes_no_matrix_products(monkeypatch):
         return product(self, other)
 
     monkeypatch.setattr(Matrix, "__mul__", counting)
-    dims = [solve_linear_constraints(g.tower, g.dim, g.constraints).dim
-            for g in groups]
+    dims = [solve_linear_constraints(g).dim for g in groups]
     assert dims == [3, 14]
     assert calls == []
 
@@ -249,7 +248,8 @@ def test_wrong_size_hermitian_form_is_rejected():
 
 def test_wrong_size_fixed_vector_is_rejected():
     t = Tower()
-    with pytest.raises(ValueError, match="length 3, the group acts on 4"):
+    with pytest.raises(ValueError,
+                       match="FixesVector has dimension 3, the group acts on 4"):
         GroupSpec(t, 4, [FixesVector(_e(t, 3, 0))], "stab").lie_algebra()
 
 
@@ -275,6 +275,25 @@ def test_group_spec_rejects_a_constraint_of_another_size(make):
     t = Tower()
     with pytest.raises(ValueError, match="the group acts on 4"):
         GroupSpec(t, 4, [DetOne(), make(t)], "G")
+
+
+def test_groups_build_without_listing_linear_terms(monkeypatch):
+    # the size check reads each constraint's ``dim``: every named group
+    # builds and holds the identity with no linearization listed
+    def refuse(self, m):
+        raise AssertionError("%s.linear_terms called" % type(self).__name__)
+
+    classes = [c for mod in (groups, octonions) for c in vars(mod).values()
+               if isinstance(c, type) and hasattr(c, "linear_terms")]
+    assert len(classes) == 6
+    for cls in classes:
+        monkeypatch.setattr(cls, "linear_terms", refuse)
+    for case, rule in StandardModel.CASES.items():
+        model = StandardModel.from_info(Tower(), dict(case=case,
+                                                      **rule.defaults))
+        for name in rule.groups:
+            group = build_group(model, name)
+            assert group.contains(Matrix.identity(model.tower, group.dim))
 
 
 def test_bracket_closure_reverified():
@@ -387,7 +406,7 @@ def test_every_group_name_has_its_own_constraints():
                                                       **rule.defaults))
         built = [build_group(model, name) for name in rule.groups]
         assert [g.name for g in built] == list(rule.groups)
-        kinds = {tuple(sorted(c.describe() for c in g.constraints))
+        kinds = {tuple(sorted(describe(c) for c in g.constraints))
                  for g in built}
         assert len(kinds) == len(built), case
         carried.update(rule.groups)
@@ -496,8 +515,7 @@ def test_g2_solve_reduces_its_distinct_rows_only(monkeypatch):
         return solve(m)
 
     monkeypatch.setattr(groups, "kernel", recording)
-    assert solve_linear_constraints(group.tower, group.dim,
-                                    group.constraints).dim == 14
+    assert solve_linear_constraints(group).dim == 14
     assert seen == [77]
 
 
@@ -526,8 +544,7 @@ def _algebra(info, name):
     key = (info["case"], name)
     if key not in _ALGEBRAS:
         g = _group(info, name)
-        _ALGEBRAS[key] = solve_linear_constraints(g.tower, g.dim,
-                                                  g.constraints)
+        _ALGEBRAS[key] = solve_linear_constraints(g)
     return _ALGEBRAS[key]
 
 
@@ -653,7 +670,7 @@ def test_the_form_check_makes_no_matrix_products(info, attr, monkeypatch):
     assert con.holds(member) and not con.holds(member.scale(t.scalar(2)))
     assert calls == []
     assert con.antilinear == (con.form.kind == "hermitian")
-    assert con.describe() == "preserves %s form %r" % (con.form.kind, attr)
+    assert describe(con) == "preserves %s form %r" % (con.form.kind, attr)
 
 
 def _full_product_holds(con, g):
@@ -946,10 +963,7 @@ def test_the_conjugation_table_solves_to_the_same_basis(info, name):
     model = StandardModel.from_info(Tower(), info)
     new, old = build_group(model, name), _hermitian_group(model, name)
     assert any(isinstance(c, CommutesWithConj) for c in new.constraints)
-    a = solve_linear_constraints(model.tower, model.ambient_dim,
-                                 new.constraints)
-    b = solve_linear_constraints(model.tower, model.ambient_dim,
-                                 old.constraints)
+    a, b = solve_linear_constraints(new), solve_linear_constraints(old)
     assert [x.to_json() for x in a.matrices] == [
         x.to_json() for x in b.matrices]
 
@@ -1028,7 +1042,7 @@ def test_the_conjugation_table_agrees_with_the_hermitian_one(info, name,
     t, m = g.tower, g.rows
     ident = Matrix.identity(t, m)
     cplx = _complex_member(model)
-    bilinear, hermitian = (c.describe() for c in old.constraints[:2])
+    bilinear, hermitian = (describe(c) for c in old.constraints[:2])
     assert hermitian in violations(old, cplx)
     assert bilinear not in violations(old, cplx)
     i, j = (data.draw(st.integers(0, m - 1)) for _ in range(2))

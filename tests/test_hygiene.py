@@ -1,8 +1,7 @@
 """Source hygiene: no module or test file imports a name it neither uses
 nor exports, every exported name exists, every method a class in the
-package defines is read somewhere in the package, its tests or its
-benchmark, every module-level function and class is read by the package
-itself,
+package defines is read somewhere in the package or its benchmark,
+every module-level function and class is read by the package itself,
 and the package's parameters with a default do not grow in number."""
 
 import ast
@@ -106,10 +105,11 @@ def test_method_detector_flags_unread_and_keeps_read():
 
 def test_every_method_is_referenced():
     src = _trees(SRC)
-    # from_info reaches each case's constructor by the name CASES holds
+    # from_info reaches each case's constructor by the name CASES holds;
+    # ``complexify`` waits for the real-form comparison of ROADMAP item 10
     by_name = [case.constructor for case in StandardModel.CASES.values()]
-    assert unreferenced_methods(src, src + _trees(TESTS) + _trees(BENCH),
-                                by_name) == []
+    assert unreferenced_methods(src, src + _trees(BENCH),
+                                by_name + ["complexify"]) == []
 
 
 def unread_functions(trees: list, allowed=()) -> list:

@@ -119,6 +119,11 @@ def test_congruence_diagonalize_with_isotropic_diagonal():
     assert hermitian_signature(g) == (1, 1, 0)
 
 
+def test_imaginary_norm_signature():
+    gram = Matrix.diag(T, [1, 1, 1, -1, -1, -1, -1])
+    assert hermitian_signature(gram) == (3, 4, 0)
+
+
 def test_matrix_json_round_trip_with_roots():
     t = Tower()
     r2 = t.adjoin_sqrt(2)

@@ -129,11 +129,6 @@ def test_imaginary_norm_gram_is_the_quadric_gram():
     assert submatrix(NORM_GRAM, range(1, 8), range(1, 8)) == quad.b.gram
 
 
-def test_imaginary_norm_signature():
-    gram = Matrix.diag(T, [1, 1, 1, -1, -1, -1, -1])
-    assert hermitian_signature(gram) == (3, 4, 0)
-
-
 def test_structure_constant_dump():
     obj = table_json()
     assert obj["schema"] == "octonion-structure-constants/1"
