@@ -153,9 +153,8 @@ def describe(c) -> str:
         return "commutes with the conjugation %r^-1 %r" % (
             c.bilinear.name, c.hermitian.name)
     return {DetOne: "determinant one", FixesVector: "fixes a marked vector",
-            RealEntries: "real entries",
-            PreservesCrossProduct: "preserves the octonion cross product",
-            }[type(c)]
+            RealEntries: "real entries", PreservesCrossProduct:
+            "preserves the octonion cross product"}[type(c)]
 
 
 def violations(group, g: Matrix) -> list:
