@@ -336,9 +336,10 @@ def _isotropic_normal_forms(cfg: CampaignConfig, nf_c: Subspace,
         {"samples": cfg.samples, "failures": failures, "retries": retries})
 
     # real round-trips: scramble in the signature presentation, where the
-    # normal form's basis is S^-1 nf_r, and map back by S
+    # normal form's basis is S^-1 nf_r, and map back by S (S^-1 = conj(S),
+    # S being diagonal with entries 1 and i)
     s_mat = model.sig_change
-    s_inv = s_mat.inverse()
+    s_inv = s_mat.conj()
     nf_sig = [s_inv.apply(v) for v in nf_r.basis_vectors()]
     real_failures = label_bad = 0
     open_label = "signature(%d,%d)-open" % model.open_signature

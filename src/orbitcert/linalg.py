@@ -261,15 +261,9 @@ class Matrix:
             tower = Tower.deserialize(obj["radicands"])
         else:
             tower.extend(obj["radicands"])
-        rows = []
-        for r in obj["entries"]:
-            row = []
-            for cell in r:
-                if isinstance(cell, str):
-                    row.append(Scalar.from_text(tower, cell))
-                else:
-                    row.append(Scalar.from_coords(tower, cell))
-            rows.append(row)
+        # a base-level cell is one coordinate, written without its list
+        rows = [[Scalar.from_coords(tower, [c] if isinstance(c, str) else c)
+                 for c in r] for r in obj["entries"]]
         m = Matrix(tower, rows, cols=obj["cols"])
         if m.rows != obj["rows"] or m.cols != obj["cols"]:
             raise TowerError("matrix entry grid does not match declared shape")

@@ -292,10 +292,10 @@ class Tower:
         """
         t = Tower()
         for j, entry in enumerate(radicands):
+            if isinstance(entry, str):
+                entry = [entry]
             if isinstance(entry, int):
                 r = t.scalar(entry)
-            elif isinstance(entry, str):
-                r = Scalar(t, {0: _parse_coeff(entry)})
             elif isinstance(entry, list):
                 if len(entry) > (1 << j):
                     raise TowerError("radicand %d uses levels above its own" % (j,))
@@ -579,11 +579,6 @@ class Scalar:
         if self._level() != 0:
             raise TowerError("scalar uses adjoined roots; serialize as coords")
         return _format_coeff(self._terms.get(0, _G0))
-
-    @staticmethod
-    def from_text(tower: Tower, text: str) -> Scalar:
-        c = _parse_coeff(text)
-        return Scalar(tower, {0: c} if c != _G0 else {})
 
     def coords(self, depth: Optional[int] = None) -> list[str]:
         """Flat coordinate strings over 2**depth basis products."""

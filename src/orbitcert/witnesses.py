@@ -12,7 +12,11 @@ the builders are the ones a step needs in order to go on.
 
 Reflections are applied to vectors as rank-one updates,
 v -> v - (2 f(v,u)/f(u,u)) u (``reflect``); no reflection matrix is
-formed.  The Witt transports run on the model's own forms at full length.
+formed.  The Witt transports run on the model's own forms at full length
+and move vectors, not matrices: the normal-form builders carry their
+element's columns through each transport with the plane, and apply the
+final sign flip, the interleave and S g S^-1 to rows and entries.  The
+one matrix product a builder makes is ``Witness.verify``'s.
 
 Square-root discipline: reflections never extend the scalar tower; the
 only square roots adjoined are h-norm normalizations (one per plane in
@@ -111,13 +115,17 @@ def _check_claim(dim: int, element: Matrix, claim_kind: str,
                  source: Matrix, target: Matrix) -> None:
     """Reject a claim that is mis-shaped or vacuous: it must live in the
     model's ambient space, a line claim takes one nonzero column, and a
-    subspace claim maps a basis to a basis."""
+    subspace claim maps a basis of a proper nonzero subspace to a basis
+    (every element maps 0 to 0 and the whole space onto itself)."""
     _check_element(dim, element)
     for name, mat in (("source", source), ("target", target)):
         if mat.rows != dim:
             raise ValueError("claim %s has %d rows, the element %d"
                              % (name, mat.rows, dim))
         if claim_kind == "maps_subspace":
+            if not 0 < mat.cols < dim:
+                raise ValueError("subspace claim %s has %d columns, "
+                                 "outside 1..%d" % (name, mat.cols, dim - 1))
             if rank(mat) != mat.cols:
                 raise ValueError("claim %s columns are not independent"
                                  % (name,))
@@ -228,8 +236,9 @@ def reflect(f: FormSpec, u: Sequence[Scalar], vectors) -> list:
 
 def witt_transport(f: FormSpec, frame_a: Sequence[Sequence[Scalar]],
                    frame_b: Sequence[Sequence[Scalar]],
-                   extra_real: bool = False) -> Matrix:
-    """An f-isometry taking frame_a to frame_b entrywise.
+                   vectors: Sequence[Sequence[Scalar]]) -> list:
+    """``vectors`` moved by an f-isometry taking frame_a to frame_b
+    entrywise.
 
     Needs Gram(frame_a) = Gram(frame_b) exactly.  Built as a product of at
     most 2 len + 2 reflections, placing one vector at a time: the
@@ -237,10 +246,9 @@ def witt_transport(f: FormSpec, frame_a: Sequence[Sequence[Scalar]],
     that difference is isotropic, the pair of reflections in a_k + b_k and
     b_k is used instead (valid here because every placed target is
     orthogonal to the pivot pair in all our call sites; re-checked).  Each
-    reflection is applied to the running product's columns and to the
-    frame together, as a rank-one update; no reflection matrix is formed.
-    With ``extra_real`` all inputs must be real and the output is then
-    real as well.  No square roots are ever taken.
+    reflection is applied to the vectors and to the frame's current images
+    together, as a rank-one update; no matrix is formed.  No square roots
+    are ever taken.
     """
     t = f.tower
     k = len(frame_a)
@@ -248,9 +256,10 @@ def witt_transport(f: FormSpec, frame_a: Sequence[Sequence[Scalar]],
         raise ValueError("frames differ in length")
     fa = [list(v) for v in frame_a]
     fb = [list(v) for v in frame_b]
-    for v in fa + fb:
+    vs = [list(v) for v in vectors]
+    for v in fa + fb + vs:
         if len(v) != f.dim:
-            raise ValueError("frame vector has wrong length")
+            raise ValueError("vector has wrong length")
     if k and (rank(Matrix.from_cols(t, fa)) != k
               or rank(Matrix.from_cols(t, fb)) != k):
         raise ValueError("frames must be linearly independent")
@@ -259,16 +268,11 @@ def witt_transport(f: FormSpec, frame_a: Sequence[Sequence[Scalar]],
         raise ValueError("frame Gram matrices differ at (%d, %d)" % next(
             (i, j) for i in range(k) for j in range(k)
             if not ga[i, j] == gb[i, j]))
-    if extra_real:
-        for v in fa + fb:
-            if any(not x.is_real() for x in v):
-                raise ValueError("extra_real set but frames are not real")
-        if any(not e.is_real() for e in f.entries):
-            raise ValueError("extra_real set but the form is not real")
-    # the running product's columns, then the frame's current images
-    cols = Matrix.identity(t, f.dim).col_list() + fa
+    # the vectors to move, then the frame's current images
+    n = len(vs)
+    cols = vs + fa
     for idx in range(k):
-        a, b = cols[f.dim + idx], fb[idx]
+        a, b = cols[n + idx], fb[idx]
         if all((x - y).is_zero() for x, y in zip(a, b)):
             continue
         d = vec_sub(a, b)
@@ -287,10 +291,10 @@ def witt_transport(f: FormSpec, frame_a: Sequence[Sequence[Scalar]],
                         "isotropic pivot with non-orthogonal placed "
                         "vectors is unsupported")
             cols = reflect(f, b, reflect(f, d2, cols))
-        if any(not (x - y).is_zero() for x, y in zip(cols[f.dim + idx], b)):
+        if any(not (x - y).is_zero() for x, y in zip(cols[n + idx], b)):
             raise WitnessVerificationError("reflection step failed to place "
                                            "frame vector %d" % idx)
-    return Matrix(t, list(zip(*cols[:f.dim])), cols=f.dim)
+    return cols[:n]
 
 
 def _vector_with_sign(h: FormSpec, space: Subspace,
@@ -411,11 +415,6 @@ def _on_coordinates(t: Tower, m: int, vectors: Sequence[Sequence[Scalar]],
             Matrix(t, other_rows, cols=len(vectors)))])
 
 
-def _flip(t: Tower, m: int, j: int) -> Matrix:
-    """The diagonal matrix negating coordinate ``j`` of C^m."""
-    return Matrix.diag(t, [-1 if k == j else 1 for k in range(m)])
-
-
 def _as_subspace(t: Tower, m: int, w) -> Subspace:
     if isinstance(w, Subspace):
         w = w.basis_vectors()
@@ -446,12 +445,14 @@ def isotropic_normal_form_complex(model: StandardModel, w_hat) -> Witness:
         raise NotInDomainError(
             "plane lies in the other connected family of isotropic "
             "n-planes; no witness fixing the last vector exists")
-    g_total = Matrix.identity(t, m)
+    # the element's columns, moved by each level's transport with the plane
+    cols = Matrix.identity(t, m).col_list()
     cur = w0
     for level in range(n, 1, -1):
         m2 = 2 * level
         last = m2 - 1
-        cand = [v for v in cur.basis_vectors() if not v[last].is_zero()]
+        basis = cur.basis_vectors()
+        cand = [v for v in basis if not v[last].is_zero()]
         if not cand:
             raise NotInDomainError(
                 "boundary configuration: the plane meets the fixed "
@@ -465,11 +466,9 @@ def isotropic_normal_form_complex(model: StandardModel, w_hat) -> Witness:
         target[m2 - 2] = t.one()
         # v and the target lie in span(e_1..e_{m2-1}), so the transport
         # acts as the identity on the other coordinates
-        g_k = witt_transport(mt.b, [v], [target])
-        g_total = g_k * g_total
-        cur = _on_coordinates(t, m, [g_k.apply(bv)
-                                     for bv in cur.basis_vectors()],
-                              range(m2 - 2))
+        moved = witt_transport(mt.b, [v], [target], cols + basis)
+        cols = moved[:m]
+        cur = _on_coordinates(t, m, moved[m:], range(m2 - 2))
         if cur.dim != level - 1:
             raise WitnessVerificationError(
                 "peeled plane has wrong dimension at level %d" % level)
@@ -480,22 +479,14 @@ def isotropic_normal_form_complex(model: StandardModel, w_hat) -> Witness:
                                        "coordinate")
     ratio = w[1] / w[0]
     ii = t.i()
-    if ratio == ii:
-        sign_plus = True
-    elif ratio == -ii:
-        sign_plus = False
-    else:
+    rows = [list(r) for r in zip(*cols)]
+    if ratio == -ii:
+        # negating coordinate 2 turns e1 - i e2 into e1 + i e2
+        rows[1] = [-x for x in rows[1]]
+    elif ratio != ii:
         raise WitnessVerificationError("bottom line is not isotropic")
-    # interleave permutation: e_{2k-1} -> e_k, e_{2k} -> e_{n+k} (1-based)
-    zero, one = t.zero(), t.one()
-    rows = [[zero] * m for _ in range(m)]
-    for k in range(1, n + 1):
-        rows[k - 1][2 * k - 2] = one
-        rows[n + k - 1][2 * k - 1] = one
-    correction = Matrix(t, rows, cols=m)
-    if not sign_plus:
-        correction = correction * _flip(t, m, 1)
-    g = correction * g_total
+    # interleave: e_{2k-1} -> e_k, e_{2k} -> e_{n+k} (1-based)
+    g = Matrix(t, rows[0::2] + rows[1::2], cols=m)
     witness = Witness(build_group(mt, "SO2n-1C"), g, "maps_subspace",
                       w0.matrix, nf.matrix, mt.info)
     if not witness.verify():
@@ -536,9 +527,10 @@ def isotropic_normal_form_real(model: StandardModel, w_hat) -> Witness:
         raise NotInDomainError(
             "plane is not in the open orbit: h-signature %r, open orbit "
             "needs %r" % ((sig[0], sig[1]), mt.open_signature))
-    # move to the signature presentation
+    # move to the signature presentation; S is diagonal with entries 1 and
+    # i, so S^-1 = conj(S)
     s_mat = mt.sig_change
-    s_inv = s_mat.inverse()
+    s_inv = s_mat.conj()
     w_sig = [s_inv.apply(bv) for bv in w_std.basis_vectors()]
     nf_std = mt.normal_form_real()
     if (w_std.intersect(nf_std).dim - n) % 2 != 0:
@@ -558,8 +550,10 @@ def isotropic_normal_form_real(model: StandardModel, w_hat) -> Witness:
         raise NotInDomainError(
             "boundary configuration: h-signature on the hyperplane part "
             "is %r, the procedure needs %r" % (sig_v, expected))
+    # the element's columns, moved by each pair's transport with the plane
+    # and the part of it still to place
+    cols = Matrix.identity(t, m).col_list()
     cur = w_v
-    g_total = Matrix.identity(t, m)
     half = t.scalar(Fraction(1, 2))
     for (a_idx, b_idx) in pairs[:-1]:
         csign = 1 if mt.hhat.gram[a_idx, a_idx].sign() > 0 else -1
@@ -581,20 +575,18 @@ def isotropic_normal_form_real(model: StandardModel, w_hat) -> Witness:
                   for c in (a_idx, b_idx))
         # x and y vanish on the last coordinate and on every placed pair
         # (b- and h-orthogonality to its e_a + i e_b), so the transport
-        # acts as the identity there
-        g_k = witt_transport(b_sig, [x, y], [ta, tb], extra_real=True)
-        g_total = g_k * g_total
-        # pass to the h-complement of u inside the current plane
-        nxt = [g_k.apply(v) for v in h_sig.perp([u], cur).basis_vectors()]
+        # acts as the identity there; the h-complement of u inside the
+        # current plane is what is left to place
+        rest = h_sig.perp([u], cur).basis_vectors()
+        moved = witt_transport(b_sig, [x, y], [ta, tb], cols + w_sig + rest)
+        cols, w_sig = moved[:m], moved[m:m + n]
         prev_dim = cur.dim
-        cur = Subspace.from_vectors(t, m, nxt)
+        cur = Subspace.from_vectors(t, m, moved[m + n:])
         if cur.dim != prev_dim - 1:
             raise WitnessVerificationError("complement has wrong dimension")
     # leftover line must now sit on the final coordinate pair
     a_fin, b_fin = pairs[-1]
-    leftover = _on_coordinates(
-        t, m, [g_total.apply(bv) for bv in w_sig],
-        [a_fin, b_fin])
+    leftover = _on_coordinates(t, m, w_sig, [a_fin, b_fin])
     if leftover.dim != 1:
         raise WitnessVerificationError("leftover line is displaced")
     w = leftover.basis_vectors()[0]
@@ -605,13 +597,17 @@ def isotropic_normal_form_real(model: StandardModel, w_hat) -> Witness:
     beta = w[a_fin]
     if not (beta.is_real() and (beta * beta).is_one()):
         raise WitnessVerificationError("leftover line is not isotropic")
+    rows = [list(r) for r in zip(*cols)]
     if beta.sign() < 0:
         # the Witt product may have determinant -1, in which case the
         # leftover lands on the conjugate line; negating the paired real
         # coordinate fixes both at once (it commutes with the diagonal
         # Gram, fixes the last vector and all placed pairs)
-        g_total = _flip(t, m, a_fin) * g_total
-    g_std = s_mat * g_total * s_inv
+        rows[a_fin] = [-x for x in rows[a_fin]]
+    # S g S^-1, entry by entry
+    g_std = Matrix(t, [[x * (s_mat[r, r] * s_inv[c, c])
+                        for c, x in enumerate(row)]
+                       for r, row in enumerate(rows)], cols=m)
     witness = Witness(build_group(mt, "SO(p,q)"), g_std, "maps_subspace",
                       w_std.matrix, nf_std.matrix, mt.info)
     if not witness.verify():

@@ -1,7 +1,7 @@
 """Shared hypothesis profile and strategies for exact-arithmetic tests,
-the test-only nilpotents, exponentials and reflection matrices that
-build group elements, and the scalar, matrix and group readers only tests
-use."""
+the test-only nilpotents, exponentials, reflection and transport matrices
+that build group elements, and the scalar, matrix and group readers only
+tests use."""
 
 from fractions import Fraction
 from typing import Sequence
@@ -14,7 +14,7 @@ from orbitcert.groups import (CommutesWithConj, DetOne, FixesVector,
 from orbitcert.linalg import Matrix, rank
 from orbitcert.octonions import PreservesCrossProduct
 from orbitcert.scalars import Scalar, Tower
-from orbitcert.witnesses import reflect
+from orbitcert.witnesses import reflect, witt_transport
 
 # Exact arithmetic is deterministic but not uniformly fast; wall-clock
 # deadlines only add flakiness on loaded machines.  Shrinking is left out:
@@ -141,6 +141,14 @@ def reflection(f: FormSpec, u: Sequence[Scalar]) -> Matrix:
     """The f-orthogonal reflection x -> x - 2 f(x,u)/f(u,u) u, as a matrix:
     ``reflect`` on the identity's columns."""
     cols = reflect(f, u, Matrix.identity(f.tower, f.dim).col_list())
+    return Matrix(f.tower, list(zip(*cols)), cols=f.dim)
+
+
+def transport_matrix(f: FormSpec, frame_a, frame_b) -> Matrix:
+    """The f-isometry ``witt_transport`` builds, as a matrix: the
+    identity's columns moved by it."""
+    cols = witt_transport(f, frame_a, frame_b,
+                          Matrix.identity(f.tower, f.dim).col_list())
     return Matrix(f.tower, list(zip(*cols)), cols=f.dim)
 
 

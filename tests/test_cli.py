@@ -162,6 +162,29 @@ def test_witness_verify_parse_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_witness_verify_refuses_vacuous_subspace_claims(tmp_path, capsys):
+    # every element maps the zero subspace and the whole space onto
+    # themselves, so such a claim says nothing
+    golden = os.path.join(os.path.dirname(__file__), "data", "golden",
+                          "witness-normal-form-complex-p2-q1.json")
+    with open(golden) as fh:
+        text = fh.read()
+    for cols in (0, 4):
+        obj = json.loads(text)
+        for side in ("source", "target"):
+            obj["claim"][side] = {
+                "rows": 4, "cols": cols, "radicands": [],
+                "entries": [["1/1+0/1*i" if i == j else "0/1+0/1*i"
+                             for j in range(cols)] for i in range(4)]}
+        path = tmp_path / ("vacuous-%d.json" % cols)
+        path.write_text(json.dumps(obj))
+        assert main(["witness", "verify", str(path)]) == 2
+        assert "has %d columns, outside 1..3" % cols in (
+            capsys.readouterr().err)
+    assert main(["witness", "verify", golden]) == 0
+    capsys.readouterr()
+
+
 def test_witness_verify_refuses_vector_claims(tmp_path, capsys):
     # claims are lines or subspaces; any other kind is malformed input
     golden = os.path.join(os.path.dirname(__file__), "data", "golden",

@@ -146,7 +146,7 @@ def test_every_function_is_read_by_the_package():
 
 # Lower this when a default goes; raise it only with the reason in
 # CHANGES.md.
-MAX_DEFAULTS = 19
+MAX_DEFAULTS = 18
 
 
 def count_defaults(trees: list) -> int:

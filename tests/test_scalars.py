@@ -102,7 +102,7 @@ def test_text_round_trip():
     t = Tower()
     for re, im in [(0, 0), (1, 0), (Fraction(-3, 7), Fraction(2, 5))]:
         s = t.scalar(re, im)
-        assert Scalar.from_text(t, s.to_text()) == s
+        assert Scalar.from_coords(t, [s.to_text()]) == s
 
 
 def test_tower_coercion_is_prefix_only():

@@ -1,6 +1,7 @@
 """Witness construction: reflections, Witt transport, normal forms."""
 
 import json
+import os
 import re
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from conftest import (deep_scalars, exp_nilpotent, reflection, submatrix,
-                      tower_of_depth, violations)
+                      tower_of_depth, transport_matrix, violations)
 from orbitcert import witnesses
 from orbitcert.forms import FormSpec, StandardModel
 from orbitcert.groups import outer
@@ -72,7 +73,7 @@ def test_witt_transport_moves_a_frame():
     f = FormSpec("symmetric", Matrix.identity(t, 3), "b")
     e0 = [t.one(), t.zero(), t.zero()]
     e1 = [t.zero(), t.one(), t.zero()]
-    g = witt_transport(f, [e0], [e1])
+    g = transport_matrix(f, [e0], [e1])
     assert g.apply(e0) == e1
     assert g.transpose() * f.gram * g == f.gram
 
@@ -85,7 +86,7 @@ def test_witt_transport_isotropic_difference_fallback():
     a = [t.one(), t.zero(), t.zero()]
     b = [t.one(), t.one(), t.i()]
     assert f.norm(b).is_one() and f.norm([x - y for x, y in zip(a, b)]).is_zero()
-    g = witt_transport(f, [a], [b])
+    g = transport_matrix(f, [a], [b])
     assert g.apply(a) == b
 
 
@@ -96,7 +97,7 @@ def test_witt_transport_two_vector_frame():
             [t.zero(), t.one(), t.zero(), t.zero()]]
     fr_b = [[t.zero(), t.zero(), t.one(), t.zero()],
             [t.zero(), t.one(), t.zero(), t.zero()]]
-    g = witt_transport(f, fr_a, fr_b)
+    g = transport_matrix(f, fr_a, fr_b)
     for x, y in zip(fr_a, fr_b):
         assert g.apply(x) == y
 
@@ -106,7 +107,7 @@ def test_witt_transport_real():
     f = FormSpec("symmetric", Matrix.diag(t, [1, 1, -1]), "b")
     a = [t.one(), t.zero(), t.zero()]
     b = [t.scalar(Fraction(5, 4)), t.zero(), t.scalar(Fraction(3, 4))]
-    g = witt_transport(f, [a], [b], extra_real=True)
+    g = transport_matrix(f, [a], [b])
     assert g.apply(a) == b
     assert all(x.is_real() for x in g.flatten())
 
@@ -116,7 +117,7 @@ def test_witt_transport_rejects_gram_mismatch():
     f = FormSpec("symmetric", Matrix.diag(t, [1, 1, -1]), "b")
     a = [t.one(), t.zero(), t.zero()]
     with pytest.raises(ValueError):
-        witt_transport(f, [a], [[t.scalar(2), t.zero(), t.zero()]])
+        transport_matrix(f, [a], [[t.scalar(2), t.zero(), t.zero()]])
 
 
 @pytest.mark.parametrize("second,where", [
@@ -130,11 +131,11 @@ def test_witt_transport_names_the_first_gram_mismatch(second, where):
     e0, e1 = ([t.scalar(int(k == j)) for k in range(4)] for j in range(2))
     frame_b = [e0, [t.scalar(c) for c in second]]
     if where is None:
-        g = witt_transport(f, [e0, e1], frame_b)
+        g = transport_matrix(f, [e0, e1], frame_b)
         assert [g.apply(e0), g.apply(e1)] == frame_b
         return
     with pytest.raises(ValueError, match="differ at %s" % re.escape(where)):
-        witt_transport(f, [e0, e1], frame_b)
+        transport_matrix(f, [e0, e1], frame_b)
 
 
 def test_witt_transport_stays_in_the_base_tower():
@@ -148,7 +149,7 @@ def test_witt_transport_stays_in_the_base_tower():
         if f.norm(a).is_zero():
             continue
         b = [x * t.scalar(Fraction(2, 3)) for x in a]
-        fr_b = witt_transport(f, [a], [a])  # identity-ish sanity
+        fr_b = transport_matrix(f, [a], [a])  # identity-ish sanity
         assert fr_b.tower.depth == 0
     assert t.depth == 0
 
@@ -230,38 +231,35 @@ def test_line_transport_refuses_a_wrongly_scaled_frame(monkeypatch):
         transport_positive_line_sp(model, [1, 0, 0, 0], [1, 1, 0, 0])
 
 
-def _without_flips(monkeypatch) -> list:
-    """Make ``witnesses._flip`` the identity; the list records its calls."""
-    calls = []
-
-    def identity(t, m, j):
-        calls.append(j)
-        return Matrix.identity(t, m)
-
-    monkeypatch.setattr(witnesses, "_flip", identity)
-    return calls
+def _verifies_with_row_negated(w: Witness, r: int) -> bool:
+    """Whether ``w``'s claim still verifies once row ``r`` of its element
+    is negated back: the element without the builder's sign correction."""
+    rows = w.element.to_lists()
+    rows[r] = [-x for x in rows[r]]
+    return Witness(w.group, Matrix(w.element.tower, rows), w.claim_kind,
+                   w.source, w.target, w.model_info).verify()
 
 
-def test_complex_normal_form_refuses_a_missing_sign_correction(monkeypatch):
+def test_complex_normal_form_refuses_a_missing_sign_correction():
     # this scramble ends on the line e1 - i e2, which the sign correction
-    # turns round; without it the element has det -1 and misses the plane
+    # turns round by negating coordinate 2; the interleave moves that row
+    # to row n, and without it the element has det -1 and misses the plane
     model = StandardModel.isotropic(Tower(), 2, 1)
     t = model.tower
     scr = (reflection(model.b, [t.zero(), t.zero(), t.one(), t.zero()])
            * reflection(model.b, [t.zero(), t.one(), t.one(), t.zero()]))
     plane = [scr.apply(v) for v in model.normal_form_complex().basis_vectors()]
-    assert isotropic_normal_form_complex(model, plane).verified
-    calls = _without_flips(monkeypatch)
-    with pytest.raises(WitnessVerificationError):
-        isotropic_normal_form_complex(model, plane)
-    assert calls == [1]
+    w = isotropic_normal_form_complex(model, plane)
+    assert w.verified
+    assert not _verifies_with_row_negated(w, model.n)
 
 
 @pytest.mark.parametrize("p, q, v1, v2", [(2, 1, 2, 1), (1, 2, 2, 0)])
-def test_real_normal_form_refuses_a_skipped_final_flip(monkeypatch, p, q,
-                                                        v1, v2):
+def test_real_normal_form_refuses_a_skipped_final_flip(p, q, v1, v2):
     # scrambles by the reflections in e_v1 and e_v2 (signature
-    # coordinates) whose leftover line lands on the conjugate line
+    # coordinates) whose leftover line lands on the conjugate line; the
+    # final flip negates the row of the last pair's real coordinate, which
+    # S g S^-1 leaves in place
     model = StandardModel.isotropic(Tower(), p, q)
     t, m = model.tower, model.ambient_dim
     e = Matrix.identity(t, m)
@@ -269,11 +267,40 @@ def test_real_normal_form_refuses_a_skipped_final_flip(monkeypatch, p, q,
                                                            e.col(v2))
     g_std = model.sig_change * gsig * model.sig_change.inverse()
     plane = [g_std.apply(v) for v in model.normal_form_real().basis_vectors()]
-    assert isotropic_normal_form_real(model, plane).verified
-    calls = _without_flips(monkeypatch)
-    with pytest.raises(WitnessVerificationError):
-        isotropic_normal_form_real(model, plane)
-    assert len(calls) == 1
+    w = isotropic_normal_form_real(model, plane)
+    assert w.verified
+    a_fin = model.normal_form_real_pairs()[-1][0]
+    assert not _verifies_with_row_negated(w, a_fin)
+
+
+@pytest.mark.parametrize("name", ["complex-p2-q1", "complex-p3-q2",
+                                  "real-p2-q1", "real-p3-q2"])
+def test_normal_forms_make_one_matrix_product(monkeypatch, name):
+    # transports move the element's columns, and the sign flip, the
+    # interleave and S g S^-1 move its rows and entries: the one product
+    # left is ``Witness.verify``'s element * source
+    path = os.path.join(os.path.dirname(__file__), "data", "golden",
+                        "witness-normal-form-%s.json" % name)
+    with open(path) as fh:
+        doc = json.load(fh)
+    model = StandardModel.from_info(Tower(), doc["model"])
+    plane = Matrix.from_json(doc["claim"]["source"], model.tower).col_list()
+    build = (isotropic_normal_form_complex if name.startswith("complex")
+             else isotropic_normal_form_real)
+    calls = []
+
+    def counted(method):
+        real = getattr(Matrix, method)
+
+        def counting(self, *args):
+            calls.append(method)
+            return real(self, *args)
+        return counting
+
+    for method in ("__mul__", "inverse"):
+        monkeypatch.setattr(Matrix, method, counted(method))
+    assert build(model, plane).verified
+    assert calls == ["__mul__"]
 
 
 # -- witness documents -----------------------------------------------------------
@@ -324,12 +351,15 @@ def test_witness_rejects_vacuous_and_misshaped_claims():
             ("maps_line", ident, ident),          # a plane is not a line
             ("maps_line", Matrix.from_rows(t, [[1]]), e0),  # wrong ambient
             ("maps_subspace", twice, twice),      # dependent columns
-            ("maps_subspace", ident, e0)):        # dimensions differ
+            ("maps_subspace", ident, e0),         # dimensions differ
+            ("maps_subspace", ident, ident),      # the whole space
+            ("maps_subspace", Matrix.zeros(t, 2, 0),
+             Matrix.zeros(t, 2, 0))):             # the zero subspace
         with pytest.raises(ValueError):
             Witness(g, ident, kind, src, dst, {})
     with pytest.raises(ValueError):
         Witness(g, Matrix.identity(t, 3), "maps_line", e0, e0, {})
-    assert Witness(g, ident, "maps_subspace", ident, ident, {}).verify()
+    assert Witness(g, ident, "maps_subspace", e0, e0, {}).verify()
 
 
 def test_model_dim_is_the_built_model_dim():
@@ -483,7 +513,7 @@ def test_builders_work_on_a_clone_of_the_model():
 
 def _dense_reflection(f, u):
     """I - (2/f(u,u)) u (G u)^T, formed as a matrix: the oracle for the
-    rank-one updates behind ``reflection`` and ``witt_transport``."""
+    rank-one updates behind ``reflection`` and ``transport_matrix``."""
     t = f.tower
     gu = f.gram.apply(list(u))
     return (Matrix.identity(t, f.dim)
@@ -521,7 +551,7 @@ def test_reflection_is_the_dense_formula(data):
     assert reflection(f, u).to_json() == _dense_reflection(f, u).to_json()
 
 
-def _assert_embedded_transport(f, sub, frame_a, frame_b, real):
+def _assert_embedded_transport(f, sub, frame_a, frame_b):
     """``witt_transport`` on the whole form equals the transport on the
     sub-form of the coordinates ``sub``, which carry both frames, embedded
     by the identity; or both refuse the frames."""
@@ -529,12 +559,12 @@ def _assert_embedded_transport(f, sub, frame_a, frame_b, real):
     f_sub = FormSpec("symmetric", submatrix(f.gram, sub, sub), "sub")
     cut = [[[v[j] for j in sub] for v in fr] for fr in (frame_a, frame_b)]
     try:
-        small = witt_transport(f_sub, *cut, extra_real=real)
+        small = transport_matrix(f_sub, *cut)
     except ValueError:
         with pytest.raises(ValueError):
-            witt_transport(f, frame_a, frame_b, extra_real=real)
+            transport_matrix(f, frame_a, frame_b)
         return None
-    full = witt_transport(f, frame_a, frame_b, extra_real=real)
+    full = transport_matrix(f, frame_a, frame_b)
     assert full.to_json() == _embed(t, m, sub, small).to_json()
     return full
 
@@ -565,9 +595,11 @@ def test_full_form_witt_transport_is_the_embedded_sub_form_one(data):
         assume(not f.norm(u).is_zero())
         g = _dense_reflection(f, u) * g
     frame_b = [g.apply(v) for v in frame_a]
-    full = _assert_embedded_transport(f, sub, frame_a, frame_b, real)
+    full = _assert_embedded_transport(f, sub, frame_a, frame_b)
     if full is not None:
         assert [full.apply(v) for v in frame_a] == frame_b
+        # moving a vector is applying the matrix of moved identity columns
+        assert witt_transport(f, frame_a, frame_b, [u]) == [full.apply(u)]
 
 
 def test_full_form_witt_transport_fallback_is_the_embedded_one():
@@ -579,5 +611,5 @@ def test_full_form_witt_transport_fallback_is_the_embedded_one():
     a = e[1]
     b = [x + y + z for x, y, z in zip(e[0], e[1], e[3])]
     assert model.b_sig.norm([x - y for x, y in zip(a, b)]).is_zero()
-    full = _assert_embedded_transport(model.b_sig, [0, 1, 3], [a], [b], True)
+    full = _assert_embedded_transport(model.b_sig, [0, 1, 3], [a], [b])
     assert full.apply(a) == b
