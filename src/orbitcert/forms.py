@@ -171,12 +171,6 @@ class FormSpec:
         return "FormSpec(%s, dim=%d)" % (self.name, self.dim)
 
 
-def _e(tower: Tower, n: int, idx: int):
-    v = [tower.zero()] * n
-    v[idx] = tower.one()
-    return v
-
-
 def _epq(p: int, q: int) -> list:
     return [1] * p + [-1] * q
 

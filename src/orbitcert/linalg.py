@@ -257,13 +257,18 @@ class Matrix:
 
     @staticmethod
     def from_json(obj, tower: Optional[Tower] = None) -> Matrix:
+        """The matrix ``to_json`` wrote, in ``tower`` if given: one that
+        starts with ``obj``'s radicands as ``serialize_prefix`` writes
+        them.  It is never extended; another raises :class:`TowerError`."""
+        radicands = obj["radicands"]
         if tower is None:
-            tower = Tower.deserialize(obj["radicands"])
-        else:
-            tower.extend(obj["radicands"])
-        # a base-level cell is one coordinate, written without its list
-        rows = [[Scalar.from_coords(tower, [c] if isinstance(c, str) else c)
-                 for c in r] for r in obj["entries"]]
+            tower = Tower.deserialize(radicands)
+        have = tower.serialize_prefix(len(radicands))
+        for j, r in enumerate(radicands):
+            if j == len(have) or (type(r), r) != (type(have[j]), have[j]):
+                raise TowerError("radicand %d conflicts with tower" % (j,))
+        rows = [[Scalar.from_coords(tower, c) for c in r]
+                for r in obj["entries"]]
         m = Matrix(tower, rows, cols=obj["cols"])
         if m.rows != obj["rows"] or m.cols != obj["cols"]:
             raise TowerError("matrix entry grid does not match declared shape")

@@ -24,7 +24,9 @@ Scalars move between towers by one rule.  ``Tower.lift`` is strict: it
 re-homes a scalar only when both towers agree on every level the scalar
 uses, and raises ``TowerError`` otherwise.  ``Tower.host`` picks the
 tower a computation mixing some entries runs in: the deepest one that
-every entry lifts into.  The operators and ``fma`` both go through it.
+every entry lifts into.  The operators, ``==`` and ``fma`` all go
+through it, so a radicand mismatch raises ``TowerError`` in each of them.
+No tower grows to fit a scalar or a serialized matrix.
 
 Term masks: bit j of a term's integer key selects sqrt(r_{j+1}), so the
 key 0 is the rational part and key 0b101 tags sqrt(r1)*sqrt(r3).
@@ -212,7 +214,11 @@ class Tower:
         if isinstance(x, Scalar):
             if x._tower is self:
                 return x
-            return self._coerce(x)
+            if not self._fits(x):
+                raise TowerError("incompatible towers: the scalar uses a "
+                                 "level this tower lacks or whose radicand "
+                                 "differs")
+            return Scalar(self, dict(x._terms))
         return self.scalar(x)
 
     def host(self, entries: Iterable) -> Tower:
@@ -230,13 +236,6 @@ class Tower:
         raise TowerError("incompatible towers: no tower hosts every entry")
 
     # -- internals -----------------------------------------------------------
-
-    def _coerce(self, x: Scalar) -> Scalar:
-        """Re-home a scalar from a structurally compatible tower."""
-        if not self._fits(x):
-            raise TowerError("incompatible towers: the scalar uses a level "
-                             "this tower lacks or whose radicand differs")
-        return Scalar(self, dict(x._terms))
 
     def _fits(self, x: Scalar) -> bool:
         """Whether ``x`` can be re-homed here: this tower has every level
@@ -266,45 +265,35 @@ class Tower:
     # -- serialization ------------------------------------------------------
 
     def serialize_prefix(self, depth: int):
-        """JSON-ready description of the first ``depth`` radicands."""
+        """JSON-ready description of the first ``depth`` radicands: an
+        integer radicand as itself, another base-level one as its text and
+        a rooted one as its ``coords``."""
         out = []
-        for j in range(depth):
-            r = self._radicands[j]
-            lvl = r._level()
-            if lvl == 0:
-                c = r._terms.get(0, _G0)
-                if c[1] == 0 and c[2] == 1:
-                    out.append(c[0])
-                else:
-                    out.append(_format_coeff(c))
+        for r in self._radicands[:depth]:
+            c = r._terms.get(0, _G0)
+            if r._level():
+                out.append(r.coords())
+            elif c[1] == 0 and c[2] == 1:
+                out.append(c[0])
             else:
-                out.append([_format_coeff(r._terms.get(m, _G0))
-                            for m in range(1 << lvl)])
+                out.append(r.to_text())
         return out
 
     @staticmethod
     def deserialize(radicands) -> Tower:
         """Rebuild a tower from :meth:`serialize_prefix` output.
 
-        Every entry is re-validated: it must parse over the prefix built so
-        far, be real and positive, and must genuinely create a new level
-        (a square radicand means the file violates the tower invariant).
+        Every entry is re-validated: an integer, or coordinates read by
+        ``Scalar.from_coords`` over the prefix built so far; it must be
+        real and positive, and must genuinely create a new level (a square
+        radicand means the file violates the tower invariant).
         """
         t = Tower()
         for j, entry in enumerate(radicands):
-            if isinstance(entry, str):
-                entry = [entry]
             if isinstance(entry, int):
                 r = t.scalar(entry)
-            elif isinstance(entry, list):
-                if len(entry) > (1 << j):
-                    raise TowerError("radicand %d uses levels above its own" % (j,))
-                terms = {}
-                for m, text in enumerate(entry):
-                    c = _parse_coeff(text)
-                    if c != _G0:
-                        terms[m] = c
-                r = Scalar(t, terms)
+            elif isinstance(entry, (str, list)):
+                r = Scalar.from_coords(t, entry)
             else:
                 raise TowerError("malformed radicand entry %r" % (entry,))
             before = t.depth
@@ -313,18 +302,6 @@ class Tower:
                 raise TowerError(
                     "radicand %d is a square in the preceding tower" % (j,))
         return t
-
-    def extend(self, radicands) -> None:
-        """Make this tower start with the serialized ``radicands``: they
-        must agree with it on every level both have, and the levels it
-        lacks are appended.  Raises :class:`TowerError` on a conflict."""
-        fresh = Tower.deserialize(radicands)
-        for j, r in enumerate(fresh._radicands):
-            if j < len(self._radicands):
-                if self._radicands[j]._terms != r._terms:
-                    raise TowerError("radicand %d conflicts with tower" % (j,))
-            else:
-                self._radicands.append(Scalar(self, dict(r._terms)))
 
     def __repr__(self) -> str:
         return "Tower(depth=%d)" % (len(self._radicands),)
@@ -474,16 +451,10 @@ class Scalar:
                        for m, c in self._terms.items() if c[1] != 0})
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = self._tower.scalar(other)
-        if not isinstance(other, Scalar):
+        ab = self._align(other)
+        if ab is None:
             return NotImplemented
-        if other._tower is not self._tower:
-            try:
-                other = self._tower._coerce(other)
-            except TowerError:
-                return False
-        return self._terms == other._terms
+        return ab[0]._terms == ab[1]._terms
 
     __hash__ = None  # mutable dict inside; scalars are not dict keys
 
@@ -588,8 +559,10 @@ class Scalar:
         return [_format_coeff(self._terms.get(m, _G0)) for m in range(1 << lvl)]
 
     @staticmethod
-    def from_coords(tower: Tower, coords: Iterable[str]) -> Scalar:
-        coords = list(coords)
+    def from_coords(tower: Tower,
+                    coords: Union[str, Iterable[str]]) -> Scalar:
+        """``coords`` as a scalar of ``tower``; one text is one coordinate."""
+        coords = [coords] if isinstance(coords, str) else list(coords)
         n = len(coords)
         if n == 0 or n & (n - 1):
             raise TowerError("coordinate list length must be a power of two")

@@ -5,10 +5,14 @@ constraint group it is claimed to live in, and the mapping claim it was
 built for.  ``Witness.verify`` re-checks everything from scratch using
 only exact linear algebra — membership in the group and the claim itself
 — so a verified witness does not depend on any construction internals.
-It is also the one certificate a builder runs: each builder calls it on
-the element it assembled and raises ``WitnessVerificationError`` unless
-it holds, and re-proves none of it beforehand.  The checks left inside
-the builders are the ones a step needs in order to go on.
+It is also the one certificate a builder runs: each builder ends in
+``_certified``, which calls it on the element it assembled and raises
+``WitnessVerificationError`` unless it holds.  A builder re-proves none
+of it beforehand, nor what a step it calls checks itself (the Gram
+comparison of ``witt_transport``, the sign check of ``adjoin_sqrt``):
+the checks left inside the builders are the ones a step needs in order
+to go on.  ``witness_from_json`` reads a file in one tower, built from
+the longest of its three ``radicands`` lists, which the other two start.
 
 Reflections are applied to vectors as rank-one updates,
 v -> v - (2 f(v,u)/f(u,u)) u (``reflect``); no reflection matrix is
@@ -199,17 +203,30 @@ def build_group(model: StandardModel, name: str) -> GroupSpec:
 
 
 def witness_from_json(obj: dict) -> Witness:
+    """The witness a ``Witness.to_json`` document states, in the tower
+    of its longest ``radicands`` list."""
     if not isinstance(obj, dict) or obj.get("schema") != "witness/1":
         raise ValueError("not a witness document")
-    element = Matrix.from_json(obj["element"])
-    tower = element.tower
-    source = Matrix.from_json(obj["claim"]["source"], tower)
-    target = Matrix.from_json(obj["claim"]["target"], tower)
+    claim = obj["claim"]
+    docs = (obj["element"], claim["source"], claim["target"])
+    tower = Tower.deserialize(max((d["radicands"] for d in docs), key=len))
+    element, source, target = (Matrix.from_json(d, tower) for d in docs)
     _check_element(_model_dim(obj["model"]), element)
     model = StandardModel.from_info(tower, obj["model"])
     group = build_group(model, obj["group"])
-    return Witness(group, element, obj["claim"]["kind"], source, target,
-                   model.info)
+    return Witness(group, element, claim["kind"], source, target, model.info)
+
+
+def _certified(mt: StandardModel, group: str, element: Matrix, kind: str,
+               source: Matrix, target: Matrix) -> Witness:
+    """The witness that ``element`` of the named group on ``mt`` maps
+    ``source`` onto ``target``: a builder's one certificate."""
+    w = Witness(build_group(mt, group), element, kind, source, target,
+                mt.info)
+    if not w.verify():
+        raise WitnessVerificationError("%s witness failed verification"
+                                       % (group,))
+    return w
 
 
 # -- reflections and Witt transport ----------------------------------------------
@@ -383,20 +400,14 @@ def transport_positive_line_sp(model: StandardModel, line_src, line_dst) \
     side_b = decompose(zt, signs)
     frame_a, frame_b = [], []
     for (ua, pa, aa), (ub, pb, ab) in zip(side_a, side_b):
-        ratio = aa / ab
-        if ratio.sign() <= 0:
-            raise WitnessVerificationError("norm ratio is not positive")
-        c = t.adjoin_sqrt(ratio)
+        c = t.adjoin_sqrt(aa / ab)
         frame_a.extend([ua, pa])
         frame_b.extend([vec_scale(c, ub), vec_scale(c, pb)])
     element = (Matrix.from_cols(t, frame_b)
                * Matrix.from_cols(t, frame_a).inverse())
-    group = build_group(mt, StandardModel.CASES[mt.case].groups.G0)
-    w = Witness(group, element, "maps_line",
-                Matrix.from_cols(t, [z]), Matrix.from_cols(t, [zt]), mt.info)
-    if not w.verify():
-        raise WitnessVerificationError("line transport failed verification")
-    return w
+    return _certified(mt, StandardModel.CASES[mt.case].groups.G0, element,
+                      "maps_line", Matrix.from_cols(t, [z]),
+                      Matrix.from_cols(t, [zt]))
 
 
 # -- isotropic normal forms --------------------------------------------------------
@@ -415,10 +426,31 @@ def _on_coordinates(t: Tower, m: int, vectors: Sequence[Sequence[Scalar]],
             Matrix(t, other_rows, cols=len(vectors)))])
 
 
-def _as_subspace(t: Tower, m: int, w) -> Subspace:
-    if isinstance(w, Subspace):
-        w = w.basis_vectors()
-    return Subspace.from_vectors(t, m, w)
+def _isotropic_input(model: StandardModel, w_hat) -> tuple:
+    """``model.clone()`` and the plane ``w_hat`` as a subspace of it, once
+    the model is isotropic and the plane a b-isotropic n-plane."""
+    if model.case != "isotropic":
+        raise ValueError("needs the isotropic model")
+    mt = model.clone()
+    if isinstance(w_hat, Subspace):
+        w_hat = w_hat.basis_vectors()
+    w = Subspace.from_vectors(mt.tower, mt.ambient_dim, w_hat)
+    if w.dim != mt.n:
+        raise ValueError("plane has dimension %d, expected %d"
+                         % (w.dim, mt.n))
+    if not mt.b.is_isotropic(w):
+        raise ValueError("plane is not b-isotropic")
+    return mt, w
+
+
+def _check_family(w: Subspace, nf: Subspace, n: int) -> None:
+    """Refuse an isotropic n-plane ``w`` of the other connected family
+    than the normal form ``nf``: no element fixing the last basis vector
+    maps one family to the other."""
+    if (w.intersect(nf).dim - n) % 2 != 0:
+        raise NotInDomainError(
+            "plane lies in the other connected family of isotropic "
+            "n-planes; no witness fixing the last vector exists")
 
 
 def isotropic_normal_form_complex(model: StandardModel, w_hat) -> Witness:
@@ -431,20 +463,10 @@ def isotropic_normal_form_complex(model: StandardModel, w_hat) -> Witness:
     family, or meeting V in excess dimension at any level, are rejected
     with ``NotInDomainError`` (no such witness exists / boundary case).
     """
-    if model.case != "isotropic":
-        raise ValueError("needs the isotropic model")
-    mt = model.clone()
+    mt, w0 = _isotropic_input(model, w_hat)
     t, n, m = mt.tower, mt.n, mt.ambient_dim
-    w0 = _as_subspace(t, m, w_hat)
-    if w0.dim != n:
-        raise ValueError("plane has dimension %d, expected %d" % (w0.dim, n))
-    if not mt.b.is_isotropic(w0):
-        raise ValueError("plane is not b-isotropic")
     nf = mt.normal_form_complex()
-    if (w0.intersect(nf).dim - n) % 2 != 0:
-        raise NotInDomainError(
-            "plane lies in the other connected family of isotropic "
-            "n-planes; no witness fixing the last vector exists")
+    _check_family(w0, nf, n)
     # the element's columns, moved by each level's transport with the plane
     cols = Matrix.identity(t, m).col_list()
     cur = w0
@@ -460,8 +482,6 @@ def isotropic_normal_form_complex(model: StandardModel, w_hat) -> Witness:
         u = vec_scale(t.i() / cand[0][last], cand[0])
         v = list(u)
         v[last] = t.zero()
-        if not mt.b.norm(v).is_one():
-            raise WitnessVerificationError("extracted vector has norm != 1")
         target = [t.zero()] * m
         target[m2 - 2] = t.one()
         # v and the target lie in span(e_1..e_{m2-1}), so the transport
@@ -487,12 +507,8 @@ def isotropic_normal_form_complex(model: StandardModel, w_hat) -> Witness:
         raise WitnessVerificationError("bottom line is not isotropic")
     # interleave: e_{2k-1} -> e_k, e_{2k} -> e_{n+k} (1-based)
     g = Matrix(t, rows[0::2] + rows[1::2], cols=m)
-    witness = Witness(build_group(mt, "SO2n-1C"), g, "maps_subspace",
-                      w0.matrix, nf.matrix, mt.info)
-    if not witness.verify():
-        raise WitnessVerificationError(
-            "complex normal-form witness failed verification")
-    return witness
+    return _certified(mt, "SO2n-1C", g, "maps_subspace", w0.matrix,
+                      nf.matrix)
 
 
 def isotropic_normal_form_real(model: StandardModel, w_hat) -> Witness:
@@ -508,17 +524,9 @@ def isotropic_normal_form_real(model: StandardModel, w_hat) -> Witness:
     signature, h-degenerate boundary configurations and the wrong family
     are rejected as out of domain.
     """
-    if model.case != "isotropic":
-        raise ValueError("needs the isotropic model")
-    mt = model.clone()
+    mt, w_std = _isotropic_input(model, w_hat)
     t, n, m = mt.tower, mt.n, mt.ambient_dim
-    w_std = _as_subspace(t, m, w_hat)
     b_sig, h_sig = mt.b_sig, mt.hhat
-    if w_std.dim != n:
-        raise ValueError("plane has dimension %d, expected %d"
-                         % (w_std.dim, n))
-    if not mt.b.is_isotropic(w_std):
-        raise ValueError("plane is not b-isotropic")
     sig = hermitian_signature(mt.hhat.restrict(w_std))
     if sig[2] > 0:
         raise NotInDomainError("boundary configuration: h degenerate on "
@@ -533,10 +541,7 @@ def isotropic_normal_form_real(model: StandardModel, w_hat) -> Witness:
     s_inv = s_mat.conj()
     w_sig = [s_inv.apply(bv) for bv in w_std.basis_vectors()]
     nf_std = mt.normal_form_real()
-    if (w_std.intersect(nf_std).dim - n) % 2 != 0:
-        raise NotInDomainError(
-            "plane lies in the other connected family; no witness fixing "
-            "the last vector exists")
+    _check_family(w_std, nf_std, n)
     pairs = mt.normal_form_real_pairs()
     eps = mt.eps
     expected = (mt.open_signature[0] - (1 if eps > 0 else 0),
@@ -554,23 +559,16 @@ def isotropic_normal_form_real(model: StandardModel, w_hat) -> Witness:
     # and the part of it still to place
     cols = Matrix.identity(t, m).col_list()
     cur = w_v
-    half = t.scalar(Fraction(1, 2))
     for (a_idx, b_idx) in pairs[:-1]:
         csign = 1 if mt.hhat.gram[a_idx, a_idx].sign() > 0 else -1
         u = _vector_with_sign(h_sig, cur, csign)
         if u is None:
             raise WitnessVerificationError(
                 "no vector of the required sign; bookkeeping broken")
-        alpha = h_sig.norm(u)
         x = [c.real_part() for c in u]
         y = [c.imag_part() for c in u]
-        if not (b_sig.norm(x) == alpha * half
-                and b_sig.norm(y) == alpha * half
-                and b_sig.value(x, y).is_zero()):
-            raise WitnessVerificationError("real split of the pair vector "
-                                           "violates its Gram identities")
-        alpha_abs = alpha if alpha.sign() > 0 else -alpha
-        root = t.adjoin_sqrt(alpha_abs * half)
+        # u's h-norm has the sign csign, so this is |h(u)|/2
+        root = t.adjoin_sqrt(h_sig.norm(u) * Fraction(csign, 2))
         ta, tb = ([root if j == c else t.zero() for j in range(m)]
                   for c in (a_idx, b_idx))
         # x and y vanish on the last coordinate and on every placed pair
@@ -608,9 +606,5 @@ def isotropic_normal_form_real(model: StandardModel, w_hat) -> Witness:
     g_std = Matrix(t, [[x * (s_mat[r, r] * s_inv[c, c])
                         for c, x in enumerate(row)]
                        for r, row in enumerate(rows)], cols=m)
-    witness = Witness(build_group(mt, "SO(p,q)"), g_std, "maps_subspace",
-                      w_std.matrix, nf_std.matrix, mt.info)
-    if not witness.verify():
-        raise WitnessVerificationError(
-            "real normal-form witness failed verification")
-    return witness
+    return _certified(mt, "SO(p,q)", g_std, "maps_subspace", w_std.matrix,
+                      nf_std.matrix)

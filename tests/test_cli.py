@@ -7,6 +7,8 @@ import shlex
 import subprocess
 import sys
 
+import pytest
+
 import orbitcert
 from conftest import exp_nilpotent
 from orbitcert.cli import main
@@ -160,6 +162,36 @@ def test_witness_verify_parse_errors(tmp_path, capsys):
         assert why in capsys.readouterr().err
     assert main(["witness", "verify", golden]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name, side, edit, code, says", [
+    # a radicand list whose length is not a power of two
+    ("n3", "element", lambda r: r[:2] + [[r[2]] + ["0/1+0/1*i"] * 2], 2,
+     "power of two"),
+    # the same radicand in forms orbitcert does not write it in
+    ("n3", "element", lambda r: r[:2] + [[r[2], "0/1+0/1*i"]], 2,
+     "radicand 2 conflicts"),
+    ("n2", "element", lambda r: ["2/1+0/1*i"] + r[1:], 2,
+     "radicand 0 conflicts"),
+    # the claim may sit in a deeper tower that starts the element's
+    ("n2", "source", lambda r: r + [7], 0, "VERIFIED"),
+    ("n2", "source", lambda r: [5], 2, "radicand 0 conflicts"),
+    ("n2", "source", lambda r: [2.0], 2, "radicand 0 conflicts")],
+    ids=["three-entries", "two-entries", "text-for-int", "deeper-claim",
+         "conflict", "float-for-int"])
+def test_witness_verify_reads_one_tower(tmp_path, capsys, name, side, edit,
+                                        code, says):
+    golden = os.path.join(os.path.dirname(__file__), "data", "golden",
+                          "witness-transport-%s.json" % name)
+    with open(golden) as fh:
+        obj = json.load(fh)
+    doc = obj["element"] if side == "element" else obj["claim"][side]
+    doc["radicands"] = edit(obj["element"]["radicands"])
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(obj))
+    assert main(["witness", "verify", str(path)]) == code
+    out, err = capsys.readouterr()
+    assert says in out + err
 
 
 def test_witness_verify_refuses_vacuous_subspace_claims(tmp_path, capsys):

@@ -113,15 +113,12 @@ def test_every_method_is_referenced():
 
 
 def unread_functions(trees: list, allowed=()) -> list:
-    """Module-level functions and classes of the ``trees`` that no name or
-    attribute in the same trees reads and ``allowed`` does not hold."""
-    read = set(allowed)
-    for tree in trees:
-        for n in ast.walk(tree):
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-                read.add(n.id)
-            elif isinstance(n, ast.Attribute):
-                read.add(n.attr)
+    """Module-level functions and classes of the ``trees`` that no name in
+    the same trees reads and ``allowed`` does not hold.  An attribute of
+    the same name does not count: ``self._e`` reads no function ``_e``."""
+    read = set(allowed) | {
+        n.id for tree in trees for n in ast.walk(tree)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     return sorted(f.name for tree in trees for f in tree.body
                   if isinstance(f, (ast.FunctionDef, ast.ClassDef))
                   and f.name not in read)
@@ -133,9 +130,10 @@ def test_function_detector_flags_unread_and_keeps_read():
                     "def kept(): pass\n"
                     "class Used: pass\n"
                     "class Dead: pass\n"
+                    "def shadowed(): pass\n"
                     "__all__ = ['dead', 'Dead']\n"
-                    "x = used(), Used()\n")
-    assert unread_functions([lib], ["kept"]) == ["Dead", "dead"]
+                    "x = used(), Used(), Used().shadowed\n")
+    assert unread_functions([lib], ["kept"]) == ["Dead", "dead", "shadowed"]
 
 
 def test_every_function_is_read_by_the_package():

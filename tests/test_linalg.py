@@ -8,7 +8,7 @@ from orbitcert.linalg import (Matrix, Subspace, _rref, column_echelon,
                               column_space_equal, congruence_diagonalize,
                               hermitian_signature, kernel, rank, real_coords,
                               real_rank)
-from orbitcert.scalars import Tower
+from orbitcert.scalars import Tower, TowerError
 
 from conftest import (deep_scalars, gauss, in_span, square_matrices,
                       tower_of_depth, vectors)
@@ -135,17 +135,25 @@ def test_matrix_json_round_trip_with_roots():
     assert Matrix.from_json(obj, t2).to_json() == obj
 
 
-def test_matrix_from_json_extends_a_shallower_tower():
+def test_matrix_from_json_reads_only_in_a_tower_that_starts_it():
+    # obj is written over sqrt2, sqrt3; a deeper tower that starts with
+    # them reads it, one that lacks sqrt3 or has sqrt5 first is refused
+    # and keeps its depth
     t = Tower()
     t.adjoin_sqrt(2)
-    m = Matrix.from_rows(t, [[t.adjoin_sqrt(3), t.root(0)]])
-    obj = m.to_json()
-    shallow = Tower()
+    obj = Matrix.from_rows(t, [[t.adjoin_sqrt(3), t.root(0)]]).to_json()
+    t.adjoin_sqrt(5)
+    assert Matrix.from_json(obj, t).to_json() == obj
+    shallow, other = Tower(), Tower()
     shallow.adjoin_sqrt(2)
-    got = Matrix.from_json(obj, shallow)
-    assert shallow.depth == 2 and got.tower is shallow
-    assert got.to_json() == obj
-    assert got[0, 0] * got[0, 0] == shallow.scalar(3)
+    other.adjoin_sqrt(5)
+    other.adjoin_sqrt(3)
+    for tower, j in ((shallow, 1), (other, 0)):
+        depth = tower.depth
+        with pytest.raises(TowerError,
+                           match="radicand %d conflicts with tower" % j):
+            Matrix.from_json(obj, tower)
+        assert tower.depth == depth
 
 
 @settings(max_examples=25)

@@ -385,7 +385,8 @@ def test_a_radicand_mismatch_raises_in_both_orders(data):
             lambda c: c != (0, 0)))
         return data.draw(tower_scalars(t, 0)) + t.scalar(*c) * t.root(0)
     x, y = rooted(CHAIN[1]), rooted(ALIEN)
-    for op, a, b in _both_orders(x, y):
+    for op, a, b in [*_both_orders(x, y), (operator.eq, x, y),
+                     (operator.eq, y, x)]:
         with pytest.raises(TowerError):
             op(a, b)
     q = data.draw(tower_scalars(ALIEN, 0))

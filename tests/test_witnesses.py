@@ -240,7 +240,28 @@ def _verifies_with_row_negated(w: Witness, r: int) -> bool:
                    w.source, w.target, w.model_info).verify()
 
 
-def test_complex_normal_form_refuses_a_missing_sign_correction():
+def _reflection_parities(monkeypatch, build, model, plane, nf) -> tuple:
+    """The parity of the number of reflections ``build`` applies on
+    ``plane`` and on the normal form ``nf`` itself.  det g = +1 is
+    verified and the sign correction is the one other factor of det -1,
+    so it runs exactly when the two parities differ: the untouched
+    normal form takes none."""
+    calls = []
+    real = witnesses.reflect
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(witnesses, "reflect", counting)
+    parities = []
+    for w_hat in (plane, nf):
+        del calls[:]
+        assert build(model, w_hat).verified
+        parities.append(len(calls) % 2)
+    return tuple(parities)
+
+
+def test_complex_normal_form_refuses_a_missing_sign_correction(monkeypatch):
     # this scramble ends on the line e1 - i e2, which the sign correction
     # turns round by negating coordinate 2; the interleave moves that row
     # to row n, and without it the element has det -1 and misses the plane
@@ -248,14 +269,19 @@ def test_complex_normal_form_refuses_a_missing_sign_correction():
     t = model.tower
     scr = (reflection(model.b, [t.zero(), t.zero(), t.one(), t.zero()])
            * reflection(model.b, [t.zero(), t.one(), t.one(), t.zero()]))
-    plane = [scr.apply(v) for v in model.normal_form_complex().basis_vectors()]
+    nf = model.normal_form_complex().basis_vectors()
+    plane = [scr.apply(v) for v in nf]
     w = isotropic_normal_form_complex(model, plane)
     assert w.verified
     assert not _verifies_with_row_negated(w, model.n)
+    scrambled, untouched = _reflection_parities(
+        monkeypatch, isotropic_normal_form_complex, model, plane, nf)
+    assert scrambled != untouched
 
 
 @pytest.mark.parametrize("p, q, v1, v2", [(2, 1, 2, 1), (1, 2, 2, 0)])
-def test_real_normal_form_refuses_a_skipped_final_flip(p, q, v1, v2):
+def test_real_normal_form_refuses_a_skipped_final_flip(monkeypatch, p, q,
+                                                       v1, v2):
     # scrambles by the reflections in e_v1 and e_v2 (signature
     # coordinates) whose leftover line lands on the conjugate line; the
     # final flip negates the row of the last pair's real coordinate, which
@@ -266,11 +292,15 @@ def test_real_normal_form_refuses_a_skipped_final_flip(p, q, v1, v2):
     gsig = reflection(model.b_sig, e.col(v1)) * reflection(model.b_sig,
                                                            e.col(v2))
     g_std = model.sig_change * gsig * model.sig_change.inverse()
-    plane = [g_std.apply(v) for v in model.normal_form_real().basis_vectors()]
+    nf = model.normal_form_real().basis_vectors()
+    plane = [g_std.apply(v) for v in nf]
     w = isotropic_normal_form_real(model, plane)
     assert w.verified
     a_fin = model.normal_form_real_pairs()[-1][0]
     assert not _verifies_with_row_negated(w, a_fin)
+    scrambled, untouched = _reflection_parities(
+        monkeypatch, isotropic_normal_form_real, model, plane, nf)
+    assert scrambled != untouched
 
 
 @pytest.mark.parametrize("name", ["complex-p2-q1", "complex-p3-q2",
