@@ -49,7 +49,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Optional, Sequence
 
-from .linalg import Matrix, Subspace, kernel
+from .linalg import Matrix, Subspace, null_combinations
 from .scalars import Scalar, Tower, fma
 
 __all__ = ["FormSpec", "StandardModel"]
@@ -149,20 +149,19 @@ class FormSpec:
              within: Subspace) -> Subspace:
         """{v in within : value(v, w) = 0 for every w in ``vectors``}.
 
-        One kernel on the coefficients of ``within``'s basis, with a row
-        per w.  The set does not depend on the slot (module docstring).
-        The vectors may live in a deeper tower than the form and
-        ``within``; the result then lives in theirs."""
+        The null combinations of ``within``'s basis, with its values
+        against the w as images.  The set does not depend on the slot
+        (module docstring).  The vectors may live in a deeper tower than
+        the form and ``within``; the result then lives in theirs."""
         if within.ambient_dim != self.dim:
             raise ValueError("subspace ambient does not match form dimension")
         basis = within.basis_vectors()
         zero = self.tower.zero()
-        rows = [[fma(zero, zip(v, gw)) for v in basis]
-                for gw in map(self._against, vectors)]
-        t = within.tower.host([x for row in rows for x in row])
-        coeffs = kernel(Matrix(t, rows, cols=len(basis)))
+        gws = [self._against(w) for w in vectors]
+        images = [[fma(zero, zip(v, gw)) for gw in gws] for v in basis]
+        t = within.tower.host([x for im in images for x in im])
         return Subspace.from_vectors(
-            t, self.dim, [within.matrix.apply(c) for c in coeffs])
+            t, self.dim, null_combinations(t, basis, images))
 
     def is_isotropic(self, s: Subspace) -> bool:
         return self.restrict(s).is_zero()

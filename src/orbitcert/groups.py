@@ -56,7 +56,8 @@ from operator import mul
 from typing import Sequence
 
 from .forms import FormSpec
-from .linalg import Matrix, Subspace, _rref, kernel, real_coords
+from .linalg import (Matrix, Subspace, _rref, kernel, null_combinations,
+                     real_coords)
 from .scalars import Scalar, Tower, _gnorm, _mul_into, _split_by_mask, fma
 
 __all__ = [
@@ -355,18 +356,9 @@ def _null_combinations(t: Tower, m: int, gens: Sequence[Matrix],
     into its real and imaginary part."""
     if real:
         columns = [real_coords(col) for col in columns]
-    nrows = len(columns[0]) if columns else 0
-    coeff = Matrix(t, [[col[i] for col in columns] for i in range(nrows)],
-                   cols=len(gens))
-    # entry e of every combination is the inner product of sol with flat[e]
-    flat = list(zip(*(x.flatten() for x in gens)))
-    zero = t.zero()
-    mats = []
-    for sol in kernel(coeff):
-        e = [fma(zero, zip(sol, vals)) for vals in flat]
-        mats.append(Matrix(t, [e[i * m:(i + 1) * m] for i in range(m)],
-                           cols=m))
-    return mats
+    return [Matrix(t, [e[i * m:(i + 1) * m] for i in range(m)], cols=m)
+            for e in null_combinations(t, [x.flatten() for x in gens],
+                                       columns)]
 
 
 class LieAlgebraBasis:

@@ -21,9 +21,9 @@ from typing import Iterable, Optional, Sequence, Union
 from .scalars import Scalar, Tower, TowerError, _split_by_mask, fma
 
 __all__ = [
-    "Matrix", "Subspace", "rank", "real_rank", "kernel", "column_echelon",
-    "column_space_equal", "hermitian_signature", "congruence_diagonalize",
-    "vec_add", "vec_sub", "vec_scale", "real_coords",
+    "Matrix", "Subspace", "rank", "real_rank", "kernel", "null_combinations",
+    "column_echelon", "column_space_equal", "hermitian_signature",
+    "congruence_diagonalize", "vec_add", "vec_sub", "vec_scale", "real_coords",
 ]
 
 Entry = Union[Scalar, int, Fraction]
@@ -91,11 +91,6 @@ class Matrix:
         one, zero = tower.one(), tower.zero()
         return Matrix(tower, [[one if i == j else zero for j in range(n)]
                               for i in range(n)])
-
-    @staticmethod
-    def zeros(tower: Tower, rows: int, cols: int) -> Matrix:
-        zero = tower.zero()
-        return Matrix(tower, [[zero] * cols for _ in range(rows)], cols=cols)
 
     @staticmethod
     def diag(tower: Tower, entries: Sequence[Entry]) -> Matrix:
@@ -199,12 +194,6 @@ class Matrix:
 
     __hash__ = None
 
-    def hstack(self, other: Matrix) -> Matrix:
-        if self.rows != other.rows:
-            raise ValueError("row count mismatch in hstack")
-        return Matrix(self.tower, [r1 + r2 for r1, r2 in zip(self._e, other._e)],
-                      cols=self.cols + other.cols)
-
     def flatten(self) -> list:
         """Row-major vector of all entries."""
         return [a for r in self._e for a in r]
@@ -228,8 +217,9 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        rows, pivots, _ = _rref(self.tower, self.hstack(
-            Matrix.identity(self.tower, n)).to_lists())
+        ident = Matrix.identity(self.tower, n)._e
+        rows, pivots, _ = _rref(self.tower, [
+            list(r + e) for r, e in zip(self._e, ident)])
         if pivots[:n] != list(range(n)):
             raise ZeroDivisionError("matrix is singular")
         return Matrix(self.tower, [r[n:] for r in rows], cols=n)
@@ -378,6 +368,20 @@ def kernel(m: Matrix) -> list:
     return basis
 
 
+def null_combinations(tower: Tower, vectors: Sequence[Sequence[Scalar]],
+                      images: Sequence[Sequence[Scalar]]) -> list:
+    """A basis of the combinations sum c_k vectors[k] that a linear map
+    sends to zero, given the image ``images[k]`` of each ``vectors[k]``:
+    one ``kernel`` with a column per vector, each solution c read back
+    through the vectors."""
+    nrows = len(images[0]) if images else 0
+    coeff = Matrix(tower, [[im[i] for im in images] for i in range(nrows)],
+                   cols=len(vectors))
+    zero = tower.zero()
+    coords = list(zip(*vectors))
+    return [[fma(zero, zip(c, xs)) for xs in coords] for c in kernel(coeff)]
+
+
 def column_echelon(m: Matrix) -> Matrix:
     """Canonical reduced column echelon form of the column space.
 
@@ -385,9 +389,7 @@ def column_echelon(m: Matrix) -> Matrix:
     pivot rows are cleared across the other columns, so two matrices have
     equal column space iff their canonical forms are equal.
     """
-    rows, pivots, _ = _rref(m.tower, m.transpose().to_lists())
-    keep = rows[:len(pivots)]
-    return Matrix(m.tower, keep, cols=m.rows).transpose()
+    return Subspace.from_vectors(m.tower, m.rows, m.col_list()).matrix
 
 
 def column_space_equal(a: Matrix, b: Matrix) -> bool:
@@ -397,41 +399,43 @@ def column_space_equal(a: Matrix, b: Matrix) -> bool:
 
 
 class Subspace:
-    """A linear subspace held via its canonical column-echelon basis."""
+    """A linear subspace held as the nonzero rows of the reduced row
+    echelon form of a spanning set: its canonical basis."""
 
-    __slots__ = ("tower", "ambient_dim", "matrix", "_basis", "_pivots")
+    __slots__ = ("tower", "ambient_dim", "_basis", "_pivots")
 
-    def __init__(self, tower: Tower, ambient_dim: int, basis: Matrix) -> None:
-        if basis.rows != ambient_dim:
-            raise ValueError("basis rows do not match ambient dimension")
+    def __init__(self, tower: Tower, ambient_dim: int, basis: list,
+                 pivots: list) -> None:
         self.tower = tower
         self.ambient_dim = ambient_dim
-        self.matrix = column_echelon(basis)
-        self._basis = self.matrix.col_list()
-        self._pivots = [next(i for i, x in enumerate(v) if not x.is_zero())
-                        for v in self._basis]
+        self._basis = basis
+        self._pivots = pivots
 
     @staticmethod
     def from_vectors(tower: Tower, ambient_dim: int,
                      vectors: Iterable[Sequence[Entry]]) -> Subspace:
         vecs = [[tower.lift(x) for x in v] for v in vectors]
-        for v in vecs:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length does not match ambient dimension")
-        if not vecs:
-            return Subspace(tower, ambient_dim,
-                            Matrix.zeros(tower, ambient_dim, 0))
-        return Subspace(tower, ambient_dim, Matrix.from_cols(tower, vecs))
+        if any(len(v) != ambient_dim for v in vecs):
+            raise ValueError("vector length does not match ambient dimension")
+        rows, pivots, _ = _rref(tower, vecs)
+        return Subspace(tower, ambient_dim, rows[:len(pivots)], pivots)
 
     @property
     def dim(self) -> int:
-        return self.matrix.cols
+        return len(self._basis)
+
+    @property
+    def matrix(self) -> Matrix:
+        """The basis vectors as the columns of a matrix."""
+        return Matrix(self.tower, [[b[i] for b in self._basis]
+                                   for i in range(self.ambient_dim)],
+                      cols=self.dim)
 
     def basis_vectors(self) -> list:
         return [list(v) for v in self._basis]
 
     def pivots(self) -> list:
-        """Row of each basis vector's leading 1; the others are 0 there."""
+        """Index of each basis vector's leading 1; the others are 0 there."""
         return list(self._pivots)
 
     def residual(self, v: Sequence[Scalar]) -> list:
@@ -449,20 +453,20 @@ class Subspace:
         return out
 
     def intersect(self, other: Subspace) -> Subspace:
+        """The combinations of this basis whose residual modulo ``other``
+        vanishes (``residual`` is linear)."""
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimensions differ")
-        # both bases have full column rank, so no kernel vector of [A | B]
-        # maps to zero under A
-        joined = self.matrix.hstack(other.matrix)
         return Subspace.from_vectors(
-            self.tower, self.ambient_dim,
-            [self.matrix.apply(k[:self.dim]) for k in kernel(joined)])
+            self.tower, self.ambient_dim, null_combinations(
+                self.tower, self._basis, [other.residual(b)
+                                          for b in self._basis]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
         return (self.ambient_dim == other.ambient_dim
-                and self.matrix == other.matrix)
+                and self._basis == other._basis)
 
     __hash__ = None
 

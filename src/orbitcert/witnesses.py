@@ -55,8 +55,8 @@ from .forms import FormSpec, StandardModel
 from .groups import (CommutesWithConj, DetOne, FixesVector, GroupSpec,
                      PreservesForm, RealEntries)
 from .linalg import (Matrix, Subspace, column_space_equal,
-                     congruence_diagonalize, hermitian_signature, kernel,
-                     rank, vec_add, vec_scale, vec_sub)
+                     congruence_diagonalize, hermitian_signature,
+                     null_combinations, rank, vec_add, vec_scale, vec_sub)
 from .octonions import PreservesCrossProduct
 from .scalars import Scalar, Tower, fma
 
@@ -370,7 +370,7 @@ def transport_positive_line_sp(model: StandardModel, line_src, line_dst) \
         raise NotInDomainError(
             "lines lie in different open orbits (opposite h-norm signs)")
 
-    whole = Subspace(t, m, Matrix.identity(t, m))
+    whole = Subspace.from_vectors(t, m, Matrix.identity(t, m).to_lists())
 
     def decompose(seed, prescribed):
         space = whole
@@ -416,14 +416,11 @@ def transport_positive_line_sp(model: StandardModel, line_src, line_dst) \
 def _on_coordinates(t: Tower, m: int, vectors: Sequence[Sequence[Scalar]],
                     idx: Sequence[int]) -> Subspace:
     """span(vectors) meet span{e_j : j in idx}, for linearly independent
-    ``vectors``: the columns of A = [vectors] combined by the kernel of
-    A's rows at the other coordinates."""
+    ``vectors``: their null combinations, each vector's image being its
+    entries at the other coordinates."""
     keep = set(idx)
-    other_rows = [[v[r] for v in vectors] for r in range(m) if r not in keep]
-    a = Matrix.from_cols(t, vectors)
-    return Subspace.from_vectors(
-        t, m, [a.apply(k) for k in kernel(
-            Matrix(t, other_rows, cols=len(vectors)))])
+    images = [[x for r, x in enumerate(v) if r not in keep] for v in vectors]
+    return Subspace.from_vectors(t, m, null_combinations(t, vectors, images))
 
 
 def _isotropic_input(model: StandardModel, w_hat) -> tuple:

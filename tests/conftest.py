@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, Phase, settings, strategies as st
 from orbitcert.forms import FormSpec
 from orbitcert.groups import (CommutesWithConj, DetOne, FixesVector,
                               PreservesForm, RealEntries, outer)
-from orbitcert.linalg import Matrix, rank
+from orbitcert.linalg import Matrix, _rref, kernel, rank
 from orbitcert.octonions import PreservesCrossProduct
 from orbitcert.scalars import Scalar, Tower
 from orbitcert.witnesses import reflect, witt_transport
@@ -92,8 +92,31 @@ def in_span(space, v) -> bool:
     """Rank oracle for membership in a ``Subspace``: ``v`` lies in it iff
     appending ``v`` to the echelon basis keeps the rank.  ``residual`` is
     tested against it."""
-    aug = space.matrix.hstack(Matrix.from_cols(space.tower, [list(v)]))
-    return rank(aug) == space.dim
+    basis = space.basis_vectors()
+    return rank(Matrix.from_cols(space.tower, basis + [list(v)])) == space.dim
+
+
+def column_echelon_reference(m: Matrix) -> Matrix:
+    """The canonical column echelon through the transpose: ``_rref`` on
+    the rows of m^T, its pivot rows transposed back into columns.
+    ``Subspace`` reads the same form straight off the spanning rows and
+    is tested against it."""
+    rows, pivots, _ = _rref(m.tower, m.transpose().to_lists())
+    return Matrix(m.tower, rows[:len(pivots)], cols=m.rows).transpose()
+
+
+def intersect_reference(a: Matrix, b: Matrix) -> Matrix:
+    """Column echelon of span(a) meet span(b), for a and b of full column
+    rank, from the kernel of [a | b]: the first a.cols entries of each
+    kernel vector combine a's columns.  ``Subspace.intersect`` is tested
+    against it."""
+    joined = Matrix(a.tower, [r + s for r, s in zip(a.to_lists(),
+                                                    b.to_lists())],
+                    cols=a.cols + b.cols)
+    meet = [a.apply(k[:a.cols]) for k in kernel(joined)]
+    return column_echelon_reference(Matrix(
+        a.tower, [[v[i] for v in meet] for i in range(a.rows)],
+        cols=len(meet)))
 
 
 def exp_nilpotent(x: Matrix, t) -> Matrix:

@@ -1058,7 +1058,7 @@ def test_the_conjugation_table_agrees_with_the_hermitian_one(info, name,
         g * cplx, cplx * g, g.conj(), g.transpose(), -g, Matrix(t, rows),
         Matrix(t, [[x + x if k == j else x for k, x in enumerate(row)]
                    for row in g.to_lists()]),
-        Matrix.zeros(t, m, m), _random_matrix(t, m, random.Random(j)),
+        ident.scale(0), _random_matrix(t, m, random.Random(j)),
         Matrix.from_rows(deep, g.to_lists()),
         Matrix.from_rows(deep, g.to_lists()).scale(r7),
         Matrix(deep, deep_rows),

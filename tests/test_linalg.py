@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 from orbitcert import linalg
 from orbitcert.linalg import (Matrix, Subspace, _rref, column_echelon,
                               column_space_equal, congruence_diagonalize,
-                              hermitian_signature, kernel, rank, real_coords,
-                              real_rank)
+                              hermitian_signature, kernel, null_combinations,
+                              rank, real_coords, real_rank)
 from orbitcert.scalars import Tower, TowerError
 
-from conftest import (deep_scalars, gauss, in_span, square_matrices,
+from conftest import (column_echelon_reference, deep_scalars, gauss,
+                      in_span, intersect_reference, square_matrices,
                       tower_of_depth, vectors)
 
 T = Tower()
@@ -168,6 +169,64 @@ def test_subspace_dimension_formula(us, ws):
     for v in meet.basis_vectors():
         assert in_span(u, v) and in_span(w, v)
     assert all(in_span(join, v) for v in us + ws)
+
+
+T1 = tower_of_depth(1)
+
+
+@st.composite
+def spanning_sets(draw, tower: Tower, scalars):
+    """Up to four vectors in tower^4: drawn ones, zero ones and
+    combinations of those drawn before, in any order."""
+    vecs = []
+    for kind in draw(st.lists(st.sampled_from(["drawn", "zero", "sum"]),
+                              max_size=4)):
+        if kind == "zero":
+            vecs.append([tower.zero()] * 4)
+        elif kind == "sum" and vecs:
+            cs = draw(st.lists(scalars, min_size=len(vecs),
+                               max_size=len(vecs)))
+            vecs.append([sum((c * v[i] for c, v in zip(cs, vecs)),
+                             tower.zero()) for i in range(4)])
+        else:
+            vecs.append(draw(st.lists(scalars, min_size=4, max_size=4)))
+    return vecs
+
+
+def _spanning_pairs():
+    return st.one_of(
+        st.tuples(st.just(T), spanning_sets(T, gauss(T)),
+                  spanning_sets(T, gauss(T))),
+        st.tuples(st.just(T1), spanning_sets(T1, deep_scalars(T1)),
+                  spanning_sets(T1, deep_scalars(T1))))
+
+
+def _as_matrix(tower: Tower, vecs: list) -> Matrix:
+    return Matrix(tower, [[v[i] for v in vecs] for i in range(4)],
+                  cols=len(vecs))
+
+
+@settings(max_examples=40)
+@given(_spanning_pairs())
+def test_subspace_rows_match_the_transposed_column_echelon(case):
+    tower, us, ws = case
+    u = Subspace.from_vectors(tower, 4, us)
+    w = Subspace.from_vectors(tower, 4, ws)
+    echelon = column_echelon_reference(_as_matrix(tower, us))
+    assert u.matrix == echelon == column_echelon(_as_matrix(tower, us))
+    assert u.pivots() == [next(i for i, x in enumerate(v) if not x.is_zero())
+                          for v in echelon.col_list()]
+    assert u.intersect(w).matrix == intersect_reference(u.matrix, w.matrix)
+
+
+@settings(max_examples=25)
+@given(_spanning_pairs())
+def test_null_combinations_are_the_kernel_read_through_the_vectors(case):
+    tower, vecs, images = case
+    images = (images + vecs)[:len(vecs)]     # one image per vector
+    want = [[sum((a * v[i] for a, v in zip(c, vecs)), tower.zero())
+             for i in range(4)] for c in kernel(_as_matrix(tower, images))]
+    assert null_combinations(tower, vecs, images) == want
 
 
 def test_column_space_equal_ignores_presentation():

@@ -374,7 +374,7 @@ def test_witness_rejects_vacuous_and_misshaped_claims():
     g = build_group(model, "Sp2nC")
     ident = Matrix.identity(t, 2)
     e0 = Matrix.from_rows(t, [[1], [0]])
-    zero = Matrix.zeros(t, 2, 1)
+    zero = Matrix.from_rows(t, [[0], [0]])
     twice = Matrix.from_rows(t, [[1, 2], [0, 0]])
     for kind, src, dst in (
             ("maps_vector", zero, zero),          # 0 -> 0 is vacuous
@@ -383,8 +383,8 @@ def test_witness_rejects_vacuous_and_misshaped_claims():
             ("maps_subspace", twice, twice),      # dependent columns
             ("maps_subspace", ident, e0),         # dimensions differ
             ("maps_subspace", ident, ident),      # the whole space
-            ("maps_subspace", Matrix.zeros(t, 2, 0),
-             Matrix.zeros(t, 2, 0))):             # the zero subspace
+            ("maps_subspace", Matrix(t, [[], []]),
+             Matrix(t, [[], []]))):               # the zero subspace
         with pytest.raises(ValueError):
             Witness(g, ident, kind, src, dst, {})
     with pytest.raises(ValueError):
