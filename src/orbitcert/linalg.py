@@ -246,19 +246,27 @@ class Matrix:
         }
 
     @staticmethod
-    def from_json(obj, tower: Optional[Tower] = None) -> Matrix:
-        """The matrix ``to_json`` wrote, in ``tower`` if given: one that
-        starts with ``obj``'s radicands as ``serialize_prefix`` writes
-        them.  It is never extended; another raises :class:`TowerError`."""
+    def from_json(obj, tower: Tower) -> Matrix:
+        """The matrix ``to_json`` wrote, in ``tower``: one that starts with
+        ``obj``'s radicands as ``serialize_prefix`` writes them.  It is
+        never extended; another raises :class:`TowerError`.  So does a
+        cell list that ``to_json`` would not write: one whose value has
+        level 0 or a level past ``obj``'s radicands, or whose length is
+        not 2**level."""
         radicands = obj["radicands"]
-        if tower is None:
-            tower = Tower.deserialize(radicands)
         have = tower.serialize_prefix(len(radicands))
         for j, r in enumerate(radicands):
             if j == len(have) or (type(r), r) != (type(have[j]), have[j]):
                 raise TowerError("radicand %d conflicts with tower" % (j,))
         rows = [[Scalar.from_coords(tower, c) for c in r]
                 for r in obj["entries"]]
+        for i, (r, row) in enumerate(zip(obj["entries"], rows)):
+            for j, (c, a) in enumerate(zip(r, row)):
+                if not isinstance(c, str):
+                    lvl = a._level()
+                    if not 0 < lvl <= len(radicands) or len(c) != 1 << lvl:
+                        raise TowerError("matrix cell (%d, %d) is not in "
+                                         "canonical form" % (i, j))
         m = Matrix(tower, rows, cols=obj["cols"])
         if m.rows != obj["rows"] or m.cols != obj["cols"]:
             raise TowerError("matrix entry grid does not match declared shape")

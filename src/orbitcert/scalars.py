@@ -43,7 +43,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence, Union
 
-__all__ = ["Tower", "Scalar", "TowerError", "fma"]
+__all__ = ["Tower", "Scalar", "TowerError", "MAX_DEPTH", "fma"]
 
 # A coefficient (re, im, den) of Python ints stands for (re + im*i)/den,
 # with den > 0 and gcd(re, im, den) == 1.  The form is unique, so tuple
@@ -53,6 +53,12 @@ Rat = Union[int, Fraction]
 
 _G0 = (0, 0, 1)
 _G1 = (1, 0, 1)
+
+# The deepest tower ``Tower.deserialize`` builds.  Each level doubles a
+# scalar's coordinates and about doubles the time to read and check a
+# file; the builders emit depth at most n (the line transport n, one root
+# per phi-plane), so witnesses up to n = 8 are read.
+MAX_DEPTH = 8
 
 
 class TowerError(ValueError):
@@ -286,8 +292,12 @@ class Tower:
         Every entry is re-validated: an integer, or coordinates read by
         ``Scalar.from_coords`` over the prefix built so far; it must be
         real and positive, and must genuinely create a new level (a square
-        radicand means the file violates the tower invariant).
+        radicand means the file violates the tower invariant).  A list of
+        more than ``MAX_DEPTH`` radicands is refused before any is read.
         """
+        if len(radicands) > MAX_DEPTH:
+            raise TowerError("%d radicands exceed the tower depth cap %d"
+                             % (len(radicands), MAX_DEPTH))
         t = Tower()
         for j, entry in enumerate(radicands):
             if isinstance(entry, int):

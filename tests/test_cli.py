@@ -176,9 +176,12 @@ def test_witness_verify_parse_errors(tmp_path, capsys):
     # the claim may sit in a deeper tower that starts the element's
     ("n2", "source", lambda r: r + [7], 0, "VERIFIED"),
     ("n2", "source", lambda r: [5], 2, "radicand 0 conflicts"),
-    ("n2", "source", lambda r: [2.0], 2, "radicand 0 conflicts")],
+    ("n2", "source", lambda r: [2.0], 2, "radicand 0 conflicts"),
+    # more radicands than the depth cap, refused before any is adjoined
+    ("n2", "element", lambda r: [2, 3, 5, 7, 11, 13, 17, 19, 23], 2,
+     "9 radicands exceed the tower depth cap 8")],
     ids=["three-entries", "two-entries", "text-for-int", "deeper-claim",
-         "conflict", "float-for-int"])
+         "conflict", "float-for-int", "nine-radicands"])
 def test_witness_verify_reads_one_tower(tmp_path, capsys, name, side, edit,
                                         code, says):
     golden = os.path.join(os.path.dirname(__file__), "data", "golden",
@@ -192,6 +195,19 @@ def test_witness_verify_reads_one_tower(tmp_path, capsys, name, side, edit,
     assert main(["witness", "verify", str(path)]) == code
     out, err = capsys.readouterr()
     assert says in out + err
+
+
+def test_witness_verify_refuses_a_cell_to_json_never_writes(tmp_path, capsys):
+    # the first source cell, a value of level 0, as a level-1 list
+    golden = os.path.join(os.path.dirname(__file__), "data", "golden",
+                          "witness-transport-n2.json")
+    with open(golden) as fh:
+        obj = json.load(fh)
+    obj["claim"]["source"]["entries"][0][0] = ["4/1+4/1*i", "0/1+0/1*i"]
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(obj))
+    assert main(["witness", "verify", str(path)]) == 2
+    assert "cell (0, 0) is not in canonical form" in capsys.readouterr().err
 
 
 def test_witness_verify_refuses_vacuous_subspace_claims(tmp_path, capsys):

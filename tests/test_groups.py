@@ -986,7 +986,8 @@ def test_the_conjugation_solves_as_the_hermitian_form_on_complex_grams():
 def _golden_element(name):
     golden = os.path.join(os.path.dirname(__file__), "data", "golden")
     with open(os.path.join(golden, name + ".json")) as fh:
-        return Matrix.from_json(json.load(fh)["element"])
+        obj = json.load(fh)["element"]
+    return Matrix.from_json(obj, Tower.deserialize(obj["radicands"]))
 
 
 def _pq_transport():

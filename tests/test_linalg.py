@@ -130,8 +130,6 @@ def test_matrix_json_round_trip_with_roots():
     r2 = t.adjoin_sqrt(2)
     m = Matrix.from_rows(t, [[r2, t.i()], [t.one() - r2, t.zero()]])
     obj = m.to_json()
-    m2 = Matrix.from_json(obj)
-    assert m2.to_json() == obj
     t2 = Tower.deserialize(obj["radicands"])
     assert Matrix.from_json(obj, t2).to_json() == obj
 
@@ -155,6 +153,26 @@ def test_matrix_from_json_reads_only_in_a_tower_that_starts_it():
                            match="radicand %d conflicts with tower" % j):
             Matrix.from_json(obj, tower)
         assert tower.depth == depth
+
+
+@pytest.mark.parametrize("cell", [
+    ["3/1+0/1*i", "0/1+0/1*i"], ["3/1+0/1*i"],
+    ["0/1+0/1*i", "1/1+0/1*i", "0/1+0/1*i", "0/1+0/1*i"],
+    ["0/1+0/1*i", "0/1+0/1*i", "1/1+0/1*i", "0/1+0/1*i"]],
+    ids=["level-0-pair", "level-0-single", "level-1-as-four",
+         "past-the-radicands"])
+def test_matrix_from_json_refuses_a_cell_it_would_not_write(cell):
+    # the matrix lists one radicand, sqrt 2; its tower also has sqrt 3
+    t = Tower()
+    r2 = t.adjoin_sqrt(2)
+    t.adjoin_sqrt(3)
+    obj = Matrix.from_rows(t, [[r2, t.one()]]).to_json()
+    assert obj["entries"] == [[["0/1+0/1*i", "1/1+0/1*i"], "1/1+0/1*i"]]
+    assert Matrix.from_json(obj, t).to_json() == obj
+    obj["entries"][0][1] = cell
+    with pytest.raises(TowerError,
+                       match=r"cell \(0, 1\) is not in canonical form"):
+        Matrix.from_json(obj, t)
 
 
 @settings(max_examples=25)

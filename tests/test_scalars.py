@@ -424,3 +424,17 @@ def test_a_malformed_coordinate_after_zeros_raises(bad):
     t = CHAIN[2]
     with pytest.raises(TowerError):
         Scalar.from_coords(t, ["0/1+0/1*i"] * 3 + [bad])
+
+
+def test_deserialize_refuses_more_radicands_than_the_depth_cap(monkeypatch):
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23]
+    cap = scalars.MAX_DEPTH
+    assert Tower.deserialize(primes[:cap]).depth == cap
+
+    def refuse(self, x):
+        raise AssertionError("a root was adjoined")
+
+    # refused before a single root is adjoined
+    monkeypatch.setattr(Tower, "adjoin_sqrt", refuse)
+    with pytest.raises(TowerError, match="exceed the tower depth cap 8"):
+        Tower.deserialize(primes[:cap + 1])
