@@ -2,7 +2,8 @@
 nor exports, every exported name exists, every method a class in the
 package defines is read somewhere in the package or its benchmark,
 every module-level function and class is read by the package itself,
-and the package's parameters with a default do not grow in number."""
+only the two solvers call ``kernel``, and the package's parameters with
+a default do not grow in number."""
 
 import ast
 import importlib
