@@ -52,13 +52,14 @@ doubled real coordinates so that only real linear combinations count.
 
 from __future__ import annotations
 
+from math import lcm
 from operator import mul
 from typing import Sequence
 
 from .forms import FormSpec
 from .linalg import (Matrix, Subspace, _rref, kernel, null_combinations,
                      real_coords)
-from .scalars import Scalar, Tower, _gnorm, _mul_into, _split_by_mask, fma
+from .scalars import Scalar, Tower, _accumulate, _split_by_mask, fma
 
 __all__ = [
     "PreservesForm", "CommutesWithConj", "DetOne", "FixesVector",
@@ -82,52 +83,119 @@ class PreservesForm:
         self.antilinear = form.kind == "hermitian"
 
     def holds(self, g: Matrix) -> bool:
-        return _preserves(g, self.form, g.conj() if self.antilinear else g)
+        return _preserves(g, self.form, self.antilinear)
 
     def linear_terms(self, m: int) -> list:
         """x^T G + G x' (x' = conj(x) for a hermitian G)."""
         return _gram_terms(self.form, m, conj=self.antilinear)
 
 
-def _preserves(g: Matrix, form: FormSpec, right: Matrix) -> bool:
-    """g^T G right == G on the entries a <= b (a < b if G is antisymmetric,
-    where both diagonals are zero); right is g, or conj(g) for hermitian G.
+def _preserves(g: Matrix, form: FormSpec, conj: bool) -> bool:
+    """g^T G g' == G on the entries a <= b (a < b if G is antisymmetric,
+    where both diagonals are zero), for g' = conj(g) if ``conj`` and g'
+    = g otherwise; stops at the first entry that differs.
 
-    Row a of g^T G is read off the monomial Gram: entries[p] * g[p, a] for
-    p in ``form.perm``.  Each row of g^T G and each column of ``right`` is
-    split by tower monomial (``_split_by_mask``): per mask, a
-    Gaussian-integer vector over one lcm denominator.  Entry (a, b) is then
-    a plain-int dot product per pair of masks (mu, nu), put into the
-    canonical terms by ``_mul_into`` with the radicals mu & nu multiplied
-    out.  Every entry fits the one ``Tower.host`` (a radicand conflict
-    raises ``TowerError``), so the masks of all of them name the same
-    roots.  The result is compared with G by ``Scalar`` equality, which is
-    tuple equality of the canonical (re, im, den) triples per mask: the
-    products of distinct roots are a basis of the tower over Q(i), so
-    equal values have equal terms."""
-    gram = form.gram
-    if g.cols != gram.cols:
+    Every column of g is split once by tower monomial
+    (``_over_one_denominator``): per mask, a Gaussian-integer vector and
+    the integer factor that brings it to the column's one denominator.
+    Column b of g' is that split, with the imaginary parts negated for
+    conj(g).  Row a of g^T G is read off the split of column a and the
+    monomial Gram (``_gram_row``), with no ``Scalar`` product.  Entry
+    (a, b) is then summed as plain integers: one dot product per pair of
+    masks (mu, nu), scaled by the two factors and accumulated per target
+    monomial (``_accumulate``, which reads the product of the roots
+    mu & nu off ``Tower._radical_product``).  G[a, b] times the two
+    denominators is subtracted, and the entry holds when every sum is
+    zero: the products of distinct roots are a basis of the tower over
+    Q(i).  Every entry of g and G fits the one ``Tower.host`` (a radicand
+    conflict raises ``TowerError``), so their masks name the same
+    roots."""
+    m = form.dim
+    if g.rows != m or g.cols != m:
         return False
-    pe = [(p, form.entries[p]) for p in form.perm]
-    left = [[e * col[p] for p, e in pe] for col in g.col_list()]
-    right_cols = right.col_list()
-    t = g.tower.host([x for vec in left + right_cols for x in vec])
-    rows = [_split_by_mask(r) for r in left]
-    cols = [_split_by_mask(c) for c in right_cols]
+    t = g.tower.host(g.flatten() + form.entries)
+    cols = [_over_one_denominator(c) for c in g.col_list()]
+    # E[k] = G[perm[k], k], so (g^T G)[a, k] = E[k] g[perm[k], a]
+    gram, gden = _over_one_denominator([form.entries[p] for p in form.perm])
+    pe = {sigma: (list(zip(form.perm, er, ei)), f)
+          for sigma, (er, ei, f) in gram.items()}
+    rows = [_gram_row(t, split, pe, den * gden) for split, den in cols]
+    # (x + iy).(v + iw) is [x, y].[v, -w] + i [x, y].[w, v]; conj(g)
+    # negates w
+    sign = -1 if conj else 1
+    cols = [({nu: (vr + [-sign * y for y in vi], [sign * y for y in vi] + vr,
+                   f) for nu, (vr, vi, f) in split.items()}, den)
+            for split, den in cols]
     skip = form.kind == "antisymmetric"
-    for a, row in enumerate(rows):
-        for b in range(a + skip, gram.cols):
+    for a, ((row, rden), want) in enumerate(zip(rows,
+                                                form.gram.to_lists())):
+        for b in range(a + skip, m):
+            col, cden = cols[b]
             out: dict = {}
-            for mu, (ur, ui, du) in row.items():
-                for nu, (vr, vi, dv) in cols[b].items():
-                    re = sum(map(mul, ur, vr)) - sum(map(mul, ui, vi))
-                    im = sum(map(mul, ur, vi)) + sum(map(mul, ui, vr))
+            for mu, (u, fu) in row.items():
+                for nu, (v, w, fv) in col.items():
+                    re = sum(map(mul, u, v))
+                    im = sum(map(mul, u, w))
                     if re or im:
-                        _mul_into(t, out, mu & nu, mu ^ nu,
-                                  _gnorm(re, im, du * dv))
-            if Scalar(t, out) != gram[a, b]:
+                        f = fu * fv
+                        _accumulate(t, out, mu & nu, mu ^ nu, re * f, im * f,
+                                    1)
+            den = rden * cden
+            for mask, (x, y, d) in want[b]._terms.items():
+                _accumulate(t, out, 0, mask, -x * den, -y * den, d)
+            if not _vanishes(out):
                 return False
     return True
+
+
+def _over_one_denominator(vec: Sequence[Scalar]) -> tuple:
+    """``_split_by_mask`` of ``vec`` as ({mask: (re, im, f)}, den): the
+    vectors stay over their own denominators, and f = den / (that
+    denominator) brings them to the one lcm ``den``.  Scaling the small
+    products of the dot products, not every entry, keeps the integers
+    short."""
+    split = _split_by_mask(vec)
+    den = lcm(*[d for _, _, d in split.values()])
+    return {mask: (re, im, den // d)
+            for mask, (re, im, d) in split.items()}, den
+
+
+def _gram_row(t: Tower, split: dict, pe: dict, den: int) -> tuple:
+    """Row a of g^T G, from column a of g (``split``, from
+    ``_over_one_denominator``, over ``den`` with the Gram's denominator)
+    and, per mask sigma of the Gram, the (perm[k], re, im) of its
+    Gaussian integers E_sigma[k] with their factor: entry k is E[k]
+    g[perm[k], a], so each pair (sigma, mu) gives the vector E_sigma[k]
+    g_mu[perm[k]] at the monomials of basis(sigma) basis(mu).  Returns
+    ({mask: (re + im, f)}, the one denominator of the row): ``den`` times
+    the lcm of the denominators that products of roots bring in."""
+    parts = []
+    for mu, (ur, ui, fu) in split.items():
+        for sigma, (trip, fs) in pe.items():
+            coeffs: dict = {}
+            _accumulate(t, coeffs, sigma & mu, sigma ^ mu, 1, 0, 1)
+            for tau, (cr, ci, cd) in coeffs.items():
+                e = trip if (cr, ci) == (1, 0) else [
+                    (p, x * cr - y * ci, x * ci + y * cr) for p, x, y in trip]
+                parts.append((tau, [x * ur[p] - y * ui[p] for p, x, y in e]
+                              + [x * ui[p] + y * ur[p] for p, x, y in e],
+                              fu * fs, cd))
+    scale = lcm(*[cd for *_, cd in parts])
+    row: dict = {}
+    for tau, vec, f, cd in parts:
+        f *= scale // cd
+        got = row.get(tau)
+        if got is not None:
+            # a second vector on one monomial: multiply both factors in
+            vec = [x * f + y * got[1] for x, y in zip(vec, got[0])]
+            f = 1
+        row[tau] = (vec, f)
+    return row, den * scale
+
+
+def _vanishes(out: dict) -> bool:
+    """Whether every unreduced sum of ``_accumulate`` is zero."""
+    return not any(re or im for re, im, _ in out.values())
 
 
 class CommutesWithConj:
@@ -155,16 +223,32 @@ class CommutesWithConj:
 
     def holds(self, g: Matrix) -> bool:
         """(g M)[r, perm[j]] = g[r, j] M[j, perm[j]] against
-        (M conj(g))[r, perm[j]] = M[r, perm[r]] conj(g[perm[r], perm[j]])."""
+        (M conj(g))[r, perm[j]] = M[r, perm[r]] conj(g[perm[r], perm[j]]),
+        entry by entry up to the first that differs: per pair of monomials
+        the products of the coefficient triples are accumulated without
+        reduction (``_accumulate``), the second side subtracted, and the
+        entry holds when every sum is zero.  g and M meet in one
+        ``Tower.host``, as in ``_preserves``."""
         m = self.dim
         if g.rows != m or g.cols != m:
             return False
-        rows = g.to_lists()
-        pe = list(zip(self.perm, self.entries))
+        t = g.tower.host(g.flatten() + self.entries)
+        rows = [[x._terms for x in row] for row in g.to_lists()]
+        pe = [(p, e._terms) for p, e in zip(self.perm, self.entries)]
         for row, (sr, mr) in zip(rows, pe):
             mirror = rows[sr]
             for x, (sj, mj) in zip(row, pe):
-                if x * mj != mr * mirror[sj].conj():
+                out: dict = {}
+                for mu, (a, b, c) in x.items():
+                    for nu, (p, q, s) in mj.items():
+                        _accumulate(t, out, mu & nu, mu ^ nu, a * p - b * q,
+                                    a * q + b * p, c * s)
+                # minus M[r] conj(y), y = g[perm[r], perm[j]]
+                for mu, (a, b, c) in mirror[sj].items():
+                    for nu, (p, q, s) in mr.items():
+                        _accumulate(t, out, mu & nu, mu ^ nu, -a * p - b * q,
+                                    b * p - a * q, c * s)
+                if not _vanishes(out):
                     return False
         return True
 

@@ -227,22 +227,14 @@ class Matrix:
     # -- serialization ------------------------------------------------------------
 
     def to_json(self):
-        depth = 0
-        for r in self._e:
-            for a in r:
-                depth = max(depth, a._level())
-        entries = []
-        for r in self._e:
-            row = []
-            for a in r:
-                lvl = a._level()
-                row.append(a.to_text() if lvl == 0 else a.coords(lvl))
-            entries.append(row)
+        levels = [[a._level() for a in r] for r in self._e]
+        depth = max((lvl for r in levels for lvl in r), default=0)
         return {
             "rows": self.rows,
             "cols": self.cols,
             "radicands": self.tower.serialize_prefix(depth),
-            "entries": entries,
+            "entries": [[a._cell(lvl) for a, lvl in zip(r, lr)]
+                        for r, lr in zip(self._e, levels)],
         }
 
     @staticmethod
@@ -252,21 +244,24 @@ class Matrix:
         never extended; another raises :class:`TowerError`.  So does a
         cell list that ``to_json`` would not write: one whose value has
         level 0 or a level past ``obj``'s radicands, or whose length is
-        not 2**level."""
+        not 2**level.  Each cell is read and checked in one pass."""
         radicands = obj["radicands"]
         have = tower.serialize_prefix(len(radicands))
         for j, r in enumerate(radicands):
             if j == len(have) or (type(r), r) != (type(have[j]), have[j]):
                 raise TowerError("radicand %d conflicts with tower" % (j,))
-        rows = [[Scalar.from_coords(tower, c) for c in r]
-                for r in obj["entries"]]
-        for i, (r, row) in enumerate(zip(obj["entries"], rows)):
-            for j, (c, a) in enumerate(zip(r, row)):
+        rows = []
+        for i, r in enumerate(obj["entries"]):
+            row = []
+            for j, c in enumerate(r):
+                a = Scalar.from_coords(tower, c)
                 if not isinstance(c, str):
                     lvl = a._level()
                     if not 0 < lvl <= len(radicands) or len(c) != 1 << lvl:
                         raise TowerError("matrix cell (%d, %d) is not in "
                                          "canonical form" % (i, j))
+                row.append(a)
+            rows.append(row)
         m = Matrix(tower, rows, cols=obj["cols"])
         if m.rows != obj["rows"] or m.cols != obj["cols"]:
             raise TowerError("matrix entry grid does not match declared shape")

@@ -559,7 +559,14 @@ class Scalar:
         """Base-level text form "a/b+c/d*i" (level-0 scalars only)."""
         if self._level() != 0:
             raise TowerError("scalar uses adjoined roots; serialize as coords")
-        return _format_coeff(self._terms.get(0, _G0))
+        return self._cell(0)
+
+    def _cell(self, lvl: int):
+        """The JSON cell of a scalar of level ``lvl``, unchecked: its
+        ``to_text`` at level 0, else its ``coords(lvl)``."""
+        if lvl == 0:
+            return _format_coeff(self._terms.get(0, _G0))
+        return [_format_coeff(self._terms.get(m, _G0)) for m in range(1 << lvl)]
 
     def coords(self, depth: Optional[int] = None) -> list[str]:
         """Flat coordinate strings over 2**depth basis products."""
@@ -661,6 +668,30 @@ def _mul_into(tower: Tower, out: dict, common: int, sym: int, coeff: Coeff) -> N
         # basis(mf) and basis(sym) may themselves overlap; recurse.  The top
         # bit of the overlap strictly decreases, so this terminates.
         _mul_into(tower, out, mf & sym, mf ^ sym, _gmul(coeff, cf))
+
+
+def _accumulate(tower: Tower, out: dict, common: int, sym: int, re: int,
+                im: int, den: int) -> None:
+    """Add (re + im*i)/den * prod(r_j, j in common) * basis(sym) into
+    ``out``, whose values are unreduced [re, im, den] lists: ``_mul_into``
+    with no gcd, for sums that are only tested for zero and never stored.
+    Values meeting on one mask over different denominators are
+    cross-multiplied."""
+    if common:
+        for mf, (cr, ci, cd) in tower._radical_product(common)._terms.items():
+            _accumulate(tower, out, mf & sym, mf ^ sym, re * cr - im * ci,
+                        re * ci + im * cr, den * cd)
+        return
+    cur = out.get(sym)
+    if cur is None:
+        out[sym] = [re, im, den]
+    elif cur[2] == den:
+        cur[0] += re
+        cur[1] += im
+    else:
+        cur[0] = cur[0] * den + re * cur[2]
+        cur[1] = cur[1] * den + im * cur[2]
+        cur[2] *= den
 
 
 def _split_by_mask(vec: Sequence[Scalar]) -> dict:

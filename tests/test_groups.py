@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitcert import groups, octonions, witnesses
+from orbitcert import cli, groups, octonions, witnesses
 from orbitcert.forms import FormSpec, StandardModel
 from orbitcert.groups import (CommutesWithConj, DetOne, FixesVector,
                               GroupSpec, LieAlgebraBasis, PreservesForm,
@@ -19,7 +19,7 @@ from orbitcert.groups import (CommutesWithConj, DetOne, FixesVector,
                               solve_linear_constraints)
 from orbitcert.linalg import Matrix, Subspace
 from orbitcert.octonions import PreservesCrossProduct, _cross7, _cross_pairs
-from orbitcert.scalars import Tower, TowerError
+from orbitcert.scalars import Scalar, Tower, TowerError
 from orbitcert.witnesses import (GROUP_CONSTRAINTS, build_group,
                                  transport_positive_line_sp)
 
@@ -1068,3 +1068,143 @@ def test_the_conjugation_table_agrees_with_the_hermitian_one(info, name,
     assert [new.contains(x) for x in elements] == verdicts
     assert verdicts[:3] == [True, True, name != "SO(p,q)"]
     assert not any(verdicts[3:8])
+
+
+# -- the conjugation check against its operator formula ----------------------
+
+
+def _commutes_by_operators(con, g):
+    """x * M[j] == M[r] * conj(y) for every entry x = g[r, j], with y =
+    g[perm[r], perm[j]], by ``Scalar`` operators: the formula ``holds``
+    evaluates by coefficient triples.  Every entry is compared before the
+    verdict, so a radicand conflict on any of them raises."""
+    rows = g.to_lists()
+    pe = list(zip(con.perm, con.entries))
+    return all([x * mj == mr * rows[sr][sj].conj()
+                for row, (sr, mr) in zip(rows, pe)
+                for x, (sj, mj) in zip(row, pe)])
+
+
+def _averaged(con, a):
+    """A + M conj(A) M^-1, which commutes with the conjugation when
+    M conj(M) is a real multiple of the identity, as for every pair of
+    forms a model carries, rooted or not."""
+    mat = _conjugation(con)
+    return a + mat * a.conj() * mat.inverse()
+
+
+# every pair as the model builds it, and the pairs whose M moves index 0
+# with a root put in both forms (M' = P^-1 M P then has root-bearing
+# entries; it stays diagonal on the other pairs)
+ROOTED_PAIRS = [(info, b, h, rooted) for rooted in (False, True)
+                for info, b, h in CONJ_PAIRS if not rooted or b == "omega"]
+
+
+@pytest.mark.parametrize("info,battr,hattr,rooted", ROOTED_PAIRS, ids=[
+    "%s:%s/%s%s" % ("-".join(str(v) for v in info.values()), b, h,
+                    ":rooted" if rooted else "")
+    for info, b, h, rooted in ROOTED_PAIRS])
+@settings(max_examples=6)
+@given(data=st.data())
+def test_the_conjugation_check_agrees_with_its_operator_formula(
+        info, battr, hattr, rooted, data):
+    """Averaged elements, tampered and perturbed copies and plain
+    matrices, over towers of depth 0-3 and the nested tower; the element
+    may live in a separate tower one root deeper than the forms.  A
+    ``rooted`` case puts a root in both forms (P^T F P for P =
+    diag(1 + r, 1, ..., 1)), so that M has root-bearing entries."""
+    depth = data.draw(st.sampled_from([1, 2, 3, "nested"] if rooted
+                                      else [0, 1, 2, 3, "nested"]))
+    base = _nested_tower() if depth == "nested" else tower_of_depth(depth)
+    model = StandardModel.from_info(base, info)
+    b, h = getattr(model, battr), getattr(model, hattr)
+    if rooted:
+        p = _rooting(base, b.dim, base.root(base.depth - 1))
+        b, h = (FormSpec(f.kind, p.transpose() * f.gram * p, f.name)
+                for f in (b, h))
+    con = CommutesWithConj(b, h)
+    assert rooted == any(gaussian(e) is None for e in con.entries)
+    t, m = base, con.dim
+    if data.draw(st.booleans()):
+        t = base.clone()
+        t.adjoin_sqrt(7)
+    a = Matrix(t, [[data.draw(deep_scalars(t)) for _ in range(m)]
+                   for _ in range(m)])
+    g = _averaged(con, a)
+    assert con.holds(g) and _commutes_by_operators(con, g)
+    i, j = (data.draw(st.integers(0, m - 1)) for _ in range(2))
+    rows = g.to_lists()
+    rows[i][j] += data.draw(deep_scalars(t).filter(lambda s: not s.is_zero()))
+    for other in (Matrix(t, rows), a, g.transpose(), g.conj(),
+                  g.scale(t.i()), g.scale(t.scalar(2))):
+        assert con.holds(other) == _commutes_by_operators(con, other)
+
+
+def test_a_radicand_conflict_raises_in_the_conjugation_check_as_in_its_formula():
+    """An averaged element over Q(i)(sqrt 2), checked against the
+    omega/h conjugation over Q(i)(sqrt 3): rational forms, or a rational
+    entry of the other tower, meet no conflict; an entry using sqrt 3
+    next to the sqrt 2 of its mirror entry, or rooted forms, raise
+    TowerError in both checks."""
+    t2, t3 = tower_of_depth(1), Tower()
+    t3.adjoin_sqrt(3)
+    info = dict(case="projective-split", n=2)
+    m2, m3 = (StandardModel.from_info(t, info) for t in (t2, t3))
+    r2 = t2.root(0)
+    a = Matrix(t2, [[t2.scalar(i + 1, j) + (i + j + 1) * r2
+                     for j in range(4)] for i in range(4)])
+    g = _averaged(CommutesWithConj(m2.omega, m2.h), a)
+    assert all(gaussian(x) is None for x in g.flatten())
+
+    def with_entry(e):
+        rows = g.to_lists()
+        rows[1][2] = e
+        return Matrix(t2, rows)
+
+    p = _rooting(t3, 4, t3.root(0))
+    rooted = CommutesWithConj(*(FormSpec(f.kind, p.transpose() * f.gram * p,
+                                         f.name) for f in (m3.omega, m3.h)))
+    plain = CommutesWithConj(m3.omega, m3.h)
+    cases = [(plain, g, True), (plain, with_entry(t3.scalar(5, 1)), False),
+             (plain, with_entry(t3.root(0) + 1), "TowerError"),
+             (rooted, g, "TowerError")]
+    for con, elem, want in cases:
+        assert _outcome(_commutes_by_operators, con, elem) == want
+        assert _outcome(type(con).holds, con, elem) == want
+
+
+def _dense_commuting_element(d):
+    """The golden n=2 transport's model over the first d primes, and
+    g = A + M conj(A) M^-1 for M = ``phi_mat`` and a 4x4 A whose entries
+    have all 2**d coordinates nonzero: an element that passes the
+    commutation check, so that a verifier reaches ``omega``."""
+    t = Tower.deserialize([2, 3, 5, 7, 11, 13, 17, 19][:d])
+    model = StandardModel.projective_split(t, 2)
+    a = Matrix(t, [[Scalar.from_coords(t, [
+        "%d/1+%d/1*i" % (1 + (7 * r + 5 * c + 3 * k) % 11,
+                         1 + (3 * r + 11 * c + k) % 7)
+        for k in range(1 << d)]) for c in range(4)] for r in range(4)])
+    mat = model.phi_mat
+    return model, a + mat * a.conj() * mat.inverse()
+
+
+def test_a_dense_depth_four_element_fails_at_omega(tmp_path, capsys):
+    """The hostile input of the depth cap, at depth 4: the element
+    passes the commutation check, ``PreservesForm(omega)`` refuses it as
+    the full product does, and ``witness verify`` exits 1."""
+    model, g = _dense_commuting_element(4)
+    assert max(len(x._terms) for x in g.flatten()) == 16
+    group = build_group(model, "Sp2nR")
+    assert violations(group, g) == ["preserves antisymmetric form 'omega'"]
+    con = PreservesForm(model.omega)
+    assert con.holds(g) is False
+    assert _full_product_holds(con, g) is False
+    golden = os.path.join(os.path.dirname(__file__), "data", "golden",
+                          "witness-transport-n2.json")
+    with open(golden) as fh:
+        obj = json.load(fh)
+    obj["element"] = g.to_json()
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["witness", "verify", str(path)]) == 1
+    assert "FAILED" in capsys.readouterr().out
