@@ -7,12 +7,14 @@ states the size it fits as ``dim`` (None for any size), which
 ``GroupSpec`` alone compares with the group's.  ``PreservesForm`` takes
 any ``FormSpec`` and reads from it whether its condition is antilinear
 (hermitian) or not; it compares only the independent half of g^T G g
-(``_preserves``), in one kernel at every tower depth: the rows of g^T G,
-read off the monomial Gram by index, and the columns of g (or conj(g))
-are split by tower monomial into Gaussian-integer vectors over one
-denominator each, so an entry is a plain-int dot product per pair of
-monomials (one pair at depth 0), and the canonical coefficient triples
-make the comparison with G tuple equality.
+(``_preserves``), in one kernel at every tower depth: each column of g
+is split once by tower monomial into Gaussian-integer vectors, the rows
+of g^T G are read off that split and the monomial Gram by index, and
+conj(g) is the split with its imaginary parts negated.  An entry is
+summed as plain integers per target monomial, one dot product per pair
+of monomials (one pair at depth 0), and compared with G once, by
+cross-multiplying its coefficient triple (delayed reduction, as in
+Dumas, Giorgi and Pernet, *ACM TOMS* 35(3), 2008).
 
 A real form cut out by a bilinear form B and a hermitian form H (Sp(2n,R)
 and Sp(2p,2q) by omega and h, SO(p,q) and SO(hhat) by b and hhat) is
@@ -25,7 +27,8 @@ when g^T B g = B (so g is invertible),
 so g preserves H exactly when g M = M conj(g): the group is the same set
 of matrices, and its Lie algebra the same, since x M - M conj(x) and
 x^T H + H conj(x) differ by combinations of the rows of x^T B + B x.  The
-commutation is m^2 scalar comparisons with no split by monomial, and
+commutation is m^2 entry comparisons, each x M[j] - M[r] conj(y)
+accumulated over coefficient triples the same way, and
 ``GroupSpec.contains`` tests it first and stops at the first constraint
 that fails.  Each tag lists its linearization at the identity
 as sparse terms: row ``row`` of the linear map L(x) gains
