@@ -55,7 +55,6 @@ doubled real coordinates so that only real linear combinations count.
 
 from __future__ import annotations
 
-from math import lcm
 from operator import mul
 from typing import Sequence
 
@@ -96,33 +95,26 @@ class PreservesForm:
 def _preserves(g: Matrix, form: FormSpec, conj: bool) -> bool:
     """g^T G g' == G on the entries a <= b (a < b if G is antisymmetric,
     where both diagonals are zero), for g' = conj(g) if ``conj`` and g'
-    = g otherwise; stops at the first entry that differs.
+    = g otherwise, up to the first entry that differs.
 
-    Every column of g is split once by tower monomial
-    (``_over_one_denominator``): per mask, a Gaussian-integer vector and
-    the integer factor that brings it to the column's one denominator.
-    Column b of g' is that split, with the imaginary parts negated for
-    conj(g).  Row a of g^T G is read off the split of column a and the
+    Each column of g is split once (``_split_by_mask``); conj(g) negates
+    its imaginary parts, and row a of g^T G is read off column a and the
     monomial Gram (``_gram_row``), with no ``Scalar`` product.  Entry
-    (a, b) is then summed as plain integers: one dot product per pair of
-    masks (mu, nu), scaled by the two factors and accumulated per target
-    monomial (``_accumulate``, which reads the product of the roots
-    mu & nu off ``Tower._radical_product``).  G[a, b] times the two
-    denominators is subtracted, and the entry holds when every sum is
-    zero: the products of distinct roots are a basis of the tower over
-    Q(i).  Every entry of g and G fits the one ``Tower.host`` (a radicand
-    conflict raises ``TowerError``), so their masks name the same
-    roots."""
+    (a, b) is summed as plain integers per target monomial, one dot
+    product per pair of masks (``_accumulate``), minus G[a, b] over the
+    same denominator, and holds when every sum is zero: the products of
+    distinct roots are a basis of the tower over Q(i).  g and G meet in
+    one ``Tower.host``, so a radicand conflict raises ``TowerError``."""
     m = form.dim
     if g.rows != m or g.cols != m:
         return False
     t = g.tower.host(g.flatten() + form.entries)
-    cols = [_over_one_denominator(c) for c in g.col_list()]
+    cols = [_split_by_mask(c) for c in g.col_list()]
     # E[k] = G[perm[k], k], so (g^T G)[a, k] = E[k] g[perm[k], a]
-    gram, gden = _over_one_denominator([form.entries[p] for p in form.perm])
-    pe = {sigma: (list(zip(form.perm, er, ei)), f)
-          for sigma, (er, ei, f) in gram.items()}
-    rows = [_gram_row(t, split, pe, den * gden) for split, den in cols]
+    gram, gden = _split_by_mask([form.entries[p] for p in form.perm])
+    pe = [(sigma, list(zip(form.perm, er, ei)), f)
+          for sigma, (er, ei, f) in gram.items()]
+    rows = [(_gram_row(t, split, pe), den * gden) for split, den in cols]
     # (x + iy).(v + iw) is [x, y].[v, -w] + i [x, y].[w, v]; conj(g)
     # negates w
     sign = -1 if conj else 1
@@ -130,70 +122,45 @@ def _preserves(g: Matrix, form: FormSpec, conj: bool) -> bool:
                    f) for nu, (vr, vi, f) in split.items()}, den)
             for split, den in cols]
     skip = form.kind == "antisymmetric"
-    for a, ((row, rden), want) in enumerate(zip(rows,
-                                                form.gram.to_lists())):
+    grams = form.gram.to_lists()
+    for a, (row, rden) in enumerate(rows):
         for b in range(a + skip, m):
             col, cden = cols[b]
             out: dict = {}
-            for mu, (u, fu) in row.items():
+            for mu, u, fu, du in row:
                 for nu, (v, w, fv) in col.items():
                     re = sum(map(mul, u, v))
                     im = sum(map(mul, u, w))
                     if re or im:
                         f = fu * fv
                         _accumulate(t, out, mu & nu, mu ^ nu, re * f, im * f,
-                                    1)
+                                    du)
             den = rden * cden
-            for mask, (x, y, d) in want[b]._terms.items():
+            for mask, (x, y, d) in grams[a][b]._terms.items():
                 _accumulate(t, out, 0, mask, -x * den, -y * den, d)
             if not _vanishes(out):
                 return False
     return True
 
 
-def _over_one_denominator(vec: Sequence[Scalar]) -> tuple:
-    """``_split_by_mask`` of ``vec`` as ({mask: (re, im, f)}, den): the
-    vectors stay over their own denominators, and f = den / (that
-    denominator) brings them to the one lcm ``den``.  Scaling the small
-    products of the dot products, not every entry, keeps the integers
-    short."""
-    split = _split_by_mask(vec)
-    den = lcm(*[d for _, _, d in split.values()])
-    return {mask: (re, im, den // d)
-            for mask, (re, im, d) in split.items()}, den
-
-
-def _gram_row(t: Tower, split: dict, pe: dict, den: int) -> tuple:
-    """Row a of g^T G, from column a of g (``split``, from
-    ``_over_one_denominator``, over ``den`` with the Gram's denominator)
-    and, per mask sigma of the Gram, the (perm[k], re, im) of its
-    Gaussian integers E_sigma[k] with their factor: entry k is E[k]
-    g[perm[k], a], so each pair (sigma, mu) gives the vector E_sigma[k]
-    g_mu[perm[k]] at the monomials of basis(sigma) basis(mu).  Returns
-    ({mask: (re + im, f)}, the one denominator of the row): ``den`` times
-    the lcm of the denominators that products of roots bring in."""
-    parts = []
+def _gram_row(t: Tower, split: dict, pe: list) -> list:
+    """Row a of g^T G as (mask, re + im, factor, den) vectors, from column
+    a of g split by mask and the Gram's split ``pe``: each pair of masks
+    (sigma, mu) gives E_sigma[k] g_mu[perm[k]] at the monomials of
+    basis(sigma) basis(mu), over the column's and the Gram's denominators
+    times ``den``, which a product of roots may bring in."""
+    row = []
     for mu, (ur, ui, fu) in split.items():
-        for sigma, (trip, fs) in pe.items():
+        for sigma, trip, fs in pe:
             coeffs: dict = {}
             _accumulate(t, coeffs, sigma & mu, sigma ^ mu, 1, 0, 1)
             for tau, (cr, ci, cd) in coeffs.items():
                 e = trip if (cr, ci) == (1, 0) else [
                     (p, x * cr - y * ci, x * ci + y * cr) for p, x, y in trip]
-                parts.append((tau, [x * ur[p] - y * ui[p] for p, x, y in e]
-                              + [x * ui[p] + y * ur[p] for p, x, y in e],
-                              fu * fs, cd))
-    scale = lcm(*[cd for *_, cd in parts])
-    row: dict = {}
-    for tau, vec, f, cd in parts:
-        f *= scale // cd
-        got = row.get(tau)
-        if got is not None:
-            # a second vector on one monomial: multiply both factors in
-            vec = [x * f + y * got[1] for x, y in zip(vec, got[0])]
-            f = 1
-        row[tau] = (vec, f)
-    return row, den * scale
+                row.append((tau, [x * ur[p] - y * ui[p] for p, x, y in e]
+                            + [x * ui[p] + y * ur[p] for p, x, y in e],
+                            fu * fs, cd))
+    return row
 
 
 def _vanishes(out: dict) -> bool:
@@ -227,11 +194,9 @@ class CommutesWithConj:
     def holds(self, g: Matrix) -> bool:
         """(g M)[r, perm[j]] = g[r, j] M[j, perm[j]] against
         (M conj(g))[r, perm[j]] = M[r, perm[r]] conj(g[perm[r], perm[j]]),
-        entry by entry up to the first that differs: per pair of monomials
-        the products of the coefficient triples are accumulated without
-        reduction (``_accumulate``), the second side subtracted, and the
-        entry holds when every sum is zero.  g and M meet in one
-        ``Tower.host``, as in ``_preserves``."""
+        up to the first entry that differs: their difference is summed
+        over products of coefficient triples (``_accumulate``, in one
+        ``Tower.host`` as in ``_preserves``) and holds when it vanishes."""
         m = self.dim
         if g.rows != m or g.cols != m:
             return False

@@ -322,7 +322,7 @@ def real_rank(tower: Tower, vectors: Sequence[Sequence[Scalar]]) -> int:
     vectors to ``rank`` on the ``real_coords`` matrix in ``tower``."""
     rows = []
     for coord in zip(*vectors):
-        split = _split_by_mask(coord)
+        split, _ = _split_by_mask(coord)
         if split.keys() - {0}:
             return rank(Matrix.from_cols(
                 tower, [real_coords(v) for v in vectors]))

@@ -32,8 +32,8 @@ Term masks: bit j of a term's integer key selects sqrt(r_{j+1}), so the
 key 0 is the rational part and key 0b101 tags sqrt(r1)*sqrt(r3).
 ``_split_by_mask`` reads a vector in the same keys: per mask, the
 Gaussian-integer real and imaginary parts of its entries over one
-denominator, the rows that the integer kernels of ``groups`` and
-``linalg`` work on.  ``_accumulate`` adds integer products into those
+denominator, with the factor to the vector's one denominator: the rows
+that the integer kernels of ``groups`` and ``linalg`` work on.  ``_accumulate`` adds integer products into those
 keys without reduction, multiplying out shared roots as ``_mul_into``
 does.
 """
@@ -696,11 +696,13 @@ def _accumulate(tower: Tower, out: dict, common: int, sym: int, re: int,
         cur[2] *= den
 
 
-def _split_by_mask(vec: Sequence[Scalar]) -> dict:
-    """{mask: (re, im, den)} of a vector: per tower monomial, the
+def _split_by_mask(vec: Sequence[Scalar]) -> tuple:
+    """({mask: (re, im, f)}, den) of a vector: per tower monomial, the
     coefficients of the entries as Gaussian integers, real parts ``re``
     and imaginary parts ``im`` (0 where an entry lacks the mask), over the
-    lcm ``den`` of their denominators."""
+    lcm of their denominators, and the factor ``f`` that brings that lcm
+    to ``den``, the lcm over all masks.  Scaling a product of such rows
+    by f, not every entry, keeps the integers short."""
     by_mask: dict = {}
     for k, x in enumerate(vec):
         for mask, c in x._terms.items():
@@ -716,4 +718,7 @@ def _split_by_mask(vec: Sequence[Scalar]) -> dict:
                 f = den // d
                 real[k], imag[k] = x * f, y * f
         out[mask] = (real, imag, den)
-    return out
+    den = lcm(*[d for _, _, d in out.values()])
+    for mask, (real, imag, d) in out.items():
+        out[mask] = (real, imag, den // d)
+    return out, den
