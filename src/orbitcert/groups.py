@@ -148,7 +148,7 @@ def _gram_row(t: Tower, split: dict, pe: list) -> list:
     a of g split by mask and the Gram's split ``pe``: each pair of masks
     (sigma, mu) gives E_sigma[k] g_mu[perm[k]] at the monomials of
     basis(sigma) basis(mu), over the column's and the Gram's denominators
-    times ``den``, which a product of roots may bring in."""
+    times the ``den`` a product of roots may bring in."""
     row = []
     for mu, (ur, ui, fu) in split.items():
         for sigma, trip, fs in pe:

@@ -33,9 +33,9 @@ key 0 is the rational part and key 0b101 tags sqrt(r1)*sqrt(r3).
 ``_split_by_mask`` reads a vector in the same keys: per mask, the
 Gaussian-integer real and imaginary parts of its entries over one
 denominator, with the factor to the vector's one denominator: the rows
-that the integer kernels of ``groups`` and ``linalg`` work on.  ``_accumulate`` adds integer products into those
-keys without reduction, multiplying out shared roots as ``_mul_into``
-does.
+that the integer kernels of ``groups`` and ``linalg`` work on.
+``_accumulate`` adds integer products into those keys without
+reduction, multiplying out shared roots as ``_mul_into`` does.
 """
 
 from __future__ import annotations
