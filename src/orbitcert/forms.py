@@ -10,11 +10,11 @@ value(z, w) and value(w, z) vanish together for every kind (they differ
 by a sign or by ``conj``), so ``perp``, the one complement routine, may
 read either slot.
 
-Every Gram is monomial, with one nonzero entry in each row and column
-(J, diag(+-1), the identity and the octonion norm all are).
-``FormSpec`` reads it as a permutation and its entries, refuses any
-other Gram, and applies it by indexing: ``value``, ``gram_of`` and
-``perp`` form no matrix product.
+Every Gram is a signed permutation, with one entry +-1 in each row and
+column (J, diag(+-1), the identity and the octonion norm all are).
+``FormSpec`` reads it as a permutation and signs, refuses any other
+Gram, and applies it by indexing and sign flips: ``value``, ``gram_of``
+and ``perp`` form no matrix product and multiply by no Gram entry.
 
 The model constructors package the three geometries:
 
@@ -62,17 +62,18 @@ _MIRROR = {"symmetric": lambda x: x, "antisymmetric": Scalar.__neg__,
 
 
 class FormSpec:
-    """A nondegenerate form given by kind and a monomial Gram matrix: one
-    nonzero entry in each row and column, G[a, perm[a]] = entries[a].
+    """A nondegenerate form given by kind and a signed-permutation Gram:
+    one entry +-1 in each row and column, G[a, perm[a]] = signs[a].
 
-    ``__init__`` reads ``perm`` and ``entries`` off the Gram and refuses
-    any other Gram.  The kind is checked in O(m) as G[perm[a], a] =
-    mirror(G[a, perm[a]]) (``_MIRROR``), which makes ``perm`` an
-    involution and so a permutation, refuses a hermitian diagonal entry
-    that is not real, and refuses any fixed point of an antisymmetric
-    form; a monomial Gram is nondegenerate by its shape."""
+    ``__init__`` reads ``perm`` and ``signs`` off the Gram and refuses any
+    other Gram.  It first reads one nonzero entry per row, then checks
+    the kind in O(m) as G[perm[a], a] = mirror(G[a, perm[a]])
+    (``_MIRROR``), which makes ``perm`` an involution and so a
+    permutation, refuses a hermitian diagonal entry that is not real, and
+    refuses any fixed point of an antisymmetric form; last it refuses an
+    entry other than +-1.  Such a Gram is nondegenerate by its shape."""
 
-    __slots__ = ("kind", "gram", "name", "perm", "entries")
+    __slots__ = ("kind", "gram", "name", "perm", "signs")
 
     def __init__(self, kind: str, gram: Matrix, name: str) -> None:
         if kind not in KINDS:
@@ -92,11 +93,17 @@ class FormSpec:
             if perm[b] != a or entries[b] != mirror(entries[a]):
                 raise ValueError("Gram is not %s: entry (%d, %d) does not "
                                  "mirror (%d, %d)" % (kind, b, a, a, b))
+        signs = [1 if e.is_one() else -1 if (-e).is_one() else 0
+                 for e in entries]
+        if 0 in signs:
+            a = signs.index(0)
+            raise ValueError("Gram entry (%d, %d) is not 1 or -1"
+                             % (a, perm[a]))
         self.kind = kind
         self.gram = gram
         self.name = name
         self.perm = perm
-        self.entries = entries
+        self.signs = signs
 
     @property
     def dim(self) -> int:
@@ -114,13 +121,14 @@ class FormSpec:
         return fma(self.tower.zero(), zip(z, self._against(w)))
 
     def _against(self, w: Sequence[Scalar]) -> list:
-        """G w (G conj(w) if hermitian), read off ``perm`` and ``entries``:
+        """G w (G conj(w) if hermitian), read off ``perm`` and ``signs``:
         value(z, w) is z . _against(w)."""
         if len(w) != self.dim:
             raise ValueError("vector length does not match form dimension")
         if self.kind == "hermitian":
-            return [e * w[p].conj() for p, e in zip(self.perm, self.entries)]
-        return [e * w[p] for p, e in zip(self.perm, self.entries)]
+            w = [x.conj() for x in w]
+        return [w[p] if s > 0 else -w[p]
+                for p, s in zip(self.perm, self.signs)]
 
     def norm(self, z: Sequence[Scalar]) -> Scalar:
         return self.value(z, z)

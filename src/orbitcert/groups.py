@@ -8,12 +8,12 @@ states the size it fits as ``dim`` (None for any size), which
 any ``FormSpec`` and reads from it whether its condition is antilinear
 (hermitian) or not; it compares only the independent half of g^T G g
 (``_preserves``), in one kernel at every tower depth: each column of g
-is split once by tower monomial into Gaussian-integer vectors, the rows
-of g^T G are read off that split and the monomial Gram by index, and
-conj(g) is the split with its imaginary parts negated.  An entry is
-summed as plain integers per target monomial, one dot product per pair
-of monomials (one pair at depth 0), and compared with G once, by
-cross-multiplying its coefficient triple (delayed reduction, as in
+is split once by tower monomial into Gaussian-integer vectors, row a of
+g^T G is column a's split permuted and signed by the form's ``perm``
+and ``signs``, and conj(g) is the split with its imaginary parts
+negated.  An entry is summed as plain integers per target monomial, one
+dot product per pair of monomials (one pair at depth 0), and compared
+with G's sign there over the same denominator (delayed reduction, as in
 Dumas, Giorgi and Pernet, *ACM TOMS* 35(3), 2008).
 
 A real form cut out by a bilinear form B and a hermitian form H (Sp(2n,R)
@@ -26,17 +26,17 @@ when g^T B g = B (so g is invertible),
 
 so g preserves H exactly when g M = M conj(g): the group is the same set
 of matrices, and its Lie algebra the same, since x M - M conj(x) and
-x^T H + H conj(x) differ by combinations of the rows of x^T B + B x.  The
-commutation is m^2 entry comparisons, each x M[j] - M[r] conj(y)
-accumulated over coefficient triples the same way, and
-``GroupSpec.contains`` tests it first and stops at the first constraint
-that fails.  Each tag lists its linearization at the identity
-as sparse terms: row ``row`` of the linear map L(x) gains
+x^T H + H conj(x) differ by combinations of the rows of x^T B + B x.  M
+is a signed permutation, so the commutation is m^2 comparisons of an
+entry g[r, j] with +-conj(g[perm r, perm j]), on coefficient triples and
+with no product, and ``GroupSpec.contains`` tests it first and stops at
+the first constraint that fails.  Each tag lists its linearization at
+the identity as sparse terms: row ``row`` of the linear map L(x) gains
 ``coeff * x[j][k]`` (or ``coeff * conj(x[j][k])``), with coefficients
-read off Gram entries, a fixed vector or the octonion structure
-constants.  ``solve_linear_constraints`` assembles these terms
-into one coefficient matrix, one column per matrix unit, and solves it by
-exact kernel computation on the rows that are distinct up to sign.
+read off the forms' signs, a fixed vector or the octonion structure
+constants.  ``solve_linear_constraints`` assembles these terms into one
+coefficient matrix, one column per matrix unit, and solves it by exact
+kernel computation on the rows that are distinct up to sign.
 
 A ``LieAlgebraBasis`` acts through the nonzero entries of its matrices,
 kept row by row when it is built: Lie bases are sparse (at most 4
@@ -98,23 +98,24 @@ def _preserves(g: Matrix, form: FormSpec, conj: bool) -> bool:
     = g otherwise, up to the first entry that differs.
 
     Each column of g is split once (``_split_by_mask``); conj(g) negates
-    its imaginary parts, and row a of g^T G is read off column a and the
-    monomial Gram (``_gram_row``), with no ``Scalar`` product.  Entry
-    (a, b) is summed as plain integers per target monomial, one dot
-    product per pair of masks (``_accumulate``), minus G[a, b] over the
-    same denominator, and holds when every sum is zero: the products of
-    distinct roots are a basis of the tower over Q(i).  g and G meet in
-    one ``Tower.host``, so a radicand conflict raises ``TowerError``."""
+    its imaginary parts, and row a of g^T G is column a of g, permuted
+    and signed: (g^T G)[a, perm[k]] = signs[k] g[k, a].  Entry (a, b) is
+    summed as plain integers per target monomial, one dot product per
+    pair of masks (``_accumulate``), minus signs[a] at b = perm[a] over
+    the same denominator, and holds when every sum is zero: the products
+    of distinct roots are a basis of the tower over Q(i).  The entries of
+    g meet in one ``Tower.host``, so a radicand conflict raises
+    ``TowerError``."""
     m = form.dim
     if g.rows != m or g.cols != m:
         return False
-    t = g.tower.host(g.flatten() + form.entries)
+    t = g.tower.host(g.flatten())
+    perm, signs = form.perm, form.signs
     cols = [_split_by_mask(c) for c in g.col_list()]
-    # E[k] = G[perm[k], k], so (g^T G)[a, k] = E[k] g[perm[k], a]
-    gram, gden = _split_by_mask([form.entries[p] for p in form.perm])
-    pe = [(sigma, list(zip(form.perm, er, ei)), f)
-          for sigma, (er, ei, f) in gram.items()]
-    rows = [(_gram_row(t, split, pe), den * gden) for split, den in cols]
+    sp = [(signs[p], p) for p in perm]
+    rows = [([(mu, [s * ur[p] for s, p in sp] + [s * ui[p] for s, p in sp],
+               f) for mu, (ur, ui, f) in split.items()], den)
+            for split, den in cols]
     # (x + iy).(v + iw) is [x, y].[v, -w] + i [x, y].[w, v]; conj(g)
     # negates w
     sign = -1 if conj else 1
@@ -122,58 +123,31 @@ def _preserves(g: Matrix, form: FormSpec, conj: bool) -> bool:
                    f) for nu, (vr, vi, f) in split.items()}, den)
             for split, den in cols]
     skip = form.kind == "antisymmetric"
-    grams = form.gram.to_lists()
     for a, (row, rden) in enumerate(rows):
         for b in range(a + skip, m):
             col, cden = cols[b]
             out: dict = {}
-            for mu, u, fu, du in row:
+            for mu, u, fu in row:
                 for nu, (v, w, fv) in col.items():
                     re = sum(map(mul, u, v))
                     im = sum(map(mul, u, w))
                     if re or im:
                         f = fu * fv
                         _accumulate(t, out, mu & nu, mu ^ nu, re * f, im * f,
-                                    du)
-            den = rden * cden
-            for mask, (x, y, d) in grams[a][b]._terms.items():
-                _accumulate(t, out, 0, mask, -x * den, -y * den, d)
-            if not _vanishes(out):
+                                    1)
+            if b == perm[a]:
+                _accumulate(t, out, 0, 0, -signs[a] * rden * cden, 0, 1)
+            if any(re or im for re, im, _ in out.values()):
                 return False
     return True
-
-
-def _gram_row(t: Tower, split: dict, pe: list) -> list:
-    """Row a of g^T G as (mask, re + im, factor, den) vectors, from column
-    a of g split by mask and the Gram's split ``pe``: each pair of masks
-    (sigma, mu) gives E_sigma[k] g_mu[perm[k]] at the monomials of
-    basis(sigma) basis(mu), over the column's and the Gram's denominators
-    times the ``den`` a product of roots may bring in."""
-    row = []
-    for mu, (ur, ui, fu) in split.items():
-        for sigma, trip, fs in pe:
-            coeffs: dict = {}
-            _accumulate(t, coeffs, sigma & mu, sigma ^ mu, 1, 0, 1)
-            for tau, (cr, ci, cd) in coeffs.items():
-                e = trip if (cr, ci) == (1, 0) else [
-                    (p, x * cr - y * ci, x * ci + y * cr) for p, x, y in trip]
-                row.append((tau, [x * ur[p] - y * ui[p] for p, x, y in e]
-                            + [x * ui[p] + y * ur[p] for p, x, y in e],
-                            fu * fs, cd))
-    return row
-
-
-def _vanishes(out: dict) -> bool:
-    """Whether every unreduced sum of ``_accumulate`` is zero."""
-    return not any(re or im for re, im, _ in out.values())
 
 
 class CommutesWithConj:
     """g M = M conj(g) for M = B^-1 H, B a bilinear and H a hermitian
     form: next to ``PreservesForm(B)`` it cuts out the group that
-    ``PreservesForm(H)`` would (module docstring).  M is monomial, read off
-    the two forms without an inverse or a product: M[perm_B[a],
-    perm_H[a]] = entries_H[a] / entries_B[a]."""
+    ``PreservesForm(H)`` would (module docstring).  M is a signed
+    permutation, read off the two forms without an inverse or a product:
+    M[perm_B[a], perm_H[a]] = signs_B[a] signs_H[a]."""
 
     antilinear = True
 
@@ -185,58 +159,51 @@ class CommutesWithConj:
                              % (bilinear.name, hermitian.name))
         self.bilinear, self.hermitian = bilinear, hermitian
         self.dim = m = bilinear.dim
-        # M[r, perm[r]] = entries[r]
-        self.perm, self.entries = [0] * m, [None] * m
+        # M[r, perm[r]] = signs[r]
+        self.perm, self.signs = [0] * m, [0] * m
         for a, (pb, ph) in enumerate(zip(bilinear.perm, hermitian.perm)):
             self.perm[pb] = ph
-            self.entries[pb] = hermitian.entries[a] / bilinear.entries[a]
+            self.signs[pb] = bilinear.signs[a] * hermitian.signs[a]
 
     def holds(self, g: Matrix) -> bool:
-        """(g M)[r, perm[j]] = g[r, j] M[j, perm[j]] against
-        (M conj(g))[r, perm[j]] = M[r, perm[r]] conj(g[perm[r], perm[j]]),
-        up to the first entry that differs: their difference is summed
-        over products of coefficient triples (``_accumulate``, in one
-        ``Tower.host`` as in ``_preserves``) and holds when it vanishes."""
+        """(g M)[r, perm[j]] = g[r, j] signs[j] against (M conj(g))[r,
+        perm[j]] = signs[r] conj(g[perm[r], perm[j]]), up to the first
+        entry that differs: g[r, j] must be +-conj(y), whose coefficient
+        triples are y's with (re, im) made (+-re, -+im), still reduced.
+        The entries of g meet in one ``Tower.host`` first, so a radicand
+        conflict raises ``TowerError`` and the masks of all entries name
+        the same roots."""
         m = self.dim
         if g.rows != m or g.cols != m:
             return False
-        t = g.tower.host(g.flatten() + self.entries)
+        g.tower.host(g.flatten())
         rows = [[x._terms for x in row] for row in g.to_lists()]
-        pe = [(p, e._terms) for p, e in zip(self.perm, self.entries)]
-        for row, (sr, mr) in zip(rows, pe):
-            mirror = rows[sr]
-            for x, (sj, mj) in zip(row, pe):
-                out: dict = {}
-                for mu, (a, b, c) in x.items():
-                    for nu, (p, q, s) in mj.items():
-                        _accumulate(t, out, mu & nu, mu ^ nu, a * p - b * q,
-                                    a * q + b * p, c * s)
-                # minus M[r] conj(y), y = g[perm[r], perm[j]]
-                for mu, (a, b, c) in mirror[sj].items():
-                    for nu, (p, q, s) in mr.items():
-                        _accumulate(t, out, mu & nu, mu ^ nu, -a * p - b * q,
-                                    b * p - a * q, c * s)
-                if not _vanishes(out):
+        ps = list(zip(self.perm, self.signs))
+        for row, (pr, sr) in zip(rows, ps):
+            mirror = rows[pr]
+            for x, (pj, sj) in zip(row, ps):
+                s = sr * sj
+                if x != {mu: (s * a, -s * b, d)
+                         for mu, (a, b, d) in mirror[pj].items()}:
                     return False
         return True
 
     def linear_terms(self, m: int) -> list:
-        """x M - M conj(x): entry (r, perm[j]) gains M[j, perm[j]] at
-        x[r, j], and entry (r, c) gains -M[r, perm[r]] at conj(x)[perm[r],
-        c]."""
-        pe = list(enumerate(zip(self.perm, self.entries)))
-        terms = [(r * m + p, r, j, e, False)
-                 for r in range(m) for j, (p, e) in pe]
-        terms += [(r * m + c, p, c, -e, True)
-                  for r, (p, e) in pe for c in range(m)]
+        """x M - M conj(x): entry (r, perm[j]) gains signs[j] at x[r, j],
+        and entry (r, c) gains -signs[r] at conj(x)[perm[r], c]."""
+        ps = list(enumerate(zip(self.perm, self.signs)))
+        terms = [(r * m + p, r, j, s, False)
+                 for r in range(m) for j, (p, s) in ps]
+        terms += [(r * m + c, p, c, -s, True)
+                  for r, (p, s) in ps for c in range(m)]
         return terms
 
 
 def _gram_terms(form: FormSpec, m: int, conj: bool) -> list:
     """Terms of x^T G + G x' (x' = conj(x) when ``conj`` is set): entry
     (a, b), row a*m + b, gains G[j,b] at x[j,a] and G[a,j] at x'[j,b],
-    for the one nonzero G[j, perm[j]] of each row j."""
-    nonzero = list(zip(range(m), form.perm, form.entries))
+    for the one nonzero G[j, perm[j]] = signs[j] of each row j."""
+    nonzero = list(zip(range(m), form.perm, form.signs))
     terms = [(a * m + b, j, a, c, False)
              for a in range(m) for j, b, c in nonzero]
     terms += [(a * m + b, j, b, c, conj)

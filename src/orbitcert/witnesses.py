@@ -557,7 +557,7 @@ def isotropic_normal_form_real(model: StandardModel, w_hat) -> Witness:
     cols = Matrix.identity(t, m).col_list()
     cur = w_v
     for (a_idx, b_idx) in pairs[:-1]:
-        csign = 1 if mt.hhat.gram[a_idx, a_idx].sign() > 0 else -1
+        csign = mt.hhat.signs[a_idx]
         u = _vector_with_sign(h_sig, cur, csign)
         if u is None:
             raise WitnessVerificationError(

@@ -73,6 +73,24 @@ def tower_of_depth(depth: int) -> Tower:
     return t
 
 
+def signed_permutation_gram(data, t: Tower, m: int, kind: str) -> Matrix:
+    """A drawn Gram of ``kind`` on C^m that ``FormSpec`` accepts: a random
+    involution, with a random sign +-1 on each pair and fixed point,
+    mirrored as the kind asks.  An antisymmetric one is all pairs, so
+    ``m`` must then be even."""
+    order = data.draw(st.permutations(range(m)))
+    k = (m // 2 if kind == "antisymmetric"
+         else data.draw(st.integers(0, m // 2)))
+    signs = st.sampled_from([t.one(), -t.one()])
+    rows = [[t.zero()] * m for _ in range(m)]
+    for a, b in zip(order[:2 * k:2], order[1:2 * k:2]):
+        s = data.draw(signs)
+        rows[a][b], rows[b][a] = s, -s if kind == "antisymmetric" else s
+    for a in order[2 * k:]:
+        rows[a][a] = data.draw(signs)
+    return Matrix(t, rows, cols=m)
+
+
 def gaussian(x: Scalar):
     """``(re, im, den)`` of Python ints with x = (re + im*i)/den, ``den`` > 0
     and gcd 1, when the scalar lies in Q(i); else None."""

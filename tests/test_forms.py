@@ -200,18 +200,17 @@ def test_model_guards():
         quad.normal_form_complex()
 
 
-# monomial Gram matrices with entries in Q(i), and vectors from a tower
-# two levels deeper
+# signed-permutation Gram matrices, and vectors from a tower two levels
+# deeper
 _GT = Tower()
 _DEEP = _GT.clone()
 _R2, _R3 = _DEEP.adjoin_sqrt(2), _DEEP.adjoin_sqrt(3)
 _I = _GT.i()
 _GRAMS = {
-    "symmetric": [[0, 0, 2 + _I, 0], [0, -3, 0, 0], [2 + _I, 0, 0, 0],
-                  [0, 0, 0, _I]],
-    "antisymmetric": [[0, 0, 0, 1 - _I], [0, 0, 2, 0], [0, -2, 0, 0],
-                      [_I - 1, 0, 0, 0]],
-    "hermitian": [[0, 2 + _I, 0, 0], [2 - _I, 0, 0, 0], [0, 0, 3, 0],
+    "symmetric": [[0, 0, 1, 0], [0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]],
+    "antisymmetric": [[0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0],
+                      [-1, 0, 0, 0]],
+    "hermitian": [[0, -1, 0, 0], [-1, 0, 0, 0], [0, 0, 1, 0],
                   [0, 0, 0, -1]],
 }
 _deep_scalars = st.builds(
@@ -256,6 +255,15 @@ def test_gram_of_equals_the_full_pairwise_values(info, attr, data):
 
 # -- the Grams FormSpec refuses ---------------------------------------------
 
+# a root, and omega's Gram J as P^T J P for P = diag(1 + root, 1, 1, 1):
+# monomial and antisymmetric, with root-bearing entries
+_T1 = tower_of_depth(1)
+_ROOT = _T1.root(0)
+_P = Matrix.diag(_T1, [1 + _ROOT, 1, 1, 1])
+_ROOTED = (_P.transpose() * StandardModel.projective_split(_T1, 2).omega.gram
+           * _P).to_lists()
+
+
 @pytest.mark.parametrize("kind,rows,match", [
     ("symmetric", [[1, 0, 0], [0, 1, 0]], "must be square"),
     ("symmetric", [[0, 1], [1, 1]], "row 1 has 2 nonzero"),
@@ -266,20 +274,29 @@ def test_gram_of_equals_the_full_pairwise_values(info, attr, data):
     ("hermitian", [[0, _I], [_I, 0]], "not hermitian"),
     ("antisymmetric", [[0, 1, 0], [-1, 0, 0], [0, 0, 1]], r"entry \(2, 2\)"),
     ("hermitian", [[1, 0], [0, 1 + _I]], r"entry \(1, 1\)"),
+    ("symmetric", [[2, 0], [0, 1]], r"entry \(0, 0\) is not 1 or -1"),
+    ("symmetric", [[0, _I], [_I, 0]], r"entry \(0, 1\) is not 1 or -1"),
+    ("hermitian", [[0, 1 + _I], [1 - _I, 0]],
+     r"entry \(0, 1\) is not 1 or -1"),
+    ("symmetric", [[1, 0], [0, _ROOT]], r"entry \(1, 1\) is not 1 or -1"),
+    ("antisymmetric", _ROOTED, r"entry \(0, 2\) is not 1 or -1"),
 ], ids=["not-square", "dense-row", "zero-row", "shared-column",
         "symmetric-mirror", "antisymmetric-mirror", "hermitian-mirror",
-        "antisymmetric-diagonal", "hermitian-nonreal-diagonal"])
+        "antisymmetric-diagonal", "hermitian-nonreal-diagonal",
+        "entry-two", "entry-i", "entry-one-plus-i", "entry-root",
+        "rooted-gram"])
 def test_form_spec_refuses_a_gram_that_is_not_monomial_of_its_kind(
         kind, rows, match):
+    t = _GT.host([x for row in rows for x in row])
     with pytest.raises(ValueError, match=match):
-        FormSpec(kind, Matrix.from_rows(_GT, rows), "f")
+        FormSpec(kind, Matrix.from_rows(t, rows), "f")
 
 
 def test_form_spec_reads_the_permutation_and_entries():
     f = FormSpec("hermitian", Matrix.from_rows(_GT, _GRAMS["hermitian"]),
                  "h")
     assert f.perm == [1, 0, 2, 3]
-    assert f.entries == [2 + _I, 2 - _I, 3, -1]
+    assert f.signs == [-1, -1, 1, -1]
     assert SPLIT2.omega.perm == [2, 3, 0, 1]
 
 

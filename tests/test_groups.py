@@ -25,7 +25,8 @@ from orbitcert.witnesses import (GROUP_CONSTRAINTS, build_group,
 
 from conftest import (deep_scalars, describe, exp_nilpotent, gauss, gaussian,
                       in_span, nilpotent_symplectic, nilpotent_unitary,
-                      reflection, tower_of_depth, violations)
+                      reflection, signed_permutation_gram, tower_of_depth,
+                      violations)
 
 # every group build_group names, on one model of each case
 CASE_GROUPS = [(info, StandardModel.CASES[info["case"]].groups) for info in (
@@ -182,29 +183,31 @@ def test_assembled_basis_equals_the_unit_matrix_solve(info, name):
         x.to_json() for x in _unit_reference_solve(group)]
 
 
-def _complex_forms(t):
-    """Monomial Grams with non-real entries: a hermitian one with
-    h[0, 1] = 1 + i = conj(h[1, 0]), and a complex symmetric one.  On the
-    models' real Grams x and conj(x) solve alike, so only forms like these
-    tell the i E_jk columns' signs apart."""
-    i, zero = t.i(), t.zero()
-    h = Matrix(t, [[zero, t.scalar(1, 1), zero],
-                   [t.scalar(1, -1), zero, zero],
-                   [zero, zero, t.scalar(-1)]])
-    b = Matrix(t, [[zero, i, zero],
-                   [i, zero, zero],
-                   [zero, zero, t.scalar(0, 3)]])
+def _paired_forms(t):
+    """Signed-permutation Grams that pair coordinates 0 and 1, unlike the
+    models' diagonal h, hhat and b: a hermitian h with h[0, 1] = h[1, 0]
+    = 1 and h[2, 2] = -1, of signature (1, 2), and a symmetric b with
+    b[0, 1] = b[1, 0] = b[2, 2] = 1."""
+    zero, one = t.zero(), t.one()
+    h = Matrix(t, [[zero, one, zero], [one, zero, zero], [zero, zero, -one]])
+    b = Matrix(t, [[zero, one, zero], [one, zero, zero], [zero, zero, one]])
     return (FormSpec("hermitian", h, "h"), FormSpec("symmetric", b, "b"))
 
 
+# the dimensions by hand, for v = (1, i, 0), h-null (h(v, v) = -i + i)
+# and not b-null (b(v, v) = 2i): u(1, 2) is 9; su(1, 2) is 8; U(1, 2) is
+# transitive on the 5-dimensional cone of nonzero h-null vectors, so
+# v's stabilizer is 9 - 5 = 4; so(3, C) is 3 over C, and v's stabilizer
+# so(2, C) is 1; a real x preserving the real h is in so(1, 2), 3; a
+# real x with x v = 0 kills e0 and e1, leaving its last column, 3
 @pytest.mark.parametrize("kinds,dim", [
     ("h", 9), ("h,det", 8), ("h,fix", 4), ("b", 3), ("b,fix", 1),
-    ("h,real", 1), ("fix,real", 3),
+    ("h,real", 3), ("fix,real", 3),
 ])
 def test_assembled_basis_equals_the_unit_matrix_solve_on_complex_grams(
         kinds, dim):
     t = Tower()
-    h, b = _complex_forms(t)
+    h, b = _paired_forms(t)
     make = {"h": lambda: PreservesForm(h),
             "b": lambda: PreservesForm(b), "det": DetOne,
             "fix": lambda: FixesVector([t.one(), t.i(), t.zero()]),
@@ -706,13 +709,18 @@ def _unitary_reflection(f, u):
 
 def _member(data, f):
     """A reflection or the exponential of a square-zero element of the
-    algebra of f (with entries over all of its tower)."""
+    algebra of f (with entries over all of its tower).  A symmetric f
+    needs m >= 4, and a hermitian one signs of both kinds, for the
+    square-zero element; otherwise it is a reflection."""
     t, m = f.tower, f.dim
     s = data.draw(deep_scalars(t))
     if f.kind == "antisymmetric":
         u = [data.draw(deep_scalars(t)) for _ in range(m)]
         return exp_nilpotent(nilpotent_symplectic(f, u), s)
-    if data.draw(st.booleans()):
+    mixed = [(a, b) for a in range(m) for b in range(m)
+             if (f.gram[a, a] * f.gram[b, b]).sign() < 0]
+    if data.draw(st.booleans()) or (m < 4 if f.kind == "symmetric"
+                                    else not mixed):
         # reflect in a base-field vector: dividing by a deep norm would
         # only swell the entries, and the products bring in the depth
         u = [data.draw(gauss(t)) for _ in range(m)]
@@ -724,9 +732,7 @@ def _member(data, f):
         a, b, c, d = data.draw(st.permutations(range(m)))[:4]
         return exp_nilpotent(nilpotent_orthogonal(
             f, _null_on_pair(data, f, a, b), _null_on_pair(data, f, c, d)), s)
-    a, b = data.draw(st.sampled_from(
-        [(a, b) for a in range(m) for b in range(m)
-         if (f.gram[a, a] * f.gram[b, b]).sign() < 0]))
+    a, b = data.draw(st.sampled_from(mixed))
     return exp_nilpotent(nilpotent_unitary(f, _null_on_pair(data, f, a, b)),
                          s.real_part())
 
@@ -770,46 +776,65 @@ def _nested_tower():
     return t
 
 
-def _rooting(t, m, r, inverse=False):
-    """P = diag(c, 1, ..., 1) for c = 1 + r, or P^-1: real, and P^T G P is
-    monomial with a root in it for every monomial G, since c and c^2 =
-    1 + 2r + r^2 both have one."""
-    c = 1 + r
-    return Matrix.diag(t, [t.one() / c if inverse else c] + [1] * (m - 1))
+def _drawn_dim(data, kind):
+    """m = 1..6 for a drawn form, even if it is antisymmetric."""
+    if kind == "antisymmetric":
+        return 2 * data.draw(st.integers(1, 3))
+    return data.draw(st.integers(1, 6))
 
 
-# every half form twice: as the model builds it, and with a root in its Gram
-SPLIT_FORMS = [(info, attr, rooted) for rooted in (False, True)
-               for info, attr in HALF_FORMS]
-SPLIT_IDS = HALF_IDS + [i + ":rooted" for i in HALF_IDS]
+def _drawn_form(data, t, kind):
+    """A drawn signed-permutation form f of ``kind``
+    (``signed_permutation_gram``), and the rows of G0 and Q with G =
+    Q^T G0 Q, so that Q^-1 g Q preserves f whenever g preserves G0 (Q is
+    real, so conj leaves it alone).  G0 = G and Q = I for an
+    antisymmetric f, which ``_member`` takes as it is.  Otherwise G0 is
+    diagonal, as ``_member`` needs: s on a fixed point of sign s, and
+    diag(1, -1) on a pair G[a, b] = G[b, a] = s, through the rows
+    (1, s/2) and (1, -s/2) of Q on (a, b)."""
+    m = _drawn_dim(data, kind)
+    f = FormSpec(kind, signed_permutation_gram(data, t, m, kind), "f")
+    g0, q = f.gram.to_lists(), Matrix.identity(t, m).to_lists()
+    if kind != "antisymmetric":
+        for a, b in enumerate(f.perm):
+            if a < b:
+                half = t.scalar(Fraction(f.signs[a], 2))
+                g0[a][b] = g0[b][a] = t.zero()
+                g0[a][a], g0[b][b] = t.one(), -t.one()
+                q[a][b], q[b][a], q[b][b] = half, t.one(), -half
+    return f, g0, q
 
 
-@pytest.mark.parametrize("info,attr,rooted", SPLIT_FORMS, ids=SPLIT_IDS)
+# every half form as the model builds it, and a drawn Gram of each kind
+SPLIT_FORMS = HALF_FORMS + [(None, kind) for kind in
+                            ("symmetric", "antisymmetric", "hermitian")]
+SPLIT_IDS = HALF_IDS + ["drawn:" + kind for _, kind in SPLIT_FORMS[-3:]]
+
+
+@pytest.mark.parametrize("info,attr", SPLIT_FORMS, ids=SPLIT_IDS)
 @settings(max_examples=8)
 @given(data=st.data())
-def test_monomial_split_agrees_with_the_full_product(info, attr, rooted,
-                                                     data):
+def test_monomial_split_agrees_with_the_full_product(info, attr, data):
     """Members, tampered members and perturbed elements, over towers of
     depth 0-3 and the nested tower; the element may live in a separate
-    tower one level deeper than the Gram's.  A ``rooted`` case draws a
-    tower of depth 1-3 or the nested one and puts a root in the Gram
-    (G' = P^T G P, members P^-1 g P, for P = diag(1 + r, 1, ..., 1))."""
-    depth = data.draw(st.sampled_from([1, 2, 3, "nested"] if rooted
-                                      else [0, 1, 2, 3, "nested"]))
+    tower one level deeper than the Gram's.  A ``drawn`` case checks a
+    drawn signed-permutation Gram of the kind ``attr``, which no model
+    builds, with members Q^-1 g Q (``_drawn_form``)."""
+    depth = data.draw(st.sampled_from([0, 1, 2, 3, "nested"]))
     base = _nested_tower() if depth == "nested" else tower_of_depth(depth)
-    f = getattr(StandardModel.from_info(base, info), attr)
+    if info is None:
+        f, g0, q = _drawn_form(data, base, attr)
+    else:
+        f = getattr(StandardModel.from_info(base, info), attr)
+        g0, q = f.gram.to_lists(), None
     t, m = base, f.dim
     if data.draw(st.booleans()):
         t = base.clone()
         t.adjoin_sqrt(7)
-    g = _member(data, FormSpec(f.kind, Matrix.from_rows(t, f.gram.to_lists()),
-                               f.name))
-    if rooted:
-        r = base.root(base.depth - 1)
-        p = _rooting(base, m, r)
-        f = FormSpec(f.kind, p.transpose() * f.gram * p, f.name)
-        g = _rooting(base, m, r, inverse=True) * g * p
-        assert any(not gaussian(x) for row in f.gram.to_lists() for x in row)
+    g = _member(data, FormSpec(f.kind, Matrix.from_rows(t, g0), f.name))
+    if q is not None:
+        q = Matrix.from_rows(t, q)
+        g = q.inverse() * g * q
     con = PreservesForm(f)
     assert con.holds(g) and _full_product_holds(con, g)
     tg = g.tower
@@ -838,9 +863,9 @@ def _outcome(holds, con, g):
 @pytest.mark.parametrize("attr", ["omega", "h"])
 def test_a_radicand_conflict_raises_as_the_full_product_does(attr):
     """A member g over Q(i)(sqrt 2), checked against forms over Q(i)(sqrt 3):
-    a rational Gram, or rational entries of the other tower, meet no
-    conflict; an entry or a Gram entry using sqrt 3 next to the sqrt 2 of
-    g raises TowerError in both checks."""
+    the form, or rational entries of the other tower, meet no conflict;
+    an entry using sqrt 3 next to the sqrt 2 of g raises TowerError in
+    both checks."""
     t2, t3 = tower_of_depth(1), Tower()
     t3.adjoin_sqrt(3)
     info = dict(case="projective-split", n=2)
@@ -859,11 +884,8 @@ def test_a_radicand_conflict_raises_as_the_full_product_does(attr):
         rows[1][2] = e
         return Matrix(t2, rows)
 
-    p = _rooting(t3, 4, t3.root(0))
-    rooted = FormSpec(f3.kind, p.transpose() * f3.gram * p, f3.name)
     cases = [(f3, g, True), (f3, with_entry(t3.scalar(5, 1)), False),
-             (f3, with_entry(t3.root(0) + 1), "TowerError"),
-             (rooted, g, "TowerError")]
+             (f3, with_entry(t3.root(0) + 1), "TowerError")]
     for f, elem, want in cases:
         con = PreservesForm(f)
         assert _outcome(_full_product_holds, con, elem) == want
@@ -889,7 +911,7 @@ CONJ_IDS = ["%s:%s/%s" % ("-".join(str(v) for v in info.values()), b, h)
 
 def _conj_forms(info, battr, hattr):
     if info is None:
-        h, b = _complex_forms(Tower())
+        h, b = _paired_forms(Tower())
         return b, h
     model = StandardModel.from_info(Tower(), info)
     return getattr(model, battr), getattr(model, hattr)
@@ -909,8 +931,8 @@ def test_the_hermitian_form_is_the_bilinear_one_through_the_conjugation(
     con = CommutesWithConj(b, h)
     t, m = b.tower, b.dim
     rows = [[t.zero()] * m for _ in range(m)]
-    for r, (p, e) in enumerate(zip(con.perm, con.entries)):
-        rows[r][p] = e
+    for r, (p, s) in enumerate(zip(con.perm, con.signs)):
+        rows[r][p] = t.lift(s)
     mat = Matrix(t, rows)
     assert mat == _conjugation(con)
     deep = tower_of_depth(data.draw(st.integers(0, 3)))
@@ -969,15 +991,17 @@ def test_the_conjugation_table_solves_to_the_same_basis(info, name):
 
 
 def test_the_conjugation_solves_as_the_hermitian_form_on_complex_grams():
-    # M = b^-1 h has non-real entries here, unlike on the models' forms
+    # both forms pair e0 and e1, so M = b^-1 h = diag(1, 1, -1): x is real
+    # but for imaginary x[r, 2] and x[2, r], r < 2, a real form of
+    # so(3, C) (so(1, 2)), of real dimension 3
     t = Tower()
-    h, b = _complex_forms(t)
+    h, b = _paired_forms(t)
     con = CommutesWithConj(b, h)
-    assert any(not e.is_real() for e in con.entries)
+    assert (con.perm, con.signs) == ([0, 1, 2], [1, 1, -1])
     new = GroupSpec(t, 3, [con, PreservesForm(b)], "new")
     old = GroupSpec(t, 3, [PreservesForm(b), PreservesForm(h)], "old")
     a, b = new.lie_algebra(), old.lie_algebra()
-    assert a.dim == 1
+    assert a.dim == 3
     assert [x.to_json() for x in a.matrices] == [
         x.to_json() for x in b.matrices] == [
         x.to_json() for x in _unit_reference_solve(new)]
@@ -1075,55 +1099,58 @@ def test_the_conjugation_table_agrees_with_the_hermitian_one(info, name,
 
 def _commutes_by_operators(con, g):
     """x * M[j] == M[r] * conj(y) for every entry x = g[r, j], with y =
-    g[perm[r], perm[j]], by ``Scalar`` operators: the formula ``holds``
-    evaluates by coefficient triples.  Every entry is compared before the
-    verdict, so a radicand conflict on any of them raises."""
+    g[perm[r], perm[j]], by ``Scalar`` operators on the signs lifted into
+    the forms' tower: the formula ``holds`` evaluates on coefficient
+    triples.  Every entry is compared before the verdict, so a radicand
+    conflict on any of them raises."""
+    t = con.bilinear.tower
     rows = g.to_lists()
-    pe = list(zip(con.perm, con.entries))
+    ps = [(p, t.lift(s)) for p, s in zip(con.perm, con.signs)]
     return all([x * mj == mr * rows[sr][sj].conj()
-                for row, (sr, mr) in zip(rows, pe)
-                for x, (sj, mj) in zip(row, pe)])
+                for row, (sr, mr) in zip(rows, ps)
+                for x, (sj, mj) in zip(row, ps)])
 
 
 def _averaged(con, a):
-    """A + M conj(A) M^-1, which commutes with the conjugation when
-    M conj(M) is a real multiple of the identity, as for every pair of
-    forms a model carries, rooted or not."""
+    """The sum of T^k(A), k < 2j, for T(A) = M conj(A) M^-1 and the least
+    j with M^2j = +-I: M is real, so T^2(A) = M^2 A M^-2, T^2j is the
+    identity and the sum g has T(g) = g, that is g M = M conj(g).  On
+    every pair of forms a model carries j = 1, and g = A + T(A)."""
     mat = _conjugation(con)
-    return a + mat * a.conj() * mat.inverse()
+    ident = Matrix.identity(mat.tower, mat.rows)
+    square = power = mat * mat
+    j = 1
+    while power not in (ident, -ident):
+        power, j = power * square, j + 1
+    inv, terms = mat.inverse(), [a]
+    for _ in range(2 * j - 1):
+        terms.append(mat * terms[-1].conj() * inv)
+    return sum(terms[1:], terms[0])
 
 
-# every pair as the model builds it, and the pairs whose M moves index 0
-# with a root put in both forms (M' = P^-1 M P then has root-bearing
-# entries; it stays diagonal on the other pairs)
-ROOTED_PAIRS = [(info, b, h, rooted) for rooted in (False, True)
-                for info, b, h in CONJ_PAIRS if not rooted or b == "omega"]
-
-
-@pytest.mark.parametrize("info,battr,hattr,rooted", ROOTED_PAIRS, ids=[
-    "%s:%s/%s%s" % ("-".join(str(v) for v in info.values()), b, h,
-                    ":rooted" if rooted else "")
-    for info, b, h, rooted in ROOTED_PAIRS])
+@pytest.mark.parametrize("info,battr,hattr", CONJ_PAIRS + [(None, "b", "h")],
+                         ids=CONJ_IDS + ["drawn"])
 @settings(max_examples=6)
 @given(data=st.data())
 def test_the_conjugation_check_agrees_with_its_operator_formula(
-        info, battr, hattr, rooted, data):
+        info, battr, hattr, data):
     """Averaged elements, tampered and perturbed copies and plain
     matrices, over towers of depth 0-3 and the nested tower; the element
-    may live in a separate tower one root deeper than the forms.  A
-    ``rooted`` case puts a root in both forms (P^T F P for P =
-    diag(1 + r, 1, ..., 1)), so that M has root-bearing entries."""
-    depth = data.draw(st.sampled_from([1, 2, 3, "nested"] if rooted
-                                      else [0, 1, 2, 3, "nested"]))
+    may live in a separate tower one root deeper than the forms.  The
+    ``drawn`` case checks a drawn symmetric or antisymmetric form with a
+    drawn hermitian one (``signed_permutation_gram``), a pair no model
+    carries, whose M need not square to +-I."""
+    depth = data.draw(st.sampled_from([0, 1, 2, 3, "nested"]))
     base = _nested_tower() if depth == "nested" else tower_of_depth(depth)
-    model = StandardModel.from_info(base, info)
-    b, h = getattr(model, battr), getattr(model, hattr)
-    if rooted:
-        p = _rooting(base, b.dim, base.root(base.depth - 1))
-        b, h = (FormSpec(f.kind, p.transpose() * f.gram * p, f.name)
-                for f in (b, h))
+    if info is None:
+        kind = data.draw(st.sampled_from(["symmetric", "antisymmetric"]))
+        m = _drawn_dim(data, kind)
+        b, h = (FormSpec(k, signed_permutation_gram(data, base, m, k), name)
+                for k, name in ((kind, battr), ("hermitian", hattr)))
+    else:
+        model = StandardModel.from_info(base, info)
+        b, h = getattr(model, battr), getattr(model, hattr)
     con = CommutesWithConj(b, h)
-    assert rooted == any(gaussian(e) is None for e in con.entries)
     t, m = base, con.dim
     if data.draw(st.booleans()):
         t = base.clone()
@@ -1142,10 +1169,9 @@ def test_the_conjugation_check_agrees_with_its_operator_formula(
 
 def test_a_radicand_conflict_raises_in_the_conjugation_check_as_in_its_formula():
     """An averaged element over Q(i)(sqrt 2), checked against the
-    omega/h conjugation over Q(i)(sqrt 3): rational forms, or a rational
-    entry of the other tower, meet no conflict; an entry using sqrt 3
-    next to the sqrt 2 of its mirror entry, or rooted forms, raise
-    TowerError in both checks."""
+    omega/h conjugation over Q(i)(sqrt 3): the forms, or a rational entry
+    of the other tower, meet no conflict; an entry using sqrt 3 next to
+    the sqrt 2 of its mirror entry raises TowerError in both checks."""
     t2, t3 = tower_of_depth(1), Tower()
     t3.adjoin_sqrt(3)
     info = dict(case="projective-split", n=2)
@@ -1161,13 +1187,9 @@ def test_a_radicand_conflict_raises_in_the_conjugation_check_as_in_its_formula()
         rows[1][2] = e
         return Matrix(t2, rows)
 
-    p = _rooting(t3, 4, t3.root(0))
-    rooted = CommutesWithConj(*(FormSpec(f.kind, p.transpose() * f.gram * p,
-                                         f.name) for f in (m3.omega, m3.h)))
     plain = CommutesWithConj(m3.omega, m3.h)
     cases = [(plain, g, True), (plain, with_entry(t3.scalar(5, 1)), False),
-             (plain, with_entry(t3.root(0) + 1), "TowerError"),
-             (rooted, g, "TowerError")]
+             (plain, with_entry(t3.root(0) + 1), "TowerError")]
     for con, elem, want in cases:
         assert _outcome(_commutes_by_operators, con, elem) == want
         assert _outcome(type(con).holds, con, elem) == want
