@@ -805,22 +805,47 @@ def _drawn_form(data, t, kind):
     return f, g0, q
 
 
-# every half form as the model builds it, and a drawn Gram of each kind
-SPLIT_FORMS = HALF_FORMS + [(None, kind) for kind in
-                            ("symmetric", "antisymmetric", "hermitian")]
-SPLIT_IDS = HALF_IDS + ["drawn:" + kind for _, kind in SPLIT_FORMS[-3:]]
+def _rooted_member(f, r):
+    """A member of the group of f whose entries carry r: the reflection
+    in u = e0 + r e1 (unitary for a hermitian f), or exp(u u^T J) for an
+    antisymmetric f.  The off-diagonal entries are r or conj(r) over the
+    norm of u, which lies in the field below r."""
+    t, m = f.tower, f.dim
+    u = [t.one(), r] + [t.zero()] * (m - 2)
+    if f.kind == "antisymmetric":
+        return exp_nilpotent(nilpotent_symplectic(f, u), 1)
+    assert not f.norm(u).is_zero()
+    return (reflection(f, u) if f.kind == "symmetric"
+            else _unitary_reflection(f, u))
 
 
-@pytest.mark.parametrize("info,attr", SPLIT_FORMS, ids=SPLIT_IDS)
+# every half form as the model builds it, a drawn Gram of each kind, and
+# every half form again with a root in the member
+SPLIT_FORMS = ([(info, attr, False) for info, attr in HALF_FORMS]
+               + [(None, kind, False) for kind in
+                  ("symmetric", "antisymmetric", "hermitian")]
+               + [(info, attr, True) for info, attr in HALF_FORMS])
+SPLIT_IDS = (HALF_IDS + ["drawn:" + kind for kind in
+                         ("symmetric", "antisymmetric", "hermitian")]
+             + [i + ":rooted" for i in HALF_IDS])
+
+
+@pytest.mark.parametrize("info,attr,rooted", SPLIT_FORMS, ids=SPLIT_IDS)
 @settings(max_examples=8)
 @given(data=st.data())
-def test_monomial_split_agrees_with_the_full_product(info, attr, data):
+def test_monomial_split_agrees_with_the_full_product(info, attr, rooted,
+                                                     data):
     """Members, tampered members and perturbed elements, over towers of
     depth 0-3 and the nested tower; the element may live in a separate
     tower one level deeper than the Gram's.  A ``drawn`` case checks a
     drawn signed-permutation Gram of the kind ``attr``, which no model
-    builds, with members Q^-1 g Q (``_drawn_form``)."""
-    depth = data.draw(st.sampled_from([0, 1, 2, 3, "nested"]))
+    builds, with members Q^-1 g Q (``_drawn_form``).  A ``rooted`` case
+    draws a tower of depth 1-3 or the nested one and multiplies the
+    member by one whose entries carry the tower's last root
+    (``_rooted_member``): a Gram holds only signs, so the root rides on
+    the element."""
+    depth = data.draw(st.sampled_from([1, 2, 3, "nested"] if rooted
+                                      else [0, 1, 2, 3, "nested"]))
     base = _nested_tower() if depth == "nested" else tower_of_depth(depth)
     if info is None:
         f, g0, q = _drawn_form(data, base, attr)
@@ -831,7 +856,12 @@ def test_monomial_split_agrees_with_the_full_product(info, attr, data):
     if data.draw(st.booleans()):
         t = base.clone()
         t.adjoin_sqrt(7)
-    g = _member(data, FormSpec(f.kind, Matrix.from_rows(t, g0), f.name))
+    fg = FormSpec(f.kind, Matrix.from_rows(t, g0), f.name)
+    g = _member(data, fg)
+    if rooted:
+        root = _rooted_member(fg, t.root(base.depth - 1))
+        assert any(not gaussian(x) for row in root.to_lists() for x in row)
+        g = g * root
     if q is not None:
         q = Matrix.from_rows(t, q)
         g = q.inverse() * g * q
