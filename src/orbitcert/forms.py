@@ -10,11 +10,11 @@ value(z, w) and value(w, z) vanish together for every kind (they differ
 by a sign or by ``conj``), so ``perp``, the one complement routine, may
 read either slot.
 
-Every Gram is a signed permutation, with one entry +-1 in each row and
-column (J, diag(+-1), the identity and the octonion norm all are).
-``FormSpec`` reads it as a permutation and signs, refuses any other
-Gram, and applies it by indexing and sign flips: ``value``, ``gram_of``
-and ``perp`` form no matrix product and multiply by no Gram entry.
+Every form is stated as a signed permutation: ``FormSpec`` takes a
+``perm`` and its ``signs`` (Python ints +-1; J, diag(+-1) and the
+octonion norm are such Grams), checks the kind on them in O(m), and
+applies the form by indexing and sign flips.  The dense Gram is a view
+derived on each read, ``FormSpec.gram``.
 
 The model constructors package the three geometries:
 
@@ -62,56 +62,51 @@ _MIRROR = {"symmetric": lambda x: x, "antisymmetric": Scalar.__neg__,
 
 
 class FormSpec:
-    """A nondegenerate form given by kind and a signed-permutation Gram:
-    one entry +-1 in each row and column, G[a, perm[a]] = signs[a].
+    """A form whose Gram G has G[a, perm[a]] = signs[a] and no other
+    nonzero entry.  ``__init__`` reads plain ints only: each sign is the
+    ``int`` 1 or -1, and ``perm`` an involution of range(m) with
+    signs[perm[a]] = signs[a] (-signs[a] if antisymmetric, so that an
+    antisymmetric form has no fixed point).  So every form is
+    nondegenerate by construction."""
 
-    ``__init__`` reads ``perm`` and ``signs`` off the Gram and refuses any
-    other Gram.  It first reads one nonzero entry per row, then checks
-    the kind in O(m) as G[perm[a], a] = mirror(G[a, perm[a]])
-    (``_MIRROR``), which makes ``perm`` an involution and so a
-    permutation, refuses a hermitian diagonal entry that is not real, and
-    refuses any fixed point of an antisymmetric form; last it refuses an
-    entry other than +-1.  Such a Gram is nondegenerate by its shape."""
+    __slots__ = ("kind", "tower", "name", "perm", "signs")
 
-    __slots__ = ("kind", "gram", "name", "perm", "signs")
-
-    def __init__(self, kind: str, gram: Matrix, name: str) -> None:
+    def __init__(self, kind: str, tower: Tower, perm: Sequence[int],
+                 signs: Sequence[int], name: str) -> None:
         if kind not in KINDS:
             raise ValueError("unknown form kind %r" % (kind,))
-        if gram.rows != gram.cols:
-            raise ValueError("Gram matrix must be square")
-        perm, entries = [], []
-        for a, row in enumerate(gram.to_lists()):
-            nonzero = [(b, x) for b, x in enumerate(row) if x]
-            if len(nonzero) != 1:
-                raise ValueError("Gram row %d has %d nonzero entries, a "
-                                 "monomial Gram one" % (a, len(nonzero)))
-            perm.append(nonzero[0][0])
-            entries.append(nonzero[0][1])
-        mirror = _MIRROR[kind]
+        m = len(perm)
+        if len(signs) != m:
+            raise ValueError("%d signs for a permutation of %d"
+                             % (len(signs), m))
+        for a, s in enumerate(signs):
+            if type(s) is not int or s not in (1, -1):
+                raise ValueError("Gram entry (%d, %r) is not 1 or -1"
+                                 % (a, perm[a]))
+        flip = -1 if kind == "antisymmetric" else 1
         for a, b in enumerate(perm):
-            if perm[b] != a or entries[b] != mirror(entries[a]):
-                raise ValueError("Gram is not %s: entry (%d, %d) does not "
-                                 "mirror (%d, %d)" % (kind, b, a, a, b))
-        signs = [1 if e.is_one() else -1 if (-e).is_one() else 0
-                 for e in entries]
-        if 0 in signs:
-            a = signs.index(0)
-            raise ValueError("Gram entry (%d, %d) is not 1 or -1"
-                             % (a, perm[a]))
+            if (b not in range(m) or perm[b] != a
+                    or signs[b] != flip * signs[a]):
+                raise ValueError("Gram is not %s: entry (%r, %d) does not "
+                                 "mirror (%d, %r)" % (kind, b, a, a, b))
         self.kind = kind
-        self.gram = gram
+        self.tower = tower
         self.name = name
-        self.perm = perm
-        self.signs = signs
+        self.perm = list(perm)
+        self.signs = list(signs)
 
     @property
     def dim(self) -> int:
-        return self.gram.rows
+        return len(self.perm)
 
     @property
-    def tower(self) -> Tower:
-        return self.gram.tower
+    def gram(self) -> Matrix:
+        """The Gram matrix, G[a, perm[a]] = signs[a] and 0 elsewhere."""
+        t, m = self.tower, self.dim
+        rows = [[t.zero()] * m for _ in range(m)]
+        for a, (b, s) in enumerate(zip(self.perm, self.signs)):
+            rows[a][b] = t.scalar(s)
+        return Matrix(t, rows, cols=m)
 
     def value(self, z: Sequence[Scalar], w: Sequence[Scalar]) -> Scalar:
         """The form on (z, w).  The vectors may live in a deeper tower than
@@ -262,27 +257,24 @@ class StandardModel:
     def _projective(case: str, tower: Tower, n: int, e_diag: list,
                     p: Optional[int], q: Optional[int]) -> StandardModel:
         m = 2 * n
-        zero, one = tower.zero(), tower.one()
+        ident = list(range(m))
         # J e_i = e_{n+i} (i <= n), J e_i = -e_{i-n} (i > n)
-        jrows = [[zero] * m for _ in range(m)]
-        for i in range(n):
-            jrows[n + i][i] = one
-            jrows[i][n + i] = -one
-        j = Matrix(tower, jrows, cols=m)
-        e = Matrix.diag(tower, e_diag)
+        omega = FormSpec("antisymmetric", tower,
+                         list(range(n, m)) + list(range(n)),
+                         [-1] * n + [1] * n, "omega")
+        h = FormSpec("hermitian", tower, ident, e_diag, "h")
         return StandardModel(
             case, tower, m,
             n=n, p=p, q=q,
-            b=FormSpec("symmetric", Matrix.identity(tower, m), "b"),
-            omega=FormSpec("antisymmetric", j, "omega"),
-            h=FormSpec("hermitian", e, "h"),
-            phi_mat=-(j * e),
+            b=FormSpec("symmetric", tower, ident, [1] * m, "b"),
+            omega=omega, h=h,
+            phi_mat=-(omega.gram * h.gram),
             flag_dim_complex=m - 1,
         )
 
     @staticmethod
     def quadric7(tower: Tower) -> StandardModel:
-        g = Matrix.diag(tower, [1, 1, 1, -1, -1, -1, -1])
+        ident, signs = list(range(7)), [1, 1, 1, -1, -1, -1, -1]
         i = tower.i()
         real_rep = [tower.zero(), tower.zero(), tower.scalar(1),
                     tower.scalar(1), tower.zero(), tower.zero(), tower.zero()]
@@ -291,8 +283,8 @@ class StandardModel:
                         tower.zero(), tower.zero()]
         return StandardModel(
             "quadric7", tower, 7,
-            b=FormSpec("symmetric", g, "b"),
-            h=FormSpec("hermitian", g, "h"),
+            b=FormSpec("symmetric", tower, ident, signs, "b"),
+            h=FormSpec("hermitian", tower, ident, signs, "h"),
             stratum_representatives={
                 "positive": [tower.scalar(1), i, tower.zero(), tower.zero(),
                              tower.zero(), tower.zero(), tower.zero()],
@@ -311,18 +303,18 @@ class StandardModel:
         n = (p + q + 1) // 2
         m = 2 * n
         eps = -1 if p % 2 == 0 else 1
-        hhat_diag = _epq(p, q) + [eps]
+        ident, hhat_diag = list(range(m)), _epq(p, q) + [eps]
         s_change = Matrix.diag(tower,
                                [1 if d == 1 else tower.i() for d in hhat_diag])
         return StandardModel(
             "isotropic", tower, m,
             n=n, p=p, q=q, eps=eps,
-            b=FormSpec("symmetric", Matrix.identity(tower, m), "b"),
-            hhat=FormSpec("hermitian", Matrix.diag(tower, hhat_diag), "hhat"),
+            b=FormSpec("symmetric", tower, ident, [1] * m, "b"),
+            hhat=FormSpec("hermitian", tower, ident, hhat_diag, "hhat"),
             # in signature coordinates (std_vec = S * sig_vec) b becomes
             # b_sig, with hhat's Gram, hhat stays hhat (S^H hhat S = hhat),
             # and the real isometry groups consist of real matrices
-            b_sig=FormSpec("symmetric", Matrix.diag(tower, hhat_diag), "b_sig"),
+            b_sig=FormSpec("symmetric", tower, ident, hhat_diag, "b_sig"),
             sig_change=s_change,
             open_signature=((p // 2, (q + 1) // 2) if p % 2 == 0
                             else ((p + 1) // 2, q // 2)),

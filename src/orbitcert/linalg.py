@@ -83,6 +83,8 @@ class Matrix:
         if not cols:
             return Matrix(tower, [])
         n = len(cols[0])
+        if any(len(c) != n for c in cols):
+            raise ValueError("ragged matrix columns")
         return Matrix(tower, [[tower.lift(c[i]) for c in cols]
                               for i in range(n)])
 

@@ -73,22 +73,22 @@ def tower_of_depth(depth: int) -> Tower:
     return t
 
 
-def signed_permutation_gram(data, t: Tower, m: int, kind: str) -> Matrix:
-    """A drawn Gram of ``kind`` on C^m that ``FormSpec`` accepts: a random
-    involution, with a random sign +-1 on each pair and fixed point,
-    mirrored as the kind asks.  An antisymmetric one is all pairs, so
-    ``m`` must then be even."""
+def signed_permutation(data, m: int, kind: str) -> tuple:
+    """A drawn ``(perm, signs)`` of ``kind`` on C^m that ``FormSpec``
+    accepts: a random involution, with a random sign +-1 on each pair and
+    fixed point, mirrored as the kind asks.  An antisymmetric one is all
+    pairs, so ``m`` must then be even."""
     order = data.draw(st.permutations(range(m)))
     k = (m // 2 if kind == "antisymmetric"
          else data.draw(st.integers(0, m // 2)))
-    signs = st.sampled_from([t.one(), -t.one()])
-    rows = [[t.zero()] * m for _ in range(m)]
+    perm, signs = list(range(m)), [0] * m
     for a, b in zip(order[:2 * k:2], order[1:2 * k:2]):
-        s = data.draw(signs)
-        rows[a][b], rows[b][a] = s, -s if kind == "antisymmetric" else s
+        s = data.draw(st.sampled_from([1, -1]))
+        perm[a], perm[b] = b, a
+        signs[a], signs[b] = s, -s if kind == "antisymmetric" else s
     for a in order[2 * k:]:
-        rows[a][a] = data.draw(signs)
-    return Matrix(t, rows, cols=m)
+        signs[a] = data.draw(st.sampled_from([1, -1]))
+    return perm, signs
 
 
 def gaussian(x: Scalar):

@@ -122,7 +122,8 @@ def _build_nf_real_suite():
         model = StandardModel.isotropic(Tower(), p, q)
         m = model.ambient_dim
         nf = model.normal_form_real()
-        b_sig = FormSpec("symmetric", model.hhat.gram, "b_sig")
+        b_sig = FormSpec("symmetric", model.tower, model.hhat.perm,
+                         model.hhat.signs, "b_sig")
         s_mat = model.sig_change
         s_inv = s_mat.inverse()
         rng = SplitMix64(seed)
@@ -156,7 +157,7 @@ def test_criterion_1_dimension_certificates():
         assert alg.dim == n * (2 * n + 1), "sp_%d" % (2 * n)
     for m in range(4, 9):
         t = Tower()
-        form = FormSpec("symmetric", Matrix.identity(t, m), "b")
+        form = FormSpec("symmetric", t, list(range(m)), [1] * m, "b")
         alg = GroupSpec(t, m, [PreservesForm(form)],
                         "so%dC" % m).lie_algebra()
         assert alg.dim == m * (m - 1) // 2, "so_%d" % m

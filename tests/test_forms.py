@@ -96,15 +96,14 @@ def test_quadric_representatives():
 def test_form_value_conventions():
     t = Tower()
     i = t.i()
-    h = FormSpec("hermitian", Matrix.identity(t, 2), "h")
+    h = FormSpec("hermitian", t, [0, 1], [1, 1], "h")
     z = [i, t.zero()]
     w = [t.one(), t.zero()]
     # linear in the first slot, conjugate-linear in the second
     assert h.value(z, w) == i
     assert h.value(w, z) == -i
     assert h.norm(z) == t.one()
-    omega = FormSpec("antisymmetric", Matrix.from_rows(t, [[0, 1], [-1, 0]]),
-                     "omega")
+    omega = FormSpec("antisymmetric", t, [1, 0], [1, -1], "omega")
     assert omega.value(w, [t.zero(), t.one()]) == t.one()
     assert omega.norm(w).is_zero()
 
@@ -200,18 +199,16 @@ def test_model_guards():
         quad.normal_form_complex()
 
 
-# signed-permutation Gram matrices, and vectors from a tower two levels
-# deeper
+# signed permutations (perm, signs) of each kind, and vectors from a tower
+# two levels deeper
 _GT = Tower()
 _DEEP = _GT.clone()
 _R2, _R3 = _DEEP.adjoin_sqrt(2), _DEEP.adjoin_sqrt(3)
 _I = _GT.i()
-_GRAMS = {
-    "symmetric": [[0, 0, 1, 0], [0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]],
-    "antisymmetric": [[0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0],
-                      [-1, 0, 0, 0]],
-    "hermitian": [[0, -1, 0, 0], [-1, 0, 0, 0], [0, 0, 1, 0],
-                  [0, 0, 0, -1]],
+_FORMS = {
+    "symmetric": ([2, 1, 0, 3], [1, -1, 1, 1]),
+    "antisymmetric": ([3, 2, 1, 0], [1, -1, 1, -1]),
+    "hermitian": ([1, 0, 2, 3], [-1, -1, 1, -1]),
 }
 _deep_scalars = st.builds(
     lambda a, b, c: _DEEP.lift(a) + _DEEP.lift(b) * _R2
@@ -219,11 +216,11 @@ _deep_scalars = st.builds(
 
 
 @settings(max_examples=25)
-@given(st.sampled_from(sorted(_GRAMS)),
+@given(st.sampled_from(sorted(_FORMS)),
        st.lists(_deep_scalars, min_size=4, max_size=4),
        st.lists(_deep_scalars, min_size=4, max_size=4))
 def test_value_on_deeper_vectors_is_the_explicit_sum(kind, u, v):
-    f = FormSpec(kind, Matrix.from_rows(_GT, _GRAMS[kind]), "f")
+    f = FormSpec(kind, _GT, *_FORMS[kind], "f")
     acc = _DEEP.zero()
     for i in range(4):
         for j in range(4):
@@ -253,51 +250,54 @@ def test_gram_of_equals_the_full_pairwise_values(info, attr, data):
     assert f.gram_of(vs) == Matrix(f.tower, full, cols=len(vs))
 
 
-# -- the Grams FormSpec refuses ---------------------------------------------
+# -- the forms FormSpec refuses ---------------------------------------------
 
-# a root, and omega's Gram J as P^T J P for P = diag(1 + root, 1, 1, 1):
-# monomial and antisymmetric, with root-bearing entries
-_T1 = tower_of_depth(1)
-_ROOT = _T1.root(0)
-_P = Matrix.diag(_T1, [1 + _ROOT, 1, 1, 1])
-_ROOTED = (_P.transpose() * StandardModel.projective_split(_T1, 2).omega.gram
-           * _P).to_lists()
+_ROOT = tower_of_depth(1).root(0)
 
 
-@pytest.mark.parametrize("kind,rows,match", [
-    ("symmetric", [[1, 0, 0], [0, 1, 0]], "must be square"),
-    ("symmetric", [[0, 1], [1, 1]], "row 1 has 2 nonzero"),
-    ("hermitian", [[1, 0], [0, 0]], "row 1 has 0 nonzero"),
-    ("symmetric", [[0, 1], [0, 1]], r"entry \(1, 0\)"),
-    ("symmetric", [[0, 1], [2, 0]], "not symmetric"),
-    ("antisymmetric", [[0, 1], [1, 0]], "not antisymmetric"),
-    ("hermitian", [[0, _I], [_I, 0]], "not hermitian"),
-    ("antisymmetric", [[0, 1, 0], [-1, 0, 0], [0, 0, 1]], r"entry \(2, 2\)"),
-    ("hermitian", [[1, 0], [0, 1 + _I]], r"entry \(1, 1\)"),
-    ("symmetric", [[2, 0], [0, 1]], r"entry \(0, 0\) is not 1 or -1"),
-    ("symmetric", [[0, _I], [_I, 0]], r"entry \(0, 1\) is not 1 or -1"),
-    ("hermitian", [[0, 1 + _I], [1 - _I, 0]],
+@pytest.mark.parametrize("kind,perm,signs,match", [
+    ("symmetric", [0, 1, 2], [1, 1], "2 signs for a permutation of 3"),
+    ("hermitian", [0, 1], [1, 0], r"entry \(1, 1\) is not 1 or -1"),
+    ("symmetric", [1, 1], [1, 1], r"entry \(1, 0\)"),
+    ("symmetric", [1, 0], [1, -1], "not symmetric"),
+    ("antisymmetric", [1, 0], [1, 1], "not antisymmetric"),
+    ("hermitian", [1, 0], [1, -1], "not hermitian"),
+    ("antisymmetric", [1, 0, 2], [1, -1, 1], r"entry \(2, 2\)"),
+    ("hermitian", [0, 1], [1, 1 + _I], r"entry \(1, 1\)"),
+    ("symmetric", [0, 1], [2, 1], r"entry \(0, 0\) is not 1 or -1"),
+    ("symmetric", [1, 0], [_I, _I], r"entry \(0, 1\) is not 1 or -1"),
+    ("hermitian", [1, 0], [1 + _I, 1 - _I],
      r"entry \(0, 1\) is not 1 or -1"),
-    ("symmetric", [[1, 0], [0, _ROOT]], r"entry \(1, 1\) is not 1 or -1"),
-    ("antisymmetric", _ROOTED, r"entry \(0, 2\) is not 1 or -1"),
-], ids=["not-square", "dense-row", "zero-row", "shared-column",
-        "symmetric-mirror", "antisymmetric-mirror", "hermitian-mirror",
-        "antisymmetric-diagonal", "hermitian-nonreal-diagonal",
-        "entry-two", "entry-i", "entry-one-plus-i", "entry-root",
-        "rooted-gram"])
+    ("symmetric", [0, 1], [1, _ROOT], r"entry \(1, 1\) is not 1 or -1"),
+    # omega's J as P^T J P for P = diag(1 + root, 1, 1, 1)
+    ("antisymmetric", [2, 3, 0, 1], [-(1 + _ROOT), -1, 1 + _ROOT, 1],
+     r"entry \(0, 2\) is not 1 or -1"),
+    ("symmetric", [0, 1], [1, True], r"entry \(1, 1\) is not 1 or -1"),
+    ("symmetric", [0, 1], [_GT.one(), 1], r"entry \(0, 0\) is not 1 or -1"),
+    ("symmetric", [0, 2], [1, 1], r"not symmetric: entry \(2, 1\)"),
+    ("symmetric", [1, 2, 0], [1, 1, 1], r"not symmetric: entry \(1, 0\)"),
+    ("skew", [1, 0], [1, -1], "unknown form kind 'skew'"),
+], ids=["length-mismatch", "zero-row", "shared-column", "symmetric-mirror",
+        "antisymmetric-mirror", "hermitian-mirror", "antisymmetric-diagonal",
+        "hermitian-nonreal-diagonal", "entry-two", "entry-i",
+        "entry-one-plus-i", "entry-root", "rooted-gram", "sign-true",
+        "sign-scalar-one", "out-of-range", "three-cycle", "unknown-kind"])
 def test_form_spec_refuses_a_gram_that_is_not_monomial_of_its_kind(
-        kind, rows, match):
-    t = _GT.host([x for row in rows for x in row])
+        kind, perm, signs, match):
     with pytest.raises(ValueError, match=match):
-        FormSpec(kind, Matrix.from_rows(t, rows), "f")
+        FormSpec(kind, _GT, perm, signs, "f")
 
 
 def test_form_spec_reads_the_permutation_and_entries():
-    f = FormSpec("hermitian", Matrix.from_rows(_GT, _GRAMS["hermitian"]),
-                 "h")
+    f = FormSpec("hermitian", _GT, *_FORMS["hermitian"], "h")
     assert f.perm == [1, 0, 2, 3]
     assert f.signs == [-1, -1, 1, -1]
+    assert f.gram == Matrix.from_rows(_GT, [
+        [0, -1, 0, 0], [-1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
     assert SPLIT2.omega.perm == [2, 3, 0, 1]
+    # G[a, perm[a]] = signs[a] on omega: J e_i = e_{n+i}, J e_{n+i} = -e_i
+    assert SPLIT2.omega.gram == Matrix.from_rows(T2, [
+        [0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]])
 
 
 @pytest.mark.parametrize("form", [SPLIT2.omega, SPLIT2.h, ISO21.b],

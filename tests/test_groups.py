@@ -25,7 +25,7 @@ from orbitcert.witnesses import (GROUP_CONSTRAINTS, build_group,
 
 from conftest import (deep_scalars, describe, exp_nilpotent, gauss, gaussian,
                       in_span, nilpotent_symplectic, nilpotent_unitary,
-                      reflection, signed_permutation_gram, tower_of_depth,
+                      reflection, signed_permutation, tower_of_depth,
                       violations)
 
 # every group build_group names, on one model of each case
@@ -138,7 +138,7 @@ def test_orthogonal_dimensions():
     t = Tower()
     for m in (4, 5):
         b = PreservesForm(
-            FormSpec("symmetric", Matrix.identity(t, m), "b"))
+            FormSpec("symmetric", t, list(range(m)), [1] * m, "b"))
         alg = GroupSpec(t, m, [b], "so%dC" % m).lie_algebra()
         assert alg.dim == m * (m - 1) // 2
 
@@ -188,10 +188,8 @@ def _paired_forms(t):
     models' diagonal h, hhat and b: a hermitian h with h[0, 1] = h[1, 0]
     = 1 and h[2, 2] = -1, of signature (1, 2), and a symmetric b with
     b[0, 1] = b[1, 0] = b[2, 2] = 1."""
-    zero, one = t.zero(), t.one()
-    h = Matrix(t, [[zero, one, zero], [one, zero, zero], [zero, zero, -one]])
-    b = Matrix(t, [[zero, one, zero], [one, zero, zero], [zero, zero, one]])
-    return (FormSpec("hermitian", h, "h"), FormSpec("symmetric", b, "b"))
+    return (FormSpec("hermitian", t, [1, 0, 2], [1, 1, -1], "h"),
+            FormSpec("symmetric", t, [1, 0, 2], [1, 1, 1], "b"))
 
 
 # the dimensions by hand, for v = (1, i, 0), h-null (h(v, v) = -i + i)
@@ -219,6 +217,20 @@ def test_assembled_basis_equals_the_unit_matrix_solve_on_complex_grams(
         x.to_json() for x in _unit_reference_solve(group)]
 
 
+def test_a_unitary_stabilizer_of_a_non_real_vector_has_its_orientation():
+    # v = (1, i) has h(v, v) = 2 for h = I, so its stabilizer in U(2) is
+    # the U(1) of v's perp: dimension 1, spanned by X = [[i, -1], [1, i]]
+    # (X v = 0, X^H = -X), and not by conj(X), which moves v
+    t = Tower()
+    i = t.i()
+    h = FormSpec("hermitian", t, [0, 1], [1, 1], "h")
+    alg = GroupSpec(t, 2, [PreservesForm(h), FixesVector([t.one(), i])],
+                    "U(2)_v").lie_algebra()
+    x = Matrix(t, [[i, -t.one()], [t.one(), i]])
+    assert (alg.dim, alg.ground) == (1, "real")
+    assert alg.contains(x) and not alg.contains(x.conj())
+
+
 def test_assembly_makes_no_matrix_products(monkeypatch):
     groups = [_group(dict(case="isotropic", p=2, q=1), "SO(p,q)"),
               _group(dict(case="quadric7"), "G2split")]
@@ -237,14 +249,15 @@ def test_assembly_makes_no_matrix_products(monkeypatch):
 
 def test_wrong_size_bilinear_form_is_rejected():
     t = Tower()
-    b = PreservesForm(FormSpec("symmetric", Matrix.identity(t, 4), "b"))
+    b = PreservesForm(
+        FormSpec("symmetric", t, [0, 1, 2, 3], [1, 1, 1, 1], "b"))
     with pytest.raises(ValueError, match="dimension 4, the group acts on 5"):
         GroupSpec(t, 5, [b], "so5C").lie_algebra()
 
 
 def test_wrong_size_hermitian_form_is_rejected():
     t = Tower()
-    h = PreservesForm(FormSpec("hermitian", Matrix.identity(t, 3), "h"))
+    h = PreservesForm(FormSpec("hermitian", t, [0, 1, 2], [1, 1, 1], "h"))
     with pytest.raises(ValueError, match="dimension 3, the group acts on 4"):
         GroupSpec(t, 4, [DetOne(), h], "SU(4)").lie_algebra()
 
@@ -268,9 +281,9 @@ def test_wrong_size_cross_product_is_rejected():
 
 @pytest.mark.parametrize("make", [
     lambda t: PreservesForm(
-        FormSpec("symmetric", Matrix.identity(t, 3), "b")),
+        FormSpec("symmetric", t, [0, 1, 2], [1, 1, 1], "b")),
     lambda t: PreservesForm(
-        FormSpec("hermitian", Matrix.identity(t, 3), "h")),
+        FormSpec("hermitian", t, [0, 1, 2], [1, 1, 1], "h")),
     lambda t: FixesVector(_e(t, 3, 0)),
     lambda t: PreservesCrossProduct(),
 ], ids=["bilinear", "hermitian", "fixed-vector", "cross-product"])
@@ -481,7 +494,7 @@ def test_intersection_of_algebras():
 def test_intersection_of_real_algebras():
     # u(2,1) and gl(3,R): neither holds the other, and they meet in o(2,1)
     t = Tower()
-    h = FormSpec("hermitian", Matrix.diag(t, [1, 1, -1]), "h")
+    h = FormSpec("hermitian", t, [0, 1, 2], [1, 1, -1], "h")
     u = GroupSpec(t, 3, [PreservesForm(h)], "U(2,1)").lie_algebra()
     gl = GroupSpec(t, 3, [RealEntries()], "GL3R").lie_algebra()
     o = GroupSpec(t, 3, [PreservesForm(h), RealEntries()],
@@ -785,22 +798,22 @@ def _drawn_dim(data, kind):
 
 def _drawn_form(data, t, kind):
     """A drawn signed-permutation form f of ``kind``
-    (``signed_permutation_gram``), and the rows of G0 and Q with G =
-    Q^T G0 Q, so that Q^-1 g Q preserves f whenever g preserves G0 (Q is
-    real, so conj leaves it alone).  G0 = G and Q = I for an
-    antisymmetric f, which ``_member`` takes as it is.  Otherwise G0 is
-    diagonal, as ``_member`` needs: s on a fixed point of sign s, and
-    diag(1, -1) on a pair G[a, b] = G[b, a] = s, through the rows
+    (``signed_permutation``), the (perm, signs) of a G0 and the rows of
+    Q with G = Q^T G0 Q, so that Q^-1 g Q preserves f whenever g
+    preserves G0 (Q is real, so conj leaves it alone).  G0 = G and Q = I
+    for an antisymmetric f, which ``_member`` takes as it is.  Otherwise
+    G0 is diagonal, as ``_member`` needs: s on a fixed point of sign s,
+    and diag(1, -1) on a pair G[a, b] = G[b, a] = s, through the rows
     (1, s/2) and (1, -s/2) of Q on (a, b)."""
     m = _drawn_dim(data, kind)
-    f = FormSpec(kind, signed_permutation_gram(data, t, m, kind), "f")
-    g0, q = f.gram.to_lists(), Matrix.identity(t, m).to_lists()
+    f = FormSpec(kind, t, *signed_permutation(data, m, kind), "f")
+    g0, q = (f.perm, f.signs), Matrix.identity(t, m).to_lists()
     if kind != "antisymmetric":
+        g0 = (list(range(m)), list(f.signs))
         for a, b in enumerate(f.perm):
             if a < b:
                 half = t.scalar(Fraction(f.signs[a], 2))
-                g0[a][b] = g0[b][a] = t.zero()
-                g0[a][a], g0[b][b] = t.one(), -t.one()
+                g0[1][a], g0[1][b] = 1, -1
                 q[a][b], q[b][a], q[b][b] = half, t.one(), -half
     return f, g0, q
 
@@ -851,12 +864,12 @@ def test_monomial_split_agrees_with_the_full_product(info, attr, rooted,
         f, g0, q = _drawn_form(data, base, attr)
     else:
         f = getattr(StandardModel.from_info(base, info), attr)
-        g0, q = f.gram.to_lists(), None
+        g0, q = (f.perm, f.signs), None
     t, m = base, f.dim
     if data.draw(st.booleans()):
         t = base.clone()
         t.adjoin_sqrt(7)
-    fg = FormSpec(f.kind, Matrix.from_rows(t, g0), f.name)
+    fg = FormSpec(f.kind, t, *g0, f.name)
     g = _member(data, fg)
     if rooted:
         root = _rooted_member(fg, t.root(base.depth - 1))
@@ -977,7 +990,7 @@ def test_the_conjugation_check_refuses_forms_that_do_not_pair():
         CommutesWithConj(model.hhat, model.b)
     with pytest.raises(ValueError, match="a bilinear and a hermitian"):
         CommutesWithConj(model.b, model.b_sig)
-    small = FormSpec("hermitian", Matrix.identity(model.tower, 3), "h3")
+    small = FormSpec("hermitian", model.tower, [0, 1, 2], [1, 1, 1], "h3")
     with pytest.raises(ValueError, match="differ in dimension"):
         CommutesWithConj(model.b, small)
     with pytest.raises(ValueError, match="the group acts on 5"):
@@ -1168,14 +1181,14 @@ def test_the_conjugation_check_agrees_with_its_operator_formula(
     matrices, over towers of depth 0-3 and the nested tower; the element
     may live in a separate tower one root deeper than the forms.  The
     ``drawn`` case checks a drawn symmetric or antisymmetric form with a
-    drawn hermitian one (``signed_permutation_gram``), a pair no model
+    drawn hermitian one (``signed_permutation``), a pair no model
     carries, whose M need not square to +-I."""
     depth = data.draw(st.sampled_from([0, 1, 2, 3, "nested"]))
     base = _nested_tower() if depth == "nested" else tower_of_depth(depth)
     if info is None:
         kind = data.draw(st.sampled_from(["symmetric", "antisymmetric"]))
         m = _drawn_dim(data, kind)
-        b, h = (FormSpec(k, signed_permutation_gram(data, base, m, k), name)
+        b, h = (FormSpec(k, base, *signed_permutation(data, m, k), name)
                 for k, name in ((kind, battr), ("hermitian", hattr)))
     else:
         model = StandardModel.from_info(base, info)

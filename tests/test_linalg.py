@@ -255,6 +255,13 @@ def test_column_space_equal_ignores_presentation():
     assert not column_space_equal(a, c)
 
 
+@pytest.mark.parametrize("cols", [[[1], [2, 3]], [[1, 2], [3]]],
+                         ids=["longer-second", "shorter-second"])
+def test_from_cols_refuses_ragged_columns(cols):
+    with pytest.raises(ValueError, match="ragged matrix columns"):
+        Matrix.from_cols(T, cols)
+
+
 def test_subspace_contains_scaled_basis():
     t = Tower()
     r2 = t.adjoin_sqrt(2)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import (deep_scalars, exp_nilpotent, reflection, submatrix,
+from conftest import (deep_scalars, exp_nilpotent, reflection,
                       tower_of_depth, transport_matrix, violations)
 from orbitcert import witnesses
 from orbitcert.forms import FormSpec, StandardModel
@@ -41,7 +41,7 @@ def _rand_vec(rng, t, m, bound=4, real=False):
 
 def test_reflection_is_an_involutive_isometry():
     t = Tower()
-    f = FormSpec("symmetric", Matrix.diag(t, [1, 1, -1]), "b")
+    f = FormSpec("symmetric", t, [0, 1, 2], [1, 1, -1], "b")
     u = [t.one(), t.scalar(2), t.zero()]
     s = reflection(f, u)
     assert s * s == Matrix.identity(t, 3)
@@ -56,12 +56,11 @@ def test_reflection_is_an_involutive_isometry():
 
 def test_reflection_rejects_isotropic_vectors():
     t = Tower()
-    f = FormSpec("symmetric", Matrix.diag(t, [1, -1]), "b")
+    f = FormSpec("symmetric", t, [0, 1], [1, -1], "b")
     with pytest.raises(ValueError):
         reflection(f, [t.one(), t.one()])
     with pytest.raises(ValueError):
-        reflection(FormSpec("antisymmetric",
-                            Matrix.from_rows(t, [[0, 1], [-1, 0]]), "w"),
+        reflection(FormSpec("antisymmetric", t, [1, 0], [1, -1], "w"),
                    [t.one(), t.zero()])
 
 
@@ -70,7 +69,7 @@ def test_reflection_rejects_isotropic_vectors():
 
 def test_witt_transport_moves_a_frame():
     t = Tower()
-    f = FormSpec("symmetric", Matrix.identity(t, 3), "b")
+    f = FormSpec("symmetric", t, [0, 1, 2], [1, 1, 1], "b")
     e0 = [t.one(), t.zero(), t.zero()]
     e1 = [t.zero(), t.one(), t.zero()]
     g = transport_matrix(f, [e0], [e1])
@@ -82,7 +81,7 @@ def test_witt_transport_isotropic_difference_fallback():
     # a and b both have norm 1 but a - b is isotropic, forcing the
     # two-reflection path through a + b
     t = Tower()
-    f = FormSpec("symmetric", Matrix.identity(t, 3), "b")
+    f = FormSpec("symmetric", t, [0, 1, 2], [1, 1, 1], "b")
     a = [t.one(), t.zero(), t.zero()]
     b = [t.one(), t.one(), t.i()]
     assert f.norm(b).is_one() and f.norm([x - y for x, y in zip(a, b)]).is_zero()
@@ -92,7 +91,7 @@ def test_witt_transport_isotropic_difference_fallback():
 
 def test_witt_transport_two_vector_frame():
     t = Tower()
-    f = FormSpec("symmetric", Matrix.identity(t, 4), "b")
+    f = FormSpec("symmetric", t, [0, 1, 2, 3], [1, 1, 1, 1], "b")
     fr_a = [[t.one(), t.zero(), t.zero(), t.zero()],
             [t.zero(), t.one(), t.zero(), t.zero()]]
     fr_b = [[t.zero(), t.zero(), t.one(), t.zero()],
@@ -104,7 +103,7 @@ def test_witt_transport_two_vector_frame():
 
 def test_witt_transport_real():
     t = Tower()
-    f = FormSpec("symmetric", Matrix.diag(t, [1, 1, -1]), "b")
+    f = FormSpec("symmetric", t, [0, 1, 2], [1, 1, -1], "b")
     a = [t.one(), t.zero(), t.zero()]
     b = [t.scalar(Fraction(5, 4)), t.zero(), t.scalar(Fraction(3, 4))]
     g = transport_matrix(f, [a], [b])
@@ -114,7 +113,7 @@ def test_witt_transport_real():
 
 def test_witt_transport_rejects_gram_mismatch():
     t = Tower()
-    f = FormSpec("symmetric", Matrix.diag(t, [1, 1, -1]), "b")
+    f = FormSpec("symmetric", t, [0, 1, 2], [1, 1, -1], "b")
     a = [t.one(), t.zero(), t.zero()]
     with pytest.raises(ValueError):
         transport_matrix(f, [a], [[t.scalar(2), t.zero(), t.zero()]])
@@ -127,7 +126,7 @@ def test_witt_transport_rejects_gram_mismatch():
 ])
 def test_witt_transport_names_the_first_gram_mismatch(second, where):
     t = Tower()
-    f = FormSpec("symmetric", Matrix.identity(t, 4), "b")
+    f = FormSpec("symmetric", t, [0, 1, 2, 3], [1, 1, 1, 1], "b")
     e0, e1 = ([t.scalar(int(k == j)) for k in range(4)] for j in range(2))
     frame_b = [e0, [t.scalar(c) for c in second]]
     if where is None:
@@ -142,7 +141,7 @@ def test_witt_transport_stays_in_the_base_tower():
     # the complex-case construction is root-free: reflections divide by
     # norms but never adjoin radicals
     t = Tower()
-    f = FormSpec("symmetric", Matrix.identity(t, 4), "b")
+    f = FormSpec("symmetric", t, [0, 1, 2, 3], [1, 1, 1, 1], "b")
     rng = SplitMix64(11)
     for _ in range(10):
         a = _rand_vec(rng, t, 4)
@@ -431,7 +430,7 @@ def test_complex_normal_form_round_trips():
     w = isotropic_normal_form_complex(model, nf)
     assert w.verified
 
-    f = FormSpec("symmetric", Matrix.identity(t, 4), "b")
+    f = FormSpec("symmetric", t, [0, 1, 2, 3], [1, 1, 1, 1], "b")
     r1 = reflection(f, [t.one(), t.scalar(2), t.zero(), t.zero()])
     r2 = reflection(f, [t.scalar(3), t.zero(), t.one(), t.zero()])
     scr = r1 * r2
@@ -455,7 +454,7 @@ def test_complex_normal_form_rejects_other_family():
              [t.zero(), t.one(), t.zero(), i]]
     with pytest.raises(NotInDomainError):
         isotropic_normal_form_complex(model, other)
-    f = FormSpec("symmetric", Matrix.identity(t, 4), "b")
+    f = FormSpec("symmetric", t, [0, 1, 2, 3], [1, 1, 1, 1], "b")
     r1 = reflection(f, [t.one(), t.scalar(2), t.zero(), t.zero()])
     odd = [r1.apply(v) for v in model.normal_form_complex().basis_vectors()]
     with pytest.raises(NotInDomainError):
@@ -470,8 +469,8 @@ def test_real_normal_form_round_trips():
         nf = model.normal_form_real()
         assert isotropic_normal_form_real(model, nf).verified
 
-        ehat = Matrix.diag(t, [1] * p + [-1] * q + [model.eps])
-        fsig = FormSpec("symmetric", ehat, "b_sig")
+        fsig = FormSpec("symmetric", t, list(range(m)),
+                        [1] * p + [-1] * q + [model.eps], "b_sig")
         v1 = [t.zero()] * m
         v1[0], v1[1] = t.one(), t.scalar(2)
         v2 = [t.zero()] * m
@@ -566,15 +565,13 @@ def test_reflection_is_the_dense_formula(data):
     # a random involution: the first k pairs of a shuffled order swap
     order = data.draw(st.permutations(range(n)))
     k = data.draw(st.integers(0, n // 2))
-    perm = list(range(n))
+    perm, signs = list(range(n)), [0] * n
     for a, b in zip(order[:2 * k:2], order[1:2 * k:2]):
         perm[a], perm[b] = b, a
-    rows = [[t.zero()] * n for _ in range(n)]
     for a, b in enumerate(perm):
         if a <= b:
-            rows[a][b] = rows[b][a] = data.draw(
-                st.sampled_from([t.one(), -t.one()]))
-    f = FormSpec("symmetric", Matrix(t, rows), "f")
+            signs[a] = signs[b] = data.draw(st.sampled_from([1, -1]))
+    f = FormSpec("symmetric", t, perm, signs, "f")
     assert f.perm == perm
     u = data.draw(st.lists(deep_scalars(t), min_size=n, max_size=n))
     assume(not f.norm(u).is_zero())
@@ -586,7 +583,8 @@ def _assert_embedded_transport(f, sub, frame_a, frame_b):
     sub-form of the coordinates ``sub``, which carry both frames, embedded
     by the identity; or both refuse the frames."""
     t, m = f.tower, f.dim
-    f_sub = FormSpec("symmetric", submatrix(f.gram, sub, sub), "sub")
+    f_sub = FormSpec("symmetric", t, [sub.index(f.perm[j]) for j in sub],
+                     [f.signs[j] for j in sub], "sub")
     cut = [[[v[j] for j in sub] for v in fr] for fr in (frame_a, frame_b)]
     try:
         small = transport_matrix(f_sub, *cut)
