@@ -701,11 +701,10 @@ def _null_on_pair(data, f, a, b):
     """x e_a + zeta x e_b, f-null for the diagonal Gram of f."""
     t = f.tower
     x = data.draw(deep_scalars(t).filter(lambda s: not s.is_zero()))
-    ga, gb = f.gram[a, a], f.gram[b, b]
     if f.kind == "hermitian":
         zeta = data.draw(st.sampled_from([t.one(), -t.one(), t.i(), -t.i()]))
     else:
-        zeta = t.one() if ga == -gb else t.i()
+        zeta = t.one() if f.signs[a] == -f.signs[b] else t.i()
     v = [t.zero()] * f.dim
     v[a], v[b] = x, zeta * x
     assert f.norm(v).is_zero()
@@ -731,7 +730,7 @@ def _member(data, f):
         u = [data.draw(deep_scalars(t)) for _ in range(m)]
         return exp_nilpotent(nilpotent_symplectic(f, u), s)
     mixed = [(a, b) for a in range(m) for b in range(m)
-             if (f.gram[a, a] * f.gram[b, b]).sign() < 0]
+             if f.signs[a] != f.signs[b]]
     if data.draw(st.booleans()) or (m < 4 if f.kind == "symmetric"
                                     else not mixed):
         # reflect in a base-field vector: dividing by a deep norm would
