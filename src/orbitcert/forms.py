@@ -339,18 +339,15 @@ class StandardModel:
     def normal_form_real_pairs(self) -> list:
         """Index pairs (a, b) whose spans e_a + i e_b build the real-case
         normal form, one pair per basis vector, 0-based, ending with the
-        pair that contains the distinguished last coordinate."""
+        pair that contains the distinguished last coordinate.  The positive
+        coordinates pair up in order, then the negative ones; p + q is odd,
+        so one is left over (the last positive one if p is odd, else the
+        last negative one), and it pairs with the last coordinate m - 1."""
         self._require_isotropic()
         p, q, m = self.p, self.q, self.ambient_dim
-        pairs = []
-        if p % 2 == 0:
-            pairs += [(2 * t, 2 * t + 1) for t in range(p // 2)]
-            pairs += [(p + 2 * t, p + 2 * t + 1) for t in range((q - 1) // 2)]
-            pairs.append((m - 2, m - 1))
-        else:
-            pairs += [(2 * t, 2 * t + 1) for t in range((p - 1) // 2)]
-            pairs += [(p + 2 * t, p + 2 * t + 1) for t in range(q // 2)]
-            pairs.append((p - 1, m - 1))
+        pairs = [(2 * t, 2 * t + 1) for t in range(p // 2)]
+        pairs += [(p + 2 * t, p + 2 * t + 1) for t in range(q // 2)]
+        pairs.append((p - 1 if p % 2 else m - 2, m - 1))
         return pairs
 
     def normal_form_real(self) -> Subspace:

@@ -576,15 +576,19 @@ def nilpotent_orthogonal(form: FormSpec, u: Sequence[Scalar],
                          v: Sequence[Scalar]) -> Matrix:
     """X = (u v^T - v u^T) G for b-isotropic u, v with b(u, v) = 0.
 
-    Then X^2 = 0 and X lies in the orthogonal algebra of G.
+    Then X^2 = 0 and X lies in the orthogonal algebra of G.  Column c of
+    G is signs[c] e_{perm[c]}, so X[r][c] = signs[c] (u_r v_{perm[c]} -
+    v_r u_{perm[c]}) is built entry by entry.
     """
     if form.kind != "symmetric":
         raise ValueError("orthogonal nilpotents need a symmetric form")
     if not (form.norm(u).is_zero() and form.norm(v).is_zero()
             and form.value(u, v).is_zero()):
         raise ValueError("need an isotropic orthogonal pair")
-    t = form.tower
-    x = (outer(t, u, v) - outer(t, v, u)) * form.gram
+    cols = list(zip(form.perm, form.signs))
+    x = Matrix(form.tower, [[ur * v[p] - vr * u[p] if s > 0
+                             else vr * u[p] - ur * v[p] for p, s in cols]
+                            for ur, vr in zip(u, v)], cols=len(cols))
     if not (x * x).is_zero():
         raise ValueError("internal: orthogonal nilpotent is not square-zero")
     return x

@@ -243,16 +243,18 @@ class Matrix:
     def from_json(obj, tower: Tower) -> Matrix:
         """The matrix ``to_json`` wrote, in ``tower``: one that starts with
         ``obj``'s radicands as ``serialize_prefix`` writes them.  It is
-        never extended; another raises :class:`TowerError`.  So does a
-        cell list that ``to_json`` would not write: one whose value has
-        level 0 or a level past ``obj``'s radicands, or whose length is
-        not 2**level.  Each cell is read and checked in one pass."""
+        never extended; another raises :class:`TowerError`.  So does what
+        ``to_json`` would not write: a cell list whose value has level 0
+        or a level past ``obj``'s radicands, or whose length is not
+        2**level, and a radicand list longer than its deepest cell's
+        level.  Each cell is read and checked in one pass."""
         radicands = obj["radicands"]
         have = tower.serialize_prefix(len(radicands))
         for j, r in enumerate(radicands):
             if j == len(have) or (type(r), r) != (type(have[j]), have[j]):
                 raise TowerError("radicand %d conflicts with tower" % (j,))
         rows = []
+        depth = 0
         for i, r in enumerate(obj["entries"]):
             row = []
             for j, c in enumerate(r):
@@ -262,8 +264,12 @@ class Matrix:
                     if not 0 < lvl <= len(radicands) or len(c) != 1 << lvl:
                         raise TowerError("matrix cell (%d, %d) is not in "
                                          "canonical form" % (i, j))
+                    depth = max(depth, lvl)
                 row.append(a)
             rows.append(row)
+        if len(radicands) > depth:
+            raise TowerError("matrix lists %d radicands, its cells use %d"
+                             % (len(radicands), depth))
         m = Matrix(tower, rows, cols=obj["cols"])
         if m.rows != obj["rows"] or m.cols != obj["cols"]:
             raise TowerError("matrix entry grid does not match declared shape")
@@ -514,29 +520,19 @@ def congruence_diagonalize(g: Matrix) -> tuple:
             a[t][i], a[t][j] = a[t][j], a[t][i]
 
     for k in range(n):
-        if a[k][k].is_zero():
-            piv = None
-            for j in range(k + 1, n):
-                if not a[j][j].is_zero():
-                    piv = j
-                    break
-            if piv is not None:
-                swap(k, piv)
-            else:
-                found = None
-                for i in range(k, n):
-                    for j in range(i + 1, n):
-                        if not a[i][j].is_zero():
-                            found = (i, j)
-                            break
-                    if found:
-                        break
-                if found is None:
-                    break  # remaining block is identically zero
-                i, j = found
-                col_op(i, j, a[i][j])  # Q(u_i + a_ij u_j) = 2|a_ij|^2 > 0
-                if i != k:
-                    swap(k, i)
+        # the first nonzero diagonal entry from k on; failing that, the
+        # first nonzero off-diagonal (i, j), made diagonal at i by
+        # u_i <- u_i + a_ij u_j, as Q(u_i + a_ij u_j) = 2|a_ij|^2 > 0
+        piv = next((j for j in range(k, n) if not a[j][j].is_zero()), None)
+        if piv is None:
+            found = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
+                          if not a[i][j].is_zero()), None)
+            if found is None:
+                break  # remaining block is identically zero
+            piv, j = found
+            col_op(piv, j, a[piv][j])
+        if piv != k:
+            swap(k, piv)
         pivot = a[k][k]
         pinv = pivot.inv()
         for j in range(k + 1, n):

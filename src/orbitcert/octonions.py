@@ -9,9 +9,9 @@ The algebra is realized in the paired vector-matrix model: an element is
 
 with the right-handed cross product.  The norm N(a, v; w, b) = a b - v.w
 is multiplicative, which pins down the sign conventions.  Everything here
-reads one cached integer table of structure constants (:func:`table_json`
-is its dump); composition and alternativity follow from the table, and
-the test suite checks both.
+reads one cached signed table, e_i e_j = c e_k with c = +-1
+(:func:`table_json` is its dump); composition and alternativity follow
+from the table, and the test suite checks both.
 
 The stored basis diagonalizes the norm form from the start (the raw
 vector-matrix basis would produce half-integer structure constants):
@@ -21,10 +21,10 @@ vector-matrix basis would produce half-integer structure constants):
     e4     = g   = (1, 0; 0, -1)       norm -1,
     e5..e7 = m_i = (0, v_i; w_i, 0)    norm -1.
 
-All structure constants are integers (validated), the norm Gram is
-exactly diag(1, 1,1,1, -1, -1,-1,-1), and the trace-zero part e1..e7
-carries the quadric Gram diag(1,1,1,-1,-1,-1,-1) with the positive
-vectors first.  So split G2 acts on the quadric in these very
+Each basis product is +-1 times a basis vector (validated), the norm
+Gram is exactly diag(1, 1,1,1, -1, -1,-1,-1), and the trace-zero part
+e1..e7 carries the quadric Gram diag(1,1,1,-1,-1,-1,-1) with the
+positive vectors first.  So split G2 acts on the quadric in these very
 coordinates: it is the subgroup of SO(3,4) that keeps the cross product
 x * y = Im(xy) of e1..e7, which :class:`PreservesCrossProduct` tests and
 linearizes like any other group constraint.
@@ -98,18 +98,21 @@ def _tuple_coords(x) -> list:
 
 
 @functools.lru_cache(maxsize=None)
-def _integer_table() -> tuple:
-    """Structure constants of the stored basis: entry [i][j] holds the
-    coordinates of e_i e_j, checked to be integers."""
+def _signed_table() -> tuple:
+    """Structure constants of the stored basis: ``table[i][j] = (k, c)``
+    means e_i e_j = c e_k, checked to be a single coordinate of +-1."""
     table = []
     for i in range(8):
         ti = _basis_tuple(i)
         row = []
         for j in range(8):
             cell = _tuple_coords(_zorn_mul(ti, _basis_tuple(j)))
-            if any(c.denominator != 1 for c in cell):
-                raise AssertionError("structure constants must be integers")
-            row.append(tuple(int(c) for c in cell))
+            nonzero = [(k, c) for k, c in enumerate(cell) if c]
+            if len(nonzero) != 1 or abs(nonzero[0][1]) != 1:
+                raise AssertionError("a basis product is not a signed "
+                                     "basis vector")
+            (k, c), = nonzero
+            row.append((k, int(c)))
         table.append(tuple(row))
     return tuple(table)
 
@@ -118,13 +121,15 @@ def table_json() -> dict:
     """The structure constants as ``orbitcert dump octonion-table`` prints
     them: ``table[i][j]`` holds the coordinates of e_i e_j."""
     return {"schema": "octonion-structure-constants/1",
-            "dim": 8, "unit_index": 0, "table": _integer_table()}
+            "dim": 8, "unit_index": 0,
+            "table": [[[c if a == k else 0 for a in range(8)]
+                       for k, c in row] for row in _signed_table()]}
 
 
 def octonion_product(tower: Tower, x: Sequence[Scalar],
                      y: Sequence[Scalar]) -> list:
     """Product of two octonions given by their 8 coordinates in the stored
-    basis, read off the integer table."""
+    basis, read off the signed table."""
     signed = {1: y, -1: [-b for b in y]}
     zero = tower.zero()
     return [fma(zero, [(x[i], signed[c][j]) for i, j, c in terms])
@@ -133,22 +138,19 @@ def octonion_product(tower: Tower, x: Sequence[Scalar],
 
 @functools.lru_cache(maxsize=None)
 def _product_terms() -> tuple:
-    """For each coordinate k, the (i, j, c) with c != 0 the k-th
-    coordinate of e_i e_j.  Every basis product is a signed basis vector,
-    so c is +1 or -1 (``octonion_product`` keys on it)."""
+    """For each coordinate k, the (i, j, c) with e_i e_j = c e_k, grouped
+    once from the signed table (``octonion_product`` keys on c = +-1)."""
     terms = [[] for _ in range(8)]
-    for i, row in enumerate(_integer_table()):
-        for j, cell in enumerate(row):
-            for k, c in enumerate(cell):
-                if c:
-                    terms[k].append((i, j, c))
+    for i, row in enumerate(_signed_table()):
+        for j, (k, c) in enumerate(row):
+            terms[k].append((i, j, c))
     return tuple(tuple(t) for t in terms)
 
 
 class PreservesCrossProduct:
     """g(x * y) = g(x) * g(y) for the cross product x * y = Im(xy) of the
     imaginary octonions, in the coordinates e1..e7; checked on the 21
-    basis pairs, whose products are read from the integer table."""
+    basis pairs, whose products are read from the signed table."""
 
     antilinear = False
     dim = 7
@@ -166,7 +168,7 @@ class PreservesCrossProduct:
         """For the pair e_i * e_j = c e_k, rows 7p..7p+6 (p its index in
         ``_cross_pairs``) hold the derivation condition
         c x e_k - (x e_i) * e_j - e_i * (x e_j)."""
-        table = _cross_table()
+        table = _signed_table()
         terms = []
         for p, (i, j, k, c) in enumerate(_cross_pairs()):
             for a in range(7):
@@ -174,11 +176,11 @@ class PreservesCrossProduct:
             # (x e_i) * e_j = sum_b x[b][i] e_b * e_j, and likewise on the left
             for b in range(7):
                 if b != j:
-                    kb, cb = table[b][j]
-                    terms.append((7 * p + kb, b, i, -cb, False))
+                    kb, cb = table[b + 1][j + 1]
+                    terms.append((7 * p + kb - 1, b, i, -cb, False))
                 if b != i:
-                    kb, cb = table[i][b]
-                    terms.append((7 * p + kb, b, j, -cb, False))
+                    kb, cb = table[i + 1][b + 1]
+                    terms.append((7 * p + kb - 1, b, j, -cb, False))
         return terms
 
 
@@ -193,28 +195,15 @@ def _cross_pairs() -> tuple:
     coordinates e1..e7 (indices shifted down by one): distinct imaginary
     basis vectors are orthogonal, so their product is a signed imaginary
     basis vector."""
-    table = _integer_table()
+    table = _signed_table()
     out = []
     for i in range(1, 8):
         for j in range(i + 1, 8):
-            (k, c), = [(k, c) for k, c in enumerate(table[i][j]) if c]
+            k, c = table[i][j]
             if k == 0:
                 raise AssertionError("imaginary basis product has a real part")
             out.append((i - 1, j - 1, k - 1, c))
     return tuple(out)
-
-
-@functools.lru_cache(maxsize=None)
-def _cross_table() -> tuple:
-    """table[a][b] = (k, c) with e_a * e_b = c e_k for a != b, from
-    ``_cross_pairs`` and the antisymmetry of the cross product (distinct
-    imaginary basis vectors are orthogonal, so they anticommute); the
-    diagonal, where the product vanishes, holds None."""
-    table = [[None] * 7 for _ in range(7)]
-    for i, j, k, c in _cross_pairs():
-        table[i][j] = (k, c)
-        table[j][i] = (k, -c)
-    return tuple(tuple(row) for row in table)
 
 
 def derivations(tower: Tower) -> LieAlgebraBasis:

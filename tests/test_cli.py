@@ -173,15 +173,18 @@ def test_witness_verify_parse_errors(tmp_path, capsys):
      "radicand 2 conflicts"),
     ("n2", "element", lambda r: ["2/1+0/1*i"] + r[1:], 2,
      "radicand 0 conflicts"),
-    # the claim may sit in a deeper tower that starts the element's
-    ("n2", "source", lambda r: r + [7], 0, "VERIFIED"),
+    # a radicand list longer than its cells use, which to_json never writes
+    ("n2", "source", lambda r: r + [7], 2,
+     "lists 3 radicands, its cells use 0"),
+    ("n2", "element", lambda r: r + [7], 2,
+     "lists 3 radicands, its cells use 2"),
     ("n2", "source", lambda r: [5], 2, "radicand 0 conflicts"),
     ("n2", "source", lambda r: [2.0], 2, "radicand 0 conflicts"),
     # more radicands than the depth cap, refused before any is adjoined
     ("n2", "element", lambda r: [2, 3, 5, 7, 11, 13, 17, 19, 23], 2,
      "9 radicands exceed the tower depth cap 8")],
     ids=["three-entries", "two-entries", "text-for-int", "deeper-claim",
-         "conflict", "float-for-int", "nine-radicands"])
+         "deeper-element", "conflict", "float-for-int", "nine-radicands"])
 def test_witness_verify_reads_one_tower(tmp_path, capsys, name, side, edit,
                                         code, says):
     golden = os.path.join(os.path.dirname(__file__), "data", "golden",

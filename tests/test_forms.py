@@ -109,6 +109,15 @@ def test_form_value_conventions():
 
 
 def test_isotropic_model_normal_forms():
+    # positives pair in order, then negatives; the one left over pairs
+    # with the last coordinate
+    pinned = {(4, 1): [(0, 1), (2, 3), (4, 5)],
+              (1, 4): [(1, 2), (3, 4), (0, 5)],
+              (5, 2): [(0, 1), (2, 3), (5, 6), (4, 7)],
+              (2, 5): [(0, 1), (2, 3), (4, 5), (6, 7)]}
+    for (p, q), pairs in pinned.items():
+        assert StandardModel.isotropic(
+            Tower(), p, q).normal_form_real_pairs() == pairs
     for p, q in ((2, 1), (1, 2), (2, 3), (3, 2)):
         model = StandardModel.isotropic(Tower(), p, q)
         n, m = model.n, model.ambient_dim

@@ -342,6 +342,29 @@ def test_exp_of_nilpotents_lies_in_the_group():
     assert su.contains(exp_nilpotent(z, Fraction(-5, 3)))
 
 
+# symmetric forms whose perm is not the identity, each with an isotropic
+# orthogonal pair: the pair spans an isotropic plane, so any a u and
+# b (v + lam u) are one too
+T6 = Tower()
+SWAPPED_FORMS = [
+    ([1, 0, 3, 2, 4, 5], [1, 1, -1, -1, 1, -1],
+     [1, 0, 0, 0, 1, 1], [0, 0, 0, 1, 1, 1]),
+    ([5, 2, 1, 3, 4, 0], [-1, 1, 1, 1, -1, -1],
+     [1, 0, 0, 1, 1, 0], [0, 1, 0, 1, 1, 0])]
+
+
+@settings(max_examples=20)
+@given(st.sampled_from(SWAPPED_FORMS), gauss(T6), gauss(T6), gauss(T6))
+def test_nilpotent_orthogonal_reads_perm_and_signs(case, a, b, lam):
+    perm, signs, u0, v0 = case
+    t = T6
+    f = FormSpec("symmetric", t, perm, signs, "b")
+    u = [a * t.scalar(x) for x in u0]
+    v = [b * (t.scalar(y) + lam * t.scalar(x)) for x, y in zip(u0, v0)]
+    oracle = (outer(t, u, v) - outer(t, v, u)) * f.gram
+    assert nilpotent_orthogonal(f, u, v) == oracle
+
+
 def test_nilpotent_builders_validate_their_input():
     quad = StandardModel.quadric7(Tower())
     t = quad.tower

@@ -1,5 +1,7 @@
 """Exact linear algebra: rank/kernel, canonical echelon, congruence."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -118,6 +120,16 @@ def test_congruence_diagonalize_with_isotropic_diagonal():
     d, u = congruence_diagonalize(g)
     assert u.transpose() * g * u.conj() == Matrix.diag(T, d)
     assert hermitian_signature(g) == (1, 1, 0)
+
+
+def test_congruence_diagonalize_pivots_past_a_zero_block():
+    # no nonzero diagonal, and the first nonzero off-diagonal entry lies
+    # past row 0, so the mixed coordinate is swapped into place
+    g = Matrix.from_rows(T, [[0, 0, 0], [0, 0, 1], [0, 1, 0]])
+    d, u = congruence_diagonalize(g)
+    assert d == [T.scalar(2), T.scalar(Fraction(-1, 2)), T.zero()]
+    assert u.transpose() * g * u.conj() == Matrix.diag(T, d)
+    assert hermitian_signature(g) == (1, 1, 1)
 
 
 def test_imaginary_norm_signature():

@@ -135,9 +135,19 @@ def test_structure_constant_dump():
     assert obj["dim"] == 8
     assert obj["unit_index"] == 0
     assert len(obj["table"]) == 8 and all(len(r) == 8 for r in obj["table"])
-    # cross-check entries against octonion_product()
-    for i in (1, 5):
-        for j in (2, 6):
+    # cross-check every entry against octonion_product()
+    for i in range(8):
+        for j in range(8):
             prod = mul(BASIS[i], BASIS[j])
             assert [gaussian(x) for x in prod] == [
                 (c, 0, 1) for c in obj["table"][i][j]]
+    # each e_i e_j is +-e_k, and k runs over all 8 basis vectors once in
+    # every row and once in every column
+    cells = obj["table"]
+    for i in range(8):
+        for j in range(8):
+            assert sorted(map(abs, cells[i][j])) == [0] * 7 + [1]
+    ks = [[[abs(c) for c in cell].index(1) for cell in row] for row in cells]
+    for r in range(8):
+        assert sorted(ks[r]) == list(range(8))
+        assert sorted(row[r] for row in ks) == list(range(8))
