@@ -357,11 +357,10 @@ SWAPPED_FORMS = [
 @given(st.sampled_from(SWAPPED_FORMS), gauss(T6), gauss(T6), gauss(T6))
 def test_nilpotent_orthogonal_reads_perm_and_signs(case, a, b, lam):
     perm, signs, u0, v0 = case
-    t = T6
-    f = FormSpec("symmetric", t, perm, signs, "b")
-    u = [a * t.scalar(x) for x in u0]
-    v = [b * (t.scalar(y) + lam * t.scalar(x)) for x, y in zip(u0, v0)]
-    oracle = (outer(t, u, v) - outer(t, v, u)) * f.gram
+    f = FormSpec("symmetric", T6, perm, signs, "b")
+    u = [a * T6.scalar(x) for x in u0]
+    v = [b * (T6.scalar(y) + lam * T6.scalar(x)) for x, y in zip(u0, v0)]
+    oracle = (outer(T6, u, v) - outer(T6, v, u)) * f.gram
     assert nilpotent_orthogonal(f, u, v) == oracle
 
 
